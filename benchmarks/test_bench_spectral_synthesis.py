@@ -6,8 +6,9 @@ FFT; on the 64-node / 400 s workload the ambient kernel must be at
 least 5x faster than the shared-trig time-domain batch over the same
 snapped field (measured ~10x; the floor leaves room for FFT/BLAS and
 machine variance), and the end-to-end spectral fleet path must
-digitise counts bit-identical to ``"spectral_reference"`` (the same
-snapped field through the time-domain engine).
+digitise counts bit-identical to the snapped spectral reference: the
+same snapped field through the time-domain engine, which the test
+oracle :func:`tests.scenario.oracles.timedomain_ambient` forces.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.physics.spectrum import SeaState, sea_state_spectrum
 from repro.physics.wavefield import AmbientWaveField, SpectralGrid
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.synthesis import SynthesisConfig, synthesize_fleet_traces
+from tests.scenario.oracles import timedomain_ambient
 
 ROWS = COLUMNS = 8
 DURATION_S = 400.0
@@ -32,8 +34,8 @@ def _grid() -> GridDeployment:
     return GridDeployment(ROWS, COLUMNS, spacing_m=25.0, seed=DEPLOYMENT_SEED)
 
 
-def _fleet(method: str):
-    cfg = SynthesisConfig(duration_s=DURATION_S, synthesis_method=method)
+def _fleet():
+    cfg = SynthesisConfig(duration_s=DURATION_S, synthesis_method="spectral")
     return synthesize_fleet_traces(_grid(), config=cfg, seed=SEED)
 
 
@@ -47,12 +49,14 @@ def _best_of(fn, rounds: int = 5) -> float:
     return min(times)
 
 
-def test_bench_spectral_synthesis(once):
-    fleet = once(lambda: _fleet("spectral"))
+def test_bench_spectral_synthesis(once, monkeypatch):
+    fleet = once(_fleet)
 
     # Bit-identical digitised counts against the snapped time-domain
     # reference on every axis of every node.
-    reference = _fleet("spectral_reference")
+    with monkeypatch.context() as mp:
+        timedomain_ambient(mp)
+        reference = _fleet()
     assert len(fleet) == ROWS * COLUMNS
     assert all(
         np.array_equal(fleet[nid].z, reference[nid].z)

@@ -93,6 +93,19 @@ class NodeDetectorConfig:
         hop = self.hop_s if self.hop_s is not None else self.window_s / 2.0
         return max(int(round(hop * self.rate_hz)), 1)
 
+    def check_sample_rate(self, rate_hz: float) -> None:
+        """Reject a stream sampled at a rate other than :attr:`rate_hz`.
+
+        Window timing divides sample indices by ``rate_hz``, so such a
+        stream would be silently mis-timed.  Rates within a 1e-3
+        relative tolerance count as equal.
+        """
+        if abs(self.rate_hz - rate_hz) > 1e-3 * self.rate_hz:
+            raise ConfigurationError(
+                f"detector rate_hz ({self.rate_hz}) disagrees with the "
+                f"{rate_hz} Hz sample rate"
+            )
+
 
 def window_starts(config: NodeDetectorConfig, n_samples: int) -> list[int]:
     """Start indices of every Delta-t window over an ``n_samples`` stream.

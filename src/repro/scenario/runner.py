@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.detection.cluster import (
     ClusterEvent,
@@ -27,12 +27,12 @@ from repro.detection.cluster import (
 )
 from repro.detection.fleet import FleetDetector
 from repro.detection.node_detector import (
-    NodeDetector,
     NodeDetectorConfig,
     merge_reports,
     window_starts,
 )
 from repro.detection.preprocess import (
+    PreprocessConfig,
     preprocess_z_counts,
     preprocess_z_counts_batch,
 )
@@ -55,7 +55,6 @@ from repro.sensors.accelerometer import Accelerometer
 from repro.scenario.ship import ShipTrack
 from repro.scenario.synthesis import SynthesisConfig, synthesize_fleet_traces
 from repro.telemetry.session import Telemetry, maybe_stage
-from repro.telemetry.tracer import Tracer
 from repro.types import AccelTrace, TimeWindow
 
 if TYPE_CHECKING:
@@ -122,31 +121,46 @@ def truth_windows_for(
     return out
 
 
-def _fleet_offline_reports(
+def _check_fleet_traces(
+    traces: Iterable[AccelTrace], det_cfg: NodeDetectorConfig
+) -> None:
+    """Raise unless the traces fit the detector's one window grid.
+
+    Every runner walks one Delta-t window grid across the fleet, so
+    each trace must be sampled at the detector's ``rate_hz`` and all
+    must share one length; anything else would mis-time the windows.
+    """
+    lengths: set[int] = set()
+    for trace in traces:
+        det_cfg.check_sample_rate(trace.rate_hz)
+        lengths.add(len(trace))
+    if len(lengths) > 1:
+        raise ConfigurationError(
+            f"fleet detection needs traces of one length, got {sorted(lengths)}"
+        )
+
+
+def _fleet_samples(
     deployment: GridDeployment,
     traces: dict[int, AccelTrace],
     det_cfg: NodeDetectorConfig,
-    tracer: Optional[Tracer] = None,
-) -> dict[int, list[NodeReport]] | None:
-    """Whole-fleet lockstep detection over a shared sample grid.
+    decimation: int = 1,
+    preprocess: PreprocessConfig | None = None,
+) -> tuple[np.ndarray, list[float]]:
+    """Check, stack and preprocess the fleet's z traces.
 
-    Returns ``None`` when the traces cannot be stacked (ragged lengths
-    or shorter than one window); callers fall back to the per-node
-    reference walk, which reproduces the reference behaviour including
-    its error paths.
+    Returns the ``(nodes, samples)`` matrix, rows in deployment order,
+    and each row's trace start time.  ``decimation`` keeps every n-th
+    raw sample before the ``preprocess`` chain (default: the
+    detector's own).
     """
-    nodes = list(deployment)
-    zs = [np.asarray(traces[n.node_id].z) for n in nodes]
-    if len({z.shape for z in zs}) != 1:
-        return None
-    if zs[0].size < det_cfg.window_samples:
-        return None
-    a = preprocess_z_counts_batch(np.stack(zs), det_cfg.preprocess)
-    fleet = FleetDetector.from_deployment(deployment, det_cfg)
-    fleet.tracer = tracer
-    return fleet.process_samples(
-        a, [traces[n.node_id].t0 for n in nodes]
+    fleet = [traces[node.node_id] for node in deployment]
+    _check_fleet_traces(fleet, det_cfg)
+    z = np.stack([trace.z[::decimation] for trace in fleet])
+    samples = preprocess_z_counts_batch(
+        z, preprocess if preprocess is not None else det_cfg.preprocess
     )
+    return samples, [trace.t0 for trace in fleet]
 
 
 def fuse_sequential_clusters(
@@ -194,7 +208,6 @@ def run_offline_scenario(
     track_hypothesis: TravelLine | None = None,
     keep_traces: bool = False,
     seed: RandomState = None,
-    detection_engine: str = "fleet",
     telemetry: Optional[Telemetry] = None,
 ) -> OfflineScenarioResult:
     """Synthesise, detect, and fuse one scenario without a radio.
@@ -203,21 +216,14 @@ def run_offline_scenario(
     line (the controlled setting of Tables I/II); pass an explicit
     hypothesis for no-ship runs.
 
-    ``detection_engine`` selects the lockstep-vectorized ``"fleet"``
-    walk (the default; bit-identical to the per-node reference) or the
-    per-node ``"reference"`` loop.  The fleet path silently falls back
-    to the reference when the traces do not share one sample grid.
+    Detection is one lockstep :class:`FleetDetector` walk over the
+    whole fleet, bit-identical to running a ``NodeDetector`` per node.
 
     ``telemetry`` (optional) traces detection events and profiles the
     synthesis/detection/fusion stages; ``None`` — the default — keeps
     the run free of any instrumentation overhead and bit-identical to
     a run before telemetry existed.
     """
-    if detection_engine not in ("fleet", "reference"):
-        raise ConfigurationError(
-            f"detection_engine must be 'fleet' or 'reference', "
-            f"got {detection_engine!r}"
-        )
     tracer = telemetry.tracer if telemetry is not None else None
     synth = synthesis_config if synthesis_config is not None else SynthesisConfig()
     det_cfg = detector_config if detector_config is not None else NodeDetectorConfig()
@@ -230,24 +236,13 @@ def run_offline_scenario(
             seed=seed,
         )
     with maybe_stage(telemetry, "detection"):
-        reports_by_node: dict[int, list[NodeReport]] | None = None
-        if detection_engine == "fleet":
-            reports_by_node = _fleet_offline_reports(
-                deployment, traces, det_cfg, tracer=tracer
-            )
-        if reports_by_node is None:
-            reports_by_node = {}
-            for node in deployment:
-                detector = NodeDetector(
-                    node.node_id,
-                    node.anchor,
-                    det_cfg,
-                    row=node.row,
-                    column=node.column,
-                )
-                reports_by_node[node.node_id] = detector.process_trace(
-                    traces[node.node_id]
-                )
+        fleet = FleetDetector.from_deployment(deployment, det_cfg)
+        fleet.tracer = tracer
+        # Passed straight through: the sample matrix is freed as soon
+        # as the walk returns, not held through fusion.
+        reports_by_node = fleet.process_samples(
+            *_fleet_samples(deployment, traces, det_cfg)
+        )
     merged_by_node = {
         nid: merge_reports(reports)
         for nid, reports in reports_by_node.items()
@@ -338,13 +333,18 @@ class NetworkScenarioResult:
         )
 
 
+#: Per-node window outcomes of the network precompute:
+#: ``{node_id: [(window start, report-or-None, baseline seeded after)]}``.
+WindowOutcomes = dict[int, list[tuple[int, Optional[NodeReport], bool]]]
+
+
 def _fleet_network_outcomes(
     deployment: GridDeployment,
     traces: dict[int, AccelTrace],
     det_cfg: NodeDetectorConfig,
     faults: FaultPlan | None,
     now: float,
-) -> dict[int, list[tuple[int, Optional[NodeReport], bool]]] | None:
+) -> WindowOutcomes:
     """Precompute every node's window outcomes for the event loop.
 
     Detection is purely local (no radio feedback reaches eqs. 4-8), so
@@ -357,19 +357,13 @@ def _fleet_network_outcomes(
     depleted node never comes back, so discarding its precomputed
     outcomes at feed time is observably identical.)
 
-    Returns ``{node_id: [(start, report-or-None, seeded_after)]}`` with
-    one entry per *evaluated* window, or ``None`` when the traces do
-    not share one sample grid (callers fall back to the reference
-    per-node scheduling).
+    Returns each node's :data:`WindowOutcomes` row list, one entry per
+    *evaluated* window.
     """
     nodes = list(deployment)
-    zs = [np.asarray(traces[n.node_id].z) for n in nodes]
-    if len({z.shape for z in zs}) != 1:
-        return None
-    out: dict[int, list[tuple[int, Optional[NodeReport], bool]]] = {
-        n.node_id: [] for n in nodes
-    }
-    starts = window_starts(det_cfg, zs[0].size)
+    a, t0s = _fleet_samples(deployment, traces, det_cfg)
+    out: WindowOutcomes = {n.node_id: [] for n in nodes}
+    starts = window_starts(det_cfg, a.shape[1])
     if not starts:
         return out
     # A window is skipped iff its end time falls inside [crash, reboot]
@@ -391,11 +385,9 @@ def _fleet_network_outcomes(
                 else math.inf
             )
             intervals[crash.node_id].append((lo, hi))
-    a = preprocess_z_counts_batch(np.stack(zs), det_cfg.preprocess)
     fleet = FleetDetector.from_deployment(deployment, det_cfg)
     rate = det_cfg.rate_hz
     w = det_cfg.window_samples
-    t0s = [traces[n.node_id].t0 for n in nodes]
     for start in starts:
         window_t0s = [float(t0) + start / rate for t0 in t0s]
         active = np.array(
@@ -419,7 +411,7 @@ def _fleet_network_outcomes(
 
 
 def _head_active_intervals(
-    outcomes: dict[int, list[tuple[int, Optional[NodeReport], bool]]],
+    outcomes: WindowOutcomes,
     traces: dict[int, AccelTrace],
     det_cfg: NodeDetectorConfig,
     guard_s: float,
@@ -484,7 +476,7 @@ def _elision_guard_s(
 
 def _billing_order_free(
     deployment: GridDeployment,
-    outcomes: dict[int, list[tuple[int, Optional[NodeReport], bool]]],
+    outcomes: WindowOutcomes,
     det_cfg: NodeDetectorConfig,
     retransmit: Optional[RetransmitPolicy],
 ) -> bool:
@@ -538,7 +530,6 @@ def run_network_scenario(
     healing: SelfHealingConfig | None = None,
     resync_interval_s: float | None = 120.0,
     seed: RandomState = None,
-    detection_engine: str = "fleet",
     telemetry: Optional[Telemetry] = None,
     quiet_elision: bool = True,
     sanitizer: Optional[Sanitizer] = None,
@@ -560,22 +551,19 @@ def run_network_scenario(
     dead parents, hop-by-hop relay retries, cold-restart recovery,
     battery-triggered sentinel demotion).  ``None`` — the default —
     installs nothing and keeps every path bit-identical to the
-    pre-healing transport.  Because a cold restart resets a node's
-    eq. 5 baseline at run time, healing forces the ``"reference"``
-    detection engine (the fleet precompute assumes baselines are never
-    reset mid-run).
+    pre-healing transport.
+
+    Without healing, every window outcome is precomputed by one
+    lockstep :class:`FleetDetector` walk (planned crash windows masked
+    out) and replayed through the event loop.  A cold restart resets a
+    node's eq. 5 baseline at run time, which that precompute cannot
+    model, so a healing-armed run instead feeds raw windows into each
+    node's own detector at event time.
 
     ``resync_interval_s`` schedules a periodic fleet-wide time-sync
     beacon (None disables it); crashed nodes miss their beacons and a
     plan's :class:`~repro.faults.plan.ClockSyncFailure` suppresses
     them per node, letting drift accumulate unbounded.
-
-    ``detection_engine`` selects how per-window detection runs:
-    ``"fleet"`` (default) precomputes every window outcome with the
-    lockstep-vectorized engine and replays them through the event loop
-    (bit-identical to the reference, including planned crash windows);
-    ``"reference"`` feeds raw windows into each node's own detector at
-    event time.
 
     ``telemetry`` (optional) traces the run end to end — frame
     tx/rx/drop, heal/fault/detection events, profiling spans — and
@@ -583,7 +571,7 @@ def run_network_scenario(
     (the default) installs nothing: every emission site reduces to one
     attribute check and the run stays bit-identical to seed.
 
-    ``quiet_elision`` (default True) lets the fleet-engine path skip
+    ``quiet_elision`` (default True) lets the precomputed path skip
     scheduling provably-no-op window feeds and timer ticks during
     radio-quiet stretches, coalescing their battery billing into
     batched catch-up events with arithmetically identical draws.  It
@@ -601,11 +589,6 @@ def run_network_scenario(
     sanitized run is digest-identical to an unsanitized one; call
     ``sanitizer.report()`` after the run for the findings.
     """
-    if detection_engine not in ("fleet", "reference"):
-        raise ConfigurationError(
-            f"detection_engine must be 'fleet' or 'reference', "
-            f"got {detection_engine!r}"
-        )
     tracer = telemetry.tracer if telemetry is not None else None
     base = make_rng(seed)
     root = int(base.integers(2**31))
@@ -683,18 +666,19 @@ def run_network_scenario(
     window = cfg.detector.window_samples
     # The fleet precompute assumes no baseline resets mid-run; a
     # healing-armed run can cold-restart detectors at reboot time, so
-    # it always takes the reference feed path.
+    # it feeds each node's preprocessed windows at event time instead.
     # The precompute's FleetDetector stays untraced: its alarms replay
     # through each SIDNode at event time, which is where they are
     # emitted (tracing both would double-count every alarm).
-    if detection_engine == "fleet" and healing is None:
+    outcomes: Optional[WindowOutcomes] = None
+    if healing is None:
         with maybe_stage(telemetry, "detection_precompute"):
             outcomes = _fleet_network_outcomes(
                 deployment, traces, cfg.detector, faults, network.sim.now
             )
     else:
-        outcomes = None
-    # Quiet-tick elision: with the fleet engine and no fault plan, the
+        _check_fleet_traces(traces.values(), cfg.detector)
+    # Quiet-tick elision: with the precompute and no fault plan, the
     # precompute tells us every moment each node can originate protocol
     # traffic — and thereby every stretch in which it could head an
     # open cluster.  Outside its own guarded intervals a node's
@@ -742,10 +726,9 @@ def run_network_scenario(
         if sanitizer is not None:
             sanitizer.track_node(proc)
         if outcomes is not None:
-            # Replay the precomputed outcomes at the same window end
-            # times the reference schedules its feeds (a masked-out
-            # crash window schedules nothing — its reference feed
-            # would have fired as a no-op on a dead node).
+            # Replay the precomputed outcomes at the window end times
+            # (a masked-out crash window schedules nothing — its raw
+            # feed would have fired as a no-op on a dead node).
             intervals = active.get(node.node_id, [])
             cursor = [0]
             quiet_n = 0
@@ -935,96 +918,141 @@ class DutyCycledScenarioResult:
         return self.controller.sentinel_demotions
 
 
-def _dutycycled_fleet_reports(
+def _dutycycled_reports(
     deployment: GridDeployment,
     traces: dict[int, AccelTrace],
     det_cfg: NodeDetectorConfig,
     coarse_cfg: NodeDetectorConfig,
     decimation: int,
     controller: "DutyCycleController",
-) -> tuple[dict[int, list[NodeReport]], Optional[float]] | None:
-    """Group-vectorized duty-cycled walk (one fleet step per window).
+    faults: FaultPlan | None,
+) -> tuple[dict[int, list[NodeReport]], Optional[float]]:
+    """The duty-cycled window walk: one fleet step per window group.
 
-    Valid only when every trace shares one sample grid *and* the
-    wake-up latency is positive: an alarm raised inside a window group
-    then cannot retroactively activate other rows of the same group
-    (its wake interval starts at ``onset + latency > t0``), so the
-    active/wakeup masks for a group can be computed up front and the
-    per-row branch replayed vectorized.  Returns ``None`` when the
-    preconditions fail; callers fall back to the sequential reference.
+    Window groups (one start index, shared by every node) run in time
+    order.  Before each step, rows are visited in node-id order to pick
+    their branch — baseline initialisation (both rates), full-rate
+    detection during a wake-up, coarse sentinel detection, or asleep —
+    and, under an active fault plan, to apply due battery drains, skip
+    depleted nodes, bill the branch's samples and test the demotion
+    watermark.  After the step the same order replays demotions and
+    alarms, so the controller sees them exactly as a node-by-node walk
+    would.
+
+    An alarm wakes the fleet ``wakeup_latency_s`` after its onset,
+    which is never before its window's start; with a positive latency
+    no alarm can wake a row of its own group, so the whole group steps
+    at once.  With zero latency an onset at the window start wakes the
+    group's later rows, so rows then step one at a time.
     """
     nodes = list(deployment)
-    if controller.config.wakeup_latency_s <= 0:
-        return None
-    if len({traces[n.node_id].t0 for n in nodes}) != 1:
-        return None
-    zs = [np.asarray(traces[n.node_id].z) for n in nodes]
-    if len({z.shape for z in zs}) != 1:
-        return None
-    t_base = float(traces[nodes[0].node_id].t0)
-    Z = np.stack(zs)
-    pre = preprocess_z_counts_batch(Z, det_cfg.preprocess)
-    coarse_pre = preprocess_z_counts_batch(
-        Z[:, ::decimation], coarse_cfg.preprocess
+    ids = [node.node_id for node in nodes]
+    pre, t0s = _fleet_samples(deployment, traces, det_cfg)
+    if len(set(t0s)) > 1:
+        raise ConfigurationError(
+            "duty-cycled detection needs one shared trace start time"
+        )
+    coarse_pre, _ = _fleet_samples(
+        deployment, traces, det_cfg, decimation, coarse_cfg.preprocess
     )
     window = det_cfg.window_samples
     coarse_window = coarse_cfg.window_samples
     fleet = FleetDetector.from_deployment(deployment, det_cfg)
     coarse_fleet = FleetDetector.from_deployment(deployment, coarse_cfg)
     n = len(nodes)
-    rate = det_cfg.rate_hz
-    # Within a group rows replay in ascending node id — the order the
-    # reference's (t0, node_id, start) schedule visits them.
-    order = sorted(range(n), key=lambda i: nodes[i].node_id)
-    reports_by_node: dict[int, list[NodeReport]] = {
-        n_.node_id: [] for n_ in nodes
-    }
+    order = sorted(range(n), key=lambda i: ids[i])
+    batches = (
+        [order]
+        if controller.config.wakeup_latency_s > 0
+        else [[i] for i in order]
+    )
+    # Battery model (active fault plans only): pending drains sorted by
+    # onset, per-window sampling bills, and watermark demotion.
+    billing = faults is not None and faults.active
+    pending: dict[int, list[BatteryDrain]] = {}
+    if faults is not None and billing:
+        for drain in sorted(faults.battery_drains, key=lambda d: d.at_s):
+            pending.setdefault(drain.node_id, []).append(drain)
+    batteries = [node.mote.battery for node in nodes]
+    demote_frac = controller.config.demote_battery_fraction
+    reports_by_node: dict[int, list[NodeReport]] = {nid: [] for nid in ids}
     first_alarm: Optional[float] = None
     for start in window_starts(det_cfg, pre.shape[1]):
-        t0 = t_base + start / rate
-        t0s = [t0] * n
+        t0 = t0s[0] + start / det_cfg.rate_hz
+        window_t0s = [t0] * n
         c_start = start // decimation
         c_seg = coarse_pre[:, c_start : c_start + coarse_window]
-        seeded = fleet.seeded
-        init_rows = ~seeded
-        wake = controller.in_wakeup(t0) or decimation == 1
-        active = np.array(
-            [
-                bool(seeded[i]) and controller.is_active(nodes[i].node_id, t0)
-                for i in range(n)
-            ],
-            dtype=bool,
-        )
-        fine_branch = active & wake
-        coarse_branch = active & ~wake
-        if c_seg.shape[1] < coarse_window:
-            # Sentinels skip a short trailing coarse segment (the
-            # reference's ``c_seg.size < coarse_window`` continue).
-            coarse_branch[:] = False
-        fine_mask = init_rows | fine_branch
-        coarse_mask = init_rows | coarse_branch
-        fine_reports: list[Optional[NodeReport]] = [None] * n
-        if fine_mask.any():
-            fine_reports = fleet.step(
-                pre[:, start : start + window], t0s, active=fine_mask
-            )
-        coarse_reports: list[Optional[NodeReport]] = [None] * n
-        if coarse_mask.any():
-            coarse_reports = coarse_fleet.step(
-                c_seg, t0s, active=coarse_mask
-            )
-        for i in order:
-            if fine_branch[i]:
-                report = fine_reports[i]
-            elif coarse_branch[i]:
-                report = coarse_reports[i]
-            else:
-                continue
-            if report is not None:
-                reports_by_node[nodes[i].node_id].append(report)
-                controller.alarm(report.onset_time)
-                if first_alarm is None:
-                    first_alarm = report.onset_time
+        for batch in batches:
+            wake = controller.in_wakeup(t0) or decimation == 1
+            seeded = fleet.seeded
+            init = np.zeros(n, dtype=bool)
+            fine = np.zeros(n, dtype=bool)
+            coarse = np.zeros(n, dtype=bool)
+            demote: list[int] = []
+            for i in batch:
+                battery = batteries[i]
+                if billing:
+                    drains = pending.get(ids[i])
+                    while drains and drains[0].at_s <= t0:
+                        battery.accelerate_drain(drains.pop(0).factor)
+                    if battery.depleted:
+                        continue
+                if not seeded[i]:
+                    # Initialization windows always run (they happen
+                    # right after deployment, before the duty cycle
+                    # engages); both rates build their baselines here.
+                    init[i] = True
+                    if billing:
+                        battery.draw_samples(window)
+                    continue
+                demoted = controller.is_demoted(ids[i])
+                if (
+                    billing
+                    and demote_frac is not None
+                    and not demoted
+                    and battery.fraction_remaining < demote_frac
+                ):
+                    demote.append(i)
+                    demoted = True
+                if not demoted and not controller.is_active(ids[i], t0):
+                    continue
+                if wake and not demoted:
+                    fine[i] = True
+                    if billing:
+                        battery.draw_samples(window)
+                elif c_seg.shape[1] == coarse_window:
+                    # Sentinel mode: coarse detection at the reduced
+                    # rate (a short trailing coarse segment is skipped).
+                    coarse[i] = True
+                    if billing:
+                        battery.draw_samples(coarse_window)
+            fine_reports: list[Optional[NodeReport]] = [None] * n
+            if (init | fine).any():
+                fine_reports = fleet.step(
+                    pre[:, start : start + window],
+                    window_t0s,
+                    active=init | fine,
+                )
+            coarse_reports: list[Optional[NodeReport]] = [None] * n
+            if (init | coarse).any():
+                coarse_reports = coarse_fleet.step(
+                    c_seg, window_t0s, active=init | coarse
+                )
+            for i in batch:
+                if i in demote:
+                    controller.demote(ids[i], t0)
+                report = (
+                    fine_reports[i]
+                    if fine[i]
+                    else coarse_reports[i]
+                    if coarse[i]
+                    else None
+                )
+                if report is not None:
+                    reports_by_node[ids[i]].append(report)
+                    controller.alarm(report.onset_time)
+                    if first_alarm is None:
+                        first_alarm = report.onset_time
     return reports_by_node, first_alarm
 
 
@@ -1037,7 +1065,6 @@ def run_dutycycled_scenario(
     disturbances_by_node: dict[int, list[Disturbance]] | None = None,
     faults: FaultPlan | None = None,
     seed: RandomState = None,
-    detection_engine: str = "fleet",
     telemetry: Optional[Telemetry] = None,
 ) -> DutyCycledScenarioResult:
     """Run the Sec. IV-A sentinel/wake-up policy over one scenario.
@@ -1057,26 +1084,11 @@ def run_dutycycled_scenario(
     sentinel duty.  ``faults=None`` (the default) bills nothing and
     stays bit-identical to the pre-fault runner.
 
-    ``detection_engine="fleet"`` (default) advances the whole fleet one
-    window group at a time with the vectorized engine — bit-identical
-    to the sequential reference whenever the wake-up latency is
-    positive and all traces share one sample grid (it falls back to
-    the reference otherwise); ``"reference"`` forces the sequential
-    per-window loop.
-
     ``telemetry`` (optional) traces duty-cycle policy activity —
     fleet wake-ups and sentinel demotions — and records profiling
     spans; ``None`` (the default) adds nothing to the run.
     """
-    from dataclasses import replace
-
     from repro.detection.dutycycle import DutyCycleController
-
-    if detection_engine not in ("fleet", "reference"):
-        raise ConfigurationError(
-            f"detection_engine must be 'fleet' or 'reference', "
-            f"got {detection_engine!r}"
-        )
 
     synth = synthesis_config if synthesis_config is not None else SynthesisConfig()
     det_cfg = detector_config if detector_config is not None else NodeDetectorConfig()
@@ -1115,126 +1127,16 @@ def run_dutycycled_scenario(
         if decimation > 1
         else det_cfg
     )
-    plan_active = faults is not None and faults.active
-    # The group-vectorized walk has no battery model; faulted runs take
-    # the sequential reference loop, which bills and demotes per window.
-    if detection_engine == "fleet" and not plan_active:
-        with maybe_stage(telemetry, "detection"):
-            fleet_result = _dutycycled_fleet_reports(
-                deployment, traces, det_cfg, coarse_cfg, decimation, controller
-            )
-        if fleet_result is not None:
-            reports_by_node, first_alarm = fleet_result
-            return DutyCycledScenarioResult(
-                reports_by_node=reports_by_node,
-                merged_by_node={
-                    nid: merge_reports(reports)
-                    for nid, reports in reports_by_node.items()
-                },
-                controller=controller,
-                first_alarm_time=first_alarm,
-                truth_windows_by_node=truth_windows_for(deployment, ships),
-            )
-    detectors = {
-        n.node_id: NodeDetector(
-            n.node_id, n.anchor, det_cfg, row=n.row, column=n.column
+    with maybe_stage(telemetry, "detection"):
+        reports_by_node, first_alarm = _dutycycled_reports(
+            deployment,
+            traces,
+            det_cfg,
+            coarse_cfg,
+            decimation,
+            controller,
+            faults,
         )
-        for n in deployment
-    }
-    coarse_detectors = {
-        n.node_id: NodeDetector(
-            n.node_id, n.anchor, coarse_cfg, row=n.row, column=n.column
-        )
-        for n in deployment
-    }
-    preprocessed = {
-        nid: preprocess_z_counts(tr.z, det_cfg.preprocess)
-        for nid, tr in traces.items()
-    }
-    coarse_preprocessed = {
-        nid: preprocess_z_counts(
-            tr.z[::decimation], coarse_cfg.preprocess
-        )
-        for nid, tr in traces.items()
-    }
-    window = det_cfg.window_samples
-    coarse_window = coarse_cfg.window_samples
-    # Build the (t0, node_id, start) schedule in global time order.
-    schedule: list[tuple[float, int, int]] = []
-    for nid, a in preprocessed.items():
-        t_base = traces[nid].t0
-        for start in window_starts(det_cfg, len(a)):
-            schedule.append((t_base + start / det_cfg.rate_hz, nid, start))
-    schedule.sort()
-
-    reports_by_node: dict[int, list[NodeReport]] = {
-        nid: [] for nid in preprocessed
-    }
-    # Battery model (faulted runs only): pending drains sorted by
-    # onset, per-window sampling bills, and watermark demotion.
-    pending_drains: dict[int, list[BatteryDrain]] = {}
-    if plan_active:
-        for drain in faults.battery_drains:
-            pending_drains.setdefault(drain.node_id, []).append(drain)
-        for drains in pending_drains.values():
-            drains.sort(key=lambda d: d.at_s)
-    batteries = {n.node_id: n.mote.battery for n in deployment}
-    demote_frac = controller.config.demote_battery_fraction
-    first_alarm: Optional[float] = None
-    for t0, nid, start in schedule:
-        detector = detectors[nid]
-        seg = preprocessed[nid][start : start + window]
-        if plan_active:
-            battery = batteries[nid]
-            drains = pending_drains.get(nid)
-            while drains and drains[0].at_s <= t0:
-                battery.accelerate_drain(drains.pop(0).factor)
-            if battery.depleted:
-                continue
-        if not detector.initialized:
-            # Initialization windows always run (they happen right after
-            # deployment, before the duty cycle engages); both rate
-            # variants build their baselines during this phase.
-            if plan_active:
-                battery.draw_samples(window)
-            detector.process_window(seg, t0)
-            c_start = start // decimation
-            coarse_detectors[nid].process_window(
-                coarse_preprocessed[nid][c_start : c_start + coarse_window],
-                t0,
-            )
-            continue
-        if (
-            plan_active
-            and demote_frac is not None
-            and not controller.is_demoted(nid)
-            and battery.fraction_remaining < demote_frac
-        ):
-            controller.demote(nid, t0)
-        if not controller.is_active(nid, t0):
-            continue
-        if (
-            controller.in_wakeup(t0) or decimation == 1
-        ) and not controller.is_demoted(nid):
-            if plan_active:
-                battery.draw_samples(window)
-            report = detector.process_window(seg, t0)
-        else:
-            # Sentinel mode: coarse detection at the reduced rate.
-            c_start = start // decimation
-            c_seg = coarse_preprocessed[nid][
-                c_start : c_start + coarse_window
-            ]
-            if c_seg.size < coarse_window:
-                continue
-            if plan_active:
-                battery.draw_samples(coarse_window)
-            report = coarse_detectors[nid].process_window(c_seg, t0)
-        if report is not None:
-            reports_by_node[nid].append(report)
-            controller.alarm(report.onset_time)
-            if first_alarm is None:
-                first_alarm = report.onset_time
     return DutyCycledScenarioResult(
         reports_by_node=reports_by_node,
         merged_by_node={

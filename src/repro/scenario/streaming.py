@@ -257,6 +257,8 @@ def run_streaming_scenario(
             "stream; use one of "
             f"{', '.join(repr(k) for k in STREAMABLE_FILTER_KINDS)}"
         )
+    for node in deployment:
+        det_cfg.check_sample_rate(node.mote.sampler.rate_hz)
     synth = (
         synthesis_config if synthesis_config is not None else SynthesisConfig()
     )

@@ -145,11 +145,7 @@ def detect_on_trace(
     z = np.asarray(z_counts)
     if config is None:
         config = NodeDetectorConfig(rate_hz=rate_hz)
-    elif abs(config.rate_hz - rate_hz) > 1e-3 * config.rate_hz:
-        raise ConfigurationError(
-            f"config.rate_hz ({config.rate_hz}) disagrees with rate_hz "
-            f"({rate_hz})"
-        )
+    config.check_sample_rate(rate_hz)
     trace = AccelTrace(
         t0=t0,
         rate_hz=rate_hz,

@@ -8,14 +8,12 @@ Sec. IV-A.
 """
 
 from repro.sensors.accelerometer import Accelerometer, AccelerometerSpec
-from repro.sensors.adc import ADC
 from repro.sensors.battery import Battery, EnergyCosts
 from repro.sensors.clock import Clock
 from repro.sensors.imote2 import IMote2, MoteConfig
 from repro.sensors.sampler import Sampler
 
 __all__ = [
-    "ADC",
     "Accelerometer",
     "AccelerometerSpec",
     "Battery",

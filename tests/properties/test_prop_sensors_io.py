@@ -9,30 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.constants import GRAVITY
 from repro.sensors.accelerometer import Accelerometer, AccelerometerSpec
-from repro.sensors.adc import ADC
 from repro.types import AccelTrace
-
-_volts = hnp.arrays(
-    dtype=np.float64,
-    shape=st.integers(1, 200),
-    elements=st.floats(-10.0, 10.0, allow_nan=False, width=64),
-)
-
-
-@given(_volts, st.integers(2, 16))
-def test_adc_codes_in_range(v, bits):
-    adc = ADC(bits=bits, v_min=-2.0, v_max=2.0)
-    codes = adc.convert(v)
-    assert codes.min() >= 0
-    assert codes.max() <= adc.levels - 1
-
-
-@given(_volts, st.integers(4, 16))
-def test_adc_roundtrip_error_bounded(v, bits):
-    adc = ADC(bits=bits, v_min=-2.0, v_max=2.0)
-    inside = np.clip(v, -2.0 + 1e-9, 2.0 - 1e-9)
-    back = adc.to_volts(adc.convert(inside))
-    assert np.abs(back - inside).max() <= adc.lsb / 2 + 1e-12
 
 
 @given(

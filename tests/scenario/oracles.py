@@ -1,0 +1,241 @@
+"""Reference walks the scenario runners are checked against.
+
+Each runner runs one lockstep :class:`~repro.detection.fleet.FleetDetector`
+walk.  The functions here are the plain per-node (or per-window)
+formulations of the same detection, kept as test oracles:
+
+- :func:`offline_reports` — one ``NodeDetector`` per node over its
+  whole trace (what ``run_offline_scenario`` must reproduce);
+- :func:`network_outcomes` — the crash-masked per-node window walk,
+  with the signature of ``runner._fleet_network_outcomes`` so a test
+  can substitute it and run the event loop end to end;
+- :func:`sequential_dutycycle` — the node-by-node, window-by-window
+  duty-cycle loop, with the signature of ``runner._dutycycled_reports``;
+- :func:`timedomain_ambient` — the snapped spectral reference: the
+  ``"spectral"`` realisation evaluated by the time-domain engine.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional
+
+import pytest
+
+from repro.detection.dutycycle import DutyCycleController
+from repro.detection.node_detector import (
+    NodeDetector,
+    NodeDetectorConfig,
+    window_starts,
+)
+from repro.detection.preprocess import preprocess_z_counts
+from repro.detection.reports import NodeReport
+from repro.faults.plan import BatteryDrain, FaultPlan
+from repro.physics.wavefield import AmbientWaveField
+from repro.scenario.deployment import GridDeployment
+from repro.scenario.runner import WindowOutcomes
+from repro.types import AccelTrace
+
+
+def offline_reports(
+    deployment: GridDeployment,
+    traces: dict[int, AccelTrace],
+    det_cfg: NodeDetectorConfig,
+) -> dict[int, list[NodeReport]]:
+    """Per-node offline detection: one ``NodeDetector`` per trace."""
+    reports_by_node = {}
+    for node in deployment:
+        detector = NodeDetector(
+            node.node_id,
+            node.anchor,
+            det_cfg,
+            row=node.row,
+            column=node.column,
+        )
+        reports_by_node[node.node_id] = detector.process_trace(
+            traces[node.node_id]
+        )
+    return reports_by_node
+
+
+def network_outcomes(
+    deployment: GridDeployment,
+    traces: dict[int, AccelTrace],
+    det_cfg: NodeDetectorConfig,
+    faults: FaultPlan | None,
+    now: float,
+) -> WindowOutcomes:
+    """What each node's own detector sees when fed at window end times.
+
+    A crashed node's feed returns before touching its detector.  The
+    crash is scheduled before the feeds and pops first on a time tie;
+    the reboot is scheduled during the run, after the feeds, so a feed
+    at the reboot instant still finds the node dead.  Every evaluated
+    window yields ``(start, report-or-None, baseline seeded after)``.
+    """
+    rate = det_cfg.rate_hz
+    w = det_cfg.window_samples
+    out: WindowOutcomes = {}
+    crashes = faults.node_crashes if faults is not None else ()
+    for node in deployment:
+        trace = traces[node.node_id]
+        down = [
+            (
+                max(c.at_s, now),
+                math.inf
+                if c.reboot_after_s is None
+                else max(c.at_s, now) + c.reboot_after_s,
+            )
+            for c in crashes
+            if c.node_id == node.node_id
+        ]
+        detector = NodeDetector(
+            node.node_id, node.anchor, det_cfg, row=node.row, column=node.column
+        )
+        a = preprocess_z_counts(trace.z, det_cfg.preprocess)
+        rows = []
+        for start in window_starts(det_cfg, a.size):
+            t_start = trace.t0 + start / rate
+            if any(lo <= t_start + w / rate <= hi for lo, hi in down):
+                continue
+            report = detector.process_window(a[start : start + w], t_start)
+            rows.append((start, report, detector.initialized))
+        out[node.node_id] = rows
+    return out
+
+
+def sequential_dutycycle(
+    deployment: GridDeployment,
+    traces: dict[int, AccelTrace],
+    det_cfg: NodeDetectorConfig,
+    coarse_cfg: NodeDetectorConfig,
+    decimation: int,
+    controller: DutyCycleController,
+    faults: FaultPlan | None,
+) -> tuple[dict[int, list[NodeReport]], Optional[float]]:
+    """The duty-cycle policy one node-window at a time, in time order.
+
+    Every (window start, node id) pair is visited in turn, so each
+    alarm, drain and demotion is visible to the very next visit.
+    """
+    plan_active = faults is not None and faults.active
+    detectors = {
+        n.node_id: NodeDetector(
+            n.node_id, n.anchor, det_cfg, row=n.row, column=n.column
+        )
+        for n in deployment
+    }
+    coarse_detectors = {
+        n.node_id: NodeDetector(
+            n.node_id, n.anchor, coarse_cfg, row=n.row, column=n.column
+        )
+        for n in deployment
+    }
+    preprocessed = {
+        nid: preprocess_z_counts(tr.z, det_cfg.preprocess)
+        for nid, tr in traces.items()
+    }
+    coarse_preprocessed = {
+        nid: preprocess_z_counts(
+            tr.z[::decimation], coarse_cfg.preprocess
+        )
+        for nid, tr in traces.items()
+    }
+    window = det_cfg.window_samples
+    coarse_window = coarse_cfg.window_samples
+    # Build the (t0, node_id, start) schedule in global time order.
+    schedule: list[tuple[float, int, int]] = []
+    for nid, a in preprocessed.items():
+        t_base = traces[nid].t0
+        for start in window_starts(det_cfg, len(a)):
+            schedule.append((t_base + start / det_cfg.rate_hz, nid, start))
+    schedule.sort()
+
+    reports_by_node: dict[int, list[NodeReport]] = {
+        nid: [] for nid in preprocessed
+    }
+    # Battery model (faulted runs only): pending drains sorted by
+    # onset, per-window sampling bills, and watermark demotion.
+    pending_drains: dict[int, list[BatteryDrain]] = {}
+    if plan_active:
+        for drain in faults.battery_drains:
+            pending_drains.setdefault(drain.node_id, []).append(drain)
+        for drains in pending_drains.values():
+            drains.sort(key=lambda d: d.at_s)
+    batteries = {n.node_id: n.mote.battery for n in deployment}
+    demote_frac = controller.config.demote_battery_fraction
+    first_alarm: Optional[float] = None
+    for t0, nid, start in schedule:
+        detector = detectors[nid]
+        seg = preprocessed[nid][start : start + window]
+        if plan_active:
+            battery = batteries[nid]
+            drains = pending_drains.get(nid)
+            while drains and drains[0].at_s <= t0:
+                battery.accelerate_drain(drains.pop(0).factor)
+            if battery.depleted:
+                continue
+        if not detector.initialized:
+            # Initialization windows always run (they happen right after
+            # deployment, before the duty cycle engages); both rate
+            # variants build their baselines during this phase.
+            if plan_active:
+                battery.draw_samples(window)
+            detector.process_window(seg, t0)
+            c_start = start // decimation
+            coarse_detectors[nid].process_window(
+                coarse_preprocessed[nid][c_start : c_start + coarse_window],
+                t0,
+            )
+            continue
+        if (
+            plan_active
+            and demote_frac is not None
+            and not controller.is_demoted(nid)
+            and battery.fraction_remaining < demote_frac
+        ):
+            controller.demote(nid, t0)
+        if not controller.is_active(nid, t0):
+            continue
+        if (
+            controller.in_wakeup(t0) or decimation == 1
+        ) and not controller.is_demoted(nid):
+            if plan_active:
+                battery.draw_samples(window)
+            report = detector.process_window(seg, t0)
+        else:
+            # Sentinel mode: coarse detection at the reduced rate.
+            c_start = start // decimation
+            c_seg = coarse_preprocessed[nid][
+                c_start : c_start + coarse_window
+            ]
+            if c_seg.size < coarse_window:
+                continue
+            if plan_active:
+                battery.draw_samples(coarse_window)
+            report = coarse_detectors[nid].process_window(c_seg, t0)
+        if report is not None:
+            reports_by_node[nid].append(report)
+            controller.alarm(report.onset_time)
+            if first_alarm is None:
+                first_alarm = report.onset_time
+    return reports_by_node, first_alarm
+
+
+def timedomain_ambient(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Evaluate every batched ambient field in the time domain.
+
+    Under ``synthesis_method="spectral"`` the field's components are
+    snapped onto an FFT grid and contracted with one inverse FFT; with
+    this patch applied the same snapped realisation goes through the
+    trig-matrix engine instead — the reference whose digitised counts
+    the spectral engine must reproduce bit for bit.
+    """
+    for name in ("vertical_acceleration_batch", "horizontal_acceleration_batch"):
+        original = getattr(AmbientWaveField, name)
+
+        def forced(self, *args, _original=original, **kwargs):
+            kwargs["method"] = "timedomain"
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(AmbientWaveField, name, forced)

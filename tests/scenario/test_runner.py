@@ -2,19 +2,28 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.detection.cluster import ClusterEvent, TemporaryClusterConfig
 from repro.detection.node_detector import NodeDetectorConfig
+from repro.detection.preprocess import PreprocessConfig
 from repro.detection.sid import SIDNodeConfig
+from repro.errors import ConfigurationError, SignalLengthError
+from repro.network.selfheal import SelfHealingConfig
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.presets import paper_ship
 from repro.scenario.runner import (
+    run_dutycycled_scenario,
     run_network_scenario,
     run_offline_scenario,
     truth_windows_for,
 )
+from repro.scenario.streaming import run_streaming_scenario
 from repro.scenario.synthesis import SynthesisConfig
+from repro.sensors.imote2 import MoteConfig
+from repro.sensors.sampler import Sampler
 
 
 @pytest.fixture
@@ -235,3 +244,60 @@ class TestCoarseSentinelPath:
             )
             tp += ca.true_positives
         assert tp >= len(dep) // 3
+
+
+class TestFleetInputChecks:
+    """Every runner walks one Delta-t window grid at the detector's rate."""
+
+    RUNNERS = {
+        "offline": run_offline_scenario,
+        "network": run_network_scenario,
+        # Healing keeps the event-time feed path; it gets the same check.
+        "network_healed": partial(
+            run_network_scenario, healing=SelfHealingConfig()
+        ),
+        "dutycycled": run_dutycycled_scenario,
+        "streaming": run_streaming_scenario,
+    }
+
+    def _run(self, name, dep, duration_s=20.0):
+        det = NodeDetectorConfig(
+            m=2.0,
+            af_threshold=0.4,
+            preprocess=PreprocessConfig(filter_kind="moving-average"),
+        )
+        detector = (
+            {"sid_config": SIDNodeConfig(detector=det)}
+            if name.startswith("network")
+            else {"detector_config": det}
+        )
+        return self.RUNNERS[name](
+            dep,
+            [paper_ship(dep, cross_time_s=duration_s / 2.0)],
+            synthesis_config=SynthesisConfig(duration_s=duration_s),
+            seed=5,
+            **detector,
+        )
+
+    @pytest.mark.parametrize("name", sorted(RUNNERS))
+    def test_sample_rate_mismatch_rejected(self, name):
+        # 25 Hz motes under the 50 Hz detector: every window would be
+        # stamped as if its samples came twice as fast.
+        dep = GridDeployment(
+            3, 3, seed=5, mote_config=MoteConfig(sample_rate_hz=25.0)
+        )
+        with pytest.raises(ConfigurationError, match="rate"):
+            self._run(name, dep)
+
+    @pytest.mark.parametrize(
+        "name", ["offline", "network", "network_healed", "dutycycled"]
+    )
+    def test_ragged_traces_rejected(self, name):
+        dep = GridDeployment(2, 2, seed=5)
+        dep.node(0).mote.sampler = Sampler(rate_hz=25.0)
+        with pytest.raises(ConfigurationError, match="one length"):
+            self._run(name, dep)
+
+    def test_offline_short_traces_raise_signal_length(self):
+        with pytest.raises(SignalLengthError, match="at least one window"):
+            self._run("offline", GridDeployment(2, 2, seed=5), duration_s=1.0)

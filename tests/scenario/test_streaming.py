@@ -1,9 +1,9 @@
-"""Engine-parity and streaming-fusion tests for the scenario runners.
+"""Oracle-parity and streaming-fusion tests for the scenario runners.
 
-Every runner that gained a ``detection_engine`` switch must produce
-*identical* results under ``"fleet"`` and ``"reference"``, and the
-streaming synthesis->detection path must reproduce the monolithic
-offline run report for report.
+Each runner runs one lockstep fleet detection walk; it must produce
+*identical* results to the per-node reference walks kept in
+:mod:`tests.scenario.oracles`, and the streaming synthesis->detection
+path must reproduce the monolithic offline run report for report.
 """
 
 from __future__ import annotations
@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from repro.detection.dutycycle import DutyCycleConfig
-from repro.detection.node_detector import NodeDetectorConfig
+from repro.detection.node_detector import NodeDetectorConfig, merge_reports
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan, NodeCrash
+from repro.scenario import runner
+from repro.scenario.digest import scenario_digest
 from repro.scenario.presets import paper_scenario
 from repro.scenario.runner import (
     run_dutycycled_scenario,
@@ -28,8 +30,17 @@ from repro.scenario.streaming import (
     run_streaming_scenario,
 )
 from repro.scenario.synthesis import synthesize_fleet_traces
+from tests.scenario import oracles
 
 SEED = 23
+
+CRASH_PLAN = FaultPlan(
+    node_crashes=(
+        NodeCrash(2, 40.0, reboot_after_s=30.0),
+        NodeCrash(5, 60.0),  # never reboots
+        NodeCrash(7, 0.0, reboot_after_s=20.0),
+    )
+)
 
 
 def _scenario(seed=SEED):
@@ -42,98 +53,102 @@ def _detector(**kw):
 
 class TestOfflineEngineParity:
     def test_fleet_matches_reference(self):
-        dep1, ship1, synth1 = _scenario()
-        a = run_offline_scenario(
-            dep1,
-            [ship1],
-            detector_config=_detector(),
-            synthesis_config=synth1,
-            seed=SEED,
-            detection_engine="fleet",
-        )
-        dep2, ship2, synth2 = _scenario()
-        b = run_offline_scenario(
-            dep2,
-            [ship2],
-            detector_config=_detector(),
-            synthesis_config=synth2,
-            seed=SEED,
-            detection_engine="reference",
-        )
-        assert a.reports_by_node == b.reports_by_node
-        assert a.merged_by_node == b.merged_by_node
-        assert a.cluster_event == b.cluster_event
-        assert len(a.cluster_outcomes) == len(b.cluster_outcomes)
-        assert sum(len(v) for v in a.reports_by_node.values()) > 0
-
-    def test_unknown_engine_rejected(self):
         dep, ship, synth = _scenario()
-        with pytest.raises(ConfigurationError):
-            run_offline_scenario(
-                dep, [ship], synthesis_config=synth, detection_engine="gpu"
-            )
+        det = _detector()
+        result = run_offline_scenario(
+            dep,
+            [ship],
+            detector_config=det,
+            synthesis_config=synth,
+            seed=SEED,
+            keep_traces=True,
+        )
+        reference = oracles.offline_reports(dep, result.traces, det)
+        assert result.reports_by_node == reference
+        assert result.merged_by_node == {
+            nid: merge_reports(reports) for nid, reports in reference.items()
+        }
+        assert sum(len(v) for v in reference.values()) > 0
 
 
 class TestNetworkEngineParity:
-    def test_fleet_matches_reference(self):
-        dep1, ship1, synth1 = _scenario()
-        a = run_network_scenario(
-            dep1,
-            [ship1],
-            synthesis_config=synth1,
-            seed=SEED,
-            detection_engine="fleet",
-        )
-        dep2, ship2, synth2 = _scenario()
-        b = run_network_scenario(
-            dep2,
-            [ship2],
-            synthesis_config=synth2,
-            seed=SEED,
-            detection_engine="reference",
-        )
+    def _pair(self, monkeypatch, faults=None):
+        """The same run with the fleet precompute and with the oracle."""
+        results = []
+        for oracle in (False, True):
+            dep, ship, synth = _scenario()
+            with monkeypatch.context() as mp:
+                if oracle:
+                    mp.setattr(
+                        runner,
+                        "_fleet_network_outcomes",
+                        oracles.network_outcomes,
+                    )
+                results.append(
+                    run_network_scenario(
+                        dep,
+                        [ship],
+                        synthesis_config=synth,
+                        faults=faults,
+                        seed=SEED,
+                    )
+                )
+        return results
+
+    def test_fleet_matches_reference(self, monkeypatch):
+        a, b = self._pair(monkeypatch)
         assert a.decisions == b.decisions
         assert a.mac_stats == b.mac_stats
         assert a.sink_frames == b.sink_frames
         assert a.resyncs_performed == b.resyncs_performed
         assert a.clock_rms_error_s == b.clock_rms_error_s
+        assert scenario_digest(a) == scenario_digest(b)
 
-    def test_fleet_matches_reference_with_crashes(self):
-        plan = FaultPlan(
-            node_crashes=(
-                NodeCrash(2, 40.0, reboot_after_s=30.0),
-                NodeCrash(5, 60.0),  # never reboots
-                NodeCrash(7, 0.0, reboot_after_s=20.0),
-            )
-        )
-        results = []
-        for engine in ("fleet", "reference"):
-            dep, ship, synth = _scenario()
-            results.append(
-                run_network_scenario(
-                    dep,
-                    [ship],
-                    synthesis_config=synth,
-                    faults=plan,
-                    seed=SEED,
-                    detection_engine=engine,
-                )
-            )
-        a, b = results
+    def test_fleet_matches_reference_with_crashes(self, monkeypatch):
+        a, b = self._pair(monkeypatch, CRASH_PLAN)
         assert a.decisions == b.decisions
         assert a.mac_stats == b.mac_stats
         assert a.fault_stats == b.fault_stats
         assert a.sink_frames == b.sink_frames
+        assert scenario_digest(a) == scenario_digest(b)
 
-    def test_unknown_engine_rejected(self):
+    @pytest.mark.parametrize("faults", [None, CRASH_PLAN])
+    @pytest.mark.parametrize("now", [0.0, 50.0])
+    def test_precompute_rows_match_oracle(self, faults, now):
         dep, ship, synth = _scenario()
-        with pytest.raises(ConfigurationError):
-            run_network_scenario(
-                dep, [ship], synthesis_config=synth, detection_engine="gpu"
-            )
+        det = _detector()
+        traces = synthesize_fleet_traces(dep, [ship], synth, seed=SEED)
+        rows = runner._fleet_network_outcomes(dep, traces, det, faults, now)
+        assert rows == oracles.network_outcomes(dep, traces, det, faults, now)
+        if faults is not None:
+            # Crash windows are masked out, not evaluated.
+            assert len(rows[5]) < len(rows[0])
 
 
 class TestDutyCycleEngineParity:
+    def _pair(self, monkeypatch, duty):
+        """The same run with the folded walk and with the oracle."""
+        results = []
+        for oracle in (False, True):
+            dep, ship, synth = _scenario()
+            with monkeypatch.context() as mp:
+                if oracle:
+                    mp.setattr(
+                        runner,
+                        "_dutycycled_reports",
+                        oracles.sequential_dutycycle,
+                    )
+                results.append(
+                    run_dutycycled_scenario(
+                        dep,
+                        [ship],
+                        synthesis_config=synth,
+                        duty_config=duty,
+                        seed=SEED,
+                    )
+                )
+        return results
+
     @pytest.mark.parametrize(
         "duty",
         [
@@ -142,44 +157,16 @@ class TestDutyCycleEngineParity:
             DutyCycleConfig(coarse_rate_hz=None),
         ],
     )
-    def test_fleet_matches_reference(self, duty):
-        results = []
-        for engine in ("fleet", "reference"):
-            dep, ship, synth = _scenario()
-            results.append(
-                run_dutycycled_scenario(
-                    dep,
-                    [ship],
-                    synthesis_config=synth,
-                    duty_config=duty,
-                    seed=SEED,
-                    detection_engine=engine,
-                )
-            )
-        a, b = results
+    def test_fleet_matches_reference(self, monkeypatch, duty):
+        a, b = self._pair(monkeypatch, duty)
         assert a.reports_by_node == b.reports_by_node
         assert a.merged_by_node == b.merged_by_node
         assert a.first_alarm_time == b.first_alarm_time
 
-    def test_zero_latency_falls_back_and_matches(self):
-        # wakeup_latency_s == 0 cannot be group-vectorized (an alarm
-        # could activate a row of its own window group); the fleet
-        # engine must transparently fall back to the reference walk.
-        duty = DutyCycleConfig(wakeup_latency_s=0.0)
-        results = []
-        for engine in ("fleet", "reference"):
-            dep, ship, synth = _scenario()
-            results.append(
-                run_dutycycled_scenario(
-                    dep,
-                    [ship],
-                    synthesis_config=synth,
-                    duty_config=duty,
-                    seed=SEED,
-                    detection_engine=engine,
-                )
-            )
-        a, b = results
+    def test_zero_latency_matches_reference(self, monkeypatch):
+        # With zero wake-up latency an alarm can wake a later row of
+        # its own window group, so the walk steps rows one at a time.
+        a, b = self._pair(monkeypatch, DutyCycleConfig(wakeup_latency_s=0.0))
         assert a.reports_by_node == b.reports_by_node
         assert a.first_alarm_time == b.first_alarm_time
 

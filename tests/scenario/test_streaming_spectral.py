@@ -3,7 +3,10 @@
 The spectral engine's one batched IFFT is realised up front as an
 ambient slab and chunks are carved out of it, so the chunked z streams
 — and therefore the whole streaming detection run — must equal the
-offline spectral path verbatim.
+offline spectral path verbatim, and the snapped spectral reference
+(the same field through the time-domain engine, see
+:func:`tests.scenario.oracles.timedomain_ambient`) must stream the
+same counts.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from repro.scenario.streaming import (
     run_streaming_scenario,
 )
 from repro.scenario.synthesis import synthesize_fleet_traces
+from tests.scenario.oracles import timedomain_ambient
 
 SEED = 23
 
@@ -39,11 +43,15 @@ def _detector():
     )
 
 
-@pytest.mark.parametrize("method", ["spectral", "spectral_reference"])
-def test_chunked_z_counts_match_offline(method):
-    dep1, ship1, synth1 = _scenario(method)
+@pytest.mark.parametrize(
+    "reference", [False, True], ids=["spectral", "spectral_reference"]
+)
+def test_chunked_z_counts_match_offline(monkeypatch, reference):
+    if reference:
+        timedomain_ambient(monkeypatch)
+    dep1, ship1, synth1 = _scenario("spectral")
     traces = synthesize_fleet_traces(dep1, [ship1], synth1, seed=SEED)
-    dep2, ship2, synth2 = _scenario(method)
+    dep2, ship2, synth2 = _scenario("spectral")
     source = StreamingFleetSynthesizer(dep2, [ship2], synth2, seed=SEED)
     Z = np.concatenate(list(source.chunks(971)), axis=1)
     for i, node in enumerate(dep2):
@@ -75,24 +83,27 @@ def test_streaming_scenario_matches_offline_spectral():
     assert sum(len(v) for v in a.reports_by_node.values()) > 0
 
 
-def test_spectral_streaming_matches_reference_method_run():
-    # The slab-backed spectral stream and the chunk-evaluated
-    # spectral_reference stream digitise the same field; the full
-    # detection runs must therefore agree report for report.
+def test_spectral_streaming_matches_reference_method_run(monkeypatch):
+    # The spectral stream and the snapped spectral reference stream
+    # digitise the same field; the full detection runs must therefore
+    # agree report for report.
     det = _detector()
     results = []
-    for method in ("spectral", "spectral_reference"):
-        dep, ship, synth = _scenario(method)
-        results.append(
-            run_streaming_scenario(
-                dep,
-                [ship],
-                detector_config=det,
-                synthesis_config=synth,
-                seed=SEED,
-                chunk_s=20.0,
+    for reference in (False, True):
+        dep, ship, synth = _scenario("spectral")
+        with monkeypatch.context() as mp:
+            if reference:
+                timedomain_ambient(mp)
+            results.append(
+                run_streaming_scenario(
+                    dep,
+                    [ship],
+                    detector_config=det,
+                    synthesis_config=synth,
+                    seed=SEED,
+                    chunk_s=20.0,
+                )
             )
-        )
     a, b = results
     assert a.reports_by_node == b.reports_by_node
     assert a.cluster_event == b.cluster_event

@@ -1,8 +1,9 @@
 """`synthesis_method` selection on the fleet synthesis path.
 
-``"spectral"`` and ``"spectral_reference"`` realise the exact same
-grid-snapped ambient field and must digitise bit-identical raw counts;
-the spectral engines require one shared fleet sample grid and reject
+``"spectral"`` must digitise raw counts bit-identical to the snapped
+spectral reference — the same grid-snapped ambient field evaluated by
+the time-domain engine (:func:`tests.scenario.oracles.timedomain_ambient`);
+the spectral engine requires one shared fleet sample grid and rejects
 ragged deployments instead of silently changing the realisation.
 """
 
@@ -18,9 +19,12 @@ from repro.scenario.presets import paper_ship
 from repro.scenario.synthesis import (
     SYNTHESIS_METHODS,
     SynthesisConfig,
+    build_ambient_field,
+    fleet_spectral_grid,
     synthesize_fleet_traces,
 )
 from repro.sensors.sampler import Sampler
+from tests.scenario.oracles import timedomain_ambient
 
 SEED = 7
 
@@ -38,6 +42,12 @@ def _disturbances(dep: GridDeployment) -> dict:
     }
 
 
+def _spectral_reference(monkeypatch, **cfg_kwargs):
+    with monkeypatch.context() as mp:
+        timedomain_ambient(mp)
+        return _synthesize("spectral", **cfg_kwargs)
+
+
 def _synthesize(method: str, **cfg_kwargs):
     dep = _deployment()
     cfg = SynthesisConfig(
@@ -53,24 +63,50 @@ def _synthesize(method: str, **cfg_kwargs):
 
 
 class TestCountEquivalence:
-    def test_spectral_matches_reference_bit_for_bit(self):
+    def test_spectral_matches_reference_bit_for_bit(self, monkeypatch):
         spectral = _synthesize("spectral")
-        reference = _synthesize("spectral_reference")
+        reference = _spectral_reference(monkeypatch)
         assert spectral.keys() == reference.keys()
         for nid in reference:
             assert np.array_equal(spectral[nid].z, reference[nid].z)
             assert np.array_equal(spectral[nid].x, reference[nid].x)
             assert np.array_equal(spectral[nid].y, reference[nid].y)
 
-    def test_with_horizontal_axes(self):
+    def test_with_horizontal_axes(self, monkeypatch):
         spectral = _synthesize("spectral", include_horizontal=True)
-        reference = _synthesize(
-            "spectral_reference", include_horizontal=True
-        )
+        reference = _spectral_reference(monkeypatch, include_horizontal=True)
         for nid in reference:
             assert np.array_equal(spectral[nid].z, reference[nid].z)
             assert np.array_equal(spectral[nid].x, reference[nid].x)
             assert np.array_equal(spectral[nid].y, reference[nid].y)
+
+    def test_reference_fixture_evaluates_in_time_domain(self, monkeypatch):
+        # The oracle must really swap the engine: under the patch a
+        # spectral evaluation returns the time-domain floats exactly.
+        cfg = SynthesisConfig(duration_s=60.0, synthesis_method="spectral")
+        t = np.arange(3000) / 50.0
+        field = build_ambient_field(
+            cfg, seed=SEED, spectral_grid=fleet_spectral_grid(cfg, t)
+        )
+        positions = [node.anchor for node in _deployment()]
+
+        def evaluate(method):
+            vertical = field.vertical_acceleration_batch(
+                positions, t, method=method
+            )
+            horizontal = field.horizontal_acceleration_batch(
+                positions, t, method=method
+            )
+            return [vertical, *horizontal]
+
+        timedomain = evaluate("timedomain")
+        assert not all(
+            np.array_equal(a, b)
+            for a, b in zip(evaluate("spectral"), timedomain)
+        )
+        timedomain_ambient(monkeypatch)
+        for a, b in zip(evaluate("spectral"), timedomain):
+            assert np.array_equal(a, b)
 
     def test_spectral_deterministic(self):
         a = _synthesize("spectral")
@@ -82,7 +118,7 @@ class TestCountEquivalence:
         # Snapping moves each component by <= grid_df/2, so the snapped
         # realisation is statistically indistinguishable but not
         # bit-identical to the historical unsnapped one.
-        snapped = _synthesize("spectral_reference")
+        snapped = _synthesize("spectral")
         plain = _synthesize("timedomain")
         nid = next(iter(plain))
         assert not np.array_equal(snapped[nid].z, plain[nid].z)
@@ -96,18 +132,17 @@ class TestCountEquivalence:
 
 
 class TestFleetPath:
-    def test_single_node_uses_fleet_path(self):
+    def test_single_node_uses_fleet_path(self, monkeypatch):
         # A one-node deployment shares its (trivial) fleet grid, so
         # method selection must apply there too instead of falling back
         # to the per-node path.
-        dep = GridDeployment(1, 1, spacing_m=25.0, seed=3)
         cfg = SynthesisConfig(duration_s=30.0, synthesis_method="spectral")
+        dep = GridDeployment(1, 1, spacing_m=25.0, seed=3)
         spectral = synthesize_fleet_traces(dep, config=cfg, seed=SEED)
         dep2 = GridDeployment(1, 1, spacing_m=25.0, seed=3)
-        cfg2 = SynthesisConfig(
-            duration_s=30.0, synthesis_method="spectral_reference"
-        )
-        reference = synthesize_fleet_traces(dep2, config=cfg2, seed=SEED)
+        with monkeypatch.context() as mp:
+            timedomain_ambient(mp)
+            reference = synthesize_fleet_traces(dep2, config=cfg, seed=SEED)
         (za,) = [t.z for t in spectral.values()]
         (zb,) = [t.z for t in reference.values()]
         assert np.array_equal(za, zb)
@@ -132,11 +167,7 @@ class TestFleetPath:
 
 class TestConfig:
     def test_methods_registry(self):
-        assert SYNTHESIS_METHODS == (
-            "timedomain",
-            "spectral",
-            "spectral_reference",
-        )
+        assert SYNTHESIS_METHODS == ("timedomain", "spectral")
 
     @pytest.mark.parametrize("method", SYNTHESIS_METHODS)
     def test_valid_methods_accepted(self, method):
