@@ -5,7 +5,8 @@ tuple heap, lazy cancellation with compaction, native periodics) and
 put the network runner on an event diet (quiet-window feeds coalesced
 into batched catch-up events, no-op MAC airtime and tick events gone).
 Two gates make the claims quantitative, both against a faithful copy
-of the pre-rewrite simulator kept below as :class:`ReferenceSimulator`:
+of the pre-rewrite simulator, the test oracle
+:class:`tests.network.oracles.ReferenceSimulator`:
 
 - **Scheduler microbench**: ~1M mixed schedule/cancel/pop operations
   must run at least ``MIN_CORE_SPEEDUP`` faster on the tuple heap than
@@ -22,21 +23,17 @@ gate bit-reproducible.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
 
 from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.sid import SIDNodeConfig
-from repro.errors import SimulationError
 from repro.network.simulator import Simulator
 from repro.rng import make_rng
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.digest import scenario_digest
 from repro.scenario.runner import run_network_scenario
 from repro.scenario.synthesis import SynthesisConfig
+from tests.network.oracles import ReferenceSimulator
 
 #: End-to-end floor: new scheduler + event diet vs reference simulator
 #: with the one-event-per-window schedule.  Measured ~2.4x on the dev
@@ -59,167 +56,6 @@ CANCEL_FRACTION = 0.3
 N_TRAINS = 2_000
 TRAIN_FIRINGS = 200
 TRAIN_INTERVAL_S = 5.0
-
-
-# ---------------------------------------------------------------------------
-# Reference implementation: the simulator as it stood before ISSUE 9,
-# kept verbatim (dataclass heap entries compared via generated __lt__),
-# plus the schedule_periodic emulation the old runner performed inline
-# (pre-scheduling the whole train, one fresh seq per firing).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(order=True)
-class _RefEntry:
-    time: float
-    seq: int
-    event: "_RefEvent" = field(compare=False)
-
-
-class _RefEvent:
-    __slots__ = ("time", "fn", "args", "cancelled")
-
-    def __init__(
-        self, time: float, fn: Callable[..., Any], args: tuple
-    ) -> None:
-        self.time = time
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
-class _RefTrain:
-    """Cancellation handle over a pre-scheduled periodic train."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: list[_RefEvent]) -> None:
-        self.events = events
-
-    def cancel(self) -> None:
-        for event in self.events:
-            event.cancel()
-
-
-class ReferenceSimulator:
-    """Pre-ISSUE-9 event loop, API-padded to slot into the runner."""
-
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = start_time
-        self._queue: list[_RefEntry] = []
-        self._seq = itertools.count()
-        self._processed = 0
-        self._running = False
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def n_pending(self) -> int:
-        return len(self._queue)
-
-    @property
-    def n_processed(self) -> int:
-        return self._processed
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "events_executed": self._processed,
-            "events_cancelled": 0,
-            "events_pending": len(self._queue),
-            "peak_queue_depth": 0,
-            "compactions": 0,
-        }
-
-    def schedule(
-        self, delay: float, fn: Callable[..., Any], *args: Any
-    ) -> _RefEvent:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: delay={delay}")
-        return self.schedule_at(self._now + delay, fn, *args)
-
-    def schedule_at(
-        self, time: float, fn: Callable[..., Any], *args: Any
-    ) -> _RefEvent:
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} < now ({self._now})"
-            )
-        event = _RefEvent(time, fn, args)
-        heapq.heappush(self._queue, _RefEntry(time, next(self._seq), event))
-        return event
-
-    def schedule_periodic(
-        self,
-        interval: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        first: Optional[float] = None,
-        until: Optional[float] = None,
-    ) -> _RefTrain:
-        # The old runner had no periodic primitive: it installed the
-        # whole train up front with one `while t < horizon` loop per
-        # periodic, each firing drawing its own seq.
-        if interval <= 0:
-            raise SimulationError(
-                f"periodic interval must be positive, got {interval}"
-            )
-        if until is None:
-            raise SimulationError(
-                "ReferenceSimulator pre-schedules periodics; until is required"
-            )
-        t = self._now + interval if first is None else first
-        events = []
-        while t < until:
-            events.append(self.schedule_at(t, fn, *args))
-            t += interval
-        return _RefTrain(events)
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: int = 10_000_000,
-    ) -> int:
-        if self._running:
-            raise SimulationError("simulator re-entered from a callback")
-        self._running = True
-        executed = 0
-        try:
-            while self._queue:
-                if executed >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; runaway schedule?"
-                    )
-                entry = self._queue[0]
-                if until is not None and entry.time > until:
-                    break
-                heapq.heappop(self._queue)
-                if entry.event.cancelled:
-                    continue
-                self._now = entry.time
-                entry.event.fn(*entry.event.args)
-                self._processed += 1
-                executed += 1
-            if until is not None and self._now < until:
-                self._now = until
-        finally:
-            self._running = False
-        return executed
-
-    def step(self) -> bool:
-        while self._queue:
-            entry = heapq.heappop(self._queue)
-            if entry.event.cancelled:
-                continue
-            self._now = entry.time
-            entry.event.fn(*entry.event.args)
-            self._processed += 1
-            return True
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +145,7 @@ DURATION_S = 400.0
 SEED = 23
 
 
-def _runner_scenario(quiet_elision: bool):
+def _runner_scenario():
     dep = GridDeployment(N_SIDE, N_SIDE, seed=17)
     cfg = SIDNodeConfig(detector=NodeDetectorConfig(hop_s=0.2))
     return run_network_scenario(
@@ -320,31 +156,30 @@ def _runner_scenario(quiet_elision: bool):
             duration_s=DURATION_S, synthesis_method="spectral"
         ),
         seed=SEED,
-        quiet_elision=quiet_elision,
     )
 
 
 def test_bench_network_runner_64(once, monkeypatch):
     import repro.network.nodeproc as nodeproc
-
-    new_sim = nodeproc.Simulator
+    import repro.scenario.runner as runner
 
     def reference_arm():
-        monkeypatch.setattr(nodeproc, "Simulator", ReferenceSimulator)
-        try:
-            return _runner_scenario(quiet_elision=False)
-        finally:
-            monkeypatch.setattr(nodeproc, "Simulator", new_sim)
+        # The pre-rewrite scheduler on the one-event-per-window
+        # schedule: the elision precondition never holds.
+        with monkeypatch.context() as mp:
+            mp.setattr(nodeproc, "Simulator", ReferenceSimulator)
+            mp.setattr(runner, "_billing_order_free", lambda *a: False)
+            return _runner_scenario()
 
     # Warm both arms once (imports, numpy caches), then time.
-    fast_result = once(_runner_scenario, True)
+    fast_result = once(_runner_scenario)
     ref_result = reference_arm()
     assert scenario_digest(fast_result) == scenario_digest(ref_result), (
         "fast path diverged from the reference simulator run"
     )
     assert not fast_result.intrusion_detected
 
-    t_fast, _ = _best_of(_runner_scenario, True)
+    t_fast, _ = _best_of(_runner_scenario)
     t_ref, _ = _best_of(reference_arm)
     speedup = t_ref / t_fast
     print(

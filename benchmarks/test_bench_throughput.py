@@ -19,6 +19,7 @@ from repro.physics.spectrum import SeaState, sea_state_spectrum
 from repro.physics.wavefield import AmbientWaveField
 from repro.rng import make_rng
 from repro.types import Position
+from tests.dsp.oracles import timedomain_cwt
 
 
 def test_bench_wavefield_synthesis(benchmark):
@@ -46,7 +47,7 @@ def test_bench_detector_throughput(benchmark):
     benchmark(run)
 
 
-def test_bench_cwt_throughput(benchmark):
+def test_bench_cwt_throughput(benchmark, monkeypatch):
     """Morlet CWT: 60 s of signal over 40 scales."""
     rng = make_rng(3)
     x = rng.standard_normal(3000)
@@ -56,18 +57,20 @@ def test_bench_cwt_throughput(benchmark):
     assert result.power.shape == (40, 3000)
 
     # The closed-form spectral path must beat the per-scale time-domain
-    # reference by at least 2x on this workload (best of 3 to dodge
+    # oracle by at least 2x on this workload (best of 3 to dodge
     # scheduler noise; filter banks warm for both paths).
-    def best_of(method: str) -> float:
+    def best_of() -> float:
         times = []
         for _ in range(3):
             start = time.perf_counter()
-            cwt_morlet(x, SAMPLE_RATE_HZ, freqs, method=method)
+            cwt_morlet(x, SAMPLE_RATE_HZ, freqs)
             times.append(time.perf_counter() - start)
         return min(times)
 
-    t_spectral = best_of("spectral")
-    t_reference = best_of("timedomain")
+    t_spectral = best_of()
+    with monkeypatch.context() as mp:
+        timedomain_cwt(mp)
+        t_reference = best_of()
     speedup = t_reference / t_spectral
     print()
     print(

@@ -70,7 +70,6 @@ from repro.detection.reports import (
 )
 from repro.detection.sid import SIDNode, SIDNodeConfig, SIDState
 from repro.detection.sink import Sink, SinkConfig
-from repro.detection.tracking import IntrusionEvent, IntrusionTracker
 from repro.detection.speed import (
     SpeedEstimate,
     estimate_heading_alpha_rad,
@@ -89,8 +88,6 @@ __all__ = [
     "FleetDetector",
     "FleetMember",
     "FleetStream",
-    "IntrusionEvent",
-    "IntrusionTracker",
     "ClusterEvent",
     "ClusterReport",
     "NodeDetector",

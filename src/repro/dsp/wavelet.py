@@ -15,11 +15,10 @@ has the closed-form Fourier transform
 
 so the whole transform is one signal FFT, a vectorised
 (scales x nfft) multiply against the cached filter bank
-``sqrt(s) psihat(s w)``, and a single batched inverse FFT (the
-spectral path, default).  A per-scale time-domain kernel construction
-is kept as the reference implementation (``method="timedomain"``) for
-the equivalence tests.  The centre frequency of the scaled wavelet is
-``f = w0 / (2 pi s)`` for scale ``s`` (in seconds), which
+``sqrt(s) psihat(s w)``, and a single batched inverse FFT.  The
+per-scale time-domain kernel construction it replaced is the test
+oracle in ``tests/dsp/oracles.py``.  The centre frequency of the scaled
+wavelet is ``f = w0 / (2 pi s)`` for scale ``s`` (in seconds), which
 :func:`scale_to_frequency` exposes.
 """
 
@@ -133,10 +132,10 @@ def _morlet_filter_bank(
     """Fourier-domain Morlet filters ``sqrt(s) psihat(s w)``, (scales, nfft).
 
     ``psihat`` is the closed-form transform of the analytic Morlet, a
-    Gaussian centred on ``w0 / s``; evaluating it directly replaces the
-    per-scale sample-truncate-FFT kernel construction of the reference
-    path.  Keyed on (nfft, rate, w0, scales) so sweeps that transform
-    many equal-length signals pay the construction cost once.
+    Gaussian centred on ``w0 / s``; evaluating it directly replaces a
+    per-scale sample-truncate-FFT kernel construction.  Keyed on
+    (nfft, rate, w0, scales) so sweeps that transform many
+    equal-length signals pay the construction cost once.
     """
     omega = _spectral_grid(nfft, rate_hz)
     s = np.asarray(scales, dtype=float)
@@ -159,7 +158,7 @@ def _cwt_power_spectral(
     The zero-padding only needs to cover the widest wavelet's effective
     support (6.5 sigma keeps the circular-wraparound leakage below
     1e-9 of the peak), so the FFT length is the next fast (5-smooth)
-    size past ``n + pad`` rather than the reference's power of two.
+    size past ``n + pad`` rather than a power of two.
     """
     n = x.size
     pad = int(6.5 * max(scales) * rate_hz) + 1
@@ -170,48 +169,12 @@ def _cwt_power_spectral(
     return coeffs.real**2 + coeffs.imag**2
 
 
-def _cwt_power_timedomain(
-    x: np.ndarray, rate_hz: float, scales: tuple[float, ...], w0: float
-) -> np.ndarray:
-    """Reference |CWT|^2: per-scale sampled kernels convolved via FFT.
-
-    Kept as the ground truth the spectral path is tested against.  The
-    kernels are truncated at 6.5 sigma (the historical 5 sigma floored
-    any comparison at ~2e-6 relative) and the FFT length covers the
-    longest kernel without wraparound, so the two paths agree to
-    ~1e-9 wherever the kernel support fits inside the trace.
-    """
-    mother = MorletWavelet(w0)
-    n = x.size
-    dt = 1.0 / rate_hz
-    halves = [
-        min(int(mother.support_radius(s, n_sigma=6.5) / dt) + 1, n)
-        for s in scales
-    ]
-    length = max(2 * n, n + 2 * max(halves, default=n) + 1)
-    nfft = 1 << int(np.ceil(np.log2(length)))
-    xf = np.fft.fft(x, nfft)
-    power = np.empty((len(scales), n))
-    for i, s in enumerate(scales):
-        half = halves[i]
-        tt = np.arange(-half, half + 1) * dt
-        psi = mother.evaluate(tt / s) / math.sqrt(s)
-        # Convolution with conj(psi(-t)) == correlation with psi.
-        kernel = np.conj(psi[::-1])
-        kf = np.fft.fft(kernel, nfft)
-        full = np.fft.ifft(xf * kf)[: n + 2 * half]
-        coeffs = full[half : half + n] * dt
-        power[i] = np.abs(coeffs) ** 2
-    return power
-
-
 def cwt_morlet(
     signal: np.ndarray,
     rate_hz: float = SAMPLE_RATE_HZ,
     frequencies_hz: np.ndarray | None = None,
     w0: float = 6.0,
     detrend: bool = True,
-    method: str = "spectral",
 ) -> Scalogram:
     """Continuous wavelet transform with a Morlet mother wavelet.
 
@@ -219,22 +182,12 @@ def cwt_morlet(
     correlates the signal with the scaled wavelet normalised by
     ``1/sqrt(s)``, yielding the standard L2-normalised CWT, and returns
     |coefficients|^2 as a :class:`Scalogram`.
-
-    ``method`` selects the implementation: ``"spectral"`` (default)
-    evaluates the closed-form Fourier-domain Morlet as one vectorised
-    multiply and a single batched inverse FFT; ``"timedomain"`` is the
-    original per-scale kernel construction, kept as the reference for
-    the equivalence tests.
     """
     x = np.asarray(signal, dtype=float)
     if x.size < 8:
         raise SignalLengthError(f"cwt needs >= 8 samples, got {x.size}")
     if rate_hz <= 0:
         raise ConfigurationError(f"rate_hz must be positive, got {rate_hz}")
-    if method not in ("spectral", "timedomain"):
-        raise ConfigurationError(
-            f"method must be 'spectral' or 'timedomain', got {method!r}"
-        )
     if detrend:
         x = x - x.mean()
     mother = MorletWavelet(w0)
@@ -248,9 +201,6 @@ def cwt_morlet(
         raise ConfigurationError("analysis frequencies must be positive")
 
     scales = tuple(mother.scale_for_frequency(float(f)) for f in freqs)
-    if method == "spectral":
-        power = _cwt_power_spectral(x, rate_hz, scales, w0)
-    else:
-        power = _cwt_power_timedomain(x, rate_hz, scales, w0)
+    power = _cwt_power_spectral(x, rate_hz, scales, w0)
     times = np.arange(x.size) / rate_hz
     return Scalogram(frequencies_hz=freqs, times_s=times, power=power)

@@ -13,8 +13,6 @@ supplies those realities as a controllable substrate:
 - :mod:`repro.network.messages` — the protocol PDUs;
 - :mod:`repro.network.routing` — connectivity graph, min-hop routes to
   the sink and k-hop neighbourhoods (for the 6-hop cluster flood);
-- :mod:`repro.network.timesync` — beacon time synchronisation with
-  per-hop residual error;
 - :mod:`repro.network.nodeproc` — the network process wrapping one
   :class:`repro.detection.sid.SIDNode`;
 - :mod:`repro.network.selfheal` — the self-healing runtime (route
@@ -22,11 +20,6 @@ supplies those realities as a controllable substrate:
 """
 
 from repro.network.channel import Channel, ChannelConfig
-from repro.network.localization import (
-    LocalizationConfig,
-    LocalizationService,
-    corner_anchors,
-)
 from repro.network.mac import Mac, MacConfig
 from repro.network.messages import (
     BROADCAST,
@@ -34,7 +27,6 @@ from repro.network.messages import (
     ClusterSetupMsg,
     Frame,
     MemberReportMsg,
-    SyncBeaconMsg,
 )
 from repro.network.nodeproc import NetworkNode, SinkNode
 from repro.network.routing import RoutingTable, build_connectivity
@@ -44,7 +36,6 @@ from repro.network.selfheal import (
     SelfHealingRuntime,
 )
 from repro.network.simulator import Simulator
-from repro.network.timesync import TimeSyncProtocol
 
 __all__ = [
     "BROADCAST",
@@ -53,8 +44,6 @@ __all__ = [
     "ClusterReportMsg",
     "ClusterSetupMsg",
     "Frame",
-    "LocalizationConfig",
-    "LocalizationService",
     "Mac",
     "MacConfig",
     "MemberReportMsg",
@@ -65,8 +54,5 @@ __all__ = [
     "SelfHealingRuntime",
     "Simulator",
     "SinkNode",
-    "SyncBeaconMsg",
-    "TimeSyncProtocol",
-    "corner_anchors",
     "build_connectivity",
 ]

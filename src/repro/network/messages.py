@@ -79,23 +79,11 @@ class ClusterReportMsg:
         return ClusterReport.WIRE_BYTES
 
 
-@dataclass(frozen=True)
-class SyncBeaconMsg:
-    """Time-synchronisation beacon carrying the sender's level and time."""
-
-    origin_id: int
-    level: int
-    reference_time: float
-
-    WIRE_BYTES = 12
-
-
 Payload = Union[
     ClusterSetupMsg,
     ClusterCancelMsg,
     MemberReportMsg,
     ClusterReportMsg,
-    SyncBeaconMsg,
 ]
 
 

@@ -43,11 +43,6 @@ from repro.physics.kelvin import (
     wake_propagation_angle_deg,
     wake_wave_speed,
 )
-from repro.physics.sea_state_estimator import (
-    SeaStateEstimate,
-    SeaStateEstimator,
-    SeaStateEstimatorConfig,
-)
 from repro.physics.spectrum import (
     JONSWAPSpectrum,
     PiersonMoskowitzSpectrum,
@@ -73,9 +68,6 @@ __all__ = [
     "KelvinWake",
     "PiersonMoskowitzSpectrum",
     "SeaState",
-    "SeaStateEstimate",
-    "SeaStateEstimator",
-    "SeaStateEstimatorConfig",
     "SpectralGrid",
     "WakeTrain",
     "WaveComponent",

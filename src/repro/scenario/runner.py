@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.detection.cluster import (
     ClusterEvent,
@@ -121,25 +121,6 @@ def truth_windows_for(
     return out
 
 
-def _check_fleet_traces(
-    traces: Iterable[AccelTrace], det_cfg: NodeDetectorConfig
-) -> None:
-    """Raise unless the traces fit the detector's one window grid.
-
-    Every runner walks one Delta-t window grid across the fleet, so
-    each trace must be sampled at the detector's ``rate_hz`` and all
-    must share one length; anything else would mis-time the windows.
-    """
-    lengths: set[int] = set()
-    for trace in traces:
-        det_cfg.check_sample_rate(trace.rate_hz)
-        lengths.add(len(trace))
-    if len(lengths) > 1:
-        raise ConfigurationError(
-            f"fleet detection needs traces of one length, got {sorted(lengths)}"
-        )
-
-
 def _fleet_samples(
     deployment: GridDeployment,
     traces: dict[int, AccelTrace],
@@ -152,10 +133,13 @@ def _fleet_samples(
     Returns the ``(nodes, samples)`` matrix, rows in deployment order,
     and each row's trace start time.  ``decimation`` keeps every n-th
     raw sample before the ``preprocess`` chain (default: the
-    detector's own).
+    detector's own).  A trace sampled off the detector's ``rate_hz``
+    would mis-time the shared window grid, so it raises; synthesis
+    already guarantees one shared length.
     """
     fleet = [traces[node.node_id] for node in deployment]
-    _check_fleet_traces(fleet, det_cfg)
+    for trace in fleet:
+        det_cfg.check_sample_rate(trace.rate_hz)
     z = np.stack([trace.z[::decimation] for trace in fleet])
     samples = preprocess_z_counts_batch(
         z, preprocess if preprocess is not None else det_cfg.preprocess
@@ -531,7 +515,6 @@ def run_network_scenario(
     resync_interval_s: float | None = 120.0,
     seed: RandomState = None,
     telemetry: Optional[Telemetry] = None,
-    quiet_elision: bool = True,
     sanitizer: Optional[Sanitizer] = None,
 ) -> NetworkScenarioResult:
     """Run one scenario through the full network stack.
@@ -571,14 +554,12 @@ def run_network_scenario(
     (the default) installs nothing: every emission site reduces to one
     attribute check and the run stays bit-identical to seed.
 
-    ``quiet_elision`` (default True) lets the precomputed path skip
-    scheduling provably-no-op window feeds and timer ticks during
-    radio-quiet stretches, coalescing their battery billing into
-    batched catch-up events with arithmetically identical draws.  It
-    only ever engages when the precompute ran and no fault plan is
-    active, and the result is bit-identical either way; set it False to
-    force the one-event-per-window schedule (the benchmarks' reference
-    arm does).
+    The precomputed path skips scheduling provably-no-op window feeds
+    and timer ticks during radio-quiet stretches, coalescing their
+    battery billing into batched catch-up events with arithmetically
+    identical draws.  This elision engages only when no fault plan is
+    active and no battery can deplete; otherwise the run keeps the
+    one-event-per-window schedule, with the same result either way.
 
     ``sanitizer`` (optional) attaches a :class:`repro.sanitize.
     Sanitizer` recording probe: per-event shadow access sets, order-
@@ -589,6 +570,10 @@ def run_network_scenario(
     sanitized run is digest-identical to an unsanitized one; call
     ``sanitizer.report()`` after the run for the findings.
     """
+    if resync_interval_s is not None and resync_interval_s <= 0:
+        raise ConfigurationError(
+            f"resync_interval_s must be positive, got {resync_interval_s}"
+        )
     tracer = telemetry.tracer if telemetry is not None else None
     base = make_rng(seed)
     root = int(base.integers(2**31))
@@ -677,7 +662,8 @@ def run_network_scenario(
                 deployment, traces, cfg.detector, faults, network.sim.now
             )
     else:
-        _check_fleet_traces(traces.values(), cfg.detector)
+        for trace in traces.values():
+            cfg.detector.check_sample_rate(trace.rate_hz)
     # Quiet-tick elision: with the precompute and no fault plan, the
     # precompute tells us every moment each node can originate protocol
     # traffic — and thereby every stretch in which it could head an
@@ -688,8 +674,7 @@ def run_network_scenario(
     # never bill).  Billing batched this way commutes only while
     # depletion is unreachable, hence the headroom precondition.
     elide = (
-        quiet_elision
-        and outcomes is not None
+        outcomes is not None
         and not injector.active
         and _billing_order_free(deployment, outcomes, cfg.detector, retransmit)
     )
@@ -826,10 +811,6 @@ def run_network_scenario(
         resyncs_performed[0] += 1
 
     if resync_interval_s is not None:
-        if resync_interval_s <= 0:
-            raise ConfigurationError(
-                f"resync_interval_s must be positive, got {resync_interval_s}"
-            )
         # One periodic per node, created in node order: at every beacon
         # time the fixed per-event seqs replay the old
         # outer-time/inner-node ordering exactly.

@@ -40,6 +40,7 @@ backward pass is anti-causal), so streaming requires one of the
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -63,6 +64,7 @@ from repro.scenario.ship import ShipTrack
 from repro.scenario.synthesis import (
     SynthesisConfig,
     build_ambient_field,
+    fleet_sample_grid,
     fleet_spectral_grid,
     wake_trains_for_node,
 )
@@ -101,14 +103,7 @@ class StreamingFleetSynthesizer:
         # seed yields the same ambient realisation.
         base = make_rng(seed)
         root = int(base.integers(2**31))
-        grids = [
-            n.mote.sample_instants(cfg.t0, cfg.duration_s) for n in self.nodes
-        ]
-        if any(not np.array_equal(g, grids[0]) for g in grids[1:]):
-            raise ConfigurationError(
-                "streaming synthesis needs one shared fleet sample grid"
-            )
-        self.t = grids[0]
+        self.t = fleet_sample_grid(self.nodes, cfg)
         self.field = build_ambient_field(
             cfg,
             seed=derive_rng(root, "ambient"),
@@ -275,27 +270,22 @@ def run_streaming_scenario(
         fleet.tracer = telemetry.tracer
     stream = fleet.stream(source.t0s)
     chunk_samples = max(int(round(chunk_s * det_cfg.rate_hz)), 1)
-    if telemetry is None:
-        for z_chunk in source.chunks(chunk_samples):
-            stream.push(pre.push(z_chunk))
-    else:
-        # Instrumented walk: one profiling span per streaming stage per
-        # chunk.  The arithmetic is identical to the untraced loop.
-        chunk_index = 0
-        while True:
-            with telemetry.stage(
-                "synthesize_chunk",
-                chunk=chunk_index,
-                method=synth.synthesis_method,
-            ):
-                z_chunk = source.next_chunk(chunk_samples)
-            if z_chunk is None:
-                break
-            with telemetry.stage("preprocess_chunk", chunk=chunk_index):
-                a_chunk = pre.push(z_chunk)
-            with telemetry.stage("detect_chunk", chunk=chunk_index):
-                stream.push(a_chunk)
-            chunk_index += 1
+    # One profiling span per streaming stage per chunk (free when
+    # telemetry is off).
+    for chunk_index in itertools.count():
+        with maybe_stage(
+            telemetry,
+            "synthesize_chunk",
+            chunk=chunk_index,
+            method=synth.synthesis_method,
+        ):
+            z_chunk = source.next_chunk(chunk_samples)
+        if z_chunk is None:
+            break
+        with maybe_stage(telemetry, "preprocess_chunk", chunk=chunk_index):
+            a_chunk = pre.push(z_chunk)
+        with maybe_stage(telemetry, "detect_chunk", chunk=chunk_index):
+            stream.push(a_chunk)
     reports_by_node = stream.finish()
     merged_by_node = {
         nid: merge_reports(reports)

@@ -129,6 +129,24 @@ def fleet_spectral_grid(
     )
 
 
+def fleet_sample_grid(
+    nodes: Sequence[DeployedNode], config: SynthesisConfig
+) -> np.ndarray:
+    """The one sample grid every mote of a fleet shares.
+
+    Fleet synthesis evaluates the ambient field once on this grid and
+    every runner walks one Delta-t window grid across the fleet, so
+    motes sampling on different grids raise :class:`ConfigurationError`.
+    """
+    grids = [n.mote.sample_instants(config.t0, config.duration_s) for n in nodes]
+    if any(not np.array_equal(g, grids[0]) for g in grids[1:]):
+        raise ConfigurationError(
+            "fleet synthesis needs one shared fleet sample grid; this "
+            "deployment's motes sample on different grids"
+        )
+    return grids[0]
+
+
 def wake_trains_for_node(
     node: DeployedNode,
     ships: Sequence[ShipTrack],
@@ -236,9 +254,9 @@ def synthesize_fleet_traces(
     workload).  Each ship's Kelvin wake is built once per scenario
     rather than once per node.
 
-    Nodes whose motes do not share one fleet sample grid fall back to
-    the per-node time-domain path; the snapping method has no per-node
-    form and raises :class:`ConfigurationError` there.
+    The motes must share one sample grid (:func:`fleet_sample_grid`);
+    the check runs before any mote records, so a rejected call bills
+    no battery.
     """
     cfg = config if config is not None else SynthesisConfig()
     base = make_rng(seed)
@@ -248,55 +266,35 @@ def synthesize_fleet_traces(
     wakes = [ship.wake() for ship in ships]
     if not nodes:
         return {}
-    grids = [n.mote.sample_instants(cfg.t0, cfg.duration_s) for n in nodes]
-    shared_grid = all(np.array_equal(g, grids[0]) for g in grids[1:])
-    if cfg.snaps_frequencies and not shared_grid:
-        raise ConfigurationError(
-            f"{cfg.synthesis_method!r} synthesis needs one shared fleet "
-            "sample grid; this deployment's motes sample on different "
-            "grids"
-        )
+    t = fleet_sample_grid(nodes, cfg)
     field = build_ambient_field(
         cfg,
         seed=derive_rng(root, "ambient"),
-        spectral_grid=fleet_spectral_grid(cfg, grids[0]),
+        spectral_grid=fleet_spectral_grid(cfg, t),
     )
-    if shared_grid:
-        t = grids[0]
-        az_all = field.vertical_acceleration_batch(
-            [n.anchor for n in nodes],
-            t,
-            responses=[n.buoy.heave_gain for n in nodes],
-            method=cfg.synthesis_method,
+    az_all = field.vertical_acceleration_batch(
+        [n.anchor for n in nodes],
+        t,
+        responses=[n.buoy.heave_gain for n in nodes],
+        method=cfg.synthesis_method,
+    )
+    h_all = (
+        field.horizontal_acceleration_batch(
+            [n.anchor for n in nodes], t, method=cfg.synthesis_method
         )
-        h_all = (
-            field.horizontal_acceleration_batch(
-                [n.anchor for n in nodes], t, method=cfg.synthesis_method
-            )
-            if cfg.include_horizontal
-            else None
-        )
-        return {
-            node.node_id: _finish_node_trace(
-                node,
-                t,
-                az_all[i],
-                wake_trains_for_node(node, ships, cfg, wakes=wakes),
-                disturbances_by_node.get(node.node_id, []),
-                (h_all[0][i], h_all[1][i]) if h_all is not None else None,
-            )
-            for i, node in enumerate(nodes)
-        }
+        if cfg.include_horizontal
+        else None
+    )
     return {
-        node.node_id: synthesize_node_trace(
+        node.node_id: _finish_node_trace(
             node,
-            field,
-            ships,
+            t,
+            az_all[i],
+            wake_trains_for_node(node, ships, cfg, wakes=wakes),
             disturbances_by_node.get(node.node_id, []),
-            cfg,
-            wakes=wakes,
+            (h_all[0][i], h_all[1][i]) if h_all is not None else None,
         )
-        for node in nodes
+        for i, node in enumerate(nodes)
     }
 
 

@@ -1,11 +1,12 @@
 """Spectral-domain CWT must match the time-domain reference.
 
-The spectral path evaluates the closed-form Fourier transform of the
-Morlet; the time-domain path samples, truncates and FFT-convolves each
-kernel.  On any signal the two must agree far inside the acceptance
-tolerance (rtol 1e-6 of the peak power) — white noise exercises every
-frequency at once, a crossing chirp exercises scale localisation, and
-a Kelvin wake packet is the signal the detector actually hunts.
+``cwt_morlet`` evaluates the closed-form Fourier transform of the
+Morlet; the oracle (:mod:`tests.dsp.oracles`) samples, truncates and
+FFT-convolves each kernel.  On any signal the two must agree far inside
+the acceptance tolerance (rtol 1e-6 of the peak power) — white noise
+exercises every frequency at once, a crossing chirp exercises scale
+localisation, and a Kelvin wake packet is the signal the detector
+actually hunts.
 """
 
 from __future__ import annotations
@@ -17,18 +18,26 @@ from repro.dsp.wavelet import (
     _morlet_filter_bank,
     cwt_morlet,
 )
-from repro.errors import ConfigurationError
 from repro.physics.wake_train import WakeTrain
+from tests.dsp.oracles import timedomain_cwt
 
 RATE = 50.0
 FREQS = np.geomspace(0.1, 5.0, 24)
 
 
-def _assert_paths_agree(x: np.ndarray, freqs=FREQS, rtol: float = 1e-6):
-    spectral = cwt_morlet(x, RATE, frequencies_hz=freqs, method="spectral")
-    reference = cwt_morlet(
-        x, RATE, frequencies_hz=freqs, method="timedomain"
-    )
+@pytest.fixture
+def assert_paths_agree(monkeypatch):
+    def check(x: np.ndarray, freqs=FREQS, rtol: float = 1e-6):
+        spectral = cwt_morlet(x, RATE, frequencies_hz=freqs)
+        with monkeypatch.context() as mp:
+            timedomain_cwt(mp)
+            reference = cwt_morlet(x, RATE, frequencies_hz=freqs)
+        _compare(spectral, reference, rtol)
+
+    return check
+
+
+def _compare(spectral, reference, rtol: float) -> None:
     peak = reference.power.max()
     err = np.abs(spectral.power - reference.power).max()
     assert err < rtol * peak, f"max deviation {err:.3e} vs peak {peak:.3e}"
@@ -38,19 +47,19 @@ def _assert_paths_agree(x: np.ndarray, freqs=FREQS, rtol: float = 1e-6):
     )
 
 
-def test_equivalence_on_white_noise():
+def test_equivalence_on_white_noise(assert_paths_agree):
     rng = np.random.default_rng(11)
-    _assert_paths_agree(rng.standard_normal(3000))
+    assert_paths_agree(rng.standard_normal(3000))
 
 
-def test_equivalence_on_chirp():
+def test_equivalence_on_chirp(assert_paths_agree):
     t = np.arange(0.0, 60.0, 1.0 / RATE)
     # 0.2 -> 3 Hz linear sweep crossing most analysis scales.
     x = np.sin(2.0 * np.pi * (0.2 * t + 0.5 * (2.8 / 60.0) * t**2))
-    _assert_paths_agree(x)
+    assert_paths_agree(x)
 
 
-def test_equivalence_on_wake_packet():
+def test_equivalence_on_wake_packet(assert_paths_agree):
     t = np.arange(0.0, 120.0, 1.0 / RATE)
     train = WakeTrain(
         arrival_time=50.0,
@@ -61,26 +70,24 @@ def test_equivalence_on_wake_packet():
     )
     rng = np.random.default_rng(23)
     x = train.vertical_acceleration(t) + 0.01 * rng.standard_normal(t.size)
-    _assert_paths_agree(x)
+    assert_paths_agree(x)
 
 
-def test_equivalence_across_seeds_and_lengths():
+def test_equivalence_across_seeds_and_lengths(assert_paths_agree):
     for seed, n in ((1, 500), (2, 1777), (3, 4096)):
         rng = np.random.default_rng(seed)
-        _assert_paths_agree(rng.standard_normal(n), freqs=FREQS[::4])
+        assert_paths_agree(rng.standard_normal(n), freqs=FREQS[::4])
 
 
-def test_spectral_is_default_method():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(1000)
-    default = cwt_morlet(x, RATE, frequencies_hz=FREQS)
-    spectral = cwt_morlet(x, RATE, frequencies_hz=FREQS, method="spectral")
-    assert np.array_equal(default.power, spectral.power)
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ConfigurationError):
-        cwt_morlet(np.zeros(64), RATE, method="fastest")
+def test_oracle_swaps_the_engine(monkeypatch):
+    # Guards the equivalence tests above against a patch that silently
+    # stops taking effect: the engines differ in their last bits.
+    x = np.random.default_rng(5).standard_normal(1000)
+    spectral = cwt_morlet(x, RATE, frequencies_hz=FREQS)
+    timedomain_cwt(monkeypatch)
+    reference = cwt_morlet(x, RATE, frequencies_hz=FREQS)
+    assert not np.array_equal(spectral.power, reference.power)
+    _compare(spectral, reference, rtol=1e-6)
 
 
 def test_filter_bank_is_cached_across_calls():

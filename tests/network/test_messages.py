@@ -13,7 +13,6 @@ from repro.network.messages import (
     ClusterSetupMsg,
     Frame,
     MemberReportMsg,
-    SyncBeaconMsg,
 )
 from repro.types import Position
 
@@ -62,8 +61,3 @@ def test_frame_sequence_numbers_unique():
 def test_cluster_setup_validation():
     with pytest.raises(ConfigurationError):
         ClusterSetupMsg(head_id=1, hops_remaining=-1, onset_time=0.0)
-
-
-def test_sync_beacon_fields():
-    msg = SyncBeaconMsg(origin_id=0, level=2, reference_time=100.0)
-    assert msg.WIRE_BYTES == 12

@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+import repro.network.nodeproc as nodeproc
+from repro.detection.cluster import TemporaryClusterConfig
+from repro.detection.node_detector import NodeDetectorConfig
+from repro.detection.sid import SIDNodeConfig
 from repro.errors import SimulationError
 from repro.network.simulator import _COMPACT_MIN, Simulator
+from repro.scenario.deployment import GridDeployment
+from repro.scenario.digest import scenario_digest
+from repro.scenario.presets import paper_ship
+from repro.scenario.runner import run_network_scenario
+from repro.scenario.synthesis import SynthesisConfig
+from tests.network.oracles import ReferenceSimulator
 
 
 def test_events_run_in_time_order():
@@ -290,3 +301,91 @@ class TestSchedulePeriodic:
         assert sim.step()
         assert not sim.step()
         assert times == [1.0, 2.0]
+
+
+class TestReferenceSimulatorParity:
+    """The tuple heap replays the pre-rewrite scheduler's order exactly."""
+
+    @staticmethod
+    def _mixed_workload(sim_cls) -> list[tuple[float, str]]:
+        """~2k seeded schedule/cancel/periodic events; the firing log.
+
+        Times sit on a 0.5 s grid so same-time ties are common and the
+        ``(time, seq)`` tie-break is exercised throughout.
+        """
+        sim = sim_cls()
+        rng = np.random.default_rng(2024)
+        log: list[tuple[float, str]] = []
+
+        def fire(label: str) -> None:
+            log.append((sim.now, label))
+
+        def spawn(label: str, delay: float, depth: int) -> None:
+            fire(label)
+            if depth:
+                sim.schedule(delay, spawn, label + "+", delay, depth - 1)
+
+        def cancel(label: str, handle) -> None:
+            fire(label)
+            handle.cancel()
+
+        def grid_time() -> float:
+            return 0.5 * int(rng.integers(0, 200))
+
+        trains = []
+        for k in range(20):
+            interval = 0.5 * int(rng.integers(1, 6))
+            first = grid_time() / 10.0
+            trains.append(
+                sim.schedule_periodic(
+                    interval,
+                    fire,
+                    f"p{k}",
+                    first=first,
+                    until=first + 30 * interval,
+                )
+            )
+        events = [sim.schedule_at(grid_time(), fire, f"e{k}") for k in range(1000)]
+        for k in range(100):
+            delay = 0.5 * int(rng.integers(0, 3))
+            sim.schedule_at(grid_time(), spawn, f"s{k}", delay, 3)
+        for i in rng.choice(len(events), size=200, replace=False):
+            events[int(i)].cancel()
+        # Mid-run cancellations, of one-shots and of whole trains.
+        for k in range(50):
+            target = (
+                trains[int(rng.integers(len(trains)))]
+                if k % 5 == 0
+                else events[int(rng.integers(len(events)))]
+            )
+            sim.schedule_at(grid_time(), cancel, f"c{k}", target)
+        sim.run()
+        return log
+
+    def test_mixed_workload_same_order(self):
+        log = self._mixed_workload(Simulator)
+        assert log == self._mixed_workload(ReferenceSimulator)
+        assert len(log) > 1500
+        # Ties really occurred, so the order check covers the seq rule.
+        assert len({t for t, _ in log}) < len(log) // 2
+
+    def test_network_scenario_digest_matches(self, monkeypatch):
+        def run():
+            dep = GridDeployment(3, 3, seed=31)
+            return run_network_scenario(
+                dep,
+                [paper_ship(dep, cross_time_s=30.0)],
+                sid_config=SIDNodeConfig(
+                    detector=NodeDetectorConfig(m=2.0, af_threshold=0.4),
+                    cluster=TemporaryClusterConfig(min_rows=3),
+                ),
+                synthesis_config=SynthesisConfig(duration_s=60.0),
+                resync_interval_s=20.0,
+                seed=9,
+            )
+
+        fast = run()
+        monkeypatch.setattr(nodeproc, "Simulator", ReferenceSimulator)
+        reference = run()
+        assert fast.mac_stats["transmissions"] > 0
+        assert scenario_digest(fast) == scenario_digest(reference)

@@ -1,15 +1,20 @@
 """Quiet-tick elision equivalence: the event diet changes nothing.
 
-``run_network_scenario(quiet_elision=True)`` (the default) coalesces
-provably-no-op window feeds into batched catch-up events and drops
-timer ticks outside each node's guarded head-activity intervals.  The
-whole point is that this is *invisible*: every test here runs the same
-scenario with elision on and off and demands bit-identical results —
-including the battery billing that the catch-up path replays in batch.
+``run_network_scenario`` coalesces provably-no-op window feeds into
+batched catch-up events and drops timer ticks outside each node's
+guarded head-activity intervals.  The whole point is that this is
+*invisible*: every test here runs the same scenario with elision on
+and off and demands bit-identical results — including the battery
+billing that the catch-up path replays in batch.  The "off" arm forces
+the one-event-per-window schedule by making the elision precondition
+(``runner._billing_order_free``) fail.
 """
 
 from __future__ import annotations
 
+import pytest
+
+import repro.scenario.runner as runner
 from repro.detection.cluster import TemporaryClusterConfig
 from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.sid import SIDNodeConfig
@@ -31,6 +36,18 @@ def _config():
     )
 
 
+@pytest.fixture
+def full_schedule(monkeypatch):
+    """Run a scenario with quiet-tick elision forced off."""
+
+    def run(**kwargs):
+        with monkeypatch.context() as mp:
+            mp.setattr(runner, "_billing_order_free", lambda *a: False)
+            return _run(**kwargs)
+
+    return run
+
+
 def _run(with_ship=True, mote_config=None, telemetry=None, **kwargs):
     dep = GridDeployment(3, 3, seed=31, mote_config=mote_config)
     ships = [paper_ship(dep, cross_time_s=80.0)] if with_ship else []
@@ -47,60 +64,66 @@ def _run(with_ship=True, mote_config=None, telemetry=None, **kwargs):
 
 
 class TestElisionEquivalence:
-    def test_ship_scenario_bit_identical(self):
-        fast = _run(quiet_elision=True)
-        full = _run(quiet_elision=False)
+    def test_ship_scenario_bit_identical(self, full_schedule):
+        fast = _run()
+        full = full_schedule()
         assert fast.intrusion_detected
         assert scenario_digest(fast) == scenario_digest(full)
 
-    def test_quiet_fleet_bit_identical(self):
+    def test_quiet_fleet_bit_identical(self, full_schedule):
         # No ship: the quiet-heavy case where elision collapses most of
         # the schedule.
-        fast = _run(with_ship=False, quiet_elision=True)
-        full = _run(with_ship=False, quiet_elision=False)
+        fast = _run(with_ship=False)
+        full = full_schedule(with_ship=False)
         assert not fast.intrusion_detected
         assert scenario_digest(fast) == scenario_digest(full)
 
-    def test_forced_retransmit_bit_identical(self):
+    def test_forced_retransmit_bit_identical(self, full_schedule):
         # A retransmit policy widens the elision guard (staleness);
         # both arms must still agree.
         policy = RetransmitPolicy(
             max_attempts=3, base_backoff_s=0.5, staleness_s=30.0
         )
-        fast = _run(quiet_elision=True, retransmit=policy)
-        full = _run(quiet_elision=False, retransmit=policy)
+        fast = _run(retransmit=policy)
+        full = full_schedule(retransmit=policy)
         assert scenario_digest(fast) == scenario_digest(full)
 
-    def test_telemetry_counters_agree(self):
+    def test_telemetry_counters_agree(self, full_schedule):
         # The batched catch-up path must bill the same counter the
         # one-event-per-window path does, the same number of times.
         tel_fast = Telemetry.memory()
         tel_full = Telemetry.memory()
-        fast = _run(quiet_elision=True, telemetry=tel_fast)
-        full = _run(quiet_elision=False, telemetry=tel_full)
+        fast = _run(telemetry=tel_fast)
+        full = full_schedule(telemetry=tel_full)
         assert scenario_digest(fast) == scenario_digest(full)
         windows_fast = tel_fast.metrics.counter("windows_processed").value
         windows_full = tel_full.metrics.counter("windows_processed").value
         assert windows_fast == windows_full > 0
+        # The forced arm really ran the one-event-per-window schedule.
+        events = "scheduler.events_executed"
+        assert (
+            tel_fast.metrics.counter(events).value
+            < tel_full.metrics.counter(events).value
+        )
 
 
 class TestElisionPreconditions:
-    def test_tiny_battery_disables_elision_safely(self):
+    def test_tiny_battery_disables_elision_safely(self, full_schedule):
         # With almost no battery headroom the billing-order precondition
         # fails, elision turns itself off, and both arms take the full
         # schedule — results must still match exactly.
         mote = MoteConfig(battery_capacity_j=0.5)
-        fast = _run(mote_config=mote, quiet_elision=True)
-        full = _run(mote_config=mote, quiet_elision=False)
+        fast = _run(mote_config=mote)
+        full = full_schedule(mote_config=mote)
         assert scenario_digest(fast) == scenario_digest(full)
 
-    def test_fault_plan_disables_elision_safely(self):
+    def test_fault_plan_disables_elision_safely(self, full_schedule):
         # An active fault plan forces the full path (crashes change
         # which windows are no-ops); equivalence is trivial but the
-        # flag must not perturb the run.
+        # forced arm must not perturb the run.
         plan = FaultPlan.rolling_crashes(
             [5, 2], first_at_s=60.0, interval_s=30.0, downtime_s=60.0
         )
-        fast = _run(quiet_elision=True, faults=plan)
-        full = _run(quiet_elision=False, faults=plan)
+        fast = _run(faults=plan)
+        full = full_schedule(faults=plan)
         assert scenario_digest(fast) == scenario_digest(full)

@@ -295,7 +295,7 @@ class TestFleetInputChecks:
     def test_ragged_traces_rejected(self, name):
         dep = GridDeployment(2, 2, seed=5)
         dep.node(0).mote.sampler = Sampler(rate_hz=25.0)
-        with pytest.raises(ConfigurationError, match="one length"):
+        with pytest.raises(ConfigurationError, match="shared fleet sample grid"):
             self._run(name, dep)
 
     def test_offline_short_traces_raise_signal_length(self):

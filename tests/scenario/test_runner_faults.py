@@ -16,6 +16,7 @@ from repro.faults.plan import (
     SensorFault,
     SensorFaultKind,
 )
+from repro.network.selfheal import SelfHealingConfig
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.presets import paper_ship
 from repro.scenario.runner import run_network_scenario
@@ -84,8 +85,23 @@ class TestPeriodicResync:
         assert r_sync.clock_rms_error_s < r_none.clock_rms_error_s
 
     def test_nonpositive_interval_rejected(self):
-        with pytest.raises(ConfigurationError):
-            _run(resync_interval_s=0.0)
+        dep, ship, synth = _setup()
+        with pytest.raises(ConfigurationError, match="resync_interval_s"):
+            run_network_scenario(
+                dep,
+                [ship],
+                sid_config=_cfg(),
+                synthesis_config=synth,
+                healing=SelfHealingConfig(demote_battery_fraction=0.5),
+                resync_interval_s=0.0,
+                seed=9,
+            )
+        # Rejected before synthesis: no battery was billed and no
+        # low-charge watcher was armed.
+        for node in dep:
+            battery = node.mote.battery
+            assert battery.remaining_j == battery.capacity_j
+            assert battery._low_watch is None
 
     def test_sync_failure_suppresses_and_drift_accumulates(self):
         dep, _, _ = _setup()

@@ -3,8 +3,8 @@
 ``"spectral"`` must digitise raw counts bit-identical to the snapped
 spectral reference — the same grid-snapped ambient field evaluated by
 the time-domain engine (:func:`tests.scenario.oracles.timedomain_ambient`);
-the spectral engine requires one shared fleet sample grid and rejects
-ragged deployments instead of silently changing the realisation.
+fleet synthesis requires one shared fleet sample grid and rejects
+ragged deployments under either method.
 """
 
 from __future__ import annotations
@@ -147,22 +147,17 @@ class TestFleetPath:
         (zb,) = [t.z for t in reference.values()]
         assert np.array_equal(za, zb)
 
-    def test_ragged_grids_reject_snapping_methods(self):
+    @pytest.mark.parametrize("method", SYNTHESIS_METHODS)
+    def test_ragged_grids_rejected(self, method):
         dep = _deployment(2, 2)
         dep.node(0).mote.sampler = Sampler(rate_hz=25.0)
-        cfg = SynthesisConfig(duration_s=20.0, synthesis_method="spectral")
-        with pytest.raises(ConfigurationError, match="shared fleet"):
+        cfg = SynthesisConfig(duration_s=20.0, synthesis_method=method)
+        with pytest.raises(ConfigurationError, match="shared fleet sample grid"):
             synthesize_fleet_traces(dep, config=cfg, seed=SEED)
-
-    def test_ragged_grids_still_work_in_timedomain(self):
-        dep = _deployment(2, 2)
-        dep.node(0).mote.sampler = Sampler(rate_hz=25.0)
-        cfg = SynthesisConfig(duration_s=20.0)
-        traces = synthesize_fleet_traces(dep, config=cfg, seed=SEED)
-        assert len(traces) == 4
-        sizes = {nid: t.z.size for nid, t in traces.items()}
-        assert sizes[dep.node(0).node_id] == 500
-        assert sizes[dep.node(1).node_id] == 1000
+        # Rejected before any mote records: no battery was billed.
+        for node in dep:
+            battery = node.mote.battery
+            assert battery.remaining_j == battery.capacity_j
 
 
 class TestConfig:
