@@ -3,12 +3,15 @@
 The spectral engine snaps the realised components onto an oversampled
 FFT grid and contracts the whole fleet with one batched inverse real
 FFT; on the 64-node / 400 s workload the ambient kernel must be at
-least 5x faster than the shared-trig time-domain batch over the same
-snapped field (measured ~10x; the floor leaves room for FFT/BLAS and
-machine variance), and the end-to-end spectral fleet path must
-digitise counts bit-identical to the snapped spectral reference: the
-same snapped field through the time-domain engine, which the test
-oracle :func:`tests.scenario.oracles.timedomain_ambient` forces.
+least 5x faster than the shared-trig GEMM over the same snapped field
+(full trig matrices, the test oracle
+:func:`tests.physics.oracles.shared_trig_ambient`; measured ~6x, the
+floor leaves room for FFT/BLAS and machine variance).  Against the
+production time-domain engine (block angle addition) the ratio is
+printed, not gated.  The end-to-end spectral fleet path must digitise
+counts bit-identical to the snapped spectral reference: the same
+snapped field through the time-domain engine, which the test oracle
+:func:`tests.scenario.oracles.timedomain_ambient` forces.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from repro.physics.spectrum import SeaState, sea_state_spectrum
 from repro.physics.wavefield import AmbientWaveField, SpectralGrid
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.synthesis import SynthesisConfig, synthesize_fleet_traces
+from tests.physics.oracles import shared_trig_ambient
 from tests.scenario.oracles import timedomain_ambient
 
 ROWS = COLUMNS = 8
@@ -83,11 +87,18 @@ def test_bench_spectral_synthesis(once, monkeypatch):
     t_timedomain = _best_of(
         lambda: field.vertical_acceleration_batch(positions, t)
     )
-    speedup = t_timedomain / t_spectral
+    with monkeypatch.context() as mp:
+        shared_trig_ambient(mp)
+        t_shared_trig = _best_of(
+            lambda: field.vertical_acceleration_batch(positions, t)
+        )
+    speedup = t_shared_trig / t_spectral
     print()
     print(
         f"ambient kernel ({len(positions)} nodes, {DURATION_S:.0f} s): "
-        f"spectral {t_spectral * 1e3:.0f} ms, timedomain "
-        f"{t_timedomain * 1e3:.0f} ms, speedup {speedup:.1f}x"
+        f"spectral {t_spectral * 1e3:.0f} ms, shared-trig oracle "
+        f"{t_shared_trig * 1e3:.0f} ms, speedup {speedup:.1f}x; "
+        f"production timedomain {t_timedomain * 1e3:.0f} ms, "
+        f"speedup {t_timedomain / t_spectral:.1f}x"
     )
     assert speedup >= 5.0

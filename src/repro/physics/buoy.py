@@ -29,6 +29,7 @@ import numpy.typing as npt
 
 from repro.constants import BUOY_DRIFT_RADIUS_M, GRAVITY
 from repro.errors import ConfigurationError
+from repro.physics.sinusoids import grid_sinusoid_sum
 from repro.rng import RandomState, make_rng
 from repro.types import Position
 
@@ -52,7 +53,9 @@ class _SinusoidProcess:
     """A zero-mean, band-limited gaussian-ish process as a sum of sines.
 
     Deterministic in ``t`` for a fixed seed; RMS and characteristic
-    period are configurable.  Used for tilt and drift.
+    period are configurable.  Used for tilt and drift, and evaluated on
+    evenly spaced sample grids by
+    :func:`~repro.physics.sinusoids.grid_sinusoid_sum`.
     """
 
     def __init__(
@@ -76,14 +79,16 @@ class _SinusoidProcess:
         # Normalise so the sum of sinusoids has the requested RMS.
         norm = math.sqrt(float(np.sum(raw * raw)) / 2.0)
         self._amps = raw * (rms / norm) if norm > 0 else raw * 0.0
+        # sin(w t + p) = sin p cos(w t) + cos p sin(w t)
+        self._omega = 2.0 * math.pi * self._freqs
+        self._cos_weights = (self._amps * np.sin(self._phases))[None, :]
+        self._sin_weights = (self._amps * np.cos(self._phases))[None, :]
 
-    def __call__(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        phases = (
-            2.0 * math.pi * self._freqs[:, None] * t[None, :]
-            + self._phases[:, None]
-        )
-        return np.asarray(self._amps @ np.sin(phases))
+    def __call__(self, t: npt.ArrayLike) -> np.ndarray:
+        """The process on the evenly spaced sample grid ``t``."""
+        return grid_sinusoid_sum(
+            self._omega, t, self._cos_weights, self._sin_weights
+        )[0]
 
 
 class Buoy:
@@ -152,7 +157,8 @@ class Buoy:
     # Position
     # ------------------------------------------------------------------
     def drift_offsets(self, t: npt.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
-        """Mooring offsets (dx, dy) [m], clipped to the drift radius."""
+        """Mooring offsets (dx, dy) [m] on the evenly spaced grid ``t``,
+        clipped to the drift radius."""
         dx = self._drift_x(t)
         dy = self._drift_y(t)
         r = np.hypot(dx, dy)
@@ -190,7 +196,8 @@ class Buoy:
         )
 
     def tilt_angles(self, t: npt.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
-        """Rocking angles about the x and y axes [rad]."""
+        """Rocking angles about the x and y axes [rad] on the evenly
+        spaced grid ``t``."""
         return self._tilt_x(t), self._tilt_y(t)
 
     def specific_force(
@@ -201,8 +208,9 @@ class Buoy:
     ) -> BuoyMotion:
         """Project sea-surface motion into body-frame specific force.
 
-        ``vertical_accel`` is the surface vertical acceleration [m/s^2]
-        at the buoy (ambient field + wakes + disturbances);
+        ``t`` is the mote's evenly spaced sample grid (or a slice of
+        it); ``vertical_accel`` is the surface vertical acceleration
+        [m/s^2] at the buoy (ambient field + wakes + disturbances);
         ``horizontal_accel`` optionally supplies the surface horizontal
         components.  A resting, untilted buoy reads ``fz = +g``.
         """

@@ -100,32 +100,46 @@ class WakeTrain:
         """Time the packet has fully passed [s]."""
         return self.arrival_time + self.duration
 
+    def _support(
+        self, t: npt.ArrayLike
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Zeros shaped like ``t``, the in-packet mask, and ``tau`` on it.
+
+        A packet lasts a few seconds of a record hundreds of seconds
+        long, so every term is evaluated on the packet's support only.
+        """
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        tau = t - self.arrival_time
+        inside = (tau >= 0.0) & (tau <= self.duration)
+        return np.zeros_like(t), inside, tau[inside]
+
     def _envelope_terms(
         self, tau: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Hann envelope and its first/second derivatives, plus the mask."""
-        inside = (tau >= 0.0) & (tau <= self.duration)
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hann envelope and its first/second derivatives on the packet."""
         w = 2.0 * math.pi / self.duration
-        env = np.where(inside, 0.5 * (1.0 - np.cos(w * tau)), 0.0)
-        denv = np.where(inside, 0.5 * w * np.sin(w * tau), 0.0)
-        ddenv = np.where(inside, 0.5 * w * w * np.cos(w * tau), 0.0)
-        return env, denv, ddenv, inside
+        cos_w = np.cos(w * tau)
+        env = 0.5 * (1.0 - cos_w)
+        denv = 0.5 * w * np.sin(w * tau)
+        ddenv = 0.5 * w * w * cos_w
+        return env, denv, ddenv
 
     def elevation(self, t: npt.ArrayLike) -> np.ndarray:
         """Surface elevation contribution [m] at times ``t``."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        tau = t - self.arrival_time
-        env, _, _, _ = self._envelope_terms(tau)
+        out, inside, tau = self._support(t)
+        env, _, _ = self._envelope_terms(tau)
         omega = 2.0 * math.pi * self.carrier_frequency_hz
         chi = 2.0 * math.pi * self.chirp
         phase = omega * tau + 0.5 * chi * tau * tau
-        return self.amplitude * env * np.cos(phase)
+        out[inside] = self.amplitude * env * np.cos(phase)
+        return out
 
     def vertical_acceleration(self, t: npt.ArrayLike) -> np.ndarray:
         """Exact second time derivative of :meth:`elevation` [m/s^2]."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        tau = t - self.arrival_time
-        env, denv, ddenv, _ = self._envelope_terms(tau)
+        out, inside, tau = self._support(t)
+        if not tau.size:  # the packet misses this record or chunk
+            return out
+        env, denv, ddenv = self._envelope_terms(tau)
         omega = 2.0 * math.pi * self.carrier_frequency_hz
         chi = 2.0 * math.pi * self.chirp
         phase = omega * tau + 0.5 * chi * tau * tau
@@ -138,7 +152,8 @@ class WakeTrain:
             - env * inst * inst * cos_p
             - env * chi * sin_p
         )
-        return self.amplitude * second
+        out[inside] = self.amplitude * second
+        return out
 
     def peak_vertical_acceleration(self) -> float:
         """Approximate peak |acceleration| of the packet [m/s^2].

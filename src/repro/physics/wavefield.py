@@ -13,8 +13,11 @@ derivative of the elevation, ``-sum a_i w_i^2 cos(...)``.
 
 Two evaluation engines realise the same field:
 
-- **time domain** (the reference): explicit ``(components x samples)``
-  trig matrices, contracted per position;
+- **time domain**: the single-position evaluators (the per-node
+  reference) build explicit ``(components x samples)`` phase matrices;
+  the batch evaluators fold each position's phase offsets into weights
+  and sum the sinusoids on the sample grid by block angle addition
+  (:func:`~repro.physics.sinusoids.grid_sinusoid_sum`);
 - **spectral**: when the field is realised on a
   :class:`SpectralGrid`, every component frequency is snapped to an
   FFT bin at construction time, so a whole fleet's traces collapse to
@@ -37,6 +40,7 @@ from scipy.fft import next_fast_len
 
 from repro.errors import ConfigurationError
 from repro.physics.airy import wavenumber_from_omega
+from repro.physics.sinusoids import grid_sinusoid_sum
 from repro.physics.spectrum import WaveSpectrum
 from repro.rng import RandomState, make_rng
 from repro.types import Position
@@ -316,15 +320,9 @@ class AmbientWaveField:
     #   cos(a - w t) = cos a cos(w t) + sin a sin(w t)
     #   sin(a - w t) = sin a cos(w t) - cos a sin(w t)
     #
-    # lets a whole fleet share the expensive (components x samples)
-    # ``cos(w t)`` / ``sin(w t)`` matrices: each node then costs only two
-    # weight vectors and the final GEMM contracts every node at once.
-
-    def _batch_trig(self, t: npt.ArrayLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Shared ``cos(w t)``/``sin(w t)`` matrices, (components, len(t))."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        arg = self._omega[:, None] * t[None, :]
-        return np.cos(arg), np.sin(arg), t
+    # turns each position into two weight vectors over the shared
+    # ``cos(w t)`` / ``sin(w t)`` terms, and ``grid_sinusoid_sum``
+    # contracts every position at once on the sample grid.
 
     def _spatial_phases(self, positions: Sequence[Position]) -> np.ndarray:
         """Time-independent phase offsets ``a_pi``, shape (P, components)."""
@@ -470,10 +468,10 @@ class AmbientWaveField:
             return self._spectral_series(
                 self._amp[None, :] * rot, fft_length, t.size
             )
-        cos_wt, sin_wt, _ = self._batch_trig(t)
         a = self._spatial_phases(positions)
-        w = self._batch_weights(len(positions), self._amp, None)
-        return (w * np.cos(a)) @ cos_wt + (w * np.sin(a)) @ sin_wt
+        return grid_sinusoid_sum(
+            self._omega, t, self._amp * np.cos(a), self._amp * np.sin(a)
+        )
 
     def vertical_acceleration_batch(
         self,
@@ -485,8 +483,8 @@ class AmbientWaveField:
         """Vertical acceleration [m/s^2] at every position; (P, len(t)).
 
         Numerically equivalent to calling :meth:`vertical_acceleration`
-        per position (to trig-identity rounding), but the trig matrices
-        are computed once for the whole fleet.  ``responses`` is either
+        per position (to angle-addition rounding), but the trig terms
+        are shared by the whole fleet.  ``responses`` is either
         one frequency-response callable shared by every position, or a
         sequence with one callable (or ``None``) per position.
 
@@ -504,12 +502,12 @@ class AmbientWaveField:
             )
             rot = self._spectral_rotation(positions, float(t[0]))
             return self._spectral_series(-(w * rot), fft_length, t.size)
-        cos_wt, sin_wt, _ = self._batch_trig(t)
         a = self._spatial_phases(positions)
-        w = self._batch_weights(
+        # d^2/dt^2 cos(a - w t) = -w^2 cos(a - w t)
+        w = -self._batch_weights(
             len(positions), self._amp * self._omega**2, responses
         )
-        return -((w * np.cos(a)) @ cos_wt + (w * np.sin(a)) @ sin_wt)
+        return grid_sinusoid_sum(self._omega, t, w * np.cos(a), w * np.sin(a))
 
     def horizontal_acceleration_batch(
         self,
@@ -535,18 +533,20 @@ class AmbientWaveField:
                 (weights * self._dir_sin)[None, :] * rot, fft_length, t.size
             )
             return ax, ay
-        cos_wt, sin_wt, _ = self._batch_trig(t)
         a = self._spatial_phases(positions)
         weights = self._amp * self._omega**2
+        wx = weights * self._dir_cos
+        wy = weights * self._dir_sin
         cos_a = np.cos(a)
         sin_a = np.sin(a)
-        wx_c = (weights * self._dir_cos) * sin_a
-        wx_s = (weights * self._dir_cos) * cos_a
-        wy_c = (weights * self._dir_sin) * sin_a
-        wy_s = (weights * self._dir_sin) * cos_a
-        ax = wx_c @ cos_wt - wx_s @ sin_wt
-        ay = wy_c @ cos_wt - wy_s @ sin_wt
-        return ax, ay
+        # Both axes in one contraction over stacked rows.
+        both = grid_sinusoid_sum(
+            self._omega,
+            t,
+            np.concatenate([wx * sin_a, wy * sin_a]),
+            -np.concatenate([wx * cos_a, wy * cos_a]),
+        )
+        return both[: len(positions)], both[len(positions) :]
 
     def horizontal_acceleration(
         self, position: Position, t: npt.ArrayLike

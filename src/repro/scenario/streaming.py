@@ -13,11 +13,12 @@ tail.  Peak memory is then O(nodes x chunk), independent of duration.
 
 Chunking invariants:
 
-- every synthesis term (ambient trig contraction, wake packets,
-  disturbances, the buoy's tilt projection) is a pointwise function of
-  the sample instant, so per-chunk evaluation reproduces the
-  monolithic arrays up to BLAS reduction order (absorbed by the
-  accelerometer's integer quantisation);
+- every synthesis term (ambient sinusoid sums, wake packets,
+  disturbances, the buoy's tilt projection) is a function of the
+  sample instant, so per-chunk evaluation reproduces the monolithic
+  arrays up to BLAS reduction order and the block angle-addition
+  rounding of :func:`~repro.physics.sinusoids.grid_sinusoid_sum`
+  (both absorbed by the accelerometer's integer quantisation);
 - each mote's z-axis noise comes from a generator clone advanced to
   the z position of its three-axis read
   (:meth:`~repro.sensors.accelerometer.Accelerometer.axis_noise_rng`),

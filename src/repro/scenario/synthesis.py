@@ -37,7 +37,7 @@ from repro.types import AccelTrace
 
 #: Ambient synthesis engines a :class:`SynthesisConfig` can select.
 #: ``"timedomain"`` is the historical realisation (unsnapped
-#: frequencies, trig-matrix evaluation); ``"spectral"`` snaps the
+#: frequencies, time-domain evaluation); ``"spectral"`` snaps the
 #: realised components onto an oversampled FFT grid and contracts the
 #: fleet with one batched inverse real FFT.
 SYNTHESIS_METHODS = ("timedomain", "spectral")
@@ -246,13 +246,13 @@ def synthesize_fleet_traces(
 
     The ambient contribution is synthesised for the whole fleet at
     once.  Under the default ``synthesis_method="timedomain"`` that is
-    :meth:`AmbientWaveField.vertical_acceleration_batch`: the
-    (components x samples) trig matrices are computed once and each
-    node reduces to two BLAS contractions.  ``"spectral"`` snaps the
-    realised components onto an FFT grid and contracts the fleet with
-    one batched inverse real FFT instead (~10x on the 64-node / 400 s
-    workload).  Each ship's Kelvin wake is built once per scenario
-    rather than once per node.
+    :meth:`AmbientWaveField.vertical_acceleration_batch`: each node
+    reduces to weights on fleet-shared ``cos(w t)`` / ``sin(w t)``
+    terms, summed on the sample grid by block angle addition.
+    ``"spectral"`` snaps the realised components onto an FFT grid and
+    contracts the fleet with one batched inverse real FFT instead
+    (~3x on the 64-node / 400 s ambient kernel).  Each ship's Kelvin
+    wake is built once per scenario rather than once per node.
 
     The motes must share one sample grid (:func:`fleet_sample_grid`);
     the check runs before any mote records, so a rejected call bills

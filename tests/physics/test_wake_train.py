@@ -11,6 +11,7 @@ from repro.errors import ConfigurationError
 from repro.physics.kelvin import KelvinWake
 from repro.physics.wake_train import WakeTrain
 from repro.types import Position
+from tests.physics.oracles import full_grid_elevation, full_grid_wake
 
 
 @pytest.fixture
@@ -99,3 +100,24 @@ def test_oscillates_within_envelope(train):
 def test_invalid_parameters_rejected(kwargs):
     with pytest.raises(ConfigurationError):
         WakeTrain(**kwargs)
+
+
+def test_support_evaluation_equals_full_grid_oracle():
+    """Packets evaluated on their support only are bit-identical."""
+    t = np.arange(20_000) / 50.0  # 400 s at 50 Hz
+    packet = dict(amplitude=0.2, period=2.7, duration=2.5, chirp=-0.01)
+    wake = KelvinWake(origin=Position(0, 0), heading_rad=0.0, speed_mps=5.144)
+    trains = [
+        WakeTrain(arrival_time=123.45, **packet),  # inside the record
+        WakeTrain(arrival_time=-1.3, **packet),  # straddles t0
+        WakeTrain(arrival_time=398.7, **packet),  # straddles the end
+        WakeTrain(arrival_time=512.0, **packet),  # entirely outside
+        WakeTrain.from_wake(wake, Position(100.0, 25.0)),
+    ]
+    for train in trains:
+        assert np.array_equal(
+            train.vertical_acceleration(t), full_grid_wake(train, t)
+        )
+        assert np.array_equal(train.elevation(t), full_grid_elevation(train, t))
+    assert all(np.any(tr.vertical_acceleration(t) != 0.0) for tr in trains[:3])
+    assert not np.any(trains[3].vertical_acceleration(t))

@@ -1,10 +1,13 @@
 """Batched fleet synthesis must equal the per-node reference exactly.
 
 The batched path rewrites ``cos(a - w t)`` through the angle-sum
-identity so the whole fleet shares one pair of trig matrices; the only
-admissible difference from per-node evaluation is floating-point
-rounding of that identity, orders of magnitude below any physical
-scale in the simulation.
+identity into per-node weights on shared ``cos(w t)`` / ``sin(w t)``
+terms, and sums those on the sample grid by block angle addition
+(:func:`repro.physics.sinusoids.grid_sinusoid_sum`): trig only at
+block starts and in-block offsets.  The only admissible difference
+from per-node evaluation is floating-point rounding of those
+identities, orders of magnitude below any physical scale in the
+simulation.
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ def test_fleet_traces_match_per_node_reference():
     Two identical deployments (same seed) are synthesised, one through
     ``synthesize_fleet_traces`` (batched) and one node-by-node against
     the same derived ambient field; the digitised raw counts must agree
-    exactly — the trig-identity rounding sits ~12 orders of magnitude
+    exactly — the angle-addition rounding sits ~10 orders of magnitude
     below one accelerometer count.
     """
     seed = 5

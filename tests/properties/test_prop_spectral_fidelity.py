@@ -8,9 +8,9 @@ Across sea states and random realisations,
 - grid-snapping must not change the realised Hs at all (only
   frequencies move, never amplitudes);
 - the periodogram of a full-period spectral record must recover the
-  requested variance density in band (snapped components sit exactly
-  on periodogram bins, so the band-integrated PSD equals the component
-  power sum up to jitter across the band edges);
+  binned component power exactly (snapped components sit exactly on
+  periodogram bins), and the components' incoherent power must
+  integrate to the requested spectrum;
 - the spectral and time-domain engines agree on any snapped
   realisation.
 """
@@ -18,7 +18,7 @@ Across sea states and random realisations,
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.signal import periodogram
@@ -64,6 +64,10 @@ def test_snapping_preserves_hs_exactly(seed, sea_state):
 
 @given(_seed, _sea_state)
 @settings(max_examples=8, deadline=None)
+# Coherent binned power 0.696 and 1.317 of the target: phase-dependent
+# extremes, so only the incoherent power is bounded below.
+@example(seed=82, sea_state=SeaState.ROUGH)
+@example(seed=5237454, sea_state=SeaState.ROUGH)
 def test_full_period_psd_matches_requested_spectrum(seed, sea_state):
     spectrum = sea_state_spectrum(sea_state)
     field = AmbientWaveField(
@@ -111,16 +115,20 @@ def test_full_period_psd_matches_requested_spectrum(seed, sea_state):
             continue
         assert np.isclose(band_power(lo, hi), expected, rtol=1e-9, atol=0.0)
 
-    # And the realised power must integrate to the requested spectrum:
-    # a generous bound, covering the 96-component quadrature error of a
-    # sharp JONSWAP peak plus coherent bin collisions.
+    # And the realised power must integrate to the requested spectrum.
+    # Components that snap into one bin add as phasors, so the coherent
+    # binned power above depends on their random phases (0.54-1.39x the
+    # target over seeds for ROUGH).  The incoherent power sum(a_i^2 / 2)
+    # does not: amplitudes come from the spectrum at the comb's bin
+    # centres, so it is the comb's quadrature of the target.
     target = quad(
         lambda x: float(spectrum.density(np.array([x]))[0]),
         0.03,
         1.5,
         limit=200,
     )[0]
-    assert 0.7 <= total_expected / target <= 1.3
+    incoherent = sum(0.5 * c.amplitude**2 for c in field.components)
+    assert abs(incoherent / target - 1.0) <= 0.01
 
 
 @given(_seed, _sea_state, st.integers(2, 5))

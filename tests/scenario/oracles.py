@@ -228,7 +228,7 @@ def timedomain_ambient(monkeypatch: pytest.MonkeyPatch) -> None:
     Under ``synthesis_method="spectral"`` the field's components are
     snapped onto an FFT grid and contracted with one inverse FFT; with
     this patch applied the same snapped realisation goes through the
-    trig-matrix engine instead — the reference whose digitised counts
+    time-domain engine instead — the reference whose digitised counts
     the spectral engine must reproduce bit for bit.
     """
     for name in ("vertical_acceleration_batch", "horizontal_acceleration_batch"):
