@@ -26,16 +26,8 @@ from repro.scenario.runner import run_network_scenario
 #: nodes get sensor faults and clock-sync failure, and any non-zero
 #: level also runs an interference burst over the whole scenario.
 FAULT_LEVELS = (0.0, 0.1, 0.2, 0.4)
-#: Monte-Carlo repetitions per severity.  With a parallel sweep
-#: ($REPRO_SWEEP_WORKERS > 1, e.g. multi-core CI) the extra seeds ride
-#: the idle cores for free; serial runs keep the short tuple.
-_BASE_SEEDS = (3, 4, 5)
-_EXTRA_SEEDS = (6, 7)
-SEEDS = (
-    _BASE_SEEDS + _EXTRA_SEEDS
-    if SweepConfig.from_env().workers > 1
-    else _BASE_SEEDS
-)
+#: Monte-Carlo repetitions per severity, whatever the worker count.
+SEEDS = (3, 4, 5, 6, 7)
 
 
 def _plan_for(level: float, node_ids, seed: int) -> FaultPlan | None:

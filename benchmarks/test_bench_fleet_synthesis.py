@@ -4,12 +4,14 @@ The batched path turns each node into weights on fleet-shared
 ``cos(w t)`` / ``sin(w t)`` terms via the angle-sum identity, and sums
 them by block angle addition: trig only at block starts and in-block
 offsets, then two BLAS contractions.  On the 64-node / 400 s workload
-the ambient kernel must be at least 3x faster than evaluating
-:meth:`AmbientWaveField.vertical_acceleration` node by node (measured
-~70x) and at least 2x faster than the shared-trig GEMM with full trig
-matrices (the test oracle :func:`tests.physics.oracles.shared_trig_ambient`;
+the ambient kernel must be at least 3x faster than evaluating the
+per-position formula node by node (the test oracle
+:func:`tests.physics.oracles.vertical_acceleration`; measured ~70x) and
+at least 2x faster than the shared-trig GEMM with full trig matrices
+(the test oracle :func:`tests.physics.oracles.shared_trig_ambient`;
 measured ~2.7x), and the end-to-end fleet path must stay bit-identical
-to per-node synthesis.
+to per-node synthesis through the per-position formulas
+(:func:`tests.physics.oracles.per_position_ambient`).
 """
 
 from __future__ import annotations
@@ -21,15 +23,14 @@ import numpy as np
 from repro.constants import SAMPLE_RATE_HZ
 from repro.physics.spectrum import SeaState, sea_state_spectrum
 from repro.physics.wavefield import AmbientWaveField
-from repro.rng import derive_rng, make_rng
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.synthesis import (
     SynthesisConfig,
-    build_ambient_field,
+    fleet_ambient_field,
     synthesize_fleet_traces,
     synthesize_node_trace,
 )
-from tests.physics.oracles import shared_trig_ambient
+from tests.physics import oracles
 
 ROWS = COLUMNS = 8
 DURATION_S = 400.0
@@ -43,12 +44,12 @@ def _batched():
     return synthesize_fleet_traces(dep, config=cfg, seed=SEED)
 
 
-def _per_node():
+def _per_node(mp):
+    """Node-by-node synthesis with the per-position formulas patched in."""
     dep = GridDeployment(ROWS, COLUMNS, spacing_m=25.0, seed=DEPLOYMENT_SEED)
     cfg = SynthesisConfig(duration_s=DURATION_S)
-    base = make_rng(SEED)
-    root = int(base.integers(2**31))
-    field = build_ambient_field(cfg, seed=derive_rng(root, "ambient"))
+    field = fleet_ambient_field(cfg, SEED)
+    oracles.per_position_ambient(mp)
     return {
         node.node_id: synthesize_node_trace(node, field, config=cfg)
         for node in dep
@@ -68,7 +69,8 @@ def test_bench_fleet_synthesis(once, monkeypatch):
     fleet = once(_batched)
 
     # Bit-identical digitised counts on every axis of every node.
-    reference = _per_node()
+    with monkeypatch.context() as mp:
+        reference = _per_node(mp)
     assert len(fleet) == ROWS * COLUMNS
     assert all(
         np.array_equal(fleet[nid].z, reference[nid].z)
@@ -78,8 +80,8 @@ def test_bench_fleet_synthesis(once, monkeypatch):
     )
 
     # Kernel-level speedup on the same workload: the batch against the
-    # per-node loop and against the full-matrix shared-trig oracle, over
-    # the identical ambient field.
+    # per-position loop and against the full-matrix shared-trig oracle,
+    # over the identical ambient field.
     field = AmbientWaveField(
         sea_state_spectrum(SeaState.CALM), n_components=96, seed=1
     )
@@ -89,10 +91,10 @@ def test_bench_fleet_synthesis(once, monkeypatch):
         lambda: field.vertical_acceleration_batch(positions, t)
     )
     t_loop = _best_of(
-        lambda: [field.vertical_acceleration(p, t) for p in positions]
+        lambda: [oracles.vertical_acceleration(field, p, t) for p in positions]
     )
     with monkeypatch.context() as mp:
-        shared_trig_ambient(mp)
+        oracles.shared_trig_ambient(mp)
         t_shared_trig = _best_of(
             lambda: field.vertical_acceleration_batch(positions, t)
         )

@@ -152,9 +152,7 @@ def _runner_scenario():
         dep,
         [],
         sid_config=cfg,
-        synthesis_config=SynthesisConfig(
-            duration_s=DURATION_S, synthesis_method="spectral"
-        ),
+        synthesis_config=SynthesisConfig(duration_s=DURATION_S),
         seed=SEED,
     )
 

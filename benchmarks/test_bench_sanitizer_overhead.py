@@ -49,9 +49,7 @@ def _run(sanitizer=None):
         dep,
         [],
         sid_config=cfg,
-        synthesis_config=SynthesisConfig(
-            duration_s=DURATION_S, synthesis_method="spectral"
-        ),
+        synthesis_config=SynthesisConfig(duration_s=DURATION_S),
         seed=SEED,
         sanitizer=sanitizer,
     )

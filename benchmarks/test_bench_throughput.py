@@ -23,13 +23,14 @@ from tests.dsp.oracles import timedomain_cwt
 
 
 def test_bench_wavefield_synthesis(benchmark):
-    """Ambient acceleration synthesis: 100 s at 50 Hz, 96 components."""
+    """Ambient acceleration synthesis at one position: 100 s at 50 Hz,
+    96 components, through the one-position batch."""
     spectrum = sea_state_spectrum(SeaState.CALM)
     field = AmbientWaveField(spectrum, n_components=96, seed=1)
     t = np.arange(0, 100, 1 / SAMPLE_RATE_HZ)
 
-    result = benchmark(field.vertical_acceleration, Position(0, 0), t)
-    assert result.shape == t.shape
+    result = benchmark(field.vertical_acceleration_batch, [Position(0, 0)], t)
+    assert result.shape == (1, t.size)
 
 
 def test_bench_detector_throughput(benchmark):

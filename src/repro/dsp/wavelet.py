@@ -120,7 +120,7 @@ def _next_fast_len(target: int) -> int:
 
 
 @lru_cache(maxsize=32)
-def _spectral_grid(nfft: int, rate_hz: float) -> np.ndarray:
+def _dft_angular_frequencies(nfft: int, rate_hz: float) -> np.ndarray:
     """Angular-frequency grid of the length-``nfft`` DFT [rad/s]."""
     return 2.0 * math.pi * np.fft.fftfreq(nfft, d=1.0 / rate_hz)
 
@@ -137,7 +137,7 @@ def _morlet_filter_bank(
     (nfft, rate, w0, scales) so sweeps that transform many
     equal-length signals pay the construction cost once.
     """
-    omega = _spectral_grid(nfft, rate_hz)
+    omega = _dft_angular_frequencies(nfft, rate_hz)
     s = np.asarray(scales, dtype=float)
     arg = s[:, None] * omega[None, :] - w0
     norm = math.pi**-0.25 * math.sqrt(2.0 * math.pi)

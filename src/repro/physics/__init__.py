@@ -51,11 +51,7 @@ from repro.physics.spectrum import (
     sea_state_spectrum,
 )
 from repro.physics.wake_train import WakeTrain
-from repro.physics.wavefield import (
-    AmbientWaveField,
-    SpectralGrid,
-    WaveComponent,
-)
+from repro.physics.wavefield import AmbientWaveField, WaveComponent
 
 __all__ = [
     "AmbientWaveField",
@@ -68,7 +64,6 @@ __all__ = [
     "KelvinWake",
     "PiersonMoskowitzSpectrum",
     "SeaState",
-    "SpectralGrid",
     "WakeTrain",
     "WaveComponent",
     "WaveSpectrum",

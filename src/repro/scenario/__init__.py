@@ -42,11 +42,7 @@ from repro.scenario.streaming import (
     StreamingFleetSynthesizer,
     run_streaming_scenario,
 )
-from repro.scenario.synthesis import (
-    SYNTHESIS_METHODS,
-    SynthesisConfig,
-    synthesize_fleet_traces,
-)
+from repro.scenario.synthesis import SynthesisConfig, synthesize_fleet_traces
 from repro.scenario.trace_io import (
     detect_on_trace,
     export_csv,
@@ -64,7 +60,6 @@ __all__ = [
     "GridDeployment",
     "NetworkScenarioResult",
     "OfflineScenarioResult",
-    "SYNTHESIS_METHODS",
     "ShipTrack",
     "StreamingFleetSynthesizer",
     "SynthesisConfig",

@@ -211,7 +211,7 @@ def run_offline_scenario(
     tracer = telemetry.tracer if telemetry is not None else None
     synth = synthesis_config if synthesis_config is not None else SynthesisConfig()
     det_cfg = detector_config if detector_config is not None else NodeDetectorConfig()
-    with maybe_stage(telemetry, "synthesis", method=synth.synthesis_method):
+    with maybe_stage(telemetry, "synthesis"):
         traces = synthesize_fleet_traces(
             deployment,
             ships,
@@ -603,7 +603,7 @@ def run_network_scenario(
             wrapped.append((node.mote, node.mote.accelerometer))
             node.mote.accelerometer = wrapper
     try:
-        with maybe_stage(telemetry, "synthesis", method=synth.synthesis_method):
+        with maybe_stage(telemetry, "synthesis"):
             traces = synthesize_fleet_traces(
                 deployment,
                 ships,
@@ -1073,7 +1073,7 @@ def run_dutycycled_scenario(
 
     synth = synthesis_config if synthesis_config is not None else SynthesisConfig()
     det_cfg = detector_config if detector_config is not None else NodeDetectorConfig()
-    with maybe_stage(telemetry, "synthesis", method=synth.synthesis_method):
+    with maybe_stage(telemetry, "synthesis"):
         traces = synthesize_fleet_traces(
             deployment,
             ships,

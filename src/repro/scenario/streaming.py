@@ -27,13 +27,6 @@ Chunking invariants:
 - the causal preprocessing filters and the fleet window walk carry
   exact state across chunks.
 
-Under ``synthesis_method="spectral"`` the ambient term is instead one
-grid-length batched inverse FFT realised up front, and each chunk is a
-slice of that slab — float-identical to the offline fleet call, so the
-digitised counts match offline *by construction* (at the cost of an
-O(nodes x samples) ambient slab; the other synthesis terms and the
-detection walk stay chunked).
-
 The zero-phase ``"butter"`` preprocessing filter is global (its
 backward pass is anti-causal), so streaming requires one of the
 :data:`~repro.detection.preprocess.STREAMABLE_FILTER_KINDS`.
@@ -53,8 +46,8 @@ from repro.detection.preprocess import (
     StreamingPreprocessor,
 )
 from repro.errors import ConfigurationError
-from repro.physics.disturbance import Disturbance, render_disturbances
-from repro.rng import RandomState, derive_rng, make_rng
+from repro.physics.disturbance import Disturbance
+from repro.rng import RandomState
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.runner import (
     OfflineScenarioResult,
@@ -64,10 +57,10 @@ from repro.scenario.runner import (
 from repro.scenario.ship import ShipTrack
 from repro.scenario.synthesis import (
     SynthesisConfig,
-    build_ambient_field,
+    add_wakes_and_disturbances,
+    fleet_ambient_field,
     fleet_sample_grid,
-    fleet_spectral_grid,
-    wake_trains_for_node,
+    heave_gained_wake_trains,
 )
 from repro.detection.cluster import TemporaryClusterConfig, TravelLine
 from repro.telemetry.session import Telemetry, maybe_stage
@@ -100,27 +93,13 @@ class StreamingFleetSynthesizer:
         self.nodes = list(deployment)
         if not self.nodes:
             raise ConfigurationError("empty deployment")
-        # Same derivation chain as synthesize_fleet_traces, so a given
-        # seed yields the same ambient realisation.
-        base = make_rng(seed)
-        root = int(base.integers(2**31))
+        # The same field as synthesize_fleet_traces for a given seed.
         self.t = fleet_sample_grid(self.nodes, cfg)
-        self.field = build_ambient_field(
-            cfg,
-            seed=derive_rng(root, "ambient"),
-            spectral_grid=fleet_spectral_grid(cfg, self.t),
-        )
+        self.field = fleet_ambient_field(cfg, seed)
         wakes = [ship.wake() for ship in ships]
-        self._trains = [
-            wake_trains_for_node(n, ships, cfg, wakes=wakes)
+        self._wakes = [
+            heave_gained_wake_trains(n, ships, cfg, wakes=wakes)
             for n in self.nodes
-        ]
-        self._gains = [
-            [
-                float(n.buoy.heave_gain(train.carrier_frequency_hz))
-                for train in trains
-            ]
-            for n, trains in zip(self.nodes, self._trains)
         ]
         dmap = disturbances_by_node or {}
         self._disturbances = [dmap.get(n.node_id, []) for n in self.nodes]
@@ -137,23 +116,6 @@ class StreamingFleetSynthesizer:
             float(n.mote.clock.local_time(float(self.t[0])))
             for n in self.nodes
         ]
-        # The spectral engine's one batched IFFT has no exact per-chunk
-        # form (a chunk is a slice of the grid-length transform), so the
-        # whole ambient slab is realised up front and chunks are carved
-        # out of it — float-identical to the offline fleet call, hence
-        # verbatim-equal counts by construction.  This trades the
-        # O(nodes x chunk) ambient memory of the time-domain engine for
-        # an O(nodes x samples) slab (wakes, disturbances, digitisation
-        # and detection stay chunked); pick "timedomain" when the
-        # memory ceiling matters more than synthesis speed.
-        self._ambient: Optional[np.ndarray] = None
-        if cfg.synthesis_method == "spectral":
-            self._ambient = self.field.vertical_acceleration_batch(
-                self._positions,
-                self.t,
-                responses=self._responses,
-                method="spectral",
-            )
         self._pos = 0
 
     @property
@@ -185,21 +147,15 @@ class StreamingFleetSynthesizer:
         if self._pos >= self.t.size:
             return None
         t_c = self.t[self._pos : self._pos + chunk_samples]
-        if self._ambient is not None:
-            az = self._ambient[:, self._pos : self._pos + t_c.size]
-        else:
-            az = self.field.vertical_acceleration_batch(
-                self._positions, t_c, responses=self._responses
-            )
+        az = self.field.vertical_acceleration_batch(
+            self._positions, t_c, responses=self._responses
+        )
         self._pos += t_c.size
         out = np.empty((len(self.nodes), t_c.size), dtype=np.int64)
         for i, node in enumerate(self.nodes):
-            az_i = az[i]
-            for gain, train in zip(self._gains[i], self._trains[i]):
-                az_i = az_i + gain * train.vertical_acceleration(t_c)
-            extra = render_disturbances(self._disturbances[i], t_c)
-            if extra.shape == t_c.shape:
-                az_i = az_i + extra
+            az_i = add_wakes_and_disturbances(
+                az[i], t_c, self._wakes[i], self._disturbances[i]
+            )
             motion = node.buoy.specific_force(t_c, az_i)
             out[i] = node.mote.accelerometer.read_axis_chunk(
                 motion.fz, 2, self._noise[i]
@@ -274,12 +230,7 @@ def run_streaming_scenario(
     # One profiling span per streaming stage per chunk (free when
     # telemetry is off).
     for chunk_index in itertools.count():
-        with maybe_stage(
-            telemetry,
-            "synthesize_chunk",
-            chunk=chunk_index,
-            method=synth.synthesis_method,
-        ):
+        with maybe_stage(telemetry, "synthesize_chunk", chunk=chunk_index):
             z_chunk = source.next_chunk(chunk_samples)
         if z_chunk is None:
             break

@@ -18,7 +18,7 @@ the timestamps here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,19 +28,11 @@ from repro.physics.disturbance import Disturbance, render_disturbances
 from repro.physics.kelvin import KelvinWake
 from repro.physics.spectrum import SeaState, sea_state_spectrum
 from repro.physics.wake_train import WakeTrain
-from repro.physics.wavefield import AmbientWaveField, SpectralGrid
+from repro.physics.wavefield import AmbientWaveField
 from repro.rng import RandomState, derive_rng, make_rng
 from repro.scenario.deployment import DeployedNode, GridDeployment
 from repro.scenario.ship import ShipTrack
 from repro.types import AccelTrace
-
-
-#: Ambient synthesis engines a :class:`SynthesisConfig` can select.
-#: ``"timedomain"`` is the historical realisation (unsnapped
-#: frequencies, time-domain evaluation); ``"spectral"`` snaps the
-#: realised components onto an oversampled FFT grid and contracts the
-#: fleet with one batched inverse real FFT.
-SYNTHESIS_METHODS = ("timedomain", "spectral")
 
 
 @dataclass(frozen=True)
@@ -54,11 +46,6 @@ class SynthesisConfig:
     #: Dispersive chirp of the wake packet (fraction of the carrier).
     wake_chirp_fraction: float = -0.08
     include_horizontal: bool = False
-    #: Ambient evaluation engine (one of :data:`SYNTHESIS_METHODS`).
-    synthesis_method: str = "timedomain"
-    #: Minimum FFT-grid bins per component spacing for the spectral
-    #: engine (see :class:`~repro.physics.wavefield.SpectralGrid`).
-    spectral_oversample: int = 4
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
@@ -67,66 +54,30 @@ class SynthesisConfig:
             )
         if self.n_wave_components < 1:
             raise ConfigurationError("need at least one wave component")
-        if self.synthesis_method not in SYNTHESIS_METHODS:
-            raise ConfigurationError(
-                "synthesis_method must be one of "
-                f"{SYNTHESIS_METHODS}, got {self.synthesis_method!r}"
-            )
-        if self.spectral_oversample < 1:
-            raise ConfigurationError(
-                "spectral_oversample must be >= 1, got "
-                f"{self.spectral_oversample}"
-            )
-
-    @property
-    def snaps_frequencies(self) -> bool:
-        """Whether this config realises the field on an FFT grid."""
-        return self.synthesis_method == "spectral"
 
 
 def build_ambient_field(
-    config: SynthesisConfig,
-    seed: RandomState = None,
-    spectral_grid: SpectralGrid | None = None,
+    config: SynthesisConfig, seed: RandomState = None
 ) -> AmbientWaveField:
-    """The scenario's shared ambient wave-field realisation.
-
-    ``spectral_grid`` realises the field's components on that FFT grid
-    (required for the snapping ``"spectral"`` method); the
-    RNG draw sequence is identical either way, so a snapped and an
-    unsnapped field from one seed share phases, directions and
-    amplitudes and differ only by the <= df/2 frequency snap.
-    """
+    """The scenario's shared ambient wave-field realisation."""
     spectrum = sea_state_spectrum(config.sea_state)
     return AmbientWaveField(
-        spectrum,
-        n_components=config.n_wave_components,
-        seed=seed,
-        spectral_grid=spectral_grid,
+        spectrum, n_components=config.n_wave_components, seed=seed
     )
 
 
-def fleet_spectral_grid(
-    config: SynthesisConfig, t: np.ndarray
-) -> SpectralGrid | None:
-    """The :class:`SpectralGrid` a config realises its field on.
+def fleet_ambient_field(
+    config: SynthesisConfig, seed: RandomState = None
+) -> AmbientWaveField:
+    """The ambient sea a fleet synthesised from ``seed`` shares.
 
-    ``None`` for the pure time-domain method.  ``t`` is the fleet's
-    shared sample grid; the snapping method needs at least two samples
-    on it.
+    Both fleet synthesizers derive their field here, so one seed
+    realises one sea whether the fleet is recorded whole
+    (:func:`synthesize_fleet_traces`) or streamed in chunks
+    (:class:`~repro.scenario.streaming.StreamingFleetSynthesizer`).
     """
-    if not config.snaps_frequencies:
-        return None
-    if t.size < 2:
-        raise ConfigurationError(
-            f"{config.synthesis_method!r} synthesis needs >= 2 samples, "
-            f"got {t.size}"
-        )
-    return SpectralGrid(
-        n_samples=int(t.size),
-        dt_s=float(t[1] - t[0]),
-        oversample=config.spectral_oversample,
-    )
+    root = int(make_rng(seed).integers(2**31))
+    return build_ambient_field(config, seed=derive_rng(root, "ambient"))
 
 
 def fleet_sample_grid(
@@ -138,13 +89,17 @@ def fleet_sample_grid(
     every runner walks one Delta-t window grid across the fleet, so
     motes sampling on different grids raise :class:`ConfigurationError`.
     """
-    grids = [n.mote.sample_instants(config.t0, config.duration_s) for n in nodes]
-    if any(not np.array_equal(g, grids[0]) for g in grids[1:]):
-        raise ConfigurationError(
-            "fleet synthesis needs one shared fleet sample grid; this "
-            "deployment's motes sample on different grids"
-        )
-    return grids[0]
+    grid = nodes[0].mote.sample_instants(config.t0, config.duration_s)
+    for node in nodes[1:]:
+        # One grid at a time: streaming stays O(nodes x chunk) in memory.
+        if not np.array_equal(
+            node.mote.sample_instants(config.t0, config.duration_s), grid
+        ):
+            raise ConfigurationError(
+                "fleet synthesis needs one shared fleet sample grid; this "
+                "deployment's motes sample on different grids"
+            )
+    return grid
 
 
 def wake_trains_for_node(
@@ -178,32 +133,82 @@ def wake_trains_for_node(
     return trains
 
 
-def _finish_node_trace(
+def heave_gained_wake_trains(
     node: DeployedNode,
-    t: np.ndarray,
-    az: np.ndarray,
-    trains: Sequence[WakeTrain],
-    disturbances: Iterable[Disturbance],
-    horizontal: tuple[np.ndarray, np.ndarray] | None,
-) -> AccelTrace:
-    """Compose wakes and disturbances onto an ambient row and digitise.
+    ships: Sequence[ShipTrack],
+    config: SynthesisConfig,
+    wakes: Sequence[KelvinWake] | None = None,
+) -> list[tuple[float, WakeTrain]]:
+    """Each wake packet one node feels, with the buoy's heave gain.
 
     The buoy's mechanical heave response filters what the mote feels:
-    ambient components are weighted per frequency (already applied to
-    ``az``); wake packets and impulsive disturbances are scaled at
-    their carrier frequency.
+    the ambient batch weights every component per frequency, while a
+    wake packet is scaled once, at its carrier frequency.
     """
-    for train in trains:
-        gain = float(node.buoy.heave_gain(train.carrier_frequency_hz))
+    return [
+        (float(node.buoy.heave_gain(train.carrier_frequency_hz)), train)
+        for train in wake_trains_for_node(node, ships, config, wakes=wakes)
+    ]
+
+
+def add_wakes_and_disturbances(
+    az: np.ndarray,
+    t: np.ndarray,
+    wakes: Sequence[tuple[float, WakeTrain]],
+    disturbances: Iterable[Disturbance],
+) -> np.ndarray:
+    """One node's surface vertical acceleration on ``t`` [m/s^2].
+
+    Adds the heave-gained wake packets (:func:`heave_gained_wake_trains`)
+    and the impulsive disturbances onto the node's ambient row ``az``.
+    Every term is a function of the sample instant, so ``t`` may be the
+    whole record or any chunk of it.
+    """
+    for gain, train in wakes:
         az = az + gain * train.vertical_acceleration(t)
-    extra = render_disturbances(disturbances, t)
-    if extra.shape == t.shape:
-        az = az + extra
-    if horizontal is not None:
-        motion = node.buoy.specific_force(t, az, horizontal)
-    else:
-        motion = node.buoy.specific_force(t, az)
-    return node.mote.record(motion)
+    return az + render_disturbances(disturbances, t)
+
+
+def _record_fleet(
+    nodes: Sequence[DeployedNode],
+    field: AmbientWaveField,
+    t: np.ndarray,
+    ships: Sequence[ShipTrack],
+    config: SynthesisConfig,
+    disturbances: Sequence[Iterable[Disturbance]],
+) -> list[AccelTrace]:
+    """Record every node on the shared sample grid ``t``.
+
+    The ambient term is one batch over the fleet; each node then adds
+    its wakes and ``disturbances[i]``, projects through its buoy and
+    digitises.  Each ship's Kelvin wake is built once, not per node.
+    """
+    anchors = [n.anchor for n in nodes]
+    az_all = field.vertical_acceleration_batch(
+        anchors, t, responses=[n.buoy.heave_gain for n in nodes]
+    )
+    h_all = (
+        field.horizontal_acceleration_batch(anchors, t)
+        if config.include_horizontal
+        else None
+    )
+    wakes = [ship.wake() for ship in ships]
+    traces = []
+    for i, node in enumerate(nodes):
+        az = add_wakes_and_disturbances(
+            az_all[i],
+            t,
+            heave_gained_wake_trains(node, ships, config, wakes=wakes),
+            disturbances[i],
+        )
+        if h_all is None:
+            motion = node.buoy.specific_force(t, az)
+        else:
+            motion = node.buoy.specific_force(
+                t, az, (h_all[0][i], h_all[1][i])
+            )
+        traces.append(node.mote.record(motion))
+    return traces
 
 
 def synthesize_node_trace(
@@ -212,27 +217,12 @@ def synthesize_node_trace(
     ships: Sequence[ShipTrack] = (),
     disturbances: Iterable[Disturbance] = (),
     config: SynthesisConfig | None = None,
-    wakes: Sequence[KelvinWake] | None = None,
 ) -> AccelTrace:
-    """One node's full raw-count trace for the scenario."""
+    """One node's full raw-count trace: the fleet path on a one-node fleet."""
     cfg = config if config is not None else SynthesisConfig()
     t = node.mote.sample_instants(cfg.t0, cfg.duration_s)
-    az = field.vertical_acceleration(
-        node.anchor, t, response=node.buoy.heave_gain
-    )
-    horizontal = (
-        field.horizontal_acceleration(node.anchor, t)
-        if cfg.include_horizontal
-        else None
-    )
-    return _finish_node_trace(
-        node,
-        t,
-        az,
-        wake_trains_for_node(node, ships, cfg, wakes=wakes),
-        disturbances,
-        horizontal,
-    )
+    (trace,) = _record_fleet([node], field, t, ships, cfg, [disturbances])
+    return trace
 
 
 def synthesize_fleet_traces(
@@ -244,58 +234,30 @@ def synthesize_fleet_traces(
 ) -> dict[int, AccelTrace]:
     """Traces for every node of a deployment, sharing one ambient field.
 
-    The ambient contribution is synthesised for the whole fleet at
-    once.  Under the default ``synthesis_method="timedomain"`` that is
-    :meth:`AmbientWaveField.vertical_acceleration_batch`: each node
+    The ambient contribution is synthesised for the whole fleet at once
+    (:meth:`AmbientWaveField.vertical_acceleration_batch`): each node
     reduces to weights on fleet-shared ``cos(w t)`` / ``sin(w t)``
     terms, summed on the sample grid by block angle addition.
-    ``"spectral"`` snaps the realised components onto an FFT grid and
-    contracts the fleet with one batched inverse real FFT instead
-    (~3x on the 64-node / 400 s ambient kernel).  Each ship's Kelvin
-    wake is built once per scenario rather than once per node.
 
     The motes must share one sample grid (:func:`fleet_sample_grid`);
     the check runs before any mote records, so a rejected call bills
     no battery.
     """
     cfg = config if config is not None else SynthesisConfig()
-    base = make_rng(seed)
-    root = int(base.integers(2**31))
-    disturbances_by_node = disturbances_by_node or {}
     nodes = list(deployment)
-    wakes = [ship.wake() for ship in ships]
     if not nodes:
         return {}
     t = fleet_sample_grid(nodes, cfg)
-    field = build_ambient_field(
-        cfg,
-        seed=derive_rng(root, "ambient"),
-        spectral_grid=fleet_spectral_grid(cfg, t),
-    )
-    az_all = field.vertical_acceleration_batch(
-        [n.anchor for n in nodes],
+    dmap = disturbances_by_node or {}
+    traces = _record_fleet(
+        nodes,
+        fleet_ambient_field(cfg, seed),
         t,
-        responses=[n.buoy.heave_gain for n in nodes],
-        method=cfg.synthesis_method,
+        ships,
+        cfg,
+        [dmap.get(n.node_id, []) for n in nodes],
     )
-    h_all = (
-        field.horizontal_acceleration_batch(
-            [n.anchor for n in nodes], t, method=cfg.synthesis_method
-        )
-        if cfg.include_horizontal
-        else None
-    )
-    return {
-        node.node_id: _finish_node_trace(
-            node,
-            t,
-            az_all[i],
-            wake_trains_for_node(node, ships, cfg, wakes=wakes),
-            disturbances_by_node.get(node.node_id, []),
-            (h_all[0][i], h_all[1][i]) if h_all is not None else None,
-        )
-        for i, node in enumerate(nodes)
-    }
+    return {n.node_id: trace for n, trace in zip(nodes, traces)}
 
 
 def random_disturbances(

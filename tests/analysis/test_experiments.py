@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import experiments
 from repro.analysis.experiments import (
     Fig11Point,
     run_correlation_table,
@@ -21,6 +22,7 @@ from repro.analysis.experiments import (
     run_fig12_speed_estimation,
     run_threshold_ablation,
 )
+from tests.physics.oracles import per_position_ambient
 
 
 def test_fig5_driver():
@@ -47,6 +49,34 @@ def test_fig8_driver():
     result = run_fig8_filtering(seed=4)
     assert result["filtered_above_1hz"] < result["raw_above_1hz"]
     assert result["raw_rms"] > 0
+
+
+def _fig5_and_fig6_traces(monkeypatch, seed):
+    """Fig. 5's three axes and the trace Fig. 6 transforms, for ``seed``."""
+    fig5, _ = run_fig5_ocean_waves(seed=seed)
+    fig6 = []
+    stft = experiments.stft
+
+    def recording_stft(x, *args, **kwargs):
+        fig6.append(np.array(x))
+        return stft(x, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(experiments, "stft", recording_stft)
+        run_fig6_stft_comparison(seed=seed)
+    return fig5.x, fig5.y, fig5.z, fig6[0]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_one_node_figures_match_per_position_formulas(monkeypatch, seed):
+    # Figs. 5 and 6 synthesise one node through the one-position fleet
+    # batch; the per-position formulas must digitise the same counts.
+    batch = _fig5_and_fig6_traces(monkeypatch, seed)
+    with monkeypatch.context() as mp:
+        per_position_ambient(mp)
+        reference = _fig5_and_fig6_traces(mp, seed)
+    for got, want in zip(batch, reference):
+        assert np.array_equal(got, want)
 
 
 def test_fig11_point_ratio():

@@ -12,9 +12,13 @@ plain full-grid formulations:
   direct ``amps @ sin(w t + p)`` sum;
 - :func:`full_grid_wake` / :func:`full_grid_elevation` — a wake packet
   evaluated over the whole record and masked afterwards;
-- :func:`shared_trig_ambient` and :func:`reference_synthesis` — patch
-  them into the pipeline, so a test or bench compares engines behind
-  one front end.
+- :func:`elevation`, :func:`vertical_acceleration` and
+  :func:`horizontal_acceleration` — the ambient field at one position
+  from an explicit ``(components x samples)`` phase matrix, the
+  textbook sums the fleet batch evaluators factor;
+- :func:`shared_trig_ambient`, :func:`per_position_ambient` and
+  :func:`reference_synthesis` — patch them into the pipeline, so a test
+  or bench compares engines behind one front end.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ import pytest
 from repro.physics import wavefield
 from repro.physics.buoy import _SinusoidProcess
 from repro.physics.wake_train import WakeTrain
+from repro.physics.wavefield import AmbientWaveField, FrequencyResponse
+from repro.types import Position
 
 
 def shared_trig_sum(
@@ -91,8 +97,88 @@ def full_grid_wake(train: WakeTrain, t: npt.ArrayLike) -> np.ndarray:
     return train.amplitude * second
 
 
+def _phases_at(
+    field: AmbientWaveField, position: Position, t: npt.ArrayLike
+) -> np.ndarray:
+    """Phase matrix ``k.x + p - w t``, shape (n_components, len(t))."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    spatial = field._k * (
+        position.x * field._dir_cos + position.y * field._dir_sin
+    )
+    return (spatial + field._phase)[:, None] - field._omega[:, None] * t[None, :]
+
+
+def elevation(
+    field: AmbientWaveField, position: Position, t: npt.ArrayLike
+) -> np.ndarray:
+    """Surface elevation [m] at ``position``: ``sum a_i cos(phase_i)``."""
+    return np.asarray(field._amp @ np.cos(_phases_at(field, position, t)))
+
+
+def vertical_acceleration(
+    field: AmbientWaveField,
+    position: Position,
+    t: npt.ArrayLike,
+    response: FrequencyResponse | None = None,
+) -> np.ndarray:
+    """``d^2 eta / dt^2 = -sum a_i w_i^2 cos(phase_i)``, gain-weighted."""
+    weights = field._amp * field._omega**2
+    if response is not None:
+        freqs = field._omega / (2.0 * math.pi)
+        weights = weights * np.asarray(response(freqs), dtype=float)
+    return np.asarray(-(weights @ np.cos(_phases_at(field, position, t))))
+
+
+def horizontal_acceleration(
+    field: AmbientWaveField, position: Position, t: npt.ArrayLike
+) -> tuple[np.ndarray, np.ndarray]:
+    """Surface horizontal particle acceleration ``(ax, ay)`` [m/s^2]."""
+    weights = field._amp * field._omega**2
+    s = np.sin(_phases_at(field, position, t))
+    ax = (weights * field._dir_cos) @ s
+    ay = (weights * field._dir_sin) @ s
+    return np.asarray(ax), np.asarray(ay)
+
+
+def per_position_ambient(mp: pytest.MonkeyPatch) -> None:
+    """Evaluate every ambient batch as a loop of per-position formulas.
+
+    Each row of a batch then comes from :func:`elevation`,
+    :func:`vertical_acceleration` or :func:`horizontal_acceleration` at
+    one position, as the one-node synthesis did before it became the
+    one-position batch.
+    """
+
+    def elevation_batch(self, positions, t):
+        return np.array([elevation(self, p, t) for p in positions])
+
+    def vertical_acceleration_batch(self, positions, t, responses=None):
+        if responses is None or callable(responses):
+            responses = [responses] * len(positions)
+        return np.array(
+            [
+                vertical_acceleration(self, p, t, r)
+                for p, r in zip(positions, responses, strict=True)
+            ]
+        )
+
+    def horizontal_acceleration_batch(self, positions, t):
+        axes = [horizontal_acceleration(self, p, t) for p in positions]
+        return np.array([a[0] for a in axes]), np.array([a[1] for a in axes])
+
+    mp.setattr(AmbientWaveField, "elevation_batch", elevation_batch)
+    mp.setattr(
+        AmbientWaveField, "vertical_acceleration_batch", vertical_acceleration_batch
+    )
+    mp.setattr(
+        AmbientWaveField,
+        "horizontal_acceleration_batch",
+        horizontal_acceleration_batch,
+    )
+
+
 def shared_trig_ambient(mp: pytest.MonkeyPatch) -> None:
-    """Evaluate the time-domain ambient batch with :func:`shared_trig_sum`.
+    """Evaluate the ambient batch with :func:`shared_trig_sum`.
 
     Takes a ``monkeypatch`` (or ``monkeypatch.context()``) so the swap
     is undone when the test or context ends.

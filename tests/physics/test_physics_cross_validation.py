@@ -23,7 +23,7 @@ def realisation():
         spectrum, n_components=192, f_max_hz=1.2, seed=11
     )
     t = np.arange(0, 3000, 0.05)  # 50 minutes at 20 Hz
-    eta = field.elevation(Position(0, 0), t)
+    eta = field.elevation_batch([Position(0, 0)], t)[0]
     return spectrum, field, t, eta
 
 
@@ -51,7 +51,7 @@ def test_variance_matches_m0(realisation):
 def test_acceleration_psd_weighted_by_omega4(realisation):
     spectrum, field, t, _ = realisation
     fs = 1.0 / (t[1] - t[0])
-    accel = field.vertical_acceleration(Position(0, 0), t)
+    accel = field.vertical_acceleration_batch([Position(0, 0)], t)[0]
     f, psd_a = sp_signal.welch(accel, fs=fs, nperseg=4096)
     band = (f > 0.2) & (f < 0.5)
     expected = spectrum.density(f[band]) * (2 * np.pi * f[band]) ** 4

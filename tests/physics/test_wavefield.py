@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.physics.spectrum import PiersonMoskowitzSpectrum
-from repro.physics.wavefield import AmbientWaveField
+from repro.physics.spectrum import PiersonMoskowitzSpectrum, SeaState
+from repro.physics.wavefield import AmbientWaveField, _spreading_cdf_table
 from repro.types import Position
 
 
@@ -16,23 +16,27 @@ def field(calm_spectrum):
     return AmbientWaveField(calm_spectrum, n_components=48, seed=3)
 
 
+def _elevation(field, position, t):
+    return field.elevation_batch([position], t)[0]
+
+
 def test_same_seed_same_field(calm_spectrum, origin):
     t = np.linspace(0, 20, 500)
     a = AmbientWaveField(calm_spectrum, n_components=16, seed=5)
     b = AmbientWaveField(calm_spectrum, n_components=16, seed=5)
-    assert np.array_equal(a.elevation(origin, t), b.elevation(origin, t))
+    assert np.array_equal(_elevation(a, origin, t), _elevation(b, origin, t))
 
 
 def test_different_seeds_differ(calm_spectrum, origin):
     t = np.linspace(0, 20, 500)
     a = AmbientWaveField(calm_spectrum, n_components=16, seed=5)
     b = AmbientWaveField(calm_spectrum, n_components=16, seed=6)
-    assert not np.array_equal(a.elevation(origin, t), b.elevation(origin, t))
+    assert not np.array_equal(_elevation(a, origin, t), _elevation(b, origin, t))
 
 
 def test_elevation_zero_mean(field, origin):
     t = np.arange(0, 600, 0.1)
-    eta = field.elevation(origin, t)
+    eta = _elevation(field, origin, t)
     assert abs(eta.mean()) < 0.1 * eta.std()
 
 
@@ -45,8 +49,8 @@ def test_realised_hs_matches_spectrum(calm_spectrum, origin):
 def test_acceleration_is_second_derivative_of_elevation(field, origin):
     dt = 1e-3
     t = np.arange(5.0, 8.0, dt)
-    eta = field.elevation(origin, t)
-    acc = field.vertical_acceleration(origin, t)
+    eta = _elevation(field, origin, t)
+    acc = field.vertical_acceleration_batch([origin], t)[0]
     num = np.gradient(np.gradient(eta, dt), dt)
     # Compare away from the edges where np.gradient is one-sided.
     err = np.abs(num[10:-10] - acc[10:-10]).max()
@@ -55,8 +59,7 @@ def test_acceleration_is_second_derivative_of_elevation(field, origin):
 
 def test_spatial_decorrelation(field):
     t = np.arange(0, 200, 0.1)
-    a = field.elevation(Position(0, 0), t)
-    b = field.elevation(Position(500, 500), t)
+    a, b = field.elevation_batch([Position(0, 0), Position(500, 500)], t)
     rho = np.corrcoef(a, b)[0, 1]
     assert abs(rho) < 0.4
 
@@ -65,24 +68,23 @@ def test_nearby_points_correlated(field):
     # The band extends to 1.5 Hz whose deep-water wavelength is ~0.7 m,
     # so "nearby" must be well inside that scale.
     t = np.arange(0, 200, 0.1)
-    a = field.elevation(Position(0, 0), t)
-    b = field.elevation(Position(0.05, 0.05), t)
+    a, b = field.elevation_batch([Position(0, 0), Position(0.05, 0.05)], t)
     rho = np.corrcoef(a, b)[0, 1]
     assert rho > 0.95
 
 
 def test_horizontal_acceleration_shapes(field, origin):
     t = np.arange(0, 10, 0.1)
-    ax, ay = field.horizontal_acceleration(origin, t)
-    assert ax.shape == t.shape
-    assert ay.shape == t.shape
+    ax, ay = field.horizontal_acceleration_batch([origin, Position(3, 4)], t)
+    assert ax.shape == (2, t.size)
+    assert ay.shape == (2, t.size)
 
 
 def test_response_weighting_attenuates(field, origin):
     t = np.arange(0, 120, 0.02)
-    full = field.vertical_acceleration(origin, t)
-    damped = field.vertical_acceleration(
-        origin, t, response=lambda f: np.full_like(np.asarray(f), 0.5)
+    full = field.vertical_acceleration_batch([origin], t)
+    damped = field.vertical_acceleration_batch(
+        [origin], t, responses=lambda f: np.full_like(np.asarray(f), 0.5)
     )
     assert np.allclose(damped, 0.5 * full)
 
@@ -106,3 +108,34 @@ def test_rejects_bad_parameters(calm_spectrum):
         AmbientWaveField(calm_spectrum, n_components=0)
     with pytest.raises(ConfigurationError):
         AmbientWaveField(calm_spectrum, f_min_hz=1.0, f_max_hz=0.5)
+
+
+class TestSpreadingCache:
+    def test_cache_serves_repeat_constructions(self):
+        spectrum = PiersonMoskowitzSpectrum(SeaState.CALM.wind_speed_mps)
+        _spreading_cdf_table.cache_clear()
+        AmbientWaveField(spectrum, n_components=8, seed=1)
+        info = _spreading_cdf_table.cache_info()
+        assert info.misses == 1
+        AmbientWaveField(spectrum, n_components=8, seed=2)
+        info = _spreading_cdf_table.cache_info()
+        assert info.misses == 1
+        assert info.hits >= 1
+
+    def test_cached_table_is_read_only(self):
+        cdf, edges = _spreading_cdf_table(8.0)
+        with pytest.raises(ValueError):
+            cdf[0] = 1.0
+        with pytest.raises(ValueError):
+            edges[0] = 1.0
+
+    def test_directions_unchanged_by_caching(self):
+        # The table is deterministic, so two identically-seeded fields
+        # (one warming the cache, one served from it) realise the same
+        # directions.
+        spectrum = PiersonMoskowitzSpectrum(SeaState.CALM.wind_speed_mps)
+        _spreading_cdf_table.cache_clear()
+        a = AmbientWaveField(spectrum, n_components=32, seed=9)
+        b = AmbientWaveField(spectrum, n_components=32, seed=9)
+        for ca, cb in zip(a.components, b.components):
+            assert ca.direction_rad == cb.direction_rad

@@ -1,4 +1,4 @@
-"""Batched fleet synthesis must equal the per-node reference exactly.
+"""Batched fleet synthesis must equal the per-position formulas.
 
 The batched path rewrites ``cos(a - w t)`` through the angle-sum
 identity into per-node weights on shared ``cos(w t)`` / ``sin(w t)``
@@ -7,7 +7,8 @@ terms, and sums those on the sample grid by block angle addition
 block starts and in-block offsets.  The only admissible difference
 from per-node evaluation is floating-point rounding of those
 identities, orders of magnitude below any physical scale in the
-simulation.
+simulation.  The per-position formulas are the test oracles in
+:mod:`tests.physics.oracles`.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from repro.physics.wavefield import AmbientWaveField
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.synthesis import (
     SynthesisConfig,
-    build_ambient_field,
+    fleet_ambient_field,
     synthesize_fleet_traces,
     synthesize_node_trace,
 )
-from repro.rng import derive_rng, make_rng
 from repro.types import Position
+from tests.physics import oracles
 
 
 def _grid_positions(nx: int, ny: int, spacing: float) -> list[Position]:
@@ -50,7 +51,7 @@ def test_elevation_batch_matches_per_position(seed, sea_state):
     assert batch.shape == (len(positions), t.size)
     scale = max(np.abs(batch).max(), 1e-12)
     for i, pos in enumerate(positions):
-        single = field.elevation(pos, t)
+        single = oracles.elevation(field, pos, t)
         assert np.allclose(batch[i], single, rtol=0.0, atol=1e-10 * scale)
 
 
@@ -63,7 +64,7 @@ def test_vertical_acceleration_batch_matches_per_position(seed):
     batch = field.vertical_acceleration_batch(positions, t)
     scale = max(np.abs(batch).max(), 1e-12)
     for i, pos in enumerate(positions):
-        single = field.vertical_acceleration(pos, t)
+        single = oracles.vertical_acceleration(field, pos, t)
         assert np.allclose(batch[i], single, rtol=0.0, atol=1e-10 * scale)
 
 
@@ -79,8 +80,8 @@ def test_vertical_batch_with_shared_response(small_field):
     )
     scale = max(np.abs(batch).max(), 1e-12)
     for i, pos in enumerate(positions):
-        single = small_field.vertical_acceleration(
-            pos, t, response=response
+        single = oracles.vertical_acceleration(
+            small_field, pos, t, response=response
         )
         assert np.allclose(batch[i], single, rtol=0.0, atol=1e-10 * scale)
 
@@ -98,7 +99,7 @@ def test_vertical_batch_with_per_position_responses(small_field):
     )
     scale = max(np.abs(batch).max(), 1e-12)
     for i, (pos, resp) in enumerate(zip(positions, responses)):
-        single = small_field.vertical_acceleration(pos, t, response=resp)
+        single = oracles.vertical_acceleration(small_field, pos, t, resp)
         assert np.allclose(batch[i], single, rtol=0.0, atol=1e-10 * scale)
 
 
@@ -116,7 +117,7 @@ def test_horizontal_batch_matches_per_position(small_field):
     ax_b, ay_b = small_field.horizontal_acceleration_batch(positions, t)
     scale = max(np.abs(ax_b).max(), np.abs(ay_b).max(), 1e-12)
     for i, pos in enumerate(positions):
-        ax, ay = small_field.horizontal_acceleration(pos, t)
+        ax, ay = oracles.horizontal_acceleration(small_field, pos, t)
         assert np.allclose(ax_b[i], ax, rtol=0.0, atol=1e-10 * scale)
         assert np.allclose(ay_b[i], ay, rtol=0.0, atol=1e-10 * scale)
 
@@ -125,19 +126,20 @@ def test_single_position_batch(small_field, origin):
     t = np.arange(0.0, 5.0, 0.02)
     batch = small_field.vertical_acceleration_batch([origin], t)
     assert batch.shape == (1, t.size)
-    single = small_field.vertical_acceleration(origin, t)
+    single = oracles.vertical_acceleration(small_field, origin, t)
     scale = max(np.abs(single).max(), 1e-12)
     assert np.allclose(batch[0], single, rtol=0.0, atol=1e-10 * scale)
 
 
-def test_fleet_traces_match_per_node_reference():
+def test_fleet_traces_match_per_node_reference(monkeypatch):
     """End-to-end: the batched fleet path reproduces per-node synthesis.
 
     Two identical deployments (same seed) are synthesised, one through
     ``synthesize_fleet_traces`` (batched) and one node-by-node against
-    the same derived ambient field; the digitised raw counts must agree
-    exactly — the angle-addition rounding sits ~10 orders of magnitude
-    below one accelerometer count.
+    the same derived ambient field with the per-position formulas
+    patched in; the digitised raw counts must agree exactly — the
+    angle-addition rounding sits ~10 orders of magnitude below one
+    accelerometer count.
     """
     seed = 5
     cfg = SynthesisConfig(duration_s=40.0, include_horizontal=True)
@@ -146,9 +148,8 @@ def test_fleet_traces_match_per_node_reference():
 
     fleet = synthesize_fleet_traces(dep_a, config=cfg, seed=seed)
 
-    base = make_rng(seed)
-    root = int(base.integers(2**31))
-    field = build_ambient_field(cfg, seed=derive_rng(root, "ambient"))
+    field = fleet_ambient_field(cfg, seed)
+    oracles.per_position_ambient(monkeypatch)
     for node in dep_b:
         ref = synthesize_node_trace(node, field, config=cfg)
         got = fleet[node.node_id]

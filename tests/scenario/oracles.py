@@ -10,17 +10,13 @@ formulations of the same detection, kept as test oracles:
   with the signature of ``runner._fleet_network_outcomes`` so a test
   can substitute it and run the event loop end to end;
 - :func:`sequential_dutycycle` — the node-by-node, window-by-window
-  duty-cycle loop, with the signature of ``runner._dutycycled_reports``;
-- :func:`timedomain_ambient` — the snapped spectral reference: the
-  ``"spectral"`` realisation evaluated by the time-domain engine.
+  duty-cycle loop, with the signature of ``runner._dutycycled_reports``.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Optional
-
-import pytest
 
 from repro.detection.dutycycle import DutyCycleController
 from repro.detection.node_detector import (
@@ -31,7 +27,6 @@ from repro.detection.node_detector import (
 from repro.detection.preprocess import preprocess_z_counts
 from repro.detection.reports import NodeReport
 from repro.faults.plan import BatteryDrain, FaultPlan
-from repro.physics.wavefield import AmbientWaveField
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.runner import WindowOutcomes
 from repro.types import AccelTrace
@@ -220,22 +215,3 @@ def sequential_dutycycle(
             if first_alarm is None:
                 first_alarm = report.onset_time
     return reports_by_node, first_alarm
-
-
-def timedomain_ambient(monkeypatch: pytest.MonkeyPatch) -> None:
-    """Evaluate every batched ambient field in the time domain.
-
-    Under ``synthesis_method="spectral"`` the field's components are
-    snapped onto an FFT grid and contracted with one inverse FFT; with
-    this patch applied the same snapped realisation goes through the
-    time-domain engine instead — the reference whose digitised counts
-    the spectral engine must reproduce bit for bit.
-    """
-    for name in ("vertical_acceleration_batch", "horizontal_acceleration_batch"):
-        original = getattr(AmbientWaveField, name)
-
-        def forced(self, *args, _original=original, **kwargs):
-            kwargs["method"] = "timedomain"
-            return _original(self, *args, **kwargs)
-
-        monkeypatch.setattr(AmbientWaveField, name, forced)

@@ -8,6 +8,7 @@ path must reproduce the monolithic offline run report for report.
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -253,3 +254,21 @@ class TestStreamingSynthesizer:
             pass
         assert source.samples_remaining == 0
         assert source.next_chunk(4096) is None
+
+    def test_holds_no_full_record_array(self):
+        # Chunked synthesis never materialises a (nodes x samples)
+        # array: the peak traced allocation over a whole 16-node, 600 s
+        # stream stays well under one float64 slab of the record.
+        dep, ship, synth = paper_scenario(
+            rows=4, columns=4, duration_s=600.0, seed=SEED
+        )
+        tracemalloc.start()
+        try:
+            source = StreamingFleetSynthesizer(dep, [ship], synth, seed=SEED)
+            for _ in source.chunks(500):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slab_bytes = source.n_nodes * source.n_samples * 8
+        assert peak < slab_bytes / 2

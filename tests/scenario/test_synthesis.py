@@ -8,16 +8,19 @@ import pytest
 from repro.constants import ACCEL_COUNTS_PER_G
 from repro.errors import ConfigurationError
 from repro.physics.disturbance import FishBump
+from repro.physics.wavefield import AmbientWaveField
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.presets import paper_ship
 from repro.scenario.synthesis import (
     SynthesisConfig,
     build_ambient_field,
+    fleet_ambient_field,
     random_disturbances,
     synthesize_fleet_traces,
     synthesize_node_trace,
     wake_trains_for_node,
 )
+from repro.sensors.sampler import Sampler
 
 
 @pytest.fixture
@@ -116,3 +119,51 @@ def test_config_validation():
         SynthesisConfig(duration_s=0.0)
     with pytest.raises(ConfigurationError):
         SynthesisConfig(n_wave_components=0)
+
+
+def test_single_node_uses_fleet_path(monkeypatch):
+    # A one-node trace is the fleet path on a one-node fleet: the same
+    # seed-derived field gives the same counts through
+    # synthesize_node_trace as through synthesize_fleet_traces, and
+    # both evaluate the ambient sea through the fleet batch.
+    cfg = SynthesisConfig(duration_s=30.0, include_horizontal=True)
+    dep = GridDeployment(1, 1, spacing_m=25.0, seed=3)
+    ship = paper_ship(dep, cross_time_s=15.0, column_gap=0.5)
+    bump = {dep.node(0).node_id: [FishBump(time=10.0, peak_accel=3.0)]}
+    fleet = synthesize_fleet_traces(
+        dep, [ship], cfg, disturbances_by_node=bump, seed=7
+    )
+    batch_calls = []
+    original = AmbientWaveField.vertical_acceleration_batch
+
+    def counted(self, *args, **kwargs):
+        batch_calls.append(len(args[0]))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(AmbientWaveField, "vertical_acceleration_batch", counted)
+    dep2 = GridDeployment(1, 1, spacing_m=25.0, seed=3)
+    node = dep2.node(0)
+    single = synthesize_node_trace(
+        node,
+        fleet_ambient_field(cfg, 7),
+        [ship],
+        disturbances=bump[node.node_id],
+        config=cfg,
+    )
+    assert batch_calls == [1]
+    (trace,) = fleet.values()
+    assert np.array_equal(single.z, trace.z)
+    assert np.array_equal(single.x, trace.x)
+    assert np.array_equal(single.y, trace.y)
+
+
+def test_ragged_grids_rejected():
+    dep = GridDeployment(2, 2, spacing_m=25.0, seed=11)
+    dep.node(0).mote.sampler = Sampler(rate_hz=25.0)
+    cfg = SynthesisConfig(duration_s=20.0)
+    with pytest.raises(ConfigurationError, match="shared fleet sample grid"):
+        synthesize_fleet_traces(dep, config=cfg, seed=7)
+    # Rejected before any mote records: no battery was billed.
+    for node in dep:
+        battery = node.mote.battery
+        assert battery.remaining_j == battery.capacity_j
