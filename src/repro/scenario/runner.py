@@ -84,7 +84,6 @@ class OfflineScenarioResult:
     cluster_outcomes: list[tuple[ClusterEvent, Optional[ClusterReport]]] = field(
         default_factory=list
     )
-    traces: dict[int, AccelTrace] = field(default_factory=dict)
 
     @property
     def all_reports(self) -> list[NodeReport]:
@@ -121,30 +120,72 @@ def truth_windows_for(
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class FleetRecording:
+    """A synthesised fleet as detection sees it: raw z counts only.
+
+    ``z`` holds the ``(nodes, samples)`` int64 raw z counts, rows in
+    deployment order (``node_ids``), each row starting at its mote's
+    local clock reading ``t0s[i]``; every row is sampled at
+    ``rate_hz``.  Detection reads nothing else of a trace, so one
+    recording can be detected under any number of detector settings.
+    ``z`` is made read-only, so no caller can corrupt a shared
+    recording.
+    """
+
+    node_ids: tuple[int, ...]
+    t0s: tuple[float, ...]
+    rate_hz: float
+    z: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.z.flags.writeable = False
+
+    @classmethod
+    def from_traces(
+        cls, deployment: GridDeployment, traces: dict[int, AccelTrace]
+    ) -> "FleetRecording":
+        """Stack the z axes of a deployment's synthesised traces.
+
+        The fleet walks one Delta-t window grid, so traces sampled at
+        different rates raise :class:`ConfigurationError`.
+        """
+        fleet = [traces[node.node_id] for node in deployment]
+        rates = sorted({trace.rate_hz for trace in fleet})
+        if len(rates) > 1:
+            raise ConfigurationError(
+                f"a fleet recording needs one sample rate, got {rates} Hz"
+            )
+        return cls(
+            node_ids=tuple(node.node_id for node in deployment),
+            t0s=tuple(trace.t0 for trace in fleet),
+            rate_hz=rates[0],
+            z=np.stack([trace.z for trace in fleet]),
+        )
+
+
 def _fleet_samples(
-    deployment: GridDeployment,
-    traces: dict[int, AccelTrace],
+    recording: FleetRecording,
     det_cfg: NodeDetectorConfig,
     decimation: int = 1,
     preprocess: PreprocessConfig | None = None,
-) -> tuple[np.ndarray, list[float]]:
-    """Check, stack and preprocess the fleet's z traces.
+) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Check and preprocess a fleet recording for the window walk.
 
-    Returns the ``(nodes, samples)`` matrix, rows in deployment order,
-    and each row's trace start time.  ``decimation`` keeps every n-th
-    raw sample before the ``preprocess`` chain (default: the
-    detector's own).  A trace sampled off the detector's ``rate_hz``
-    would mis-time the shared window grid, so it raises; synthesis
-    already guarantees one shared length.
+    Returns the preprocessed ``(nodes, samples)`` matrix, rows in
+    deployment order, and each row's start time.  ``decimation`` keeps
+    every n-th raw sample before the ``preprocess`` chain (default: the
+    detector's own); the chain allocates a fresh C-contiguous matrix,
+    so the strided view costs no copy of its own.  A recording sampled
+    off the detector's ``rate_hz`` would mis-time the shared window
+    grid, so it raises.
     """
-    fleet = [traces[node.node_id] for node in deployment]
-    for trace in fleet:
-        det_cfg.check_sample_rate(trace.rate_hz)
-    z = np.stack([trace.z[::decimation] for trace in fleet])
+    det_cfg.check_sample_rate(recording.rate_hz)
     samples = preprocess_z_counts_batch(
-        z, preprocess if preprocess is not None else det_cfg.preprocess
+        recording.z[:, ::decimation],
+        preprocess if preprocess is not None else det_cfg.preprocess,
     )
-    return samples, [trace.t0 for trace in fleet]
+    return samples, recording.t0s
 
 
 def fuse_sequential_clusters(
@@ -190,7 +231,7 @@ def run_offline_scenario(
     synthesis_config: SynthesisConfig | None = None,
     disturbances_by_node: dict[int, list[Disturbance]] | None = None,
     track_hypothesis: TravelLine | None = None,
-    keep_traces: bool = False,
+    recording: FleetRecording | None = None,
     seed: RandomState = None,
     telemetry: Optional[Telemetry] = None,
 ) -> OfflineScenarioResult:
@@ -199,6 +240,13 @@ def run_offline_scenario(
     ``track_hypothesis`` defaults to the first ship's ground-truth
     line (the controlled setting of Tables I/II); pass an explicit
     hypothesis for no-ship runs.
+
+    ``recording`` (optional) is an already-synthesised fleet of this
+    deployment to detect instead of synthesising one, so a driver can
+    detect one scenario under many detector settings.  It replaces
+    ``synthesis_config``, ``disturbances_by_node`` and ``seed``, which
+    must then stay unset; ``ships`` still sets the truth windows and
+    the default track hypothesis.
 
     Detection is one lockstep :class:`FleetDetector` walk over the
     whole fleet, bit-identical to running a ``NodeDetector`` per node.
@@ -209,15 +257,34 @@ def run_offline_scenario(
     a run before telemetry existed.
     """
     tracer = telemetry.tracer if telemetry is not None else None
-    synth = synthesis_config if synthesis_config is not None else SynthesisConfig()
     det_cfg = detector_config if detector_config is not None else NodeDetectorConfig()
-    with maybe_stage(telemetry, "synthesis"):
-        traces = synthesize_fleet_traces(
-            deployment,
-            ships,
-            synth,
-            disturbances_by_node=disturbances_by_node,
-            seed=seed,
+    if recording is None:
+        synth = (
+            synthesis_config if synthesis_config is not None else SynthesisConfig()
+        )
+        with maybe_stage(telemetry, "synthesis"):
+            recording = FleetRecording.from_traces(
+                deployment,
+                synthesize_fleet_traces(
+                    deployment,
+                    ships,
+                    synth,
+                    disturbances_by_node=disturbances_by_node,
+                    seed=seed,
+                ),
+            )
+    elif (
+        synthesis_config is not None
+        or disturbances_by_node is not None
+        or seed is not None
+    ):
+        raise ConfigurationError(
+            "a recording replaces synthesis: pass no synthesis_config, "
+            "disturbances_by_node or seed with it"
+        )
+    elif recording.node_ids != tuple(node.node_id for node in deployment):
+        raise ConfigurationError(
+            "the recording's node ids do not match the deployment's"
         )
     with maybe_stage(telemetry, "detection"):
         fleet = FleetDetector.from_deployment(deployment, det_cfg)
@@ -225,7 +292,7 @@ def run_offline_scenario(
         # Passed straight through: the sample matrix is freed as soon
         # as the walk returns, not held through fusion.
         reports_by_node = fleet.process_samples(
-            *_fleet_samples(deployment, traces, det_cfg)
+            *_fleet_samples(recording, det_cfg)
         )
     merged_by_node = {
         nid: merge_reports(reports)
@@ -250,7 +317,6 @@ def run_offline_scenario(
         cluster_event=cluster_event,
         cluster_report=cluster_report,
         truth_windows_by_node=truth_windows_for(deployment, ships),
-        traces=traces if keep_traces else {},
     )
 
 
@@ -345,7 +411,9 @@ def _fleet_network_outcomes(
     *evaluated* window.
     """
     nodes = list(deployment)
-    a, t0s = _fleet_samples(deployment, traces, det_cfg)
+    a, t0s = _fleet_samples(
+        FleetRecording.from_traces(deployment, traces), det_cfg
+    )
     out: WindowOutcomes = {n.node_id: [] for n in nodes}
     starts = window_starts(det_cfg, a.shape[1])
     if not starts:
@@ -928,13 +996,14 @@ def _dutycycled_reports(
     """
     nodes = list(deployment)
     ids = [node.node_id for node in nodes]
-    pre, t0s = _fleet_samples(deployment, traces, det_cfg)
+    recording = FleetRecording.from_traces(deployment, traces)
+    pre, t0s = _fleet_samples(recording, det_cfg)
     if len(set(t0s)) > 1:
         raise ConfigurationError(
             "duty-cycled detection needs one shared trace start time"
         )
     coarse_pre, _ = _fleet_samples(
-        deployment, traces, det_cfg, decimation, coarse_cfg.preprocess
+        recording, det_cfg, decimation, coarse_cfg.preprocess
     )
     window = det_cfg.window_samples
     coarse_window = coarse_cfg.window_samples

@@ -190,8 +190,7 @@ def run_streaming_scenario(
     with a streamable preprocessing filter, but never materialises a
     full trace: synthesis output flows through the carried-state
     preprocessor into the fleet window walk ``chunk_s`` seconds at a
-    time, capping peak memory at O(nodes x chunk).  ``traces`` in the
-    result is empty (there is nothing to keep).
+    time, capping peak memory at O(nodes x chunk).
 
     ``telemetry`` (optional) records a profiling span per streaming
     stage (synthesize/preprocess/detect, once per chunk, plus the
@@ -260,5 +259,4 @@ def run_streaming_scenario(
         cluster_event=cluster_event,
         cluster_report=cluster_report,
         truth_windows_by_node=truth_windows_for(deployment, ships),
-        traces={},
     )

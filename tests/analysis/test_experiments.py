@@ -7,6 +7,8 @@ parameters, using the smallest viable configurations.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ from repro.analysis.experiments import (
     run_fig12_speed_estimation,
     run_threshold_ablation,
 )
+from repro.scenario.runner import FleetRecording
+from tests.analysis import oracles
 from tests.physics.oracles import per_position_ambient
 
 
@@ -91,6 +95,92 @@ def test_fig11_driver_minimal():
     )
     assert len(points) == 1
     assert points[0].true_positives + points[0].false_positives >= 0
+
+
+@pytest.fixture
+def fig11_syntheses(monkeypatch):
+    """Seeds of the fleet syntheses the Fig. 11 driver makes, in order.
+
+    Starts from an empty memo, and fails any synthesis that starts
+    while a recording the driver made earlier is still alive: the memo
+    must hold at most one recording, even while it synthesises.
+    """
+    monkeypatch.setattr(experiments, "_fig11_memo", None)
+    made: list[weakref.ref] = []
+    seeds: list[int] = []
+    from_traces = FleetRecording.from_traces
+    synthesize = experiments.synthesize_fleet_traces
+
+    def tracked_from_traces(deployment, traces):
+        recording = from_traces(deployment, traces)
+        made.append(weakref.ref(recording))
+        return recording
+
+    def checked_synthesis(*args, **kwargs):
+        assert all(ref() is None for ref in made), "two recordings held"
+        seeds.append(kwargs["seed"])
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(
+        FleetRecording, "from_traces", staticmethod(tracked_from_traces)
+    )
+    monkeypatch.setattr(
+        experiments, "synthesize_fleet_traces", checked_synthesis
+    )
+    return seeds
+
+
+def _fig11_call_order():
+    """``(seed, seed_offset, m, af)`` calls that exercise every memo path.
+
+    Per pair of seeds: a miss, a hit, an eviction by the second seed
+    and a hit on it.  The tail returns to seed 1 long after its
+    eviction, then reaches key 5 through ``seed_offset`` with the
+    same ``seed``, then hits key 5 with no offset.
+    """
+    (m0, af0), (m1, af1) = (2.0, 0.6), (1.0, 0.4)
+    calls = []
+    for a in range(1, 11, 2):
+        b = a + 1
+        calls += [
+            (a, 0, m0, af0),
+            (a, 0, m1, af1),
+            (b, 0, m0, af0),
+            (b, 0, m1, af1),
+        ]
+    return calls + [(1, 0, m0, af0), (1, 4, m0, af0), (5, 0, m1, af1)]
+
+
+def test_fig11_cell_matches_oracle_in_any_call_order(monkeypatch):
+    monkeypatch.setattr(experiments, "_fig11_memo", None)
+    want: dict[tuple[int, float, float], tuple[int, int]] = {}
+    for seed, offset, m, af in _fig11_call_order():
+        key = (seed + offset, m, af)
+        if key not in want:
+            want[key] = oracles.fig11_cell(m, af, seed, seed_offset=offset)
+        got = experiments.fig11_cell(m, af, seed, seed_offset=offset)
+        assert got == want[key], (seed, offset, m, af)
+
+
+def test_fig11_cells_of_one_seed_synthesise_once(fig11_syntheses):
+    for m, af in ((1.0, 0.4), (1.5, 0.6), (2.0, 0.6), (3.0, 0.8)):
+        experiments.fig11_cell(m, af, seed=3)
+    assert fig11_syntheses == [300]
+
+
+def test_fig11_memo_holds_one_recording(fig11_syntheses):
+    # Each new key drops the last recording before synthesising.
+    for seed in (3, 4, 3):
+        experiments.fig11_cell(2.0, 0.6, seed=seed)
+    assert fig11_syntheses == [300, 400, 300]
+
+
+def test_fig11_sweep_synthesises_each_seed_once(fig11_syntheses):
+    # Seed-major dispatch: a seed's cells run back to back.
+    run_fig11_detection_ratio(
+        m_values=(1.0, 2.0), af_values=(0.4, 0.6), seeds=(1, 2)
+    )
+    assert fig11_syntheses == [100, 200]
 
 
 def test_correlation_table_shape():

@@ -15,7 +15,12 @@ from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.sid import SIDNodeConfig
 from repro.scenario.metrics import classify_alarms
 from repro.scenario.presets import paper_scenario
-from repro.scenario.runner import run_network_scenario, run_offline_scenario
+from repro.scenario.runner import (
+    FleetRecording,
+    run_network_scenario,
+    run_offline_scenario,
+)
+from repro.scenario.synthesis import synthesize_fleet_traces
 
 DETECTOR = NodeDetectorConfig(m=2.0, af_threshold=0.5)
 
@@ -139,18 +144,17 @@ class TestClassifierOnScenario:
         from repro.detection.classifier import EventClass, EventClassifier
 
         dep, ship, synth = paper_scenario(seed=4)
+        traces = synthesize_fleet_traces(dep, [ship], synth, seed=4)
         res = run_offline_scenario(
             dep,
             [ship],
             detector_config=NodeDetectorConfig(m=2.0, af_threshold=0.6),
-            synthesis_config=synth,
-            seed=4,
-            keep_traces=True,
+            recording=FleetRecording.from_traces(dep, traces),
         )
         classifier = EventClassifier()
         labels = []
         for nid, reports in res.merged_by_node.items():
-            trace = res.traces[nid]
+            trace = traces[nid]
             for r in reports:
                 k = int((r.onset_time - trace.t0) * trace.rate_hz)
                 lo = max(k - 250, 0)

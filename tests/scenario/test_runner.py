@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 
+import numpy as np
 import pytest
 
 from repro.detection.cluster import ClusterEvent, TemporaryClusterConfig
@@ -13,15 +15,16 @@ from repro.detection.sid import SIDNodeConfig
 from repro.errors import ConfigurationError, SignalLengthError
 from repro.network.selfheal import SelfHealingConfig
 from repro.scenario.deployment import GridDeployment
-from repro.scenario.presets import paper_ship
+from repro.scenario.presets import paper_scenario, paper_ship
 from repro.scenario.runner import (
+    FleetRecording,
     run_dutycycled_scenario,
     run_network_scenario,
     run_offline_scenario,
     truth_windows_for,
 )
 from repro.scenario.streaming import run_streaming_scenario
-from repro.scenario.synthesis import SynthesisConfig
+from repro.scenario.synthesis import SynthesisConfig, synthesize_fleet_traces
 from repro.sensors.imote2 import MoteConfig
 from repro.sensors.sampler import Sampler
 
@@ -85,18 +88,6 @@ def test_offline_sequential_clusters(small_setup):
         assert isinstance(event, ClusterEvent)
         if event != ClusterEvent.CANCELLED_TOO_FEW:
             assert report is not None
-
-
-def test_offline_keep_traces_flag(small_setup):
-    dep, ship, synth = small_setup
-    res = run_offline_scenario(
-        dep, [ship], synthesis_config=synth, seed=3, keep_traces=True
-    )
-    assert set(res.traces) == {n.node_id for n in dep}
-    res2 = run_offline_scenario(
-        dep, [ship], synthesis_config=synth, seed=3
-    )
-    assert res2.traces == {}
 
 
 def test_offline_reports_sorted(small_setup):
@@ -301,3 +292,85 @@ class TestFleetInputChecks:
     def test_offline_short_traces_raise_signal_length(self):
         with pytest.raises(SignalLengthError, match="at least one window"):
             self._run("offline", GridDeployment(2, 2, seed=5), duration_s=1.0)
+
+
+class TestFleetRecording:
+    """The z-only stage seam between synthesis and detection."""
+
+    DET = NodeDetectorConfig(m=2.0, af_threshold=0.5)
+
+    @staticmethod
+    def _recorded(seed):
+        dep, ship, synth = paper_scenario(
+            rows=3, columns=3, duration_s=120.0, seed=seed
+        )
+        traces = synthesize_fleet_traces(dep, [ship], synth, seed=seed)
+        return dep, ship, traces
+
+    def test_stacks_z_rows_in_deployment_order(self):
+        dep, _, traces = self._recorded(1)
+        rec = FleetRecording.from_traces(dep, traces)
+        ids = tuple(node.node_id for node in dep)
+        assert rec.node_ids == ids
+        assert rec.t0s == tuple(traces[nid].t0 for nid in ids)
+        assert rec.rate_hz == traces[ids[0]].rate_hz
+        assert rec.z.dtype == np.int64
+        assert np.array_equal(rec.z, np.stack([traces[nid].z for nid in ids]))
+
+    def test_z_is_read_only(self):
+        dep, _, traces = self._recorded(1)
+        rec = FleetRecording.from_traces(dep, traces)
+        with pytest.raises(ValueError, match="read-only"):
+            rec.z[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            rec.z += 1
+
+    def test_mixed_rates_rejected(self):
+        dep, _, traces = self._recorded(1)
+        nid = dep.node(0).node_id
+        traces[nid] = replace(traces[nid], rate_hz=25.0)
+        with pytest.raises(ConfigurationError, match="one sample rate"):
+            FleetRecording.from_traces(dep, traces)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_offline_recording_matches_synthesis(self, seed):
+        dep, ship, synth = paper_scenario(
+            rows=3, columns=3, duration_s=120.0, seed=seed
+        )
+        synthesised = run_offline_scenario(
+            dep, [ship], detector_config=self.DET, synthesis_config=synth,
+            seed=seed,
+        )
+        dep, ship, traces = self._recorded(seed)
+        detected = run_offline_scenario(
+            dep,
+            [ship],
+            detector_config=self.DET,
+            recording=FleetRecording.from_traces(dep, traces),
+        )
+        assert synthesised.all_reports
+        assert detected == synthesised
+
+    def test_node_id_mismatch_rejected(self):
+        dep, ship, traces = self._recorded(1)
+        rec = FleetRecording.from_traces(dep, traces)
+        with pytest.raises(ConfigurationError, match="node ids"):
+            run_offline_scenario(
+                GridDeployment(2, 3, seed=1), [ship], recording=rec
+            )
+
+    @pytest.mark.parametrize(
+        "synthesis_input",
+        [
+            {"synthesis_config": SynthesisConfig(duration_s=120.0)},
+            {"disturbances_by_node": {}},
+            {"seed": 1},
+        ],
+        ids=["synthesis_config", "disturbances_by_node", "seed"],
+    )
+    def test_synthesis_inputs_rejected_with_recording(self, synthesis_input):
+        # They would be silently ignored: the recording is already made.
+        dep, ship, traces = self._recorded(1)
+        rec = FleetRecording.from_traces(dep, traces)
+        with pytest.raises(ConfigurationError, match="replaces synthesis"):
+            run_offline_scenario(dep, [ship], recording=rec, **synthesis_input)
