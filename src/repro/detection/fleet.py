@@ -31,10 +31,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.detection.node_detector import (
-    NodeDetectorConfig,
-    window_starts,
-)
+from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.reports import NodeReport
 from repro.errors import (
     ConfigurationError,
@@ -297,53 +294,18 @@ class FleetDetector:
     # Whole-stream walk
     # ------------------------------------------------------------------
     def process_samples(
-        self,
-        a: np.ndarray,
-        t0s: Sequence[float],
-        active_windows: np.ndarray | None = None,
+        self, a: np.ndarray, t0s: Sequence[float]
     ) -> dict[int, list[NodeReport]]:
         """Walk an ``(nodes, samples)`` preprocessed matrix in lockstep.
 
         ``t0s`` holds each row's stream start time (rows may have
-        different clock offsets); ``active_windows`` optionally masks
-        individual ``(row, window_index)`` evaluations — a masked-out
-        window leaves that row's state untouched, mirroring a skipped
-        ``feed_window``.  Returns reports keyed by node id.
+        different clock offsets).  The whole matrix is one
+        :class:`FleetStream` push, so a float matrix is walked without
+        a copy.  Returns reports keyed by node id.
         """
-        a = np.asarray(a, dtype=float)
-        n = len(self.members)
-        if a.ndim != 2 or a.shape[0] != n:
-            raise ConfigurationError(
-                f"samples must be ({n}, S), got {a.shape}"
-            )
-        w = self.config.window_samples
-        if a.shape[1] < w:
-            raise SignalLengthError(
-                f"need at least one window ({w} samples), got {a.shape[1]}"
-            )
-        starts = window_starts(self.config, a.shape[1])
-        if active_windows is not None:
-            active_windows = np.asarray(active_windows, dtype=bool)
-            if active_windows.shape != (n, len(starts)):
-                raise ConfigurationError(
-                    f"active_windows must be ({n}, {len(starts)}), "
-                    f"got {active_windows.shape}"
-                )
-        rate = self.config.rate_hz
-        reports: dict[int, list[NodeReport]] = {
-            m.node_id: [] for m in self.members
-        }
-        for k, start in enumerate(starts):
-            window_t0s = [float(t0) + start / rate for t0 in t0s]
-            step_reports = self.step(
-                a[:, start : start + w],
-                window_t0s,
-                active=None if active_windows is None else active_windows[:, k],
-            )
-            for i, report in enumerate(step_reports):
-                if report is not None:
-                    reports[self.members[i].node_id].append(report)
-        return reports
+        stream = self.stream(t0s)
+        stream.push(a)
+        return stream.finish()
 
 
 class FleetStream:
@@ -365,8 +327,8 @@ class FleetStream:
             )
         self.detector = detector
         self._t0s = [float(t) for t in t0s]
+        #: Retained tail (a private copy), starting at sample ``_base``.
         self._buf = np.empty((detector.n_nodes, 0))
-        #: Global sample index of the buffer's first column.
         self._base = 0
         #: Next hop-aligned window start.
         self._next = 0
@@ -376,24 +338,29 @@ class FleetStream:
             m.node_id: [] for m in detector.members
         }
 
-    @property
-    def samples_seen(self) -> int:
-        """Total samples pushed so far (per row)."""
-        return self._total
-
-    def _evaluate(self, start: int) -> None:
-        w = self.detector.config.window_samples
-        rate = self.detector.config.rate_hz
-        lo = start - self._base
-        window_t0s = [t0 + start / rate for t0 in self._t0s]
-        for i, report in enumerate(
-            self.detector.step(self._buf[:, lo : lo + w], window_t0s)
-        ):
-            if report is not None:
-                self.reports[self.detector.members[i].node_id].append(report)
+    def _evaluate(self, block: np.ndarray, starts: Sequence[int]) -> None:
+        """Step the windows at global samples ``starts``; ``block``
+        starts at global sample ``_base``."""
+        detector = self.detector
+        w = detector.config.window_samples
+        rate = detector.config.rate_hz
+        rows = [self.reports[m.node_id] for m in detector.members]
+        for start in starts:
+            lo = start - self._base
+            window_t0s = [t0 + start / rate for t0 in self._t0s]
+            for row, report in zip(
+                rows, detector.step(block[:, lo : lo + w], window_t0s)
+            ):
+                if report is not None:
+                    row.append(report)
 
     def push(self, chunk: np.ndarray) -> None:
-        """Feed one ``(nodes, chunk)`` block; evaluates completed windows."""
+        """Feed one ``(nodes, chunk)`` block; evaluates completed windows.
+
+        With nothing buffered the windows are evaluated straight from
+        the pushed block; either way only a copy of the retained tail
+        is kept, so the stream never aliases the caller's array.
+        """
         if self._finished:
             raise ConfigurationError("stream already finished")
         c = np.asarray(chunk, dtype=float)
@@ -404,20 +371,21 @@ class FleetStream:
             )
         if c.shape[1] == 0:
             return
-        self._buf = np.concatenate([self._buf, c], axis=1)
+        block = (
+            np.concatenate([self._buf, c], axis=1) if self._buf.shape[1] else c
+        )
         self._total += c.shape[1]
         cfg = self.detector.config
         w, hop = cfg.window_samples, cfg.hop_samples
-        while self._next + w <= self._total:
-            self._evaluate(self._next)
-            self._next += hop
+        starts = range(self._next, self._total - w + 1, hop)
+        self._evaluate(block, starts)
+        self._next += len(starts) * hop
         # Drop consumed history.  ``next - hop`` onward must stay: the
         # final right-aligned window can start anywhere in
         # [next - hop, next).
-        keep_from = max(0, self._next - hop)
-        if keep_from > self._base:
-            self._buf = self._buf[:, keep_from - self._base :]
-            self._base = keep_from
+        keep_from = max(self._base, self._next - hop)
+        self._buf = block[:, keep_from - self._base :].copy()
+        self._base = keep_from
 
     def finish(self) -> dict[int, list[NodeReport]]:
         """Evaluate the trailing right-aligned window; return reports."""
@@ -431,6 +399,6 @@ class FleetStream:
             )
         final = self._total - w
         if final != self._next - hop:
-            self._evaluate(final)
+            self._evaluate(self._buf, [final])
         self._finished = True
         return self.reports

@@ -81,6 +81,9 @@ class NodeDetectorConfig:
             raise ConfigurationError(f"rate_hz must be positive, got {self.rate_hz}")
         if not 0.0 <= self.beta1 <= 1.0 or not 0.0 <= self.beta2 <= 1.0:
             raise ConfigurationError("beta1/beta2 must be in [0, 1]")
+        # The preprocessing filters are designed at their own rate; at
+        # any other rate their cutoffs land at the wrong frequencies.
+        self.check_sample_rate(self.preprocess.rate_hz)
 
     @property
     def window_samples(self) -> int:

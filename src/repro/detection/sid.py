@@ -134,10 +134,9 @@ class SIDNode:
         self._cluster: Optional[TemporaryCluster] = None
         self._member_of: Optional[int] = None
         self._member_since: float = 0.0
-        #: Set by :meth:`on_window_outcome` when an external engine
-        #: (the fleet-vectorized precomputation) reports the baseline
-        #: seeded; the internal detector is bypassed on that path.
-        self._precomputed_init = False
+        #: Whether the eq. 4 baseline has seeded, as the last window
+        #: outcome reported it (cleared by a cold restart).
+        self._seeded = False
         #: Optional telemetry tracer, installed by the network layer;
         #: None keeps the detection path free of emission overhead.
         self.tracer: Optional[Tracer] = None
@@ -156,12 +155,12 @@ class SIDNode:
         self._cluster = None
         self._member_of = None
         self._member_since = 0.0
-        self._precomputed_init = False
+        self._seeded = False
 
     @property
     def state(self) -> SIDState:
         """Current node state."""
-        if not (self.detector.initialized or self._precomputed_init):
+        if not self._seeded:
             return SIDState.INITIALIZING
         if self._cluster is not None and not self._cluster.closed:
             return SIDState.TEMP_CLUSTER_HEAD
@@ -181,10 +180,13 @@ class SIDNode:
     # DetectIntrusion
     # ------------------------------------------------------------------
     def on_samples(self, a_window: np.ndarray, t0: float) -> list[SIDAction]:
-        """Process one preprocessed Delta-t window (DetectIntrusion)."""
-        self._expire_membership(t0)
+        """Process one preprocessed Delta-t window (DetectIntrusion).
+
+        Runs eqs. 4-8 on the node's own detector and replays the
+        outcome through :meth:`on_window_outcome`.
+        """
         report = self.detector.process_window(a_window, t0)
-        return self._actions_for_report(report)
+        return self.on_window_outcome(report, t0, self.detector.initialized)
 
     def on_window_outcome(
         self,
@@ -192,17 +194,17 @@ class SIDNode:
         t0: float,
         initialized: bool = True,
     ) -> list[SIDAction]:
-        """DetectIntrusion fed a precomputed window outcome.
+        """DetectIntrusion fed one window's detection outcome.
 
-        The fleet-vectorized engine runs eqs. 4-8 for the whole
-        deployment ahead of the discrete-event run; the per-window
-        result (a report or None, plus whether the baseline had seeded
-        by that window) replays through the same cluster-protocol
-        branches :meth:`on_samples` takes.
+        The outcome (a report or None, plus whether the baseline had
+        seeded by that window) comes from the node's own detector or
+        from the fleet-vectorized engine, which runs eqs. 4-8 for the
+        whole deployment ahead of the discrete-event run; either way it
+        takes the same cluster-protocol branches.
         """
         self._expire_membership(t0)
         if initialized:
-            self._precomputed_init = True
+            self._seeded = True
         return self._actions_for_report(report)
 
     def _actions_for_report(

@@ -242,21 +242,15 @@ class NetworkNode:
     # Detection-side entry points
     # ------------------------------------------------------------------
     def feed_window(self, a_window: np.ndarray, t0: float) -> None:
-        """Process one preprocessed sample window at its end time."""
-        if not self.alive:
-            return
-        if self.battery is not None and self.battery.depleted:
-            return
-        if self.battery is not None:
-            self.battery.draw_cpu(0.001 * len(a_window))
-        telemetry = self.network.telemetry
-        if telemetry is not None:
-            telemetry.metrics.counter("windows_processed").inc()
-        actions = self.sid.on_samples(a_window, t0)
-        if self._blind_since is not None and self.sid.detector.initialized:
-            self._close_blind_window()
-        self._dispatch(actions)
-        self._dispatch(self.sid.on_timer(self.network.sim.now))
+        """Detect one preprocessed sample window at its end time.
+
+        The node's own detector computes the outcome, which replays
+        through the SID machine exactly like a precomputed one.
+        """
+        if self._bill_window(len(a_window)):
+            detector = self.sid.detector
+            report = detector.process_window(a_window, t0)
+            self._replay(report, t0, detector.initialized)
 
     def feed_outcome(
         self,
@@ -273,16 +267,29 @@ class NetworkNode:
         battery-dead node discards its outcome exactly as it would have
         skipped the window — and hands the result to the SID machine.
         """
+        if self._bill_window(n_samples):
+            self._replay(report, t0, initialized)
+
+    def _bill_window(self, n_samples: int) -> bool:
+        """Gate and bill one window feed; False when the node skips it."""
         if not self.alive:
-            return
-        if self.battery is not None and self.battery.depleted:
-            return
+            return False
         if self.battery is not None:
+            if self.battery.depleted:
+                return False
             self.battery.draw_cpu(0.001 * n_samples)
         telemetry = self.network.telemetry
         if telemetry is not None:
             telemetry.metrics.counter("windows_processed").inc()
-        actions = self.sid.on_window_outcome(report, t0, initialized=initialized)
+        return True
+
+    def _replay(
+        self, report: Optional[NodeReport], t0: float, seeded: bool
+    ) -> None:
+        """Run one window outcome through the SID machine and dispatch."""
+        actions = self.sid.on_window_outcome(report, t0, initialized=seeded)
+        if self._blind_since is not None and seeded:
+            self._close_blind_window()
         self._dispatch(actions)
         self._dispatch(self.sid.on_timer(self.network.sim.now))
 

@@ -5,21 +5,9 @@ runs (Fig. 11's M x af grid, the robustness sweep's severity x seed
 matrix).  Each run is already fully deterministic given its integer
 seed, so the sweep is embarrassingly parallel *and* order-independent:
 :class:`SweepRunner` fans tasks across worker processes and guarantees
-bit-identical results to the serial loop, while an optional on-disk
-cache skips runs whose exact configuration has been computed before.
+bit-identical results to the serial loop.
 """
 
-from repro.parallel.cache import SweepCache, stable_task_key
-from repro.parallel.sweep import (
-    SweepConfig,
-    SweepRunner,
-    derive_task_seeds,
-)
+from repro.parallel.sweep import SweepConfig, SweepRunner
 
-__all__ = [
-    "SweepCache",
-    "SweepConfig",
-    "SweepRunner",
-    "derive_task_seeds",
-    "stable_task_key",
-]
+__all__ = ["SweepConfig", "SweepRunner"]

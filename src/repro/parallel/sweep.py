@@ -12,10 +12,6 @@ Determinism contract
   task index, so interleaving across processes cannot reorder them;
 - with ``workers=1`` the tasks run in-process in a plain loop — the
   serial reference the parallel paths are tested against.
-
-``derive_task_seeds`` turns one root seed into per-task integer seeds
-via :class:`numpy.random.SeedSequence`, so a sweep widened from 20 to
-200 tasks keeps its first 20 streams unchanged.
 """
 
 from __future__ import annotations
@@ -23,13 +19,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError
-from repro.parallel.cache import SweepCache, stable_task_key
 
 #: Environment variable consulted by :meth:`SweepConfig.from_env`.
 WORKERS_ENV = "REPRO_SWEEP_WORKERS"
@@ -41,28 +33,18 @@ class SweepConfig:
 
     ``workers=1`` (the default) runs tasks serially in-process;
     ``workers > 1`` fans them across a :class:`ProcessPoolExecutor`.
-    ``chunk_size`` groups adjacent tasks per worker dispatch (None
-    picks a size that gives each worker ~4 chunks, amortising IPC for
-    large sweeps of cheap tasks).  ``cache_dir`` enables the on-disk
-    result cache.
     """
 
     workers: int = 1
-    chunk_size: int | None = None
-    cache_dir: str | Path | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1, got {self.workers}"
             )
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {self.chunk_size}"
-            )
 
     @classmethod
-    def from_env(cls, cache_dir: str | Path | None = None) -> "SweepConfig":
+    def from_env(cls) -> "SweepConfig":
         """Worker count from ``$REPRO_SWEEP_WORKERS`` (default 1).
 
         Lets CI and single-core boxes keep the serial path while a
@@ -75,27 +57,7 @@ class SweepConfig:
             raise ConfigurationError(
                 f"${WORKERS_ENV} must be an integer, got {raw!r}"
             ) from exc
-        return cls(workers=max(workers, 1), cache_dir=cache_dir)
-
-
-def derive_task_seeds(root_seed: int, n_tasks: int) -> list[int]:
-    """``n_tasks`` independent 63-bit task seeds derived from one root.
-
-    Uses ``SeedSequence([root, index])`` per task (not ``spawn``) so
-    the i-th seed depends only on ``(root_seed, i)`` — stable when the
-    sweep grows and reproducible from the task index alone.
-    """
-    if n_tasks < 0:
-        raise ConfigurationError(f"n_tasks must be >= 0, got {n_tasks}")
-    return [
-        int(
-            np.random.SeedSequence([int(root_seed), i]).generate_state(
-                1, dtype=np.uint64
-            )[0]
-            >> 1
-        )
-        for i in range(n_tasks)
-    ]
+        return cls(workers=max(workers, 1))
 
 
 def _invoke(payload: tuple[Callable, Mapping[str, Any]]) -> Any:
@@ -109,78 +71,29 @@ class SweepRunner:
 
     def __init__(self, config: SweepConfig | None = None) -> None:
         self.config = config if config is not None else SweepConfig()
-        self.cache: SweepCache | None = (
-            SweepCache(self.config.cache_dir)
-            if self.config.cache_dir is not None
-            else None
-        )
 
-    def _chunk_size(self, n_pending: int) -> int:
-        if self.config.chunk_size is not None:
-            return self.config.chunk_size
+    def _chunk_size(self, n_tasks: int) -> int:
         # ~4 chunks per worker balances IPC overhead against stragglers.
-        return max(1, n_pending // (4 * self.config.workers))
+        return max(1, n_tasks // (4 * self.config.workers))
 
     def map(
         self,
         fn: Callable,
         param_sets: Sequence[Mapping[str, Any]],
     ) -> list[Any]:
-        """``[fn(**p) for p in param_sets]``, parallel and cached.
+        """``[fn(**p) for p in param_sets]``, in parallel when configured.
 
         ``fn`` must be a module-level callable (workers import it by
         reference) and results must be picklable when ``workers > 1``.
-        Cached tasks are served from disk without dispatch; only misses
-        run, and their results are written back before returning.
         """
-        results: list[Any] = [None] * len(param_sets)
-        pending: list[tuple[int, str | None]] = []
-        if self.cache is not None:
-            for i, params in enumerate(param_sets):
-                key = stable_task_key(fn, params)
-                found, value = self.cache.get(key)
-                if found:
-                    results[i] = value
-                else:
-                    pending.append((i, key))
-        else:
-            pending = [(i, None) for i in range(len(param_sets))]
-        if not pending:
-            return results
-
-        payloads = [(fn, param_sets[i]) for i, _ in pending]
-        if self.config.workers == 1:
-            computed = [_invoke(p) for p in payloads]
-        else:
-            with ProcessPoolExecutor(
-                max_workers=self.config.workers
-            ) as pool:
-                computed = list(
-                    pool.map(
-                        _invoke,
-                        payloads,
-                        chunksize=self._chunk_size(len(payloads)),
-                    )
+        payloads = [(fn, params) for params in param_sets]
+        if self.config.workers == 1 or not payloads:
+            return [_invoke(p) for p in payloads]
+        with ProcessPoolExecutor(max_workers=self.config.workers) as pool:
+            return list(
+                pool.map(
+                    _invoke,
+                    payloads,
+                    chunksize=self._chunk_size(len(payloads)),
                 )
-        for (i, key), value in zip(pending, computed):
-            results[i] = value
-            if self.cache is not None and key is not None:
-                self.cache.put(key, value)
-        return results
-
-    def seed_sweep(
-        self,
-        fn: Callable,
-        seeds: Sequence[int],
-        common: Mapping[str, Any] | None = None,
-        seed_param: str = "seed",
-    ) -> list[Any]:
-        """Map ``fn`` over per-seed parameter sets sharing ``common``."""
-        common = dict(common or {})
-        if seed_param in common:
-            raise ConfigurationError(
-                f"common parameters already bind {seed_param!r}"
             )
-        return self.map(
-            fn, [{**common, seed_param: int(s)} for s in seeds]
-        )

@@ -71,16 +71,9 @@ class Sanitizer:
         run_network_scenario(..., sanitizer=san)
         report = san.report()
         assert report.ok, report.format()
-
-    ``strict_billing=None`` (default) lets the runner decide per
-    scenario: strict (missing draws are findings) when no fault plan
-    is active, lenient when crashes legitimately skip windows.
     """
 
-    def __init__(
-        self, strict_billing: Optional[bool] = None
-    ) -> None:
-        self.strict_billing = strict_billing
+    def __init__(self) -> None:
         # --- event recording -----------------------------------------
         self._cur_seq: Optional[int] = None
         self._cur_time = 0.0
@@ -103,7 +96,7 @@ class Sanitizer:
         self._batteries: dict[int, "Battery"] = {}
         self._billing_counts: dict[int, dict[str, int]] = {}
         self._cpu_draws: dict[int, list[float]] = {}
-        self._expected_cpu: dict[int, tuple[int, float, bool]] = {}
+        self._expected_cpu: dict[int, tuple[int, float]] = {}
         self._last_remaining: dict[int, float] = {}
         self._in_draw: set[int] = set()
         self._sim: Optional["Simulator"] = None
@@ -321,29 +314,21 @@ class Sanitizer:
             self._last_remaining[node_id] = battery._remaining
 
     def expect_cpu_billing(
-        self,
-        node_id: int,
-        n_windows: int,
-        joules_per_window: float,
-        strict: bool,
+        self, node_id: int, n_windows: int, joules_per_window: float
     ) -> None:
         """Declare the CPU billing intent for one node.
 
         The runner owes ``n_windows`` CPU draws of exactly
-        ``joules_per_window`` each (batched catch-up billing included).
-        More draws, or draws of a different amount, are findings;
-        fewer draws are findings only when ``strict`` (no fault plan —
-        crashes and depletion legitimately skip windows).
+        ``joules_per_window`` each (batched catch-up billing included;
+        planned crash windows are never scheduled, so never owed).
+        More draws, fewer draws or draws of a different amount are
+        findings; only battery depletion excuses missing draws.
         """
-        if self.strict_billing is not None:
-            strict = self.strict_billing
-        self._expected_cpu[node_id] = (
-            int(n_windows), float(joules_per_window), bool(strict)
-        )
+        self._expected_cpu[node_id] = (int(n_windows), float(joules_per_window))
 
     def _reconcile_billing(self) -> None:
         for node_id in sorted(self._expected_cpu):
-            expected_n, per_window, strict = self._expected_cpu[node_id]
+            expected_n, per_window = self._expected_cpu[node_id]
             draws = self._cpu_draws.get(node_id, [])
             if len(draws) > expected_n:
                 self._add_finding(
@@ -374,14 +359,14 @@ class Sanitizer:
                 )
             battery = self._batteries.get(node_id)
             depleted = battery is not None and battery.depleted
-            if strict and not depleted and len(draws) < expected_n:
+            if not depleted and len(draws) < expected_n:
                 self._add_finding(
                     KIND_BILLING,
                     f"node {node_id} billed only {len(draws)} of "
-                    f"{expected_n} scheduled CPU window draws with no "
-                    "fault plan active and battery not depleted — "
-                    "windows went unbilled (quiet-tick elision dropped "
-                    "a catch-up?)",
+                    f"{expected_n} scheduled CPU window draws with its "
+                    "battery not depleted — windows went unbilled "
+                    "(quiet-tick elision dropped a catch-up, or a live "
+                    "window met a dead node?)",
                     details={
                         "node_id": node_id,
                         "billed": len(draws),

@@ -294,11 +294,30 @@ def run_offline_scenario(
         reports_by_node = fleet.process_samples(
             *_fleet_samples(recording, det_cfg)
         )
+    return fuse_offline_reports(
+        deployment, ships, reports_by_node, cluster_config, track_hypothesis, telemetry
+    )
+
+
+def fuse_offline_reports(
+    deployment: GridDeployment,
+    ships: Sequence[ShipTrack],
+    reports_by_node: dict[int, list[NodeReport]],
+    cluster_config: TemporaryClusterConfig | None,
+    track_hypothesis: TravelLine | None,
+    telemetry: Optional[Telemetry],
+) -> OfflineScenarioResult:
+    """The radio-less runners' fusion tail, after detection.
+
+    Merges each node's window reports into events, fuses every node's
+    events in onset order through :func:`fuse_sequential_clusters`
+    (the ``"fusion"`` stage), and attaches the ships' truth windows to
+    the result.  ``track_hypothesis`` defaults to the first ship's line.
+    """
     merged_by_node = {
         nid: merge_reports(reports)
         for nid, reports in reports_by_node.items()
     }
-
     merged_all = sorted(
         (r for rs in merged_by_node.values() for r in rs),
         key=lambda r: r.onset_time,
@@ -309,7 +328,6 @@ def run_offline_scenario(
         outcomes, cluster_event, cluster_report = fuse_sequential_clusters(
             merged_all, cluster_config, track_hypothesis
         )
-
     return OfflineScenarioResult(
         cluster_outcomes=outcomes,
         reports_by_node=reports_by_node,
@@ -383,125 +401,130 @@ class NetworkScenarioResult:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class WindowPlan:
+    """One network run's Delta-t windows, planned before the event loop.
+
+    ``starts`` holds the window start sample indices every node shares.
+    ``t_start`` and ``t_end`` are ``(nodes, windows)`` window start and
+    end times on each node's own clock, rows in deployment order; a
+    window's feed fires at its end time.  ``live`` is False where the
+    node is planned down at that end time, so the window is never fed.
+    """
+
+    starts: list[int]
+    t_start: np.ndarray
+    t_end: np.ndarray
+    live: np.ndarray
+
+
+def _window_plan(
+    recording: FleetRecording,
+    det_cfg: NodeDetectorConfig,
+    faults: FaultPlan | None,
+    now: float,
+) -> WindowPlan:
+    """Plan every node's windows and the crash windows it misses.
+
+    A window is dead iff its end time falls inside ``[lo, lo +
+    reboot_after_s]`` (both ends inclusive, ``inf`` without a reboot)
+    of one of the node's :class:`~repro.faults.plan.NodeCrash` entries,
+    where ``lo = max(at_s, now)``: the crash event is scheduled at
+    install time, before the feeds, so it pops first on a time tie;
+    the reboot event is scheduled during the run, after the feeds, so
+    the feed at the reboot instant still finds the node dead.  (Battery
+    depletion also skips windows, but a depleted node never comes back,
+    so the feed's own gate handles it.)  A recording sampled off the
+    detector's ``rate_hz`` would mis-time the plan, so it raises.
+    """
+    det_cfg.check_sample_rate(recording.rate_hz)
+    starts = window_starts(det_cfg, recording.z.shape[1])
+    rate = det_cfg.rate_hz
+    t_start = np.asarray(recording.t0s)[:, None] + np.asarray(starts) / rate
+    t_end = t_start + det_cfg.window_samples / rate
+    live = np.ones(t_end.shape, dtype=bool)
+    row = {nid: i for i, nid in enumerate(recording.node_ids)}
+    for crash in faults.node_crashes if faults is not None else ():
+        i = row.get(crash.node_id)
+        if i is None:
+            continue
+        lo = max(crash.at_s, now)
+        hi = (
+            lo + crash.reboot_after_s
+            if crash.reboot_after_s is not None
+            else math.inf
+        )
+        live[i] &= (t_end[i] < lo) | (t_end[i] > hi)
+    return WindowPlan(starts=starts, t_start=t_start, t_end=t_end, live=live)
+
+
 #: Per-node window outcomes of the network precompute:
-#: ``{node_id: [(window start, report-or-None, baseline seeded after)]}``.
+#: ``{node_id: [(window index, report-or-None, baseline seeded after)]}``,
+#: one entry per live window of the :class:`WindowPlan`.
 WindowOutcomes = dict[int, list[tuple[int, Optional[NodeReport], bool]]]
 
 
 def _fleet_network_outcomes(
     deployment: GridDeployment,
-    traces: dict[int, AccelTrace],
+    recording: FleetRecording,
     det_cfg: NodeDetectorConfig,
-    faults: FaultPlan | None,
-    now: float,
+    plan: WindowPlan,
 ) -> WindowOutcomes:
-    """Precompute every node's window outcomes for the event loop.
+    """Precompute every node's live-window outcomes for the event loop.
 
     Detection is purely local (no radio feedback reaches eqs. 4-8), so
     the whole fleet's Delta-t walk can run vectorized before the
     discrete-event simulation starts.  The only run-time influence on a
-    node's detector state is a *skipped* window — a crashed node's
-    ``feed_window`` returns before touching the detector — so the walk
-    masks out exactly the windows whose end times land inside a planned
-    crash interval.  (Battery depletion also skips windows, but a
-    depleted node never comes back, so discarding its precomputed
-    outcomes at feed time is observably identical.)
-
-    Returns each node's :data:`WindowOutcomes` row list, one entry per
-    *evaluated* window.
+    node's detector state is a window it never evaluates, and the
+    plan's ``live`` mask says which: masked rows are left untouched.
     """
-    nodes = list(deployment)
-    a, t0s = _fleet_samples(
-        FleetRecording.from_traces(deployment, traces), det_cfg
-    )
-    out: WindowOutcomes = {n.node_id: [] for n in nodes}
-    starts = window_starts(det_cfg, a.shape[1])
-    if not starts:
-        return out
-    # A window is skipped iff its end time falls inside [crash, reboot]
-    # (both ends inclusive): the crash event is scheduled at install
-    # time, before the feed events, so it pops first on a time tie; the
-    # reboot event is scheduled during the run, after the feeds, so the
-    # feed at the reboot instant still sees a dead node.
-    intervals: dict[int, list[tuple[float, float]]] = {
-        n.node_id: [] for n in nodes
-    }
-    if faults is not None:
-        for crash in faults.node_crashes:
-            if crash.node_id not in intervals:
-                continue
-            lo = max(crash.at_s, now)
-            hi = (
-                lo + crash.reboot_after_s
-                if crash.reboot_after_s is not None
-                else math.inf
-            )
-            intervals[crash.node_id].append((lo, hi))
+    a, _ = _fleet_samples(recording, det_cfg)
+    out: WindowOutcomes = {nid: [] for nid in recording.node_ids}
+    rows = list(out.values())
     fleet = FleetDetector.from_deployment(deployment, det_cfg)
-    rate = det_cfg.rate_hz
     w = det_cfg.window_samples
-    for start in starts:
-        window_t0s = [float(t0) + start / rate for t0 in t0s]
-        active = np.array(
-            [
-                not any(
-                    lo <= window_t0s[i] + w / rate <= hi
-                    for lo, hi in intervals[nodes[i].node_id]
-                )
-                for i in range(len(nodes))
-            ],
-            dtype=bool,
-        )
-        reports = fleet.step(a[:, start : start + w], window_t0s, active=active)
+    for k, (start, t0s) in enumerate(zip(plan.starts, plan.t_start.T.tolist())):
+        live = plan.live[:, k]
+        reports = fleet.step(a[:, start : start + w], t0s, active=live)
         seeded = fleet.seeded
-        for i, node in enumerate(nodes):
-            if active[i]:
-                out[node.node_id].append(
-                    (start, reports[i], bool(seeded[i]))
-                )
+        for i in np.flatnonzero(live).tolist():
+            rows[i].append((k, reports[i], bool(seeded[i])))
     return out
 
 
 def _head_active_intervals(
-    outcomes: WindowOutcomes,
-    traces: dict[int, AccelTrace],
-    det_cfg: NodeDetectorConfig,
+    rows: list[tuple[int, Optional[NodeReport], bool]],
+    t_end: list[float],
     guard_s: float,
-) -> dict[int, list[tuple[float, float]]]:
-    """Per-node time intervals in which its SID state can do real work.
+) -> list[tuple[float, float]]:
+    """Time intervals in which one node's SID state can do real work.
 
     A node's report-less window feeds and timer ticks have observable
     effects beyond battery billing only while that node *heads an open
     temporary cluster* — and a cluster opens exclusively at one of the
     node's own report-dispatch feeds (``_actions_for_report`` with a
     non-None report) and closes no later than its collection deadline
-    plus one tick of slack.  So each node's intervals start at its own
-    report window end times and extend ``guard_s`` past them; outside
-    the merged union the node is provably not an active head, its
-    ``on_timer`` returns without touching anything, and membership /
-    baseline-init bookkeeping defers benignly to the next retained
-    event (every SID entry point re-runs ``_expire_membership`` with
-    the same clock comparison, and ``on_cluster_setup`` overwrites
+    plus one tick of slack.  So the intervals start at the node's own
+    report window end times (``t_end``) and extend ``guard_s`` past
+    them; outside the merged union the node is provably not an active
+    head, its ``on_timer`` returns without touching anything, and
+    membership / baseline-init bookkeeping defers benignly to the next
+    retained event (every SID entry point re-runs ``_expire_membership``
+    with the same clock comparison, and ``on_cluster_setup`` overwrites
     membership unconditionally for non-heads).
     """
-    rate = det_cfg.rate_hz
-    w = det_cfg.window_samples
-    per_node: dict[int, list[tuple[float, float]]] = {}
-    for node_id, rows in outcomes.items():
-        t0 = traces[node_id].t0
-        merged: list[tuple[float, float]] = []
-        for start, report, _seeded in rows:
-            if report is None:
-                continue
-            t = t0 + (start + w) / rate
-            hi = t + guard_s
-            if merged and t <= merged[-1][1]:
-                if hi > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], hi)
-            else:
-                merged.append((t, hi))
-        per_node[node_id] = merged
-    return per_node
+    merged: list[tuple[float, float]] = []
+    for k, report, _seeded in rows:
+        if report is None:
+            continue
+        t = t_end[k]
+        hi = t + guard_s
+        if merged and t <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((t, hi))
+    return merged
 
 
 def _elision_guard_s(
@@ -604,12 +627,13 @@ def run_network_scenario(
     installs nothing and keeps every path bit-identical to the
     pre-healing transport.
 
-    Without healing, every window outcome is precomputed by one
-    lockstep :class:`FleetDetector` walk (planned crash windows masked
-    out) and replayed through the event loop.  A cold restart resets a
-    node's eq. 5 baseline at run time, which that precompute cannot
-    model, so a healing-armed run instead feeds raw windows into each
-    node's own detector at event time.
+    Both feed paths evaluate the windows of one per-run plan: a window
+    whose end time falls in a planned crash is never scheduled.
+    Without healing, every live window's outcome is precomputed by one
+    lockstep :class:`FleetDetector` walk and replayed through the event
+    loop.  A cold restart resets a node's eq. 5 baseline at run time,
+    which that precompute cannot model, so a healing-armed run instead
+    feeds raw windows into each node's own detector at event time.
 
     ``resync_interval_s`` schedules a periodic fleet-wide time-sync
     beacon (None disables it); crashed nodes miss their beacons and a
@@ -672,12 +696,15 @@ def run_network_scenario(
             node.mote.accelerometer = wrapper
     try:
         with maybe_stage(telemetry, "synthesis"):
-            traces = synthesize_fleet_traces(
+            recording = FleetRecording.from_traces(
                 deployment,
-                ships,
-                synth,
-                disturbances_by_node=disturbances_by_node,
-                seed=derive_rng(root, "synthesis"),
+                synthesize_fleet_traces(
+                    deployment,
+                    ships,
+                    synth,
+                    disturbances_by_node=disturbances_by_node,
+                    seed=derive_rng(root, "synthesis"),
+                ),
             )
     finally:
         for mote, healthy in wrapped:
@@ -717,6 +744,7 @@ def run_network_scenario(
     # from its own reports (TravelLine.fit_from_reports).
 
     window = cfg.detector.window_samples
+    plan = _window_plan(recording, cfg.detector, faults, network.sim.now)
     # The fleet precompute assumes no baseline resets mid-run; a
     # healing-armed run can cold-restart detectors at reboot time, so
     # it feeds each node's preprocessed windows at event time instead.
@@ -727,11 +755,8 @@ def run_network_scenario(
     if healing is None:
         with maybe_stage(telemetry, "detection_precompute"):
             outcomes = _fleet_network_outcomes(
-                deployment, traces, cfg.detector, faults, network.sim.now
+                deployment, recording, cfg.detector, plan
             )
-    else:
-        for trace in traces.values():
-            cfg.detector.check_sample_rate(trace.rate_hz)
     # Quiet-tick elision: with the precompute and no fault plan, the
     # precompute tells us every moment each node can originate protocol
     # traffic — and thereby every stretch in which it could head an
@@ -746,14 +771,7 @@ def run_network_scenario(
         and not injector.active
         and _billing_order_free(deployment, outcomes, cfg.detector, retransmit)
     )
-    active: dict[int, list[tuple[float, float]]] = {}
-    if elide and outcomes is not None:
-        active = _head_active_intervals(
-            outcomes,
-            traces,
-            cfg.detector,
-            _elision_guard_s(cfg, retransmit),
-        )
+    guard_s = _elision_guard_s(cfg, retransmit)
 
     def _in_active(
         t: float, intervals: list[tuple[float, float]], cursor: list[int]
@@ -765,7 +783,10 @@ def run_network_scenario(
         cursor[0] = i
         return i < len(intervals) and intervals[i][0] <= t
 
-    for node in deployment:
+    # Plan times reach events as Python floats, never np.float64.
+    t_starts = plan.t_start.tolist()
+    t_ends = plan.t_end.tolist()
+    for i, node in enumerate(deployment):
         sid = SIDNode(
             node.node_id,
             node.anchor,
@@ -775,27 +796,27 @@ def run_network_scenario(
             track_hint=track_hypothesis,
         )
         proc = network.add_node(sid, battery=node.mote.battery)
-        trace = traces[node.node_id]
         if sanitizer is not None:
             sanitizer.track_node(proc)
+        t_start, t_end = t_starts[i], t_ends[i]
+        # Both feed paths schedule the plan's live windows only, at
+        # their end times: a dead window's feed would be a no-op.
+        intervals: list[tuple[float, float]] = []
         if outcomes is not None:
-            # Replay the precomputed outcomes at the window end times
-            # (a masked-out crash window schedules nothing — its raw
-            # feed would have fired as a no-op on a dead node).
-            intervals = active.get(node.node_id, [])
+            rows = outcomes[node.node_id]
+            if elide:
+                intervals = _head_active_intervals(rows, t_end, guard_s)
             cursor = [0]
             quiet_n = 0
             quiet_last = 0.0
-            for start, report, seeded in outcomes[node.node_id]:
-                t_start = trace.t0 + start / cfg.detector.rate_hz
-                t_end = t_start + window / cfg.detector.rate_hz
+            for k, report, seeded in rows:
                 if (
                     elide
                     and report is None
-                    and not _in_active(t_end, intervals, cursor)
+                    and not _in_active(t_end[k], intervals, cursor)
                 ):
                     quiet_n += 1
-                    quiet_last = t_end
+                    quiet_last = t_end[k]
                     continue
                 if quiet_n:
                     network.sim.schedule_at(
@@ -806,11 +827,11 @@ def run_network_scenario(
                     )
                     quiet_n = 0
                 network.sim.schedule_at(
-                    t_end,
+                    t_end[k],
                     proc.feed_outcome,
                     report,
                     window,
-                    t_start,
+                    t_start[k],
                     seeded,
                 )
             if quiet_n:
@@ -818,36 +839,34 @@ def run_network_scenario(
                     quiet_last, proc.catch_up_quiet_windows, quiet_n, window
                 )
         else:
-            a = preprocess_z_counts(trace.z, cfg.detector.preprocess)
-            starts = window_starts(cfg.detector, len(a))
-            for start in starts:
-                seg = a[start : start + window]
-                t_start = trace.t0 + start / cfg.detector.rate_hz
-                t_end = t_start + window / cfg.detector.rate_hz
+            a = preprocess_z_counts(recording.z[i], cfg.detector.preprocess)
+            for k in np.flatnonzero(plan.live[i]).tolist():
+                start = plan.starts[k]
                 network.sim.schedule_at(
-                    t_end, proc.feed_window, seg, t_start
+                    t_end[k],
+                    proc.feed_window,
+                    a[start : start + window],
+                    t_start[k],
                 )
         if sanitizer is not None and proc.battery is not None:
-            n_billable = (
-                len(outcomes[node.node_id])
-                if outcomes is not None
-                else len(starts)
-            )
-            # Declared billing intent: each window bills draw_cpu
+            # Declared billing intent: each live window bills draw_cpu
             # seconds of 0.001*window, so the per-window joule amount
             # replicates Battery.draw_cpu's op order bit-exactly.
             sanitizer.expect_cpu_billing(
                 node.node_id,
-                n_billable,
+                int(np.count_nonzero(plan.live[i])),
                 (0.001 * window) * proc.battery.costs.cpu_j_per_s,
-                strict=not injector.active,
             )
         # Timer ticks keep cluster deadlines firing after sampling ends.
-        horizon = trace.t0 + trace.duration + 2 * cfg.cluster.collection_timeout_s
+        t0 = recording.t0s[i]
+        horizon = (
+            t0
+            + recording.z.shape[1] / recording.rate_hz
+            + 2 * cfg.cluster.collection_timeout_s
+        )
         if elide:
-            intervals = active.get(node.node_id, [])
             cursor = [0]
-            t = trace.t0 + cfg.detector.window_s
+            t = t0 + cfg.detector.window_s
             while t < horizon:
                 if _in_active(t, intervals, cursor):
                     network.sim.schedule_at(t, proc.tick)
@@ -856,7 +875,7 @@ def run_network_scenario(
             network.sim.schedule_periodic(
                 cfg.detector.window_s,
                 proc.tick,
-                first=trace.t0 + cfg.detector.window_s,
+                first=t0 + cfg.detector.window_s,
                 until=horizon,
             )
 
@@ -969,7 +988,7 @@ class DutyCycledScenarioResult:
 
 def _dutycycled_reports(
     deployment: GridDeployment,
-    traces: dict[int, AccelTrace],
+    recording: FleetRecording,
     det_cfg: NodeDetectorConfig,
     coarse_cfg: NodeDetectorConfig,
     decimation: int,
@@ -996,7 +1015,6 @@ def _dutycycled_reports(
     """
     nodes = list(deployment)
     ids = [node.node_id for node in nodes]
-    recording = FleetRecording.from_traces(deployment, traces)
     pre, t0s = _fleet_samples(recording, det_cfg)
     if len(set(t0s)) > 1:
         raise ConfigurationError(
@@ -1143,12 +1161,15 @@ def run_dutycycled_scenario(
     synth = synthesis_config if synthesis_config is not None else SynthesisConfig()
     det_cfg = detector_config if detector_config is not None else NodeDetectorConfig()
     with maybe_stage(telemetry, "synthesis"):
-        traces = synthesize_fleet_traces(
+        recording = FleetRecording.from_traces(
             deployment,
-            ships,
-            synth,
-            disturbances_by_node=disturbances_by_node,
-            seed=seed,
+            synthesize_fleet_traces(
+                deployment,
+                ships,
+                synth,
+                disturbances_by_node=disturbances_by_node,
+                seed=seed,
+            ),
         )
     controller = DutyCycleController(
         [n.node_id for n in deployment],
@@ -1180,7 +1201,7 @@ def run_dutycycled_scenario(
     with maybe_stage(telemetry, "detection"):
         reports_by_node, first_alarm = _dutycycled_reports(
             deployment,
-            traces,
+            recording,
             det_cfg,
             coarse_cfg,
             decimation,

@@ -40,7 +40,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from repro.detection.fleet import FleetDetector
-from repro.detection.node_detector import NodeDetectorConfig, merge_reports
+from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.preprocess import (
     STREAMABLE_FILTER_KINDS,
     StreamingPreprocessor,
@@ -49,11 +49,7 @@ from repro.errors import ConfigurationError
 from repro.physics.disturbance import Disturbance
 from repro.rng import RandomState
 from repro.scenario.deployment import GridDeployment
-from repro.scenario.runner import (
-    OfflineScenarioResult,
-    fuse_sequential_clusters,
-    truth_windows_for,
-)
+from repro.scenario.runner import OfflineScenarioResult, fuse_offline_reports
 from repro.scenario.ship import ShipTrack
 from repro.scenario.synthesis import (
     SynthesisConfig,
@@ -237,26 +233,11 @@ def run_streaming_scenario(
             a_chunk = pre.push(z_chunk)
         with maybe_stage(telemetry, "detect_chunk", chunk=chunk_index):
             stream.push(a_chunk)
-    reports_by_node = stream.finish()
-    merged_by_node = {
-        nid: merge_reports(reports)
-        for nid, reports in reports_by_node.items()
-    }
-    merged_all = sorted(
-        (r for rs in merged_by_node.values() for r in rs),
-        key=lambda r: r.onset_time,
-    )
-    if track_hypothesis is None and ships:
-        track_hypothesis = ships[0].travel_line()
-    with maybe_stage(telemetry, "fusion"):
-        outcomes, cluster_event, cluster_report = fuse_sequential_clusters(
-            merged_all, cluster_config, track_hypothesis
-        )
-    return OfflineScenarioResult(
-        cluster_outcomes=outcomes,
-        reports_by_node=reports_by_node,
-        merged_by_node=merged_by_node,
-        cluster_event=cluster_event,
-        cluster_report=cluster_report,
-        truth_windows_by_node=truth_windows_for(deployment, ships),
+    return fuse_offline_reports(
+        deployment,
+        ships,
+        stream.finish(),
+        cluster_config,
+        track_hypothesis,
+        telemetry,
     )

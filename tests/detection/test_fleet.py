@@ -140,7 +140,17 @@ class TestFleetDetectorEquivalence:
         rng = make_rng(99)
         mask = rng.random((5, len(starts))) > 0.3
         fleet = FleetDetector(members, cfg)
-        got = fleet.process_samples(a, [0.0] * 5, active_windows=mask)
+        got = {m.node_id: [] for m in members}
+        w = cfg.window_samples
+        for k, start in enumerate(starts):
+            reports = fleet.step(
+                a[:, start : start + w],
+                [start / cfg.rate_hz] * 5,
+                active=mask[:, k],
+            )
+            for m, r in zip(members, reports):
+                if r is not None:
+                    got[m.node_id].append(r)
         want = {}
         for i, m in enumerate(members):
             det = NodeDetector(
@@ -262,15 +272,6 @@ class TestFleetDetectorValidation:
         w = fleet.config.window_samples
         with pytest.raises(SignalLengthError):
             fleet.process_samples(np.zeros((2, w - 1)), [0.0, 0.0])
-
-    def test_active_windows_shape_rejected(self):
-        cfg = NodeDetectorConfig()
-        fleet = FleetDetector(make_members(2), cfg)
-        a = np.ones((2, cfg.window_samples * 3))
-        with pytest.raises(ConfigurationError):
-            fleet.process_samples(
-                a, [0.0, 0.0], active_windows=np.ones((2, 1), bool)
-            )
 
     def test_from_deployment_mirrors_nodes(self):
         from repro.scenario.presets import paper_deployment

@@ -12,6 +12,7 @@ from repro.detection.node_detector import (
     merge_reports,
     window_starts,
 )
+from repro.detection.preprocess import PreprocessConfig
 from repro.detection.reports import NodeReport
 from repro.types import Position
 
@@ -176,6 +177,15 @@ class TestConfigValidation:
 
     def test_window_samples(self):
         assert _config(window_s=2.0, rate_hz=50.0).window_samples == 100
+
+    def test_preprocess_rate_must_match(self):
+        # A preprocess chain designed at 50 Hz mis-filters 25 Hz data.
+        with pytest.raises(ConfigurationError, match="disagrees"):
+            _config(rate_hz=25.0)
+        at_25 = PreprocessConfig(rate_hz=25.0)
+        assert _config(rate_hz=25.0, preprocess=at_25).window_samples == 50
+        # Within the 1e-3 relative tolerance the rates count as equal.
+        _config(preprocess=PreprocessConfig(rate_hz=50.04))
 
     def test_default_hop_is_half_window(self):
         assert _config().hop_samples == 50

@@ -1,8 +1,8 @@
 """Smoke tests for the runnable examples.
 
 The examples are the public face of the library; they must keep
-running.  Only the quick ones run here (the full harbor simulation and
-the Monte-Carlo scripts belong to the benchmark tier).
+running.  Only the quick ones run here; the rest are compiled, and
+CI's bench-smoke job runs all seven to completion.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""SweepRunner determinism, caching and configuration contracts.
+"""SweepRunner determinism and configuration contracts.
 
 The headline guarantee: ``map`` returns bit-identical results for any
 worker count, because every task's randomness flows from its own
@@ -15,13 +15,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.parallel import (
-    SweepCache,
-    SweepConfig,
-    SweepRunner,
-    derive_task_seeds,
-    stable_task_key,
-)
+from repro.parallel import SweepConfig, SweepRunner
 from repro.parallel.sweep import WORKERS_ENV
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.synthesis import SynthesisConfig, synthesize_fleet_traces
@@ -40,7 +34,7 @@ def fleet_digest(seed: int, duration_s: float = 30.0) -> str:
 
 
 def noisy_stat(seed: int, n: int = 512) -> float:
-    """A cheap seeded statistic for cache/worker bookkeeping tests."""
+    """A cheap seeded statistic for worker bookkeeping tests."""
     return float(np.random.default_rng(seed).standard_normal(n).sum())
 
 
@@ -60,119 +54,16 @@ def test_parallel_bit_identical_to_serial():
 
 
 def test_chunked_dispatch_preserves_order():
-    params = [{"seed": s} for s in range(16)]
+    params = [{"seed": s} for s in range(48)]
     serial = SweepRunner().map(noisy_stat, params)
-    chunked = SweepRunner(SweepConfig(workers=3, chunk_size=4)).map(
-        noisy_stat, params
-    )
-    assert serial == chunked
-
-
-def test_seed_sweep_helper():
-    runner = SweepRunner()
-    out = runner.seed_sweep(noisy_stat, (1, 2, 3), common={"n": 64})
-    assert out == [noisy_stat(s, n=64) for s in (1, 2, 3)]
-    with pytest.raises(ConfigurationError):
-        runner.seed_sweep(noisy_stat, (1,), common={"seed": 9})
-
-
-def test_cache_serves_hits_without_recompute(tmp_path):
-    runner = SweepRunner(SweepConfig(cache_dir=tmp_path))
-    first = runner.map(noisy_stat, SEED_PARAMS)
-    assert runner.cache.misses == len(SEED_PARAMS)
-    assert runner.cache.hits == 0
-    again = runner.map(noisy_stat, SEED_PARAMS)
-    assert again == first
-    assert runner.cache.hits == len(SEED_PARAMS)
-    # A fresh runner over the same directory also hits.
-    other = SweepRunner(SweepConfig(cache_dir=tmp_path))
-    assert other.map(noisy_stat, SEED_PARAMS) == first
-    assert other.cache.hits == len(SEED_PARAMS)
-
-
-def test_cache_only_dispatches_misses(tmp_path):
-    runner = SweepRunner(SweepConfig(cache_dir=tmp_path))
-    runner.map(noisy_stat, SEED_PARAMS[:2])
-    out = runner.map(noisy_stat, SEED_PARAMS)
-    assert out == [noisy_stat(p["seed"]) for p in SEED_PARAMS]
-    assert runner.cache.hits == 2
-    assert runner.cache.misses == 4  # 2 from each call
-
-
-def test_corrupt_cache_entry_is_recomputed(tmp_path):
-    cache = SweepCache(tmp_path)
-    key = stable_task_key(noisy_stat, {"seed": 1})
-    (tmp_path / f"{key}.pkl").write_bytes(b"not a pickle")
-    found, _ = cache.get(key)
-    assert not found
-    runner = SweepRunner(SweepConfig(cache_dir=tmp_path))
-    assert runner.map(noisy_stat, [{"seed": 1}]) == [noisy_stat(1)]
-
-
-def test_cache_roundtrips_rich_values(tmp_path):
-    cache = SweepCache(tmp_path)
-    value = {"arr": np.arange(5), "cfg": SynthesisConfig(duration_s=9.0)}
-    cache.put("k", value)
-    found, loaded = cache.get("k")
-    assert found
-    assert np.array_equal(loaded["arr"], value["arr"])
-    assert loaded["cfg"] == value["cfg"]
-
-
-def test_stable_key_tracks_semantic_content():
-    base = {"seed": 1, "cfg": SynthesisConfig()}
-    same = {"cfg": SynthesisConfig(), "seed": 1}
-    assert stable_task_key(noisy_stat, base) == stable_task_key(
-        noisy_stat, same
-    )
-    assert stable_task_key(noisy_stat, base) != stable_task_key(
-        noisy_stat, {"seed": 2, "cfg": SynthesisConfig()}
-    )
-    assert stable_task_key(noisy_stat, base) != stable_task_key(
-        noisy_stat, {"seed": 1, "cfg": SynthesisConfig(duration_s=1.0)}
-    )
-    assert stable_task_key(noisy_stat, base) != stable_task_key(
-        fleet_digest, base
-    )
-    # Types are tagged: 1, 1.0 and True must not collide.
-    keys = {
-        stable_task_key(noisy_stat, {"v": v}) for v in (1, 1.0, True, "1")
-    }
-    assert len(keys) == 4
-
-
-def test_stable_key_covers_arrays_and_enums():
-    a = stable_task_key(noisy_stat, {"x": np.arange(4.0)})
-    b = stable_task_key(noisy_stat, {"x": np.arange(4.0) + 1e-9})
-    assert a != b
-    from repro.physics.spectrum import SeaState
-
-    assert stable_task_key(
-        noisy_stat, {"s": SeaState.CALM}
-    ) != stable_task_key(noisy_stat, {"s": SeaState.MODERATE})
-
-
-def test_stable_key_rejects_live_objects():
-    with pytest.raises(ConfigurationError):
-        stable_task_key(noisy_stat, {"obj": object()})
-
-
-def test_derive_task_seeds_stable_under_growth():
-    short = derive_task_seeds(99, 5)
-    long = derive_task_seeds(99, 50)
-    assert long[:5] == short
-    assert len(set(long)) == 50
-    assert derive_task_seeds(100, 5) != short
-    assert all(0 <= s < 2**63 for s in long)
-    with pytest.raises(ConfigurationError):
-        derive_task_seeds(1, -1)
+    runner = SweepRunner(SweepConfig(workers=3))
+    assert runner._chunk_size(len(params)) == 4  # four tasks per dispatch
+    assert runner.map(noisy_stat, params) == serial
 
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         SweepConfig(workers=0)
-    with pytest.raises(ConfigurationError):
-        SweepConfig(chunk_size=0)
 
 
 def test_config_from_env(monkeypatch):

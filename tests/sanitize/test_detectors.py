@@ -180,7 +180,7 @@ class TestBillingDetector:
         san = Sanitizer()
         battery = Battery(capacity_j=100.0)
         san.track_battery(0, battery)
-        san.expect_cpu_billing(0, 3, 0.5, strict=True)
+        san.expect_cpu_billing(0, 3, 0.5)
         for _ in range(3):
             assert battery.draw(0.5, "cpu")
         report = san.report()
@@ -191,7 +191,7 @@ class TestBillingDetector:
         san = Sanitizer()
         battery = Battery(capacity_j=100.0)
         san.track_battery(0, battery)
-        san.expect_cpu_billing(0, 2, 0.5, strict=True)
+        san.expect_cpu_billing(0, 2, 0.5)
         for _ in range(3):  # one window billed twice
             battery.draw(0.5, "cpu")
         report = san.report()
@@ -204,7 +204,7 @@ class TestBillingDetector:
         san = Sanitizer()
         battery = Battery(capacity_j=100.0)
         san.track_battery(0, battery)
-        san.expect_cpu_billing(0, 2, 0.5, strict=True)
+        san.expect_cpu_billing(0, 2, 0.5)
         battery.draw(0.5, "cpu")
         battery.draw(0.25, "cpu")  # mis-batched catch-up amount
         report = san.report()
@@ -215,27 +215,22 @@ class TestBillingDetector:
         san = Sanitizer()
         battery = Battery(capacity_j=100.0)
         san.track_battery(0, battery)
-        san.expect_cpu_billing(0, 3, 0.5, strict=True)
+        san.expect_cpu_billing(0, 3, 0.5)
         battery.draw(0.5, "cpu")
         battery.draw(0.5, "cpu")
         report = san.report()
         assert kinds(report) == [KIND_BILLING]
         assert "unbilled" in report.findings[0].format()
 
-    def test_lenient_underdraw_is_sanctioned(self):
+    def test_depleted_underdraw_is_sanctioned(self):
+        # Depletion is the one excuse: a dead battery skips the rest.
         san = Sanitizer()
-        battery = Battery(capacity_j=100.0)
+        battery = Battery(capacity_j=1.0)
         san.track_battery(0, battery)
-        san.expect_cpu_billing(0, 3, 0.5, strict=False)
+        san.expect_cpu_billing(0, 3, 0.5)
         battery.draw(0.5, "cpu")
-        assert san.report().ok
-
-    def test_strict_billing_override_wins(self):
-        san = Sanitizer(strict_billing=False)
-        battery = Battery(capacity_j=100.0)
-        san.track_battery(0, battery)
-        san.expect_cpu_billing(0, 3, 0.5, strict=True)
         battery.draw(0.5, "cpu")
+        assert battery.depleted
         assert san.report().ok
 
     def test_out_of_band_drain_breaks_ledger_continuity(self):
@@ -253,7 +248,7 @@ class TestBillingDetector:
         san = Sanitizer()
         battery = Battery(capacity_j=100.0)
         san.track_battery(0, battery)
-        san.expect_cpu_billing(0, 1, 0.5, strict=True)
+        san.expect_cpu_billing(0, 1, 0.5)
         battery.draw(0.5, "cpu")
         for _ in range(4):
             battery.draw(0.1, "radio_rx")
@@ -293,7 +288,7 @@ class TestProbeAndReportPlumbing:
         san = Sanitizer()
         battery = Battery(capacity_j=100.0)
         san.track_battery(0, battery)
-        san.expect_cpu_billing(0, 2, 0.5, strict=True)
+        san.expect_cpu_billing(0, 2, 0.5)
         battery.draw(0.5, "cpu")
         first = san.report()
         second = san.report()  # must not re-reconcile and double-report

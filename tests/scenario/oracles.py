@@ -7,8 +7,9 @@ formulations of the same detection, kept as test oracles:
 - :func:`offline_reports` — one ``NodeDetector`` per node over its
   whole trace (what ``run_offline_scenario`` must reproduce);
 - :func:`network_outcomes` — the crash-masked per-node window walk,
-  with the signature of ``runner._fleet_network_outcomes`` so a test
-  can substitute it and run the event loop end to end;
+  with its own crash rule, checked against the network runner's window
+  plan and precompute (and substituted for the precompute to run the
+  event loop end to end);
 - :func:`sequential_dutycycle` — the node-by-node, window-by-window
   duty-cycle loop, with the signature of ``runner._dutycycled_reports``.
 """
@@ -28,7 +29,7 @@ from repro.detection.preprocess import preprocess_z_counts
 from repro.detection.reports import NodeReport
 from repro.faults.plan import BatteryDrain, FaultPlan
 from repro.scenario.deployment import GridDeployment
-from repro.scenario.runner import WindowOutcomes
+from repro.scenario.runner import FleetRecording, WindowOutcomes
 from repro.types import AccelTrace
 
 
@@ -55,7 +56,7 @@ def offline_reports(
 
 def network_outcomes(
     deployment: GridDeployment,
-    traces: dict[int, AccelTrace],
+    recording: FleetRecording,
     det_cfg: NodeDetectorConfig,
     faults: FaultPlan | None,
     now: float,
@@ -66,14 +67,15 @@ def network_outcomes(
     crash is scheduled before the feeds and pops first on a time tie;
     the reboot is scheduled during the run, after the feeds, so a feed
     at the reboot instant still finds the node dead.  Every evaluated
-    window yields ``(start, report-or-None, baseline seeded after)``.
+    window yields ``(window index, report-or-None, baseline seeded
+    after)``.
     """
     rate = det_cfg.rate_hz
     w = det_cfg.window_samples
     out: WindowOutcomes = {}
     crashes = faults.node_crashes if faults is not None else ()
-    for node in deployment:
-        trace = traces[node.node_id]
+    for i, node in enumerate(deployment):
+        t0 = recording.t0s[i]
         down = [
             (
                 max(c.at_s, now),
@@ -87,21 +89,21 @@ def network_outcomes(
         detector = NodeDetector(
             node.node_id, node.anchor, det_cfg, row=node.row, column=node.column
         )
-        a = preprocess_z_counts(trace.z, det_cfg.preprocess)
+        a = preprocess_z_counts(recording.z[i], det_cfg.preprocess)
         rows = []
-        for start in window_starts(det_cfg, a.size):
-            t_start = trace.t0 + start / rate
+        for k, start in enumerate(window_starts(det_cfg, a.size)):
+            t_start = t0 + start / rate
             if any(lo <= t_start + w / rate <= hi for lo, hi in down):
                 continue
             report = detector.process_window(a[start : start + w], t_start)
-            rows.append((start, report, detector.initialized))
+            rows.append((k, report, detector.initialized))
         out[node.node_id] = rows
     return out
 
 
 def sequential_dutycycle(
     deployment: GridDeployment,
-    traces: dict[int, AccelTrace],
+    recording: FleetRecording,
     det_cfg: NodeDetectorConfig,
     coarse_cfg: NodeDetectorConfig,
     decimation: int,
@@ -127,21 +129,18 @@ def sequential_dutycycle(
         for n in deployment
     }
     preprocessed = {
-        nid: preprocess_z_counts(tr.z, det_cfg.preprocess)
-        for nid, tr in traces.items()
+        nid: preprocess_z_counts(z, det_cfg.preprocess)
+        for nid, z in zip(recording.node_ids, recording.z)
     }
     coarse_preprocessed = {
-        nid: preprocess_z_counts(
-            tr.z[::decimation], coarse_cfg.preprocess
-        )
-        for nid, tr in traces.items()
+        nid: preprocess_z_counts(z[::decimation], coarse_cfg.preprocess)
+        for nid, z in zip(recording.node_ids, recording.z)
     }
     window = det_cfg.window_samples
     coarse_window = coarse_cfg.window_samples
     # Build the (t0, node_id, start) schedule in global time order.
     schedule: list[tuple[float, int, int]] = []
-    for nid, a in preprocessed.items():
-        t_base = traces[nid].t0
+    for (nid, a), t_base in zip(preprocessed.items(), recording.t0s):
         for start in window_starts(det_cfg, len(a)):
             schedule.append((t_base + start / det_cfg.rate_hz, nid, start))
     schedule.sort()

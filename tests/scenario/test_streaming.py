@@ -74,7 +74,11 @@ class TestOfflineEngineParity:
 
 class TestNetworkEngineParity:
     def _pair(self, monkeypatch, faults=None):
-        """The same run with the fleet precompute and with the oracle."""
+        """The same run with the fleet precompute and with the oracle.
+
+        The oracle ignores the runner's window plan and applies its own
+        crash rule (the network installs its faults at time 0).
+        """
         results = []
         for oracle in (False, True):
             dep, ship, synth = _scenario()
@@ -83,7 +87,9 @@ class TestNetworkEngineParity:
                     mp.setattr(
                         runner,
                         "_fleet_network_outcomes",
-                        oracles.network_outcomes,
+                        lambda dep, rec, det, plan: oracles.network_outcomes(
+                            dep, rec, det, faults, 0.0
+                        ),
                     )
                 results.append(
                     run_network_scenario(
@@ -118,9 +124,12 @@ class TestNetworkEngineParity:
     def test_precompute_rows_match_oracle(self, faults, now):
         dep, ship, synth = _scenario()
         det = _detector()
-        traces = synthesize_fleet_traces(dep, [ship], synth, seed=SEED)
-        rows = runner._fleet_network_outcomes(dep, traces, det, faults, now)
-        assert rows == oracles.network_outcomes(dep, traces, det, faults, now)
+        rec = FleetRecording.from_traces(
+            dep, synthesize_fleet_traces(dep, [ship], synth, seed=SEED)
+        )
+        plan = runner._window_plan(rec, det, faults, now)
+        rows = runner._fleet_network_outcomes(dep, rec, det, plan)
+        assert rows == oracles.network_outcomes(dep, rec, det, faults, now)
         if faults is not None:
             # Crash windows are masked out, not evaluated.
             assert len(rows[5]) < len(rows[0])

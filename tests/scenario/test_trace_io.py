@@ -8,6 +8,7 @@ import pytest
 from repro.constants import ACCEL_COUNTS_PER_G
 from repro.errors import ConfigurationError
 from repro.detection.node_detector import NodeDetectorConfig
+from repro.scenario.presets import paper_scenario
 from repro.scenario.synthesis import SynthesisConfig, synthesize_fleet_traces
 from repro.scenario.trace_io import (
     detect_on_trace,
@@ -100,6 +101,15 @@ class TestDetectOnTrace:
             z, t0=1000.0, config=NodeDetectorConfig(m=2.0, af_threshold=0.5)
         )
         assert all(r.onset_time > 1000.0 for r in reports)
+
+    def test_default_config_filters_at_the_trace_rate(self):
+        # A 25 Hz trace: the default detector must design its low-pass
+        # at 25 Hz, or the "1 Hz" cutoff lands at 0.5 Hz and smooths
+        # the wake away.
+        dep, ship, synth = paper_scenario(seed=9, duration_s=300.0)
+        z = synthesize_fleet_traces(dep, [ship], synth, seed=9)[12].z[::2]
+        reports = detect_on_trace(z, rate_hz=25.0)
+        assert [round(r.onset_time, 1) for r in reports] == [157.2]
 
     def test_rate_mismatch_rejected(self, rng):
         with pytest.raises(ConfigurationError):
