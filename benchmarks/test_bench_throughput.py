@@ -39,10 +39,9 @@ def test_bench_detector_throughput(benchmark):
     z = (1024 + 60 * rng.standard_normal(20000)).astype(np.int64)
 
     def run():
-        a = preprocess_z_counts(z)
-        det = NodeDetector(
-            0, Position(0, 0), NodeDetectorConfig(m=2.0, af_threshold=0.6)
-        )
+        config = NodeDetectorConfig(m=2.0, af_threshold=0.6)
+        a = preprocess_z_counts(z, config.rate_hz)
+        det = NodeDetector(0, Position(0, 0), config)
         return det.process_samples(a, 0.0)
 
     benchmark(run)

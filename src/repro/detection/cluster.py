@@ -274,7 +274,11 @@ class TemporaryCluster:
 
     @property
     def reports(self) -> tuple[NodeReport, ...]:
-        """Reports collected so far, one per node (earliest onset kept)."""
+        """Reports collected so far in onset order, one per node.
+
+        Each node's is its highest-energy report, kept whole
+        (:meth:`add_report`).
+        """
         return tuple(
             sorted(self._reports.values(), key=lambda r: r.onset_time)
         )

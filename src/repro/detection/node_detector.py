@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.constants import BETA_1, BETA_2, SAMPLE_RATE_HZ
+from repro.constants import BETA_1, BETA_2, NODE_LOWPASS_CUTOFF_HZ, SAMPLE_RATE_HZ
 from repro.detection.adaptive import AdaptiveBaseline
 from repro.detection.anomaly import (
     anomaly_frequency,
@@ -77,13 +77,15 @@ class NodeDetectorConfig:
             raise ConfigurationError(
                 f"init_windows must be >= 1, got {self.init_windows}"
             )
-        if self.rate_hz <= 0:
-            raise ConfigurationError(f"rate_hz must be positive, got {self.rate_hz}")
+        # The Sec. IV-B low-pass is designed at this rate, so its cutoff
+        # must lie below the Nyquist frequency.
+        if self.rate_hz <= 2 * NODE_LOWPASS_CUTOFF_HZ:
+            raise ConfigurationError(
+                f"rate_hz must exceed {2 * NODE_LOWPASS_CUTOFF_HZ} Hz (the "
+                f"low-pass cutoff's Nyquist rate), got {self.rate_hz}"
+            )
         if not 0.0 <= self.beta1 <= 1.0 or not 0.0 <= self.beta2 <= 1.0:
             raise ConfigurationError("beta1/beta2 must be in [0, 1]")
-        # The preprocessing filters are designed at their own rate; at
-        # any other rate their cutoffs land at the wrong frequencies.
-        self.check_sample_rate(self.preprocess.rate_hz)
 
     @property
     def window_samples(self) -> int:
@@ -234,8 +236,15 @@ class NodeDetector:
         return reports
 
     def process_trace(self, trace: AccelTrace) -> list[NodeReport]:
-        """Preprocess a raw count trace (Sec. IV-B) and detect on it."""
-        a = preprocess_z_counts(trace.z, self.config.preprocess)
+        """Preprocess a raw count trace (Sec. IV-B) and detect on it.
+
+        A trace sampled off the detector's ``rate_hz`` would be
+        mis-filtered and mis-timed, so it raises.
+        """
+        self.config.check_sample_rate(trace.rate_hz)
+        a = preprocess_z_counts(
+            trace.z, self.config.rate_hz, self.config.preprocess
+        )
         return self.process_samples(a, trace.t0)
 
 

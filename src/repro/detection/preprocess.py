@@ -7,14 +7,18 @@ standard deviation, we have the absolute value of those signal below
 zero" — i.e. the gravity-removed signal is full-wave rectified, because
 disturbances push the buoy both above and below 1 g.
 
-Three filter kinds:
+The chain's constants are the paper's: a 1 Hz cutoff
+(:data:`~repro.constants.NODE_LOWPASS_CUTOFF_HZ`) and a 1 g offset of
+:data:`~repro.constants.ACCEL_COUNTS_PER_G` counts.  The sample rate is
+the detector's (:attr:`NodeDetectorConfig.rate_hz
+<repro.detection.node_detector.NodeDetectorConfig.rate_hz>`), passed
+to every entry point.  Two filter kinds:
 
 - ``"butter"`` — zero-phase Butterworth (the offline analysis path);
   needs the whole record, so it cannot feed the streaming pipeline;
 - ``"butter-causal"`` — the same Butterworth run forward only, exactly
-  chunkable by carrying the recursion state;
-- ``"moving-average"`` — causal FIR (what a mote would run online),
-  exactly chunkable by carrying the running sum.
+  chunkable by carrying the recursion state.  A whole record is one
+  chunk, so offline and streaming conditioning agree by construction.
 """
 
 from __future__ import annotations
@@ -22,165 +26,112 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import signal as sp_signal
 
-from repro.constants import (
-    ACCEL_COUNTS_PER_G,
-    NODE_LOWPASS_CUTOFF_HZ,
-    SAMPLE_RATE_HZ,
-)
+from repro.constants import ACCEL_COUNTS_PER_G, NODE_LOWPASS_CUTOFF_HZ
+from repro.dsp.filters import butter_lowpass, butter_sos
 from repro.errors import ConfigurationError
-from repro.dsp.filters import (
-    StreamingCausalButter,
-    StreamingMovingAverage,
-    butter_lowpass,
-    butter_lowpass_batch,
-    moving_average,
-    moving_average_batch,
-)
 
 #: Filter kinds usable by the chunked streaming pipeline (zero-phase
 #: Butterworth is global/anti-causal and therefore excluded).
-STREAMABLE_FILTER_KINDS = ("butter-causal", "moving-average")
+STREAMABLE_FILTER_KINDS = ("butter-causal",)
 
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Parameters of the Sec. IV-B conditioning chain."""
+    """The low-pass of the Sec. IV-B conditioning chain."""
 
-    rate_hz: float = SAMPLE_RATE_HZ
-    cutoff_hz: float = NODE_LOWPASS_CUTOFF_HZ
-    counts_per_g: float = ACCEL_COUNTS_PER_G
     #: "butter" = zero-phase Butterworth (analysis path);
-    #: "butter-causal" = single-pass Butterworth (streamable);
-    #: "moving-average" = causal FIR (what a mote would run online).
+    #: "butter-causal" = single-pass Butterworth (streamable).
     filter_kind: str = "butter"
-    rectify: bool = True
 
     def __post_init__(self) -> None:
-        if self.rate_hz <= 0:
-            raise ConfigurationError(f"rate_hz must be positive, got {self.rate_hz}")
-        if not 0 < self.cutoff_hz < self.rate_hz / 2:
+        if self.filter_kind not in ("butter", *STREAMABLE_FILTER_KINDS):
             raise ConfigurationError(
-                f"cutoff {self.cutoff_hz} outside (0, Nyquist) for rate {self.rate_hz}"
-            )
-        if self.counts_per_g <= 0:
-            raise ConfigurationError(
-                f"counts_per_g must be positive, got {self.counts_per_g}"
-            )
-        if self.filter_kind not in ("butter", "butter-causal", "moving-average"):
-            raise ConfigurationError(
-                "filter_kind must be 'butter', 'butter-causal' or "
-                f"'moving-average', got {self.filter_kind!r}"
+                "filter_kind must be 'butter' or 'butter-causal', "
+                f"got {self.filter_kind!r}"
             )
 
-    @property
-    def moving_average_width(self) -> int:
-        """FIR width putting the first null at the cutoff frequency."""
-        return max(int(round(self.rate_hz / self.cutoff_hz)), 1)
+
+def _gravity_free_magnitude(filtered: np.ndarray) -> np.ndarray:
+    """The chain's tail: subtract 1 g, then full-wave rectify."""
+    return np.abs(filtered - ACCEL_COUNTS_PER_G)
 
 
-def lowpass_counts(
-    z_counts: np.ndarray, config: PreprocessConfig
+def _condition(
+    z: np.ndarray, rate_hz: float, config: PreprocessConfig | None
 ) -> np.ndarray:
-    """Apply the configured 1 Hz low-pass to raw z counts (floats out)."""
+    """The chain on a ``(rows, samples)`` float matrix of raw counts."""
+    cfg = config if config is not None else PreprocessConfig()
+    if cfg.filter_kind == "butter":
+        return _gravity_free_magnitude(
+            butter_lowpass(z, NODE_LOWPASS_CUTOFF_HZ, rate_hz)
+        )
+    return StreamingPreprocessor(z.shape[0], rate_hz).push(z)
+
+
+def _counts(z_counts: np.ndarray, ndim: int, shape: str) -> np.ndarray:
+    """Raw counts as floats, rejecting any shape but ``ndim`` axes."""
     z = np.asarray(z_counts, dtype=float)
-    if config.filter_kind == "butter":
-        return butter_lowpass(z, config.cutoff_hz, config.rate_hz)
-    if config.filter_kind == "butter-causal":
-        return butter_lowpass(
-            z, config.cutoff_hz, config.rate_hz, zero_phase=False
-        )
-    return moving_average(z, config.moving_average_width)
-
-
-def lowpass_counts_batch(
-    z_counts: np.ndarray, config: PreprocessConfig
-) -> np.ndarray:
-    """:func:`lowpass_counts` over every row of ``(nodes, samples)``.
-
-    Bit-identical to filtering each node's stream on its own.
-    """
-    z = np.asarray(z_counts, dtype=float)
-    if z.ndim != 2:
-        raise ConfigurationError(
-            f"expected 2-D (nodes, samples), got shape {z.shape}"
-        )
-    if config.filter_kind == "butter":
-        return butter_lowpass_batch(z, config.cutoff_hz, config.rate_hz)
-    if config.filter_kind == "butter-causal":
-        return butter_lowpass_batch(
-            z, config.cutoff_hz, config.rate_hz, zero_phase=False
-        )
-    return moving_average_batch(z, config.moving_average_width)
+    if z.ndim != ndim:
+        raise ConfigurationError(f"expected {shape}, got shape {z.shape}")
+    return z
 
 
 def preprocess_z_counts(
-    z_counts: np.ndarray, config: PreprocessConfig | None = None
+    z_counts: np.ndarray,
+    rate_hz: float,
+    config: PreprocessConfig | None = None,
 ) -> np.ndarray:
-    """Full Sec. IV-B chain: low-pass, remove 1 g, rectify.
+    """Full Sec. IV-B chain on one node's raw z counts sampled at ``rate_hz``.
 
     Returns the non-negative sample stream ``a_i`` that eqs. 4-8
-    operate on.
+    operate on; bit-identical to that node's row of
+    :func:`preprocess_z_counts_batch`.
     """
-    cfg = config if config is not None else PreprocessConfig()
-    filtered = lowpass_counts(z_counts, cfg)
-    zero_mean = filtered - cfg.counts_per_g
-    if cfg.rectify:
-        return np.abs(zero_mean)
-    return zero_mean
+    z = _counts(z_counts, 1, "1-D samples")
+    return _condition(z[None], rate_hz, config)[0]
 
 
 def preprocess_z_counts_batch(
-    z_counts: np.ndarray, config: PreprocessConfig | None = None
+    z_counts: np.ndarray,
+    rate_hz: float,
+    config: PreprocessConfig | None = None,
 ) -> np.ndarray:
     """Whole-fleet Sec. IV-B chain over ``(nodes, samples)`` raw counts.
 
     One vectorised pass; bit-identical to running
     :func:`preprocess_z_counts` on every row separately.
     """
-    cfg = config if config is not None else PreprocessConfig()
-    filtered = lowpass_counts_batch(z_counts, cfg)
-    zero_mean = filtered - cfg.counts_per_g
-    if cfg.rectify:
-        return np.abs(zero_mean)
-    return zero_mean
+    return _condition(
+        _counts(z_counts, 2, "2-D (nodes, samples)"), rate_hz, config
+    )
 
 
 class StreamingPreprocessor:
-    """Chunked Sec. IV-B chain with carried filter state.
+    """Chunked Sec. IV-B chain: the causal Butterworth with carried state.
 
-    Feeding a fleet's raw z counts chunk by chunk through :meth:`push`
-    reproduces :func:`preprocess_z_counts_batch` on the concatenated
-    stream bit for bit — the causal filters carry their exact state
-    across chunks.  The zero-phase ``"butter"`` kind needs the whole
-    record (its backward pass is anti-causal) and is rejected.
+    ``sosfilt`` with a carried ``zi`` is exactly the monolithic causal
+    filter — the recursion state is the only memory the filter has —
+    so feeding a fleet's raw z counts chunk by chunk through
+    :meth:`push` reproduces the ``"butter-causal"``
+    :func:`preprocess_z_counts_batch` of the concatenated stream bit
+    for bit.
     """
 
-    def __init__(
-        self, n_rows: int, config: PreprocessConfig | None = None
-    ) -> None:
-        cfg = config if config is not None else PreprocessConfig()
-        if cfg.filter_kind not in STREAMABLE_FILTER_KINDS:
-            raise ConfigurationError(
-                f"filter_kind {cfg.filter_kind!r} is not streamable: the "
-                "zero-phase Butterworth needs the whole record; use "
-                "'butter-causal' or 'moving-average' for chunked "
-                "preprocessing"
-            )
-        self.config = cfg
-        if cfg.filter_kind == "butter-causal":
-            self._filter = StreamingCausalButter(
-                n_rows, cfg.cutoff_hz, cfg.rate_hz
-            )
-        else:
-            self._filter = StreamingMovingAverage(
-                n_rows, cfg.moving_average_width
-            )
+    def __init__(self, n_rows: int, rate_hz: float) -> None:
+        self._sos = butter_sos(NODE_LOWPASS_CUTOFF_HZ, rate_hz)
+        self._zi = np.zeros((self._sos.shape[0], n_rows, 2))
 
     def push(self, z_chunk: np.ndarray) -> np.ndarray:
         """Condition one ``(rows, chunk)`` block of raw z counts."""
-        filtered = self._filter.push(np.asarray(z_chunk, dtype=float))
-        zero_mean = filtered - self.config.counts_per_g
-        if self.config.rectify:
-            return np.abs(zero_mean)
-        return zero_mean
+        x = np.asarray(z_chunk, dtype=float)
+        n_rows = self._zi.shape[1]
+        if x.ndim != 2 or x.shape[0] != n_rows:
+            raise ConfigurationError(
+                f"chunk must be ({n_rows}, samples), got {x.shape}"
+            )
+        # sosfilt raises on an empty axis; an empty chunk carries no state.
+        if x.shape[1]:
+            x, self._zi = sp_signal.sosfilt(self._sos, x, axis=-1, zi=self._zi)
+        return _gravity_free_magnitude(x)

@@ -17,12 +17,7 @@ from repro.dsp.features import (
     summarize_spectrum,
 )
 from repro.dsp.fft_utils import next_pow2, power_spectrum
-from repro.dsp.filters import (
-    butter_lowpass,
-    detrend_mean,
-    moving_average,
-    remove_gravity,
-)
+from repro.dsp.filters import butter_lowpass, moving_average
 from repro.dsp.stft import Spectrogram, stft, stft_segments
 from repro.dsp.wavelet import (
     MorletWavelet,
@@ -41,13 +36,11 @@ __all__ = [
     "butter_lowpass",
     "count_spectral_peaks",
     "cwt_morlet",
-    "detrend_mean",
     "get_window",
     "moving_average",
     "next_pow2",
     "peak_width_hz",
     "power_spectrum",
-    "remove_gravity",
     "scale_to_frequency",
     "smooth_spectrum",
     "spectral_entropy",

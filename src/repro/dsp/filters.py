@@ -2,8 +2,10 @@
 
 "After deployment of the node, the node first samples for a period of
 time, then filters out the frequency above 1Hz" — implemented as a
-zero-phase Butterworth low-pass (the offline analysis path) and as a
-causal moving average (the cheap on-mote path a real iMote2 would run).
+Butterworth low-pass: :func:`butter_lowpass` runs it zero-phase over a
+whole record, and :class:`~repro.detection.preprocess.StreamingPreprocessor`
+runs the same :func:`butter_sos` design causally with carried state.
+:func:`moving_average` is the classifier's envelope smoother.
 """
 
 from __future__ import annotations
@@ -35,49 +37,29 @@ def butter_lowpass(
     cutoff_hz: float = NODE_LOWPASS_CUTOFF_HZ,
     rate_hz: float = SAMPLE_RATE_HZ,
     order: int = 4,
-    zero_phase: bool = True,
 ) -> np.ndarray:
-    """Butterworth low-pass filter.
+    """Zero-phase Butterworth low-pass along the last axis.
 
-    ``zero_phase=True`` applies the filter forward and backward
-    (``filtfilt``), preserving wave-train onset times — important
-    because the detector reports the onset timestamp to the cluster
-    head.  ``zero_phase=False`` gives the causal single-pass variant.
+    The filter runs forward and backward (``sosfiltfilt``), preserving
+    wave-train onset times — important because the detector reports
+    the onset timestamp to the cluster head.  Each row of a
+    multi-dimensional input is filtered on its own, bit-identical to
+    filtering that row alone.  ``sosfiltfilt`` pads both ends of the
+    last axis and needs more samples than its pad; a shorter record
+    raises :class:`SignalLengthError`.
     """
     x = np.asarray(x, dtype=float)
-    if x.size < 3 * (order + 1):
-        raise SignalLengthError(
-            f"signal too short ({x.size}) for order-{order} filtering"
-        )
     sos = butter_sos(cutoff_hz, rate_hz, order)
-    if zero_phase:
-        return sp_signal.sosfiltfilt(sos, x)
-    return sp_signal.sosfilt(sos, x)
-
-
-def butter_lowpass_batch(
-    x: np.ndarray,
-    cutoff_hz: float = NODE_LOWPASS_CUTOFF_HZ,
-    rate_hz: float = SAMPLE_RATE_HZ,
-    order: int = 4,
-    zero_phase: bool = True,
-) -> np.ndarray:
-    """:func:`butter_lowpass` over every row of ``(nodes, samples)``.
-
-    One vectorised ``axis=-1`` pass; bit-identical to filtering each
-    row on its own.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ConfigurationError(f"expected 2-D (nodes, samples), got {x.shape}")
-    if x.shape[1] < 3 * (order + 1):
+    # scipy's default pad: three times the taps, one fewer per pair of
+    # zero b2/a2 coefficients.
+    taps = 2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum())
+    n = x.shape[-1] if x.ndim else x.size
+    if n <= 3 * taps:
         raise SignalLengthError(
-            f"signal too short ({x.shape[1]}) for order-{order} filtering"
+            f"signal too short ({n}) for order-{order} zero-phase filtering: "
+            f"needs more than {3 * taps} samples"
         )
-    sos = butter_sos(cutoff_hz, rate_hz, order)
-    if zero_phase:
-        return sp_signal.sosfiltfilt(sos, x, axis=-1)
-    return sp_signal.sosfilt(sos, x, axis=-1)
+    return sp_signal.sosfiltfilt(sos, x, axis=-1)
 
 
 def moving_average(x: np.ndarray, width: int) -> np.ndarray:
@@ -85,8 +67,7 @@ def moving_average(x: np.ndarray, width: int) -> np.ndarray:
 
     The first ``width - 1`` outputs average over the shorter available
     history, so the output has no startup transient toward zero and the
-    same length as the input.  A 50-sample width at 50 Hz puts the first
-    null at 1 Hz — a mote-friendly stand-in for the Butterworth filter.
+    same length as the input.
     """
     x = np.asarray(x, dtype=float)
     if width < 1:
@@ -101,139 +82,3 @@ def moving_average(x: np.ndarray, width: int) -> np.ndarray:
     out[:width] = csum[:width] / np.arange(1, width + 1)
     out[width:] = (csum[width:] - csum[:-width]) / width
     return out
-
-
-def moving_average_batch(x: np.ndarray, width: int) -> np.ndarray:
-    """:func:`moving_average` over every row of ``(nodes, samples)``.
-
-    The row-wise cumulative sum accumulates each row sequentially in
-    the same order as the 1-D path, so the output is bit-identical to
-    filtering row by row.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ConfigurationError(f"expected 2-D (nodes, samples), got {x.shape}")
-    if width < 1:
-        raise ConfigurationError(f"width must be >= 1, got {width}")
-    if x.shape[1] == 0:
-        return x.copy()
-    csum = np.cumsum(x, axis=1)
-    out = np.empty_like(x)
-    n = x.shape[1]
-    if n <= width:
-        out[:] = csum / np.arange(1, n + 1)
-        return out
-    out[:, :width] = csum[:, :width] / np.arange(1, width + 1)
-    out[:, width:] = (csum[:, width:] - csum[:, :-width]) / width
-    return out
-
-
-class StreamingMovingAverage:
-    """Chunked :func:`moving_average` with carried state, bit-exact.
-
-    Feeding the chunks of a split signal through :meth:`push` yields
-    exactly the monolithic filter output: the cumulative sum is seeded
-    with the carried running total *in sequence* (prepend, accumulate,
-    drop), preserving the monolithic summation order, and the last
-    ``width`` running-total values are retained for the difference
-    term.  State per row is O(width).
-    """
-
-    def __init__(self, n_rows: int, width: int) -> None:
-        if n_rows < 1:
-            raise ConfigurationError(f"need >= 1 row, got {n_rows}")
-        if width < 1:
-            raise ConfigurationError(f"width must be >= 1, got {width}")
-        self.width = width
-        self._tail = np.empty((n_rows, 0))
-        self._seen = 0
-
-    def push(self, chunk: np.ndarray) -> np.ndarray:
-        """Filter one ``(rows, chunk)`` block; returns the same shape."""
-        x = np.asarray(chunk, dtype=float)
-        if x.ndim != 2 or x.shape[0] != self._tail.shape[0]:
-            raise ConfigurationError(
-                f"chunk must be ({self._tail.shape[0]}, samples), got {x.shape}"
-            )
-        if x.shape[1] == 0:
-            return x.copy()
-        width = self.width
-        if self._seen:
-            carry = self._tail[:, -1:]
-            csum = np.cumsum(
-                np.concatenate([carry, x], axis=1), axis=1
-            )[:, 1:]
-        else:
-            csum = np.cumsum(x, axis=1)
-        idx = np.arange(self._seen, self._seen + x.shape[1])
-        out = np.empty_like(x)
-        ramp = idx < width
-        if ramp.any():
-            out[:, ramp] = csum[:, ramp] / (idx[ramp] + 1)
-        full = ~ramp
-        if full.any():
-            ext = np.concatenate([self._tail, csum], axis=1)
-            base = self._seen - self._tail.shape[1]
-            prev = ext[:, (idx[full] - width) - base]
-            out[:, full] = (csum[:, full] - prev) / width
-        ext = np.concatenate([self._tail, csum], axis=1)
-        self._tail = ext[:, -min(width, ext.shape[1]):]
-        self._seen += x.shape[1]
-        return out
-
-
-class StreamingCausalButter:
-    """Chunked causal Butterworth low-pass with carried filter state.
-
-    ``sosfilt`` with a carried ``zi`` is exactly the monolithic causal
-    filter — the recursion state is the only memory the filter has.
-    The zero-phase variant is *not* streamable (its backward pass is
-    anti-causal), which is why the streaming pipeline requires a causal
-    ``filter_kind``.
-    """
-
-    def __init__(
-        self,
-        n_rows: int,
-        cutoff_hz: float = NODE_LOWPASS_CUTOFF_HZ,
-        rate_hz: float = SAMPLE_RATE_HZ,
-        order: int = 4,
-    ) -> None:
-        if n_rows < 1:
-            raise ConfigurationError(f"need >= 1 row, got {n_rows}")
-        self._sos = butter_sos(cutoff_hz, rate_hz, order)
-        self._zi = np.zeros((self._sos.shape[0], n_rows, 2))
-        self._n_rows = n_rows
-
-    def push(self, chunk: np.ndarray) -> np.ndarray:
-        """Filter one ``(rows, chunk)`` block; returns the same shape."""
-        x = np.asarray(chunk, dtype=float)
-        if x.ndim != 2 or x.shape[0] != self._n_rows:
-            raise ConfigurationError(
-                f"chunk must be ({self._n_rows}, samples), got {x.shape}"
-            )
-        if x.shape[1] == 0:
-            return x.copy()
-        y, self._zi = sp_signal.sosfilt(self._sos, x, axis=-1, zi=self._zi)
-        return y
-
-
-def detrend_mean(x: np.ndarray) -> np.ndarray:
-    """Remove the signal mean."""
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        return x.copy()
-    return x - x.mean()
-
-
-def remove_gravity(z_counts: np.ndarray, counts_per_g: float) -> np.ndarray:
-    """Subtract the 1 g standing offset from z-axis counts.
-
-    "Because the z-accelerometer signal fluctuates around 1g, we minus
-    this value and let the signal fluctuate around zero" (Sec. IV-B).
-    """
-    if counts_per_g <= 0:
-        raise ConfigurationError(
-            f"counts_per_g must be positive, got {counts_per_g}"
-        )
-    return np.asarray(z_counts, dtype=float) - counts_per_g

@@ -32,7 +32,6 @@ from repro.detection.node_detector import (
     window_starts,
 )
 from repro.detection.preprocess import (
-    PreprocessConfig,
     preprocess_z_counts,
     preprocess_z_counts_batch,
 )
@@ -168,22 +167,20 @@ def _fleet_samples(
     recording: FleetRecording,
     det_cfg: NodeDetectorConfig,
     decimation: int = 1,
-    preprocess: PreprocessConfig | None = None,
 ) -> tuple[np.ndarray, tuple[float, ...]]:
     """Check and preprocess a fleet recording for the window walk.
 
     Returns the preprocessed ``(nodes, samples)`` matrix, rows in
     deployment order, and each row's start time.  ``decimation`` keeps
-    every n-th raw sample before the ``preprocess`` chain (default: the
-    detector's own); the chain allocates a fresh C-contiguous matrix,
-    so the strided view costs no copy of its own.  A recording sampled
+    every n-th raw sample, and ``det_cfg`` is the detector of that
+    decimated stream; the chain allocates a fresh C-contiguous matrix,
+    so the strided view costs no copy of its own.  A (decimated) rate
     off the detector's ``rate_hz`` would mis-time the shared window
     grid, so it raises.
     """
-    det_cfg.check_sample_rate(recording.rate_hz)
+    det_cfg.check_sample_rate(recording.rate_hz / decimation)
     samples = preprocess_z_counts_batch(
-        recording.z[:, ::decimation],
-        preprocess if preprocess is not None else det_cfg.preprocess,
+        recording.z[:, ::decimation], det_cfg.rate_hz, det_cfg.preprocess
     )
     return samples, recording.t0s
 
@@ -839,7 +836,9 @@ def run_network_scenario(
                     quiet_last, proc.catch_up_quiet_windows, quiet_n, window
                 )
         else:
-            a = preprocess_z_counts(recording.z[i], cfg.detector.preprocess)
+            a = preprocess_z_counts(
+                recording.z[i], cfg.detector.rate_hz, cfg.detector.preprocess
+            )
             for k in np.flatnonzero(plan.live[i]).tolist():
                 start = plan.starts[k]
                 network.sim.schedule_at(
@@ -1020,9 +1019,7 @@ def _dutycycled_reports(
         raise ConfigurationError(
             "duty-cycled detection needs one shared trace start time"
         )
-    coarse_pre, _ = _fleet_samples(
-        recording, det_cfg, decimation, coarse_cfg.preprocess
-    )
+    coarse_pre, _ = _fleet_samples(recording, coarse_cfg, decimation)
     window = det_cfg.window_samples
     coarse_window = coarse_cfg.window_samples
     fleet = FleetDetector.from_deployment(deployment, det_cfg)
@@ -1187,14 +1184,7 @@ def run_dutycycled_scenario(
         else 1
     )
     coarse_cfg = (
-        replace(
-            det_cfg,
-            rate_hz=det_cfg.rate_hz / decimation,
-            preprocess=replace(
-                det_cfg.preprocess,
-                rate_hz=det_cfg.preprocess.rate_hz / decimation,
-            ),
-        )
+        replace(det_cfg, rate_hz=det_cfg.rate_hz / decimation)
         if decimation > 1
         else det_cfg
     )

@@ -24,12 +24,13 @@ Chunking invariants:
   (:meth:`~repro.sensors.accelerometer.Accelerometer.axis_noise_rng`),
   and the generator's normal stream is split-invariant, so chunked
   draws equal the monolithic read's draws bit for bit;
-- the causal preprocessing filters and the fleet window walk carry
-  exact state across chunks.
+- the causal Butterworth and the fleet window walk carry exact state
+  across chunks.
 
 The zero-phase ``"butter"`` preprocessing filter is global (its
 backward pass is anti-causal), so streaming requires one of the
-:data:`~repro.detection.preprocess.STREAMABLE_FILTER_KINDS`.
+:data:`~repro.detection.preprocess.STREAMABLE_FILTER_KINDS`
+(``"butter-causal"``).
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ def run_streaming_scenario(
         disturbances_by_node=disturbances_by_node,
         seed=seed,
     )
-    pre = StreamingPreprocessor(source.n_nodes, det_cfg.preprocess)
+    pre = StreamingPreprocessor(source.n_nodes, det_cfg.rate_hz)
     fleet = FleetDetector.from_deployment(deployment, det_cfg)
     if telemetry is not None:
         fleet.tracer = telemetry.tracer

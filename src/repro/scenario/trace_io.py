@@ -25,7 +25,6 @@ from repro.detection.node_detector import (
     NodeDetectorConfig,
     merge_reports,
 )
-from repro.detection.preprocess import PreprocessConfig
 from repro.detection.reports import NodeReport
 from repro.errors import ConfigurationError
 from repro.types import AccelTrace, Position
@@ -145,10 +144,7 @@ def detect_on_trace(
     """
     z = np.asarray(z_counts)
     if config is None:
-        config = NodeDetectorConfig(
-            rate_hz=rate_hz, preprocess=PreprocessConfig(rate_hz=rate_hz)
-        )
-    config.check_sample_rate(rate_hz)
+        config = NodeDetectorConfig(rate_hz=rate_hz)
     trace = AccelTrace(
         t0=t0,
         rate_hz=rate_hz,

@@ -80,13 +80,22 @@ class Accelerometer:
 
         ``axis`` is 0 (x), 1 (y) or 2 (z) and selects which bias applies.
         """
+        return self._digitise(accel_mps2, axis, self._noise_rng)
+
+    def _digitise(
+        self,
+        accel_mps2: npt.ArrayLike,
+        axis: int,
+        noise_rng: np.random.Generator,
+    ) -> np.ndarray:
+        """Convert, add bias and ``noise_rng``'s noise, clip, quantise."""
         if axis not in (0, 1, 2):
             raise ConfigurationError(f"axis must be 0, 1 or 2, got {axis}")
         ideal = self.mps2_to_counts(accel_mps2)
         noisy = (
             ideal
             + self._bias[axis]
-            + self._noise_rng.normal(0.0, self.spec.noise_rms_counts, ideal.shape)
+            + noise_rng.normal(0.0, self.spec.noise_rms_counts, ideal.shape)
         )
         limit = self.spec.max_counts
         clipped = np.clip(noisy, -limit, limit)
@@ -147,14 +156,4 @@ class Accelerometer:
         chunk; successive chunks reproduce a monolithic read of that
         axis bit for bit.
         """
-        if axis not in (0, 1, 2):
-            raise ConfigurationError(f"axis must be 0, 1 or 2, got {axis}")
-        ideal = self.mps2_to_counts(accel_mps2)
-        noisy = (
-            ideal
-            + self._bias[axis]
-            + noise_rng.normal(0.0, self.spec.noise_rms_counts, ideal.shape)
-        )
-        limit = self.spec.max_counts
-        clipped = np.clip(noisy, -limit, limit)
-        return np.rint(clipped).astype(np.int64)
+        return self._digitise(accel_mps2, axis, noise_rng)

@@ -12,9 +12,8 @@ from repro.detection.node_detector import (
     merge_reports,
     window_starts,
 )
-from repro.detection.preprocess import PreprocessConfig
 from repro.detection.reports import NodeReport
-from repro.types import Position
+from repro.types import AccelTrace, Position
 
 
 def _config(**kw):
@@ -117,6 +116,15 @@ class TestOffline:
         det = _detector(hop_s=2.0)  # no overlap
         assert det.config.hop_samples == det.config.window_samples
 
+    def test_process_trace_checks_sample_rate(self, rng):
+        # The detector filters and windows at its own rate, so a 25 Hz
+        # trace through the 50 Hz default would be silently mis-timed.
+        z = np.rint(1024 + 20 * rng.normal(size=2000)).astype(np.int64)
+        trace = AccelTrace(t0=0.0, rate_hz=25.0, x=z, y=z, z=z)
+        with pytest.raises(ConfigurationError, match="disagrees"):
+            _detector().process_trace(trace)
+        assert isinstance(_detector(rate_hz=25.0).process_trace(trace), list)
+
 
 class TestMergeReports:
     def _report(self, t, energy=1.0, af=0.8):
@@ -169,6 +177,8 @@ class TestConfigValidation:
             dict(init_windows=0),
             dict(rate_hz=0.0),
             dict(beta1=1.5),
+            # The 1 Hz low-pass needs a rate above its Nyquist rate.
+            dict(rate_hz=2.0),
         ],
     )
     def test_invalid(self, kw):
@@ -177,15 +187,7 @@ class TestConfigValidation:
 
     def test_window_samples(self):
         assert _config(window_s=2.0, rate_hz=50.0).window_samples == 100
-
-    def test_preprocess_rate_must_match(self):
-        # A preprocess chain designed at 50 Hz mis-filters 25 Hz data.
-        with pytest.raises(ConfigurationError, match="disagrees"):
-            _config(rate_hz=25.0)
-        at_25 = PreprocessConfig(rate_hz=25.0)
-        assert _config(rate_hz=25.0, preprocess=at_25).window_samples == 50
-        # Within the 1e-3 relative tolerance the rates count as equal.
-        _config(preprocess=PreprocessConfig(rate_hz=50.04))
+        assert _config(window_s=2.0, rate_hz=25.0).window_samples == 50
 
     def test_default_hop_is_half_window(self):
         assert _config().hop_samples == 50

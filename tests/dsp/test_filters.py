@@ -5,14 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.constants import ACCEL_COUNTS_PER_G
 from repro.errors import ConfigurationError, SignalLengthError
-from repro.dsp.filters import (
-    butter_lowpass,
-    detrend_mean,
-    moving_average,
-    remove_gravity,
-)
+from repro.dsp.filters import butter_lowpass, moving_average
 
 
 def _two_tone(rate=50.0, dur=60.0):
@@ -34,19 +28,27 @@ class TestButterworth:
         rate = 50.0
         t = np.arange(0, 60, 1 / rate)
         sig = np.exp(-0.5 * ((t - 30) / 2.0) ** 2)
-        out = butter_lowpass(sig, 1.0, rate, zero_phase=True)
+        out = butter_lowpass(sig, 1.0, rate)
         assert abs(t[np.argmax(out)] - 30.0) < 0.1
-
-    def test_causal_variant_delays(self):
-        rate = 50.0
-        t = np.arange(0, 60, 1 / rate)
-        sig = np.exp(-0.5 * ((t - 30) / 2.0) ** 2)
-        out = butter_lowpass(sig, 1.0, rate, zero_phase=False)
-        assert t[np.argmax(out)] > 30.0
 
     def test_rejects_short_signal(self):
         with pytest.raises(SignalLengthError):
             butter_lowpass(np.ones(5), 1.0, 50.0)
+        # The order-4 filter's forward-backward pass pads 15 samples at
+        # each end and needs strictly more samples than that.
+        with pytest.raises(SignalLengthError):
+            butter_lowpass(np.ones(15), 1.0, 50.0)
+        assert butter_lowpass(np.ones(16), 1.0, 50.0).shape == (16,)
+
+    def test_filters_rows_along_last_axis(self):
+        t, sig = _two_tone()
+        rows = np.stack([sig, -sig, 2 * sig])
+        out = butter_lowpass(rows, 1.0, 50.0)
+        for row, want in zip(out, rows):
+            assert np.array_equal(row, butter_lowpass(want, 1.0, 50.0))
+        # The length guard reads the last axis, not the total size.
+        with pytest.raises(SignalLengthError):
+            butter_lowpass(np.ones((100, 15)), 1.0, 50.0)
 
     def test_rejects_bad_cutoff(self):
         with pytest.raises(ConfigurationError):
@@ -94,23 +96,3 @@ class TestMovingAverage:
     def test_rejects_bad_width(self):
         with pytest.raises(ConfigurationError):
             moving_average(np.ones(10), 0)
-
-
-def test_detrend_mean():
-    x = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(detrend_mean(x), [-1.0, 0.0, 1.0])
-
-
-def test_detrend_empty():
-    assert detrend_mean(np.array([])).size == 0
-
-
-def test_remove_gravity():
-    z = np.full(10, ACCEL_COUNTS_PER_G + 5.0)
-    out = remove_gravity(z, ACCEL_COUNTS_PER_G)
-    assert np.allclose(out, 5.0)
-
-
-def test_remove_gravity_rejects_bad_scale():
-    with pytest.raises(ConfigurationError):
-        remove_gravity(np.ones(4), 0.0)

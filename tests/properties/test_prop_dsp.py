@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.dsp.features import smooth_spectrum, spectral_entropy
-from repro.dsp.filters import detrend_mean, moving_average
+from repro.dsp.filters import moving_average
 from repro.dsp.stft import stft_segments
 from repro.dsp.window import get_window
 
@@ -17,13 +17,6 @@ _signals = hnp.arrays(
     shape=st.integers(8, 400),
     elements=st.floats(-1e6, 1e6, allow_nan=False, width=64),
 )
-
-
-@given(_signals)
-def test_detrend_mean_is_zero_mean(x):
-    out = detrend_mean(x)
-    scale = max(np.abs(x).max(), 1.0)
-    assert abs(out.mean()) < 1e-6 * scale
 
 
 @given(_signals, st.integers(1, 50))

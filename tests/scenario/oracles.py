@@ -89,7 +89,9 @@ def network_outcomes(
         detector = NodeDetector(
             node.node_id, node.anchor, det_cfg, row=node.row, column=node.column
         )
-        a = preprocess_z_counts(recording.z[i], det_cfg.preprocess)
+        a = preprocess_z_counts(
+            recording.z[i], det_cfg.rate_hz, det_cfg.preprocess
+        )
         rows = []
         for k, start in enumerate(window_starts(det_cfg, a.size)):
             t_start = t0 + start / rate
@@ -129,11 +131,13 @@ def sequential_dutycycle(
         for n in deployment
     }
     preprocessed = {
-        nid: preprocess_z_counts(z, det_cfg.preprocess)
+        nid: preprocess_z_counts(z, det_cfg.rate_hz, det_cfg.preprocess)
         for nid, z in zip(recording.node_ids, recording.z)
     }
     coarse_preprocessed = {
-        nid: preprocess_z_counts(z[::decimation], coarse_cfg.preprocess)
+        nid: preprocess_z_counts(
+            z[::decimation], coarse_cfg.rate_hz, coarse_cfg.preprocess
+        )
         for nid, z in zip(recording.node_ids, recording.z)
     }
     window = det_cfg.window_samples

@@ -255,7 +255,7 @@ class TestFleetInputChecks:
         det = NodeDetectorConfig(
             m=2.0,
             af_threshold=0.4,
-            preprocess=PreprocessConfig(filter_kind="moving-average"),
+            preprocess=PreprocessConfig(filter_kind="butter-causal"),
         )
         detector = (
             {"sid_config": SIDNodeConfig(detector=det)}

@@ -182,7 +182,7 @@ class TestDutyCycleEngineParity:
 
 
 class TestStreamingScenario:
-    @pytest.mark.parametrize("kind", ["butter-causal", "moving-average"])
+    @pytest.mark.parametrize("kind", ["butter-causal"])
     def test_matches_monolithic_offline(self, kind):
         det = _detector()
         det = replace(det, preprocess=replace(det.preprocess, filter_kind=kind))
@@ -219,7 +219,7 @@ class TestStreamingScenario:
         det = _detector()
         det = replace(
             det,
-            preprocess=replace(det.preprocess, filter_kind="moving-average"),
+            preprocess=replace(det.preprocess, filter_kind="butter-causal"),
         )
         with pytest.raises(ConfigurationError):
             run_streaming_scenario(

@@ -69,7 +69,7 @@ def _streaming(telemetry=None):
     )
     det = NodeDetectorConfig(m=2.0, af_threshold=0.5)
     det = replace(
-        det, preprocess=replace(det.preprocess, filter_kind="moving-average")
+        det, preprocess=replace(det.preprocess, filter_kind="butter-causal")
     )
     return run_streaming_scenario(
         dep,
