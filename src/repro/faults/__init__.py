@@ -1,8 +1,9 @@
 """Fault injection and graceful degradation across the SID stack.
 
 See :mod:`repro.faults.plan` for the declarative fault model,
-:mod:`repro.faults.injector` for compilation against a run, and the
-layer decorators in :mod:`repro.faults.sensor` /
+:mod:`repro.faults.injector` for compilation against a run,
+:mod:`repro.faults.sensor` for the sensor faults applied to a run's
+recorded counts, and the channel and delivery decorators in
 :mod:`repro.faults.network`.
 """
 
@@ -21,7 +22,7 @@ from repro.faults.plan import (
     SensorFault,
     SensorFaultKind,
 )
-from repro.faults.sensor import FaultyAccelerometer
+from repro.faults.sensor import corrupt_counts
 
 __all__ = [
     "BatteryDrain",
@@ -31,7 +32,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultStats",
-    "FaultyAccelerometer",
     "FaultyChannel",
     "GilbertElliott",
     "LinkBlackout",
@@ -40,4 +40,5 @@ __all__ = [
     "NodeCrash",
     "SensorFault",
     "SensorFaultKind",
+    "corrupt_counts",
 ]

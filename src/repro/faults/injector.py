@@ -1,11 +1,12 @@
 """Compiling a :class:`FaultPlan` against one scenario run.
 
 The injector owns the plan's entropy (independent derived streams per
-fault family), builds the layer-specific decorators, and schedules the
-event-driven faults — node crash/reboot and battery drain — on the
-scenario's discrete-event loop.  Counters accumulate in one
-:class:`repro.faults.plan.FaultStats` shared by every hook, so the
-scenario result can report exact injected-fault counts.
+fault family), applies the sensor faults to the counts a run recorded,
+builds the network decorators, and schedules the event-driven faults —
+node crash/reboot and battery drain — on the scenario's discrete-event
+loop.  Counters accumulate in one :class:`repro.faults.plan.FaultStats`
+shared by every hook, so the scenario result can report exact
+injected-fault counts.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ import numpy as np
 
 from repro.faults.network import DeliveryFaults, FaultyChannel
 from repro.faults.plan import BatteryDrain, FaultPlan, FaultStats, NodeCrash
-from repro.faults.sensor import FaultyAccelerometer
+from repro.faults.sensor import corrupt_counts
 from repro.network.channel import Channel
 from repro.rng import derive_rng
-from repro.sensors.accelerometer import Accelerometer
 from repro.telemetry.events import CAT_FAULT
 from repro.telemetry.tracer import Tracer
 
@@ -32,7 +32,7 @@ class FaultInjector:
     """One plan, compiled and armed for one run.
 
     Construction is cheap and side-effect free; nothing touches the
-    scenario until :meth:`wrap_channel` / :meth:`sensor_wrapper` /
+    scenario until :meth:`corrupt_counts` / :meth:`wrap_channel` /
     :meth:`install` are invoked.  An inactive plan short-circuits every
     method, so the unfaulted path stays byte-identical to a run without
     an injector at all.
@@ -62,26 +62,31 @@ class FaultInjector:
         return self.plan.active
 
     # ------------------------------------------------------------------
-    # Layer decorators
+    # Sensor faults and network decorators
     # ------------------------------------------------------------------
-    def sensor_wrapper(
+    def corrupt_counts(
         self,
         node_id: int,
-        inner: Accelerometer,
+        z: np.ndarray,
         t0: float,
         rate_hz: float,
-    ) -> Optional[FaultyAccelerometer]:
-        """The faulted accelerometer for ``node_id``, or None if healthy."""
+        max_counts: int,
+    ) -> np.ndarray:
+        """``node_id``'s recorded z counts with its sensor faults applied.
+
+        A node the plan leaves healthy gets ``z`` itself back.
+        """
         faults = self.plan.sensor_faults_for(node_id)
         if not faults:
-            return None
-        return FaultyAccelerometer(
-            inner,
+            return z
+        return corrupt_counts(
+            z,
             faults,
-            t0=t0,
-            rate_hz=rate_hz,
-            rng=self._stream(f"sensor-{node_id}"),
-            stats=self.stats,
+            t0,
+            rate_hz,
+            max_counts,
+            self._stream(f"sensor-{node_id}"),
+            self.stats,
         )
 
     def wrap_channel(self, channel: Channel) -> Channel:

@@ -49,7 +49,7 @@ class SensorFaultKind(Enum):
 
 @dataclass(frozen=True)
 class SensorFault:
-    """One time-windowed fault on one node's accelerometer axis."""
+    """One time-windowed fault on one node's z accelerometer counts."""
 
     node_id: int
     kind: SensorFaultKind
@@ -58,16 +58,12 @@ class SensorFault:
     magnitude: float = 0.0
     #: Mean impulse rate for :attr:`SensorFaultKind.SPIKE` [1/s].
     rate_hz: float = 1.0
-    #: Affected axis (0=x, 1=y, 2=z); detection only reads z.
-    axis: int = 2
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
             raise ConfigurationError(
                 f"duration_s must be positive, got {self.duration_s}"
             )
-        if self.axis not in (0, 1, 2):
-            raise ConfigurationError(f"axis must be 0, 1 or 2, got {self.axis}")
         if self.kind is SensorFaultKind.SPIKE and self.rate_hz <= 0:
             raise ConfigurationError(
                 f"spike rate_hz must be positive, got {self.rate_hz}"
@@ -465,43 +461,23 @@ class FaultPlan:
         )
 
 
+@dataclass
 class FaultStats:
-    """Counters for everything the framework injected or absorbed.
+    """Counters for everything the fault plan injected.
 
-    Injection counters are filled by the fault hooks; the degradation
-    counters (retransmits, stale drops) by the network layer's
-    resilience machinery.  ``as_dict`` snapshots both so scenario
-    results can assert exact counts.
+    Filled by the fault hooks; the scenario runner snapshots them with
+    :func:`dataclasses.asdict` so results can assert exact counts.
+    ``sensor_samples_faulted`` is a per-sample volume, not a count of
+    fault events.
     """
 
-    def __init__(self) -> None:
-        self.sensor_faults_injected = 0
-        self.sensor_samples_faulted = 0
-        self.node_crashes = 0
-        self.node_reboots = 0
-        self.battery_drains = 0
-        self.frames_burst_lost = 0
-        self.frames_blackout_lost = 0
-        self.frames_duplicated = 0
-        self.frames_delayed = 0
-        self.resyncs_suppressed = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Snapshot of the injection counters."""
-        return {
-            "sensor_faults_injected": self.sensor_faults_injected,
-            "sensor_samples_faulted": self.sensor_samples_faulted,
-            "node_crashes": self.node_crashes,
-            "node_reboots": self.node_reboots,
-            "battery_drains": self.battery_drains,
-            "frames_burst_lost": self.frames_burst_lost,
-            "frames_blackout_lost": self.frames_blackout_lost,
-            "frames_duplicated": self.frames_duplicated,
-            "frames_delayed": self.frames_delayed,
-            "resyncs_suppressed": self.resyncs_suppressed,
-        }
-
-    @property
-    def total_injected(self) -> int:
-        """Total fault events injected across all layers."""
-        return sum(self.as_dict().values())
+    sensor_faults_injected: int = 0
+    sensor_samples_faulted: int = 0
+    node_crashes: int = 0
+    node_reboots: int = 0
+    battery_drains: int = 0
+    frames_burst_lost: int = 0
+    frames_blackout_lost: int = 0
+    frames_duplicated: int = 0
+    frames_delayed: int = 0
+    resyncs_suppressed: int = 0

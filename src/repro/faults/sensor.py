@@ -1,11 +1,9 @@
-"""Sensor-layer fault injection: a decorator around the accelerometer.
+"""Sensor-layer fault injection on the recorded counts.
 
-:class:`FaultyAccelerometer` wraps :class:`repro.sensors.accelerometer.
-Accelerometer` and applies the plan's time-windowed pathologies to the
-raw counts the device reports.  The wrapper assumes what the mote
-guarantees: ``read``/``read_axis`` receive the full, contiguous record
-of one scenario starting at the synthesis epoch, so sample index ``i``
-maps to time ``t0 + i / rate_hz``.
+:func:`corrupt_counts` applies one node's time-windowed pathologies to
+the raw z counts its mote recorded.  The counts are the full,
+contiguous record of one scenario starting at the synthesis epoch, so
+sample index ``i`` maps to time ``t0 + i / rate_hz``.
 
 Everything downstream (preprocessing, eqs. 4-8, cluster fusion) sees
 the faulted counts with no idea a fault model exists — exactly how a
@@ -14,127 +12,83 @@ real stuck-at accelerometer presents.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
-import numpy.typing as npt
 
 from repro.faults.plan import FaultStats, SensorFault, SensorFaultKind
-from repro.sensors.accelerometer import Accelerometer
 
 
-class FaultyAccelerometer:
-    """Accelerometer decorator applying time-windowed fault transforms.
+def corrupt_counts(
+    z: np.ndarray,
+    faults: Sequence[SensorFault],
+    t0: float,
+    rate_hz: float,
+    max_counts: int,
+    rng: np.random.Generator,
+    stats: FaultStats,
+) -> np.ndarray:
+    """One node's recorded z counts with its sensor faults applied.
 
-    Parameters
-    ----------
-    inner:
-        The healthy device being wrapped.
-    faults:
-        The sensor faults afflicting this device.
-    t0, rate_hz:
-        Time base of the record the device will digitise.
-    rng:
-        Stream for the stochastic fault kinds (spike, dropout) — derived
-        from the fault plan's seed, never shared with the device noise.
-    stats:
-        Counter sink for injected-fault accounting.
+    The faults act in plan order on a float copy of ``z``; the result
+    is re-clipped to ±``max_counts`` and rounded back to int64 counts,
+    as the device itself would.  ``z`` itself comes back when no fault
+    touched a sample.  ``rng`` feeds the stochastic kinds (spike,
+    dropout): a stream derived from the fault plan's seed, never the
+    device noise.  A fault that touches samples counts once in
+    ``stats.sensor_faults_injected`` and by those samples in
+    ``stats.sensor_samples_faulted``.
     """
-
-    def __init__(
-        self,
-        inner: Accelerometer,
-        faults: Sequence[SensorFault],
-        t0: float,
-        rate_hz: float,
-        rng: np.random.Generator,
-        stats: FaultStats | None = None,
-    ) -> None:
-        self.inner = inner
-        self.faults = tuple(faults)
-        self._t0 = t0
-        self._rate = rate_hz
-        self._rng = rng
-        self._stats = stats if stats is not None else FaultStats()
-        self._activated: set[int] = set()
-
-    def __getattr__(self, name: str) -> Any:
-        # Everything not fault-related (spec, bias_counts,
-        # mps2_to_counts...) behaves exactly like the healthy device.
-        return getattr(self.inner, name)
-
-    def read_axis(self, accel_mps2: npt.ArrayLike, axis: int) -> np.ndarray:
-        """Digitise one axis, then push it through the fault transforms."""
-        counts = self.inner.read_axis(accel_mps2, axis)
-        return self._apply(counts, axis)
-
-    def read(
-        self,
-        fx_mps2: npt.ArrayLike,
-        fy_mps2: npt.ArrayLike,
-        fz_mps2: npt.ArrayLike,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Digitise a three-axis record with faults applied per axis."""
-        return (
-            self.read_axis(fx_mps2, 0),
-            self.read_axis(fy_mps2, 1),
-            self.read_axis(fz_mps2, 2),
+    out = np.asarray(z, dtype=float).copy()
+    t = t0 + np.arange(out.size) / rate_hz
+    touched = False
+    for fault in faults:
+        sel = np.flatnonzero(
+            (t >= fault.start_s) & (t < fault.start_s + fault.duration_s)
         )
+        if sel.size == 0:
+            continue
+        affected = _apply_one(out, t, sel, fault, rate_hz, max_counts, rng)
+        if affected == 0:
+            continue
+        touched = True
+        stats.sensor_faults_injected += 1
+        stats.sensor_samples_faulted += affected
+    if not touched:
+        return z
+    return np.rint(np.clip(out, -max_counts, max_counts)).astype(np.int64)
 
-    # ------------------------------------------------------------------
-    def _apply(self, counts: np.ndarray, axis: int) -> np.ndarray:
-        out = np.atleast_1d(np.asarray(counts, dtype=float)).copy()
-        t = self._t0 + np.arange(out.size) / self._rate
-        touched = False
-        for idx, fault in enumerate(self.faults):
-            if fault.axis != axis:
-                continue
-            sel = np.flatnonzero(
-                (t >= fault.start_s) & (t < fault.start_s + fault.duration_s)
-            )
-            if sel.size == 0:
-                continue
-            affected = self._apply_one(out, t, sel, fault)
-            if affected == 0:
-                continue
-            touched = True
-            self._stats.sensor_samples_faulted += affected
-            if idx not in self._activated:
-                self._activated.add(idx)
-                self._stats.sensor_faults_injected += 1
-        if not touched:
-            return np.asarray(counts)
-        limit = self.inner.spec.max_counts
-        result = np.rint(np.clip(out, -limit, limit)).astype(np.int64)
-        return result.reshape(np.shape(counts))
 
-    def _apply_one(
-        self,
-        out: np.ndarray,
-        t: np.ndarray,
-        sel: np.ndarray,
-        fault: SensorFault,
-    ) -> int:
-        kind = fault.kind
-        if kind is SensorFaultKind.STUCK_AT:
-            out[sel] = fault.magnitude
-            return sel.size
-        if kind is SensorFaultKind.DRIFT:
-            out[sel] += fault.magnitude * (t[sel] - fault.start_s)
-            return sel.size
-        if kind is SensorFaultKind.SATURATION:
-            limit = fault.magnitude * self.inner.spec.max_counts
-            out[sel] = np.clip(out[sel], -limit, limit)
-            return sel.size
-        if kind is SensorFaultKind.SPIKE:
-            p = min(fault.rate_hz / self._rate, 1.0)
-            hits = sel[self._rng.random(sel.size) < p]
-            if hits.size:
-                signs = self._rng.choice((-1.0, 1.0), size=hits.size)
-                out[hits] += signs * fault.magnitude
-            return int(hits.size)
-        if kind is SensorFaultKind.DROPOUT:
-            hits = sel[self._rng.random(sel.size) < fault.magnitude]
-            out[hits] = 0.0
-            return int(hits.size)
-        raise AssertionError(f"unhandled sensor fault kind: {kind}")
+def _apply_one(
+    out: np.ndarray,
+    t: np.ndarray,
+    sel: np.ndarray,
+    fault: SensorFault,
+    rate_hz: float,
+    max_counts: int,
+    rng: np.random.Generator,
+) -> int:
+    """Apply one fault to ``out[sel]``; returns the samples it touched."""
+    kind = fault.kind
+    if kind is SensorFaultKind.STUCK_AT:
+        out[sel] = fault.magnitude
+        return sel.size
+    if kind is SensorFaultKind.DRIFT:
+        out[sel] += fault.magnitude * (t[sel] - fault.start_s)
+        return sel.size
+    if kind is SensorFaultKind.SATURATION:
+        limit = fault.magnitude * max_counts
+        out[sel] = np.clip(out[sel], -limit, limit)
+        return sel.size
+    if kind is SensorFaultKind.SPIKE:
+        p = min(fault.rate_hz / rate_hz, 1.0)
+        hits = sel[rng.random(sel.size) < p]
+        if hits.size:
+            signs = rng.choice((-1.0, 1.0), size=hits.size)
+            out[hits] += signs * fault.magnitude
+        return int(hits.size)
+    if kind is SensorFaultKind.DROPOUT:
+        hits = sel[rng.random(sel.size) < fault.magnitude]
+        out[hits] = 0.0
+        return int(hits.size)
+    raise AssertionError(f"unhandled sensor fault kind: {kind}")

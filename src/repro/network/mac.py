@@ -225,20 +225,11 @@ class Mac:
             self.sim.schedule(airtime, on_failed, frame)
 
 
+@dataclass
 class MacStats:
     """Counters for the ablation/network benchmarks."""
 
-    def __init__(self) -> None:
-        self.transmissions = 0
-        self.collisions = 0
-        self.retries = 0
-        self.drops = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Snapshot of the counters."""
-        return {
-            "transmissions": self.transmissions,
-            "collisions": self.collisions,
-            "retries": self.retries,
-            "drops": self.drops,
-        }
+    transmissions: int = 0
+    collisions: int = 0
+    retries: int = 0
+    drops: int = 0

@@ -97,6 +97,7 @@ class RetransmitPolicy:
             )
 
 
+@dataclass
 class ResilienceStats:
     """Counters for the graceful-degradation and self-healing machinery.
 
@@ -105,40 +106,20 @@ class ResilienceStats:
     (windows during which those nodes cannot detect anything).
     """
 
-    def __init__(self) -> None:
-        self.report_retransmits = 0
-        self.stale_reports_dropped = 0
-        self.frames_dropped_dead_node = 0
-        self.subtrees_orphaned = 0
-        self.reroutes = 0
-        self.parents_declared_dead = 0
-        self.frames_healed = 0
-        self.hop_retransmits = 0
-        self.relay_frames_abandoned = 0
-        self.relay_queue_drops = 0
-        self.relay_dups_dropped = 0
-        self.sentinel_demotions = 0
-        self.cold_restarts = 0
-        self.baseline_blind_window_s = 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        """Snapshot of the counters."""
-        return {
-            "report_retransmits": self.report_retransmits,
-            "stale_reports_dropped": self.stale_reports_dropped,
-            "frames_dropped_dead_node": self.frames_dropped_dead_node,
-            "subtrees_orphaned": self.subtrees_orphaned,
-            "reroutes": self.reroutes,
-            "parents_declared_dead": self.parents_declared_dead,
-            "frames_healed": self.frames_healed,
-            "hop_retransmits": self.hop_retransmits,
-            "relay_frames_abandoned": self.relay_frames_abandoned,
-            "relay_queue_drops": self.relay_queue_drops,
-            "relay_dups_dropped": self.relay_dups_dropped,
-            "sentinel_demotions": self.sentinel_demotions,
-            "cold_restarts": self.cold_restarts,
-            "baseline_blind_window_s": self.baseline_blind_window_s,
-        }
+    report_retransmits: int = 0
+    stale_reports_dropped: int = 0
+    frames_dropped_dead_node: int = 0
+    subtrees_orphaned: int = 0
+    reroutes: int = 0
+    parents_declared_dead: int = 0
+    frames_healed: int = 0
+    hop_retransmits: int = 0
+    relay_frames_abandoned: int = 0
+    relay_queue_drops: int = 0
+    relay_dups_dropped: int = 0
+    sentinel_demotions: int = 0
+    cold_restarts: int = 0
+    baseline_blind_window_s: float = 0.0
 
 
 class SinkNode:
@@ -372,8 +353,8 @@ class NetworkNode:
                 # head -> sink.
                 static_head = self.network.static_head_of(self.node_id)
                 if static_head == self.node_id:
-                    self._send_sink_reliable(
-                        ClusterReportMsg(report=action.report)
+                    self._send_reliable(
+                        None, ClusterReportMsg(report=action.report)
                     )
                 else:
                     self._send_reliable(
@@ -393,53 +374,31 @@ class NetworkNode:
     # ------------------------------------------------------------------
     def _send_reliable(
         self,
-        dst: int,
+        dst: Optional[int],
         payload: object,
         attempt: int = 0,
         first_try_at: Optional[float] = None,
     ) -> None:
-        """Unicast a report, re-queueing on MAC-level drop when enabled.
+        """Send a report to ``dst``, or toward the sink when None.
 
-        With no :class:`RetransmitPolicy` installed this is a plain
-        unicast — identical behaviour (and RNG consumption) to the
-        pre-resilience transport.
+        With a :class:`RetransmitPolicy` installed, a MAC-level drop
+        re-queues the report through :meth:`_retry_reliable`; with none
+        this is a plain send — identical behaviour (and RNG
+        consumption) to the pre-resilience transport.
         """
-        policy = self.network.retransmit
-        if policy is None:
-            self.network.unicast(self.node_id, dst, payload)
-            return
-        first_at = (
-            self.network.sim.now if first_try_at is None else first_try_at
-        )
+        network = self.network
+        on_failed: Optional[Callable[[Frame], None]] = None
+        if network.retransmit is not None:
+            first_at = network.sim.now if first_try_at is None else first_try_at
 
-        def on_failed(_frame: Frame) -> None:
-            self._retry_reliable(dst, payload, attempt, first_at)
+            def retry(_frame: Frame) -> None:
+                self._retry_reliable(dst, payload, attempt, first_at)
 
-        self.network.unicast(
-            self.node_id, dst, payload, on_failed=on_failed
-        )
-
-    def _send_sink_reliable(
-        self,
-        payload: object,
-        attempt: int = 0,
-        first_try_at: Optional[float] = None,
-    ) -> None:
-        """Sink-bound variant of :meth:`_send_reliable`."""
-        policy = self.network.retransmit
-        if policy is None:
-            self.network.send_to_sink(self.node_id, payload)
-            return
-        first_at = (
-            self.network.sim.now if first_try_at is None else first_try_at
-        )
-
-        def on_failed(_frame: Frame) -> None:
-            self._retry_reliable(None, payload, attempt, first_at)
-
-        self.network.send_to_sink(
-            self.node_id, payload, on_failed=on_failed
-        )
+            on_failed = retry
+        if dst is None:
+            network.send_to_sink(self.node_id, payload, on_failed=on_failed)
+        else:
+            network.unicast(self.node_id, dst, payload, on_failed=on_failed)
 
     def _retry_reliable(
         self,
@@ -462,15 +421,14 @@ class NetworkNode:
             stats.stale_reports_dropped += 1
             return
         stats.report_retransmits += 1
-        delay = policy.base_backoff_s * (2.0**attempt)
-        if dst is None:
-            self.network.sim.schedule(
-                delay, self._send_sink_reliable, payload, attempt + 1, first_try_at
-            )
-        else:
-            self.network.sim.schedule(
-                delay, self._send_reliable, dst, payload, attempt + 1, first_try_at
-            )
+        self.network.sim.schedule(
+            policy.base_backoff_s * (2.0**attempt),
+            self._send_reliable,
+            dst,
+            payload,
+            attempt + 1,
+            first_try_at,
+        )
 
     # ------------------------------------------------------------------
     # Frame reception

@@ -326,36 +326,3 @@ class Simulator:
             self._processed += executed
             self._running = False
         return executed
-
-    def step(self) -> bool:
-        """Execute exactly one (non-cancelled) event; False when empty."""
-        queue = self._queue
-        while queue:
-            entry = heapq.heappop(queue)
-            event = entry[2]
-            event._queued = False
-            if event.cancelled:
-                self._cancelled_in_queue -= 1
-                continue
-            self._now = entry[0]
-            probe = self._probe
-            if probe is None:
-                event.fn(*event.args)
-            else:
-                probe.on_event_begin(entry[0], event)
-                try:
-                    event.fn(*event.args)
-                finally:
-                    probe.on_event_end(event)
-            self._processed += 1
-            interval = event.interval
-            if interval is not None and not event.cancelled:
-                next_time = entry[0] + interval
-                if event.until is None or next_time < event.until:
-                    event.time = next_time
-                    event._queued = True
-                    heapq.heappush(
-                        queue, (next_time, event.seq, event)
-                    )
-            return True
-        return False

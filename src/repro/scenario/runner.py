@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.detection.cluster import (
@@ -40,7 +41,7 @@ from repro.detection.sid import SIDNode, SIDNodeConfig
 from repro.detection.sink import Sink
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import BatteryDrain, FaultPlan
+from repro.faults.plan import BatteryDrain, FaultPlan, FaultStats
 from repro.network.channel import Channel, ChannelConfig
 from repro.network.mac import MacConfig
 from repro.network.nodeproc import RetransmitPolicy, SensorNetwork
@@ -50,7 +51,6 @@ from repro.rng import RandomState, derive_rng, make_rng
 from repro.sanitize import Sanitizer
 import numpy as np
 from repro.scenario.deployment import DeployedNode, GridDeployment
-from repro.sensors.accelerometer import Accelerometer
 from repro.scenario.ship import ShipTrack
 from repro.scenario.synthesis import SynthesisConfig, synthesize_fleet_traces
 from repro.telemetry.session import Telemetry, maybe_stage
@@ -366,35 +366,18 @@ class NetworkScenarioResult:
         """True when any sink decision confirmed an intrusion."""
         return any(d.intrusion for d in self.decisions)
 
-    #: Keys in ``fault_stats`` that count degradation work absorbed,
-    #: not faults injected.
-    RESILIENCE_KEYS = frozenset(
-        {
-            "report_retransmits",
-            "stale_reports_dropped",
-            "frames_dropped_dead_node",
-            "subtrees_orphaned",
-            "reroutes",
-            "parents_declared_dead",
-            "frames_healed",
-            "hop_retransmits",
-            "relay_frames_abandoned",
-            "relay_queue_drops",
-            "relay_dups_dropped",
-            "sentinel_demotions",
-            "cold_restarts",
-            "baseline_blind_window_s",
-        }
-    )
-    #: Volume metrics (per-sample tallies), not discrete fault events.
-    VOLUME_KEYS = frozenset({"sensor_samples_faulted"})
-
     @property
     def faults_injected(self) -> int:
-        """Total discrete fault events injected across all layers."""
-        skip = self.RESILIENCE_KEYS | self.VOLUME_KEYS
+        """Total discrete fault events injected across all layers.
+
+        Sums the :class:`~repro.faults.plan.FaultStats` entries of
+        ``fault_stats`` except the per-sample volume
+        ``sensor_samples_faulted``.
+        """
         return sum(
-            v for k, v in self.fault_stats.items() if k not in skip
+            self.fault_stats.get(f.name, 0)
+            for f in fields(FaultStats)
+            if f.name != "sensor_samples_faulted"
         )
 
 
@@ -489,39 +472,26 @@ def _fleet_network_outcomes(
     return out
 
 
-def _head_active_intervals(
-    rows: list[tuple[int, Optional[NodeReport], bool]],
-    t_end: list[float],
-    guard_s: float,
-) -> list[tuple[float, float]]:
-    """Time intervals in which one node's SID state can do real work.
+def _head_active(report_ends: list[float], t: float, guard_s: float) -> bool:
+    """True when one node may head an open temporary cluster at ``t``.
 
     A node's report-less window feeds and timer ticks have observable
     effects beyond battery billing only while that node *heads an open
     temporary cluster* — and a cluster opens exclusively at one of the
     node's own report-dispatch feeds (``_actions_for_report`` with a
     non-None report) and closes no later than its collection deadline
-    plus one tick of slack.  So the intervals start at the node's own
-    report window end times (``t_end``) and extend ``guard_s`` past
-    them; outside the merged union the node is provably not an active
-    head, its ``on_timer`` returns without touching anything, and
-    membership / baseline-init bookkeeping defers benignly to the next
-    retained event (every SID entry point re-runs ``_expire_membership``
-    with the same clock comparison, and ``on_cluster_setup`` overwrites
+    plus one tick of slack.  So the node may be an active head at
+    ``t`` iff the last of its report window end times at or before
+    ``t`` (``report_ends``, ascending) lies within ``guard_s`` of it.
+    Otherwise the node is provably not an active head, its
+    ``on_timer`` returns without touching anything, and membership /
+    baseline-init bookkeeping defers benignly to the next retained
+    event (every SID entry point re-runs ``_expire_membership`` with
+    the same clock comparison, and ``on_cluster_setup`` overwrites
     membership unconditionally for non-heads).
     """
-    merged: list[tuple[float, float]] = []
-    for k, report, _seeded in rows:
-        if report is None:
-            continue
-        t = t_end[k]
-        hi = t + guard_s
-        if merged and t <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((t, hi))
-    return merged
+    i = bisect_right(report_ends, t)
+    return i > 0 and t <= report_ends[i - 1] + guard_s
 
 
 def _elision_guard_s(
@@ -612,7 +582,8 @@ def run_network_scenario(
     protocol traffic rides the lossy simulated radio.
 
     ``faults`` injects the plan's sensor / node / network pathologies
-    into the run; an absent or empty plan leaves every code path — and
+    into the run (sensor faults act on the z counts synthesis
+    recorded); an absent or empty plan leaves every code path — and
     every random stream — exactly as the unfaulted runner draws them.
     An active plan also arms the degradation machinery: degraded-quorum
     cluster evaluation and report retransmission (the latter can be
@@ -678,34 +649,35 @@ def run_network_scenario(
             )
         if retransmit is None:
             retransmit = RetransmitPolicy()
-    # Sensor faults intercept the digitisation step: each afflicted
-    # mote's accelerometer is decorated for the duration of synthesis.
-    wrapped: list[tuple[object, Accelerometer]] = []
-    for node in deployment:
-        wrapper = injector.sensor_wrapper(
-            node.node_id,
-            node.mote.accelerometer,
-            t0=synth.t0,
-            rate_hz=node.mote.config.sample_rate_hz,
-        )
-        if wrapper is not None:
-            wrapped.append((node.mote, node.mote.accelerometer))
-            node.mote.accelerometer = wrapper
-    try:
-        with maybe_stage(telemetry, "synthesis"):
-            recording = FleetRecording.from_traces(
+    with maybe_stage(telemetry, "synthesis"):
+        recording = FleetRecording.from_traces(
+            deployment,
+            synthesize_fleet_traces(
                 deployment,
-                synthesize_fleet_traces(
-                    deployment,
-                    ships,
-                    synth,
-                    disturbances_by_node=disturbances_by_node,
-                    seed=derive_rng(root, "synthesis"),
+                ships,
+                synth,
+                disturbances_by_node=disturbances_by_node,
+                seed=derive_rng(root, "synthesis"),
+            ),
+        )
+        if injector.plan.sensor_faults:
+            # Faults act on the recorded counts detection reads, so the
+            # caller's motes are never touched.
+            recording = replace(
+                recording,
+                z=np.stack(
+                    [
+                        injector.corrupt_counts(
+                            node.node_id,
+                            z,
+                            synth.t0,
+                            recording.rate_hz,
+                            node.mote.accelerometer.spec.max_counts,
+                        )
+                        for node, z in zip(deployment, recording.z)
+                    ]
                 ),
             )
-    finally:
-        for mote, healthy in wrapped:
-            mote.accelerometer = healthy
     sink = Sink(tracer=tracer)
     channel = Channel(channel_config, seed=derive_rng(root, "channel"))
     network = SensorNetwork(
@@ -769,17 +741,6 @@ def run_network_scenario(
         and _billing_order_free(deployment, outcomes, cfg.detector, retransmit)
     )
     guard_s = _elision_guard_s(cfg, retransmit)
-
-    def _in_active(
-        t: float, intervals: list[tuple[float, float]], cursor: list[int]
-    ) -> bool:
-        # Monotone queries only: the cursor never rewinds.
-        i = cursor[0]
-        while i < len(intervals) and intervals[i][1] < t:
-            i += 1
-        cursor[0] = i
-        return i < len(intervals) and intervals[i][0] <= t
-
     # Plan times reach events as Python floats, never np.float64.
     t_starts = plan.t_start.tolist()
     t_ends = plan.t_end.tolist()
@@ -798,19 +759,17 @@ def run_network_scenario(
         t_start, t_end = t_starts[i], t_ends[i]
         # Both feed paths schedule the plan's live windows only, at
         # their end times: a dead window's feed would be a no-op.
-        intervals: list[tuple[float, float]] = []
+        report_ends: list[float] = []
         if outcomes is not None:
             rows = outcomes[node.node_id]
-            if elide:
-                intervals = _head_active_intervals(rows, t_end, guard_s)
-            cursor = [0]
+            report_ends = [t_end[k] for k, report, _ in rows if report is not None]
             quiet_n = 0
             quiet_last = 0.0
             for k, report, seeded in rows:
                 if (
                     elide
                     and report is None
-                    and not _in_active(t_end[k], intervals, cursor)
+                    and not _head_active(report_ends, t_end[k], guard_s)
                 ):
                     quiet_n += 1
                     quiet_last = t_end[k]
@@ -864,10 +823,9 @@ def run_network_scenario(
             + 2 * cfg.cluster.collection_timeout_s
         )
         if elide:
-            cursor = [0]
             t = t0 + cfg.detector.window_s
             while t < horizon:
-                if _in_active(t, intervals, cursor):
+                if _head_active(report_ends, t, guard_s):
                     network.sim.schedule_at(t, proc.tick)
                 t += cfg.detector.window_s
         else:
@@ -933,20 +891,18 @@ def run_network_scenario(
     )
     fault_stats: dict[str, float] = {}
     if injector.active or healing is not None:
-        fault_stats = {
-            **injector.stats.as_dict(),
-            **network.resilience.as_dict(),
-        }
+        fault_stats = {**asdict(injector.stats), **asdict(network.resilience)}
+    mac_stats = asdict(network.mac.stats)
     if telemetry is not None:
         # Mirror the run's terminal counters into the metrics registry
         # so traces and metrics agree without a second bookkeeping path.
-        telemetry.record_stats("mac", network.mac.stats.as_dict())
+        telemetry.record_stats("mac", mac_stats)
         telemetry.record_stats("scheduler", sched_stats)
         if fault_stats:
             telemetry.record_stats("fault_stats", fault_stats)
     return NetworkScenarioResult(
         decisions=sink.decisions,
-        mac_stats=network.mac.stats.as_dict(),
+        mac_stats=mac_stats,
         lost_to_partition=network.lost_to_partition,
         sink_frames=network.sink_node.received_frames,
         fault_stats=fault_stats,

@@ -74,9 +74,11 @@ class Telemetry:
     ) -> None:
         """Mirror a terminal counters dict into the registry.
 
-        Used to publish ``fault_stats`` / ``ResilienceStats`` /
-        ``MacStats`` snapshots as counter series named
-        ``<prefix>.<key>`` so benches and services read one surface.
+        Used to publish the network runner's ``dataclasses.asdict``
+        snapshots — ``fault_stats`` (``FaultStats`` merged with
+        ``ResilienceStats``) and ``MacStats`` — and its scheduler stats
+        as counter series named ``<prefix>.<key>``, so benches and
+        services read one surface.
         """
         for key in sorted(stats):
             value = stats[key]

@@ -243,6 +243,65 @@ def test_report_cli_writes_file(tmp_path):
     assert "Fig. 12" in out.read_text()
 
 
+def test_report_full_mode_runs_published_seed_sets(monkeypatch):
+    """Full mode runs Tables I and II on the seeds EXPERIMENTS.md
+    publishes (1-10 and 1-4) and the figures on seeds 1-3."""
+    import io
+    from types import SimpleNamespace as NS
+
+    from repro.analysis import report
+
+    calls: dict[str, tuple[int, ...]] = {}
+
+    def table(with_ship, seeds):
+        calls["table2" if with_ship else "table1"] = tuple(seeds)
+        return [[0.0] * 3 for _ in range(3)]
+
+    def fig11(m_values, af_values, seeds):
+        calls["fig11"] = tuple(seeds)
+        return [NS(m=m, af=af, ratio=0.0) for m in m_values for af in af_values]
+
+    def fig12(seeds):
+        calls["fig12"] = tuple(seeds)
+        return [
+            NS(
+                speed_knots=10.0,
+                min_knots=9.0,
+                max_knots=11.0,
+                worst_error_fraction=0.1,
+            )
+        ]
+
+    features = NS(dominant_frequency_hz=0.2, total_power=1.0)
+    stubs = {
+        "run_fig5_ocean_waves": lambda duration_s: (
+            None, {"z": NS(mean=0.0, std=1.0)}
+        ),
+        "run_fig6_stft_comparison": lambda: NS(
+            ambient_features=features, ship_features=features
+        ),
+        "run_fig7_wavelet": lambda: (None, {"peak": 1.0}),
+        "run_fig8_filtering": lambda: {"gain": 1.0},
+        "run_fig11_detection_ratio": fig11,
+        "run_correlation_table": table,
+        "run_fig12_speed_estimation": fig12,
+    }
+    for name, stub in stubs.items():
+        monkeypatch.setattr(report, name, stub)
+
+    report.generate_report(io.StringIO(), quick=False)
+    assert calls == {
+        "fig11": (1, 2, 3),
+        "table1": tuple(range(1, 11)),
+        "table2": (1, 2, 3, 4),
+        "fig12": (1, 2, 3),
+    }
+    report.generate_report(io.StringIO(), quick=True)
+    assert set(calls.values()) == {(1,)}
+    report.generate_report(io.StringIO(), quick=False, seeds=(5, 6))
+    assert set(calls.values()) == {(5, 6)}
+
+
 def test_correlation_components_driver():
     from repro.analysis.experiments import run_correlation_components
 

@@ -81,13 +81,10 @@ class TestInactivePlan:
         )
         injector = FaultInjector(plan)
         device = Accelerometer(seed=0)
-        assert (
-            injector.sensor_wrapper(3, device, t0=0.0, rate_hz=50.0) is None
-        )
-        assert (
-            injector.sensor_wrapper(7, device, t0=0.0, rate_hz=50.0)
-            is not None
-        )
+        z = device.read_axis(np.full(100, 9.80665), 2)
+        max_counts = device.spec.max_counts
+        assert injector.corrupt_counts(3, z, 0.0, 50.0, max_counts) is z
+        assert injector.corrupt_counts(7, z, 0.0, 50.0, max_counts) is not z
 
 
 class TestCrashAndReboot:
@@ -216,14 +213,13 @@ class TestChannelAndSyncHooks:
             ),
             seed=42,
         )
-        sig = np.zeros(2500)
-        outs = []
-        for _ in range(2):
-            wrapper = FaultInjector(plan).sensor_wrapper(
-                0,
-                Accelerometer(seed=0),
-                t0=0.0,
-                rate_hz=50.0,
+        device = Accelerometer(seed=0)
+        z = device.read_axis(np.zeros(2500), 2)
+        outs = [
+            FaultInjector(plan).corrupt_counts(
+                0, z, 0.0, 50.0, device.spec.max_counts
             )
-            outs.append(wrapper.read_axis(sig, 2))
+            for _ in range(2)
+        ]
+        assert not np.array_equal(outs[0], z)
         np.testing.assert_array_equal(outs[0], outs[1])

@@ -1,4 +1,4 @@
-"""Tests for the accelerometer fault decorator."""
+"""Tests for the sensor faults applied to recorded counts."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.faults.plan import FaultStats, SensorFault, SensorFaultKind
-from repro.faults.sensor import FaultyAccelerometer
+from repro.faults.sensor import corrupt_counts
 from repro.rng import derive_rng
 from repro.sensors.accelerometer import Accelerometer, AccelerometerSpec
 
@@ -20,14 +20,17 @@ def _device():
     )
 
 
-def _wrap(faults, stats=None):
-    return FaultyAccelerometer(
-        _device(),
+def _corrupt(faults, sig, stats=None):
+    """The device's z counts of ``sig`` with ``faults`` applied."""
+    device = _device()
+    return corrupt_counts(
+        device.read_axis(sig, 2),
         faults,
         t0=0.0,
         rate_hz=RATE,
+        max_counts=device.spec.max_counts,
         rng=derive_rng(0, "test-sensor"),
-        stats=stats,
+        stats=stats if stats is not None else FaultStats(),
     )
 
 
@@ -38,37 +41,26 @@ def _signal(duration_s=10.0, value=0.0):
 
 class TestIdentityPaths:
     def test_no_faults_returns_inner_counts(self):
-        faulty = _wrap([])
-        healthy = _device()
-        sig = _signal(value=1.0)
-        np.testing.assert_array_equal(
-            faulty.read_axis(sig, 2), healthy.read_axis(sig, 2)
+        counts = _device().read_axis(_signal(value=1.0), 2)
+        out = corrupt_counts(
+            counts,
+            [],
+            t0=0.0,
+            rate_hz=RATE,
+            max_counts=_device().spec.max_counts,
+            rng=derive_rng(0, "test-sensor"),
+            stats=FaultStats(),
         )
+        assert out is counts
 
     def test_fault_outside_record_window_is_identity(self):
         fault = SensorFault(
             0, SensorFaultKind.STUCK_AT, start_s=100.0, magnitude=500.0
         )
-        faulty = _wrap([fault])
         sig = _signal(duration_s=10.0, value=1.0)
         np.testing.assert_array_equal(
-            faulty.read_axis(sig, 2), _device().read_axis(sig, 2)
+            _corrupt([fault], sig), _device().read_axis(sig, 2)
         )
-
-    def test_fault_on_other_axis_is_identity(self):
-        fault = SensorFault(
-            0, SensorFaultKind.STUCK_AT, start_s=0.0, magnitude=500.0, axis=0
-        )
-        faulty = _wrap([fault])
-        sig = _signal(value=1.0)
-        np.testing.assert_array_equal(
-            faulty.read_axis(sig, 2), _device().read_axis(sig, 2)
-        )
-
-    def test_delegates_unwrapped_attributes(self):
-        faulty = _wrap([])
-        assert faulty.spec.max_counts == _device().spec.max_counts
-        np.testing.assert_allclose(faulty.bias_counts, np.zeros(3))
 
 
 class TestFaultKinds:
@@ -80,7 +72,7 @@ class TestFaultKinds:
             duration_s=3.0,
             magnitude=333.0,
         )
-        out = _wrap([fault]).read_axis(_signal(), 2)
+        out = _corrupt([fault], _signal())
         lo, hi = int(2.0 * RATE), int(5.0 * RATE)
         assert np.all(out[lo:hi] == 333)
         assert np.all(out[:lo] == 0)
@@ -94,7 +86,7 @@ class TestFaultKinds:
             duration_s=10.0,
             magnitude=10.0,  # counts per second
         )
-        out = _wrap([fault]).read_axis(_signal(), 2)
+        out = _corrupt([fault], _signal())
         # 5 s into the fault the ramp has added ~50 counts.
         i = int(5.0 * RATE)
         assert out[i] == pytest.approx(50.0, abs=1.0)
@@ -108,7 +100,7 @@ class TestFaultKinds:
         )
         # A signal near full scale: 1.5 g upward.
         sig = _signal(value=1.5 * 9.80665)
-        out = _wrap([fault]).read_axis(sig, 2)
+        out = _corrupt([fault], sig)
         assert np.all(np.abs(out) <= int(round(0.1 * limit)) + 1)
 
     def test_spike_rate_roughly_matches(self):
@@ -120,7 +112,7 @@ class TestFaultKinds:
             magnitude=200.0,
             rate_hz=2.0,
         )
-        out = _wrap([fault]).read_axis(_signal(duration_s=100.0), 2)
+        out = _corrupt([fault], _signal(duration_s=100.0))
         n_spikes = int(np.sum(np.abs(out) > 100))
         # ~200 expected over 100 s at 2 Hz; allow wide Bernoulli slack.
         assert 120 <= n_spikes <= 280
@@ -136,7 +128,7 @@ class TestFaultKinds:
         sig = _signal(duration_s=100.0, value=1.0)
         healthy = _device().read_axis(sig, 2)
         assert np.all(healthy != 0)
-        out = _wrap([fault]).read_axis(sig, 2)
+        out = _corrupt([fault], sig)
         frac = np.mean(out == 0)
         assert 0.4 <= frac <= 0.6
 
@@ -144,7 +136,7 @@ class TestFaultKinds:
         fault = SensorFault(
             0, SensorFaultKind.STUCK_AT, start_s=0.0, magnitude=1e9
         )
-        out = _wrap([fault]).read_axis(_signal(), 2)
+        out = _corrupt([fault], _signal())
         assert np.max(out) == _device().spec.max_counts
 
 
@@ -158,30 +150,9 @@ class TestStatsAndDeterminism:
             duration_s=2.0,
             magnitude=100.0,
         )
-        wrapper = FaultyAccelerometer(
-            _device(),
-            [fault],
-            t0=0.0,
-            rate_hz=RATE,
-            rng=derive_rng(0, "t"),
-            stats=stats,
-        )
-        wrapper.read_axis(_signal(duration_s=4.0), 2)
+        _corrupt([fault], _signal(duration_s=4.0), stats=stats)
         assert stats.sensor_faults_injected == 1
         assert stats.sensor_samples_faulted == int(2.0 * RATE)
-
-    def test_read_applies_faults_only_to_declared_axis(self):
-        fault = SensorFault(
-            0, SensorFaultKind.STUCK_AT, start_s=0.0, magnitude=400.0, axis=2
-        )
-        faulty = _wrap([fault])
-        healthy = _device()
-        sig = _signal(value=1.0)
-        fx, fy, fz = faulty.read(sig, sig, sig)
-        hx, hy, _ = healthy.read(sig, sig, sig)
-        np.testing.assert_array_equal(fx, hx)
-        np.testing.assert_array_equal(fy, hy)
-        assert np.all(fz == 400)
 
     def test_same_rng_stream_replays_identically(self):
         fault = SensorFault(
@@ -193,6 +164,6 @@ class TestStatsAndDeterminism:
             rate_hz=1.0,
         )
         sig = _signal(duration_s=50.0)
-        out1 = _wrap([fault]).read_axis(sig, 2)
-        out2 = _wrap([fault]).read_axis(sig, 2)
+        out1 = _corrupt([fault], sig)
+        out2 = _corrupt([fault], sig)
         np.testing.assert_array_equal(out1, out2)

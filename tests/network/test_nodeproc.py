@@ -170,3 +170,37 @@ def test_battery_depletion_silences_node():
     _drive(net, 0, ["quiet", "quiet", "burst"])
     net.sim.run(until=10.0)
     assert net.nodes[0].sid.state.value == "initializing"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "protocol defect: ClusterCancelMsg carries only head_id and nodes "
+        "dedup cancels on (head_id, 0), so after a head's first cancel every "
+        "later one from it is dropped, neither applied nor forwarded; the "
+        "fix (carry the cluster onset, dedup on (head_id, onset_time) as "
+        "setups do) moves pinned benchmark digests"
+    ),
+)
+def test_second_cluster_cancel_reaches_member():
+    from repro.detection.sid import CancelClusterAction, SetupClusterAction
+
+    net, _ = _network(n=2)
+    head, member = net.nodes[0], net.nodes[1]
+
+    def dispatch_at(t, action):
+        net.sim.schedule_at(t, head._dispatch, [action])
+        net.sim.run(until=t + 1.0)
+
+    for onset in (0.5, 4.5):
+        initiator = NodeReport(
+            node_id=0,
+            position=head.position,
+            onset_time=onset,
+            energy=1.0,
+            anomaly_frequency=0.5,
+        )
+        dispatch_at(onset + 0.5, SetupClusterAction(initiator=initiator, hops=1))
+        assert member.sid._member_of == 0
+        dispatch_at(onset + 2.5, CancelClusterAction(head_id=0))
+        assert member.sid._member_of is None

@@ -89,17 +89,6 @@ def test_cancel_idempotent():
     assert sim.run() == 0
 
 
-def test_step_single_event():
-    sim = Simulator()
-    log = []
-    sim.schedule(1.0, log.append, 1)
-    sim.schedule(2.0, log.append, 2)
-    assert sim.step()
-    assert log == [1]
-    assert sim.step()
-    assert not sim.step()
-
-
 def test_schedule_in_past_rejected():
     sim = Simulator()
     sim.schedule(5.0, lambda: None)
@@ -290,17 +279,6 @@ class TestSchedulePeriodic:
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_periodic(1.0, lambda: None, first=1.0)
-
-    def test_step_rearms_periodics(self):
-        sim = Simulator()
-        times = []
-        sim.schedule_periodic(
-            1.0, lambda: times.append(sim.now), first=1.0, until=2.5
-        )
-        assert sim.step()
-        assert sim.step()
-        assert not sim.step()
-        assert times == [1.0, 2.0]
 
 
 class TestReferenceSimulatorParity:
