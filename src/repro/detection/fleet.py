@@ -1,23 +1,25 @@
-"""Fleet-vectorized node detection (eqs. 4-8 in lockstep).
+"""Fleet-vectorized node detection (eqs. 4-8, block-speculative).
 
 :class:`~repro.detection.node_detector.NodeDetector` walks one node's
-stream window by window in pure Python; a scenario runner then loops
-that walk over every node.  For a fleet sharing one sample grid the two
-loops can be swapped: :class:`FleetDetector` advances *all* N nodes
-through the Delta-t window walk in lockstep — one outer loop over
-windows, with the deviations ``D_i``, the ``D_max = M m'_T`` threshold,
-the anomaly frequency ``af`` and the eq.-5 baseline update computed as
-``(nodes,)``-shaped vectors per step.  The data-dependent branch (quiet
-windows update the baseline, anomalous windows report) becomes a pair
-of boolean row masks; the rare report rows drop back to the scalar
-formulas so the crossing energy keeps the reference implementation's
-exact compacted-sum rounding.
+stream window by window in pure Python.  :class:`FleetDetector` walks
+every node at once: :meth:`FleetDetector.step` takes a ``(nodes, k,
+window)`` stack of Delta-t windows and advances each row through its
+windows in blocks.  Within a block it first assumes every window is
+quiet, so the eq.-5 baseline before each window is a short recurrence
+over the windows' own eq.-4 statistics, and the deviations ``D_i``, the
+``D_max = M m'_T`` threshold and the anomaly frequency ``af`` of the
+whole block are array operations.  Each row keeps that result up to
+its first report.  The run of reports that follows is evaluated against
+the baseline frozen at that report, up to and including the first quiet
+window, whose statistics update the baseline; the row then restarts
+after it.
 
-The engine is **bit-identical** to the per-node reference: every
-arithmetic step reuses the same IEEE-754 operations in the same order
-(row-wise reductions over C-contiguous rows match the per-row scalar
-reductions exactly), which the equivalence suite asserts across
-configurations and fault-corrupted inputs.
+The kernel is **bit-identical** to the one-window lockstep walk (the
+oracle in ``tests/detection/oracles.py``) and so to the per-node
+reference: the recurrence repeats eq. 5's operations in
+``AdaptiveBaseline.update``'s order, window statistics are reductions
+over contiguous rows, and each report's crossing energy is the same
+compacted sum.
 
 :class:`FleetStream` runs the same walk over chunked input with carried
 baseline/init state, so synthesis can feed detection chunk by chunk
@@ -26,6 +28,7 @@ with peak memory O(nodes x chunk) instead of O(nodes x duration).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -33,17 +36,30 @@ import numpy as np
 
 from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.reports import NodeReport
-from repro.errors import (
-    ConfigurationError,
-    InternalError,
-    SignalLengthError,
-)
+from repro.errors import ConfigurationError, SignalLengthError
 from repro.telemetry.events import CAT_DETECTION
 from repro.telemetry.tracer import Tracer
 from repro.types import Position
 
 if TYPE_CHECKING:
     from repro.scenario.deployment import GridDeployment
+
+#: Byte budget of one block.  An iteration of the kernel gathers
+#: ``rows x B x window`` float64 samples, so the block length B shrinks
+#: as more rows walk: 100-sample windows give B = 10 at 30 rows and
+#: B = 5 at 64.
+BLOCK_BYTES = 256 * 1024
+
+
+def hop_windows(
+    a: np.ndarray, first: int, count: int, window: int, hop: int
+) -> np.ndarray:
+    """``count`` windows of ``a``'s columns, ``hop`` apart from ``first``.
+
+    A read-only ``(rows, count, window)`` view: no sample is copied.
+    """
+    view = np.lib.stride_tricks.sliding_window_view(a, window, axis=1)
+    return view[:, first : first + (count - 1) * hop + 1 : hop]
 
 
 @dataclass(frozen=True)
@@ -57,12 +73,12 @@ class FleetMember:
 
 
 class FleetDetector:
-    """All nodes' detection state, advanced one window at a time.
+    """All nodes' detection state, advanced k windows per call.
 
-    Rows correspond to ``members`` in order.  :meth:`step` consumes one
-    ``(nodes, window)`` matrix of preprocessed samples; rows excluded by
-    the ``active`` mask are left completely untouched (their baselines
-    neither update nor observe the window) — exactly what happens to a
+    Rows correspond to ``members`` in order.  :meth:`step` consumes a
+    stack of windows of preprocessed samples; windows excluded by the
+    ``active`` mask leave their row completely untouched (its baseline
+    neither updates nor observes them) — exactly what happens to a
     crashed or sleeping node in the per-node runners.
     """
 
@@ -121,50 +137,70 @@ class FleetDetector:
         return FleetStream(self, t0s)
 
     # ------------------------------------------------------------------
-    # One lockstep window
+    # The eqs. 4-8 kernel
     # ------------------------------------------------------------------
     def step(
         self,
         windows: np.ndarray,
-        t0s: Sequence[float],
+        t0s: Sequence[float] | np.ndarray,
         active: np.ndarray | None = None,
     ) -> list[NodeReport | None]:
-        """Advance every (active) row through one Delta-t window.
+        """Advance every row through k Delta-t windows.
 
-        ``windows`` is ``(nodes, window_samples)``; ``t0s`` gives each
-        row's window start time.  Returns one entry per row: the
-        window's :class:`NodeReport` or ``None``.
+        ``windows`` is ``(nodes, k, window)``, ``t0s`` the ``(nodes, k)``
+        window start times, and ``active`` an optional ``(nodes, k)``
+        mask: a dead window (False) neither updates nor reports.  A
+        ``(nodes, window)`` matrix with ``(nodes,)`` times and mask is
+        one window.  Returns one entry per (window, row), window-major:
+        ``out[j * nodes + i]`` is row ``i``'s :class:`NodeReport` for
+        window ``j``, or ``None``.
         """
-        w = np.asarray(windows, dtype=float)
+        x = np.asarray(windows, dtype=float)
         n = len(self.members)
-        if w.ndim != 2 or w.shape[0] != n:
+        lead = x.shape[:-1]
+        if x.ndim == 2:
+            x = x[:, None, :]
+        if x.ndim != 3 or x.shape[0] != n:
             raise ConfigurationError(
-                f"windows must be ({n}, window), got {w.shape}"
+                f"windows must be ({n}, window) or ({n}, k, window), "
+                f"got {np.shape(windows)}"
             )
-        if w.shape[1] == 0:
+        if x.shape[2] == 0:
             raise SignalLengthError("empty detection window")
-        if len(t0s) != n:
+        k = x.shape[1]
+        t = np.asarray(t0s, dtype=float)
+        if t.shape != lead:
             raise ConfigurationError(
-                f"need one t0 per row, got {len(t0s)} for {n} rows"
+                f"need one t0 per row and window {lead}, got {t.shape}"
             )
+        t = t.reshape(n, k)
         if active is None:
-            act = np.ones(n, dtype=bool)
+            act = np.ones((n, k), dtype=bool)
+            # Row i's j-th live window, for every row.
+            live = np.broadcast_to(np.arange(k), (n, k))
         else:
             act = np.asarray(active, dtype=bool)
-            if act.shape != (n,):
+            if act.shape != lead:
                 raise ConfigurationError(
-                    f"active mask must be ({n},), got {act.shape}"
+                    f"active mask must be {lead}, got {act.shape}"
                 )
-        out: list[NodeReport | None] = [None] * n
+            act = act.reshape(n, k)
+            live = np.argsort(~act, axis=1, kind="stable")
+        n_live = np.count_nonzero(act, axis=1)
+        out: list[NodeReport | None] = [None] * (n * k)
 
-        # Initialization: buffer windows until each row has enough to
-        # seed its eq.-4 statistics (same concatenate-then-stats order
-        # as NodeDetector, so the seed values match bit for bit).
-        init_rows = np.flatnonzero(act & ~self._seeded)
-        for i in init_rows:
+        # Initialization: each unseeded row buffers its first live
+        # windows until it can seed its eq.-4 statistics (the same
+        # concatenate-then-stats order as NodeDetector, so the seed
+        # matches bit for bit).  The seeding window only buffers.
+        pos = np.zeros(n, dtype=np.intp)
+        init_windows = self.config.init_windows
+        for i in np.flatnonzero(~self._seeded & (n_live > 0)):
             buf = self._init_buffers[i]
-            buf.append(np.array(w[i]))
-            if len(buf) >= self.config.init_windows:
+            take = live[i, : min(init_windows - len(buf), n_live[i])]
+            buf.extend(np.array(x[i, j]) for j in take)
+            pos[i] = take.size
+            if len(buf) >= init_windows:
                 full = np.concatenate(buf)
                 mean = float(full.mean())
                 var = float(np.mean((full - mean) ** 2))
@@ -172,84 +208,178 @@ class FleetDetector:
                 self._std[i] = np.sqrt(var)
                 self._seeded[i] = True
                 self._init_buffers[i] = []
+        first_detecting = pos.copy()
 
-        rows = np.flatnonzero(act & self._seeded)
-        if init_rows.size:
-            # Rows seeded *this* window only buffered it; they start
-            # detecting on the next one (NodeDetector returns None from
-            # the seeding call).
-            rows = np.setdiff1d(rows, init_rows, assume_unique=True)
-        if rows.size == 0:
-            return out
+        while True:
+            rows = np.flatnonzero(pos < n_live)
+            if rows.size == 0:
+                break
+            self._block(x, t, live, rows, pos, n_live[rows] - pos[rows], out)
 
-        std = self._std[rows]
-        mean = self._mean[rows]
-        if np.any(std < 0):
-            raise ConfigurationError("d'_T must be >= 0")
-        d_max = self.config.m * mean
-        if np.any(d_max < 0):
-            raise ConfigurationError("D_max must be >= 0")
-        # Eqs. 6-7 for every active row at once.
-        w_act = w[rows]
-        d = np.abs(w_act - std[:, None])
-        mask = d > d_max[:, None]
-        counts = np.count_nonzero(mask, axis=1)
-        af = counts / w.shape[1]
-        reporting = af > self.config.af_threshold
-
-        # Quiet rows: batched eq.-5 baseline update (same op order as
-        # AdaptiveBaseline.update, elementwise).
-        quiet = ~reporting
-        if np.any(quiet):
-            q = w_act[quiet]
-            m_dt = q.mean(axis=1)
-            d_dt = np.sqrt(np.mean((q - m_dt[:, None]) ** 2, axis=1))
-            qi = rows[quiet]
-            beta1, beta2 = self.config.beta1, self.config.beta2
-            self._mean[qi] = beta1 * self._mean[qi] + m_dt * (1.0 - beta1)
-            self._std[qi] = beta2 * self._std[qi] + d_dt * (1.0 - beta2)
-
-        # Report rows: scalar per row, replicating the reference's
-        # compacted-sum crossing energy (eq. 8) and onset index exactly.
-        for j in np.flatnonzero(reporting):
-            i = int(rows[j])
-            mask_row = mask[j]
-            idx = np.flatnonzero(mask_row)
-            if idx.size == 0:
-                raise InternalError(
-                    "anomalous window with no crossing onset (af "
-                    f"{float(af[j])} > {self.config.af_threshold} "
-                    "but empty mask)"
-                )
-            onset = int(idx[0])
-            n_cross = int(counts[j])
-            member = self.members[i]
-            out[i] = NodeReport(
-                node_id=member.node_id,
-                position=member.position,
-                onset_time=float(t0s[i]) + onset / self.config.rate_hz,
-                energy=float(d[j][mask_row].sum()) / n_cross,
-                anomaly_frequency=float(n_cross) / w.shape[1],
-                row=member.row,
-                column=member.column,
-            )
         if self.tracer is not None:
-            self._trace_step(rows, reporting, t0s, out)
+            self._trace_walk(act, first_detecting, t, out)
         return out
+
+    def _block(
+        self,
+        x: np.ndarray,
+        t: np.ndarray,
+        live: np.ndarray,
+        rows: np.ndarray,
+        pos: np.ndarray,
+        left: np.ndarray,
+        out: list[NodeReport | None],
+    ) -> None:
+        """One kernel iteration: advance ``rows`` by up to B windows.
+
+        ``pos`` holds each row's next live-window position (advanced
+        in place), ``left`` how many live windows ``rows`` have left.
+        """
+        cfg = self.config
+        _, k, width = x.shape
+        r = rows.size
+        b = int(min(max(BLOCK_BYTES // (r * width * 8), 1), left.max()))
+        col = np.arange(b)
+        span = np.minimum(left, b)
+        valid = col < span[:, None]
+        # Window index of each block slot (slots past a row's last live
+        # window repeat an index and are masked by ``valid``).
+        win = live[rows[:, None], np.minimum(pos[rows, None] + col, k - 1)]
+        block = x[rows[:, None], win]
+        # Eq. 4 statistics of every window, over contiguous rows.
+        m_dt = block.mean(axis=2)
+        dev = block - m_dt[..., None]
+        dev *= dev
+        d_dt = np.sqrt(dev.mean(axis=2))
+        del dev
+
+        # Hypothesis Q, every window quiet: base[j] holds each row's
+        # (m'_T, d'_T) baseline before slot j, every step eq. 5 in
+        # AdaptiveBaseline.update's operation order.
+        beta = np.array([cfg.beta1, cfg.beta2])
+        gain = np.stack([m_dt.T, d_dt.T], axis=2) * (1.0 - beta)
+        base = np.empty((b + 1, r, 2))
+        base[0, :, 0] = self._mean[rows]
+        base[0, :, 1] = self._std[rows]
+        for j in range(b):
+            base[j + 1] = beta * base[j] + gain[j]
+        d_max = cfg.m * base[:b, :, 0].T
+        d = block - base[:b, :, 1].T[..., None]
+        np.abs(d, out=d)
+        mask = d > d_max[..., None]
+        reporting = (
+            np.count_nonzero(mask, axis=2) / width > cfg.af_threshold
+        ) & valid
+        hit = reporting.any(axis=1)
+        # Q holds up to and including each row's first report.
+        stop = np.where(hit, reporting.argmax(axis=1), span)
+        negative = d_max < 0
+        if negative.any() and (negative & valid & (col <= stop[:, None])).any():
+            raise ConfigurationError("D_max must be >= 0")
+        new = base[stop, np.arange(r)]
+        advance = np.where(hit, stop + 1, span)
+        for j in np.flatnonzero(hit):
+            c = stop[j]
+            self._report(rows[j], win[j, c], t, mask[j, c], d[j, c], out)
+
+        # Hypothesis F, the baseline frozen at the report: accept the
+        # run of reports after it and the first quiet window, which
+        # updates the baseline.
+        h = np.flatnonzero(hit & (advance < span))
+        if h.size:
+            d_f = block[h] - new[h, 1, None, None]
+            np.abs(d_f, out=d_f)
+            mask_f = d_f > cfg.m * new[h, 0, None, None]
+            after = (col > stop[h, None]) & valid[h]
+            quiet = after & ~(
+                np.count_nonzero(mask_f, axis=2) / width > cfg.af_threshold
+            )
+            found = quiet.any(axis=1)
+            end = np.where(found, quiet.argmax(axis=1), span[h])
+            for jj, c in zip(*np.nonzero(after & (col < end[:, None]))):
+                j = h[jj]
+                self._report(rows[j], win[j, c], t, mask_f[jj, c], d_f[jj, c], out)
+            q = h[found]
+            new[q] = beta * new[q] + gain[end[found], q]
+            advance[h] = end + found
+        self._mean[rows] = new[:, 0]
+        self._std[rows] = new[:, 1]
+        pos[rows] += advance
+
+    def _report(
+        self,
+        i: int,
+        window: int,
+        t: np.ndarray,
+        mask: np.ndarray,
+        d: np.ndarray,
+        out: list[NodeReport | None],
+    ) -> None:
+        """Row ``i``'s report for ``window`` (eq. 8), into ``out``."""
+        (idx,) = mask.nonzero()
+        member = self.members[i]
+        out[window * len(self.members) + i] = NodeReport(
+            node_id=member.node_id,
+            position=member.position,
+            onset_time=float(t[i, window]) + int(idx[0]) / self.config.rate_hz,
+            energy=float(d[idx].sum()) / idx.size,
+            anomaly_frequency=float(idx.size) / mask.size,
+            row=member.row,
+            column=member.column,
+        )
+
+    def _trace_walk(
+        self,
+        act: np.ndarray,
+        first_detecting: np.ndarray,
+        t: np.ndarray,
+        out: list[NodeReport | None],
+    ) -> None:
+        """Replay a call's windows through :meth:`_trace_step`, in order.
+
+        A live window is evaluated once its row has passed
+        initialisation (``first_detecting`` live windows).  A window
+        emits only where an evaluated row reports or reported at its
+        previous evaluated window (a mask transition), so the replay
+        visits just those windows and the event stream equals the
+        one-window walk's.
+        """
+        n, k = act.shape
+        evaluated = act & (np.cumsum(act, axis=1) > first_detecting[:, None])
+        reporting = (
+            np.fromiter((r is not None for r in out), dtype=bool, count=n * k)
+            .reshape(k, n)
+            .T
+        )
+        # Each row's last evaluated window before window j (-1: none in
+        # this call, so its state is the last one traced).
+        seen = np.where(evaluated, np.arange(k), -1)
+        np.maximum.accumulate(seen, axis=1, out=seen)
+        before = np.full((n, k), -1)
+        before[:, 1:] = seen[:, :-1]
+        was = np.where(
+            before >= 0,
+            reporting[np.arange(n)[:, None], before],
+            self._last_reporting[:, None],
+        )
+        for j in np.flatnonzero((evaluated & (reporting | was)).any(axis=0)):
+            rows = np.flatnonzero(evaluated[:, j])
+            self._trace_step(
+                rows, reporting[rows, j], t[:, j], out[j * n : (j + 1) * n]
+            )
 
     def _trace_step(
         self,
         rows: np.ndarray,
         reporting: np.ndarray,
-        t0s: Sequence[float],
+        t0s: Sequence[float] | np.ndarray,
         out: list[NodeReport | None],
     ) -> None:
-        """Emit the step aggregate, mask transitions, and alarms.
+        """Emit one window's aggregate, mask transitions, and alarms.
 
-        Quiet steps (nothing reporting, no mask transition) emit no
-        event at all: a long idle stretch costs one vectorized compare
-        per step, which is what keeps the traced fleet walk inside the
-        ISSUE 7 overhead budget.
+        Quiet windows (nothing reporting, no mask transition) emit no
+        event at all, and :meth:`_trace_walk` skips them, which keeps
+        the traced walk inside the telemetry overhead gate.
         """
         tracer = self.tracer
         if tracer is None:
@@ -296,7 +426,7 @@ class FleetDetector:
     def process_samples(
         self, a: np.ndarray, t0s: Sequence[float]
     ) -> dict[int, list[NodeReport]]:
-        """Walk an ``(nodes, samples)`` preprocessed matrix in lockstep.
+        """Walk an ``(nodes, samples)`` preprocessed matrix.
 
         ``t0s`` holds each row's stream start time (rows may have
         different clock offsets).  The whole matrix is one
@@ -326,7 +456,7 @@ class FleetStream:
                 f"{detector.n_nodes} rows"
             )
         self.detector = detector
-        self._t0s = [float(t) for t in t0s]
+        self._t0s = np.array(t0s, dtype=float)
         #: Retained tail (a private copy), starting at sample ``_base``.
         self._buf = np.empty((detector.n_nodes, 0))
         self._base = 0
@@ -338,21 +468,28 @@ class FleetStream:
             m.node_id: [] for m in detector.members
         }
 
-    def _evaluate(self, block: np.ndarray, starts: Sequence[int]) -> None:
-        """Step the windows at global samples ``starts``; ``block``
-        starts at global sample ``_base``."""
+    def _evaluate(self, block: np.ndarray, starts: range) -> None:
+        """Step the windows at global samples ``starts`` in one call;
+        ``block`` starts at global sample ``_base``."""
+        if not starts:
+            return
         detector = self.detector
-        w = detector.config.window_samples
-        rate = detector.config.rate_hz
+        windows = hop_windows(
+            block,
+            starts.start - self._base,
+            len(starts),
+            detector.config.window_samples,
+            starts.step,
+        )
+        t0s = self._t0s[:, None] + np.asarray(starts) / detector.config.rate_hz
+        reports = detector.step(windows, t0s)
         rows = [self.reports[m.node_id] for m in detector.members]
-        for start in starts:
-            lo = start - self._base
-            window_t0s = [t0 + start / rate for t0 in self._t0s]
-            for row, report in zip(
-                rows, detector.step(block[:, lo : lo + w], window_t0s)
-            ):
-                if report is not None:
-                    row.append(report)
+        n = len(rows)
+        # A NodeReport is truthy and None is not, so both iterators
+        # skip the same entries: each report comes with its index.
+        indices = itertools.compress(itertools.count(), reports)
+        for j, report in zip(indices, filter(None, reports)):
+            rows[j % n].append(report)
 
     def push(self, chunk: np.ndarray) -> None:
         """Feed one ``(nodes, chunk)`` block; evaluates completed windows.
@@ -399,6 +536,6 @@ class FleetStream:
             )
         final = self._total - w
         if final != self._next - hop:
-            self._evaluate(self._buf, [final])
+            self._evaluate(self._buf, range(final, final + 1))
         self._finished = True
         return self.reports

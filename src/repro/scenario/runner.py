@@ -26,7 +26,7 @@ from repro.detection.cluster import (
     TemporaryClusterConfig,
     TravelLine,
 )
-from repro.detection.fleet import FleetDetector
+from repro.detection.fleet import FleetDetector, hop_windows
 from repro.detection.node_detector import (
     NodeDetectorConfig,
     merge_reports,
@@ -129,13 +129,20 @@ class FleetRecording:
     ``rate_hz``.  Detection reads nothing else of a trace, so one
     recording can be detected under any number of detector settings.
     ``z`` is made read-only, so no caller can corrupt a shared
-    recording.
+    recording.  The recording also keeps the last preprocessed matrix
+    :func:`_fleet_samples` made of it (read-only, keyed by decimation,
+    rate and preprocessing config), so detecting it again under the
+    same conditioning chain filters nothing; a recording made with
+    :func:`dataclasses.replace` starts without one.
     """
 
     node_ids: tuple[int, ...]
     t0s: tuple[float, ...]
     rate_hz: float
     z: np.ndarray
+    _samples: Optional[tuple[tuple[object, ...], np.ndarray]] = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         self.z.flags.writeable = False
@@ -174,15 +181,24 @@ def _fleet_samples(
     deployment order, and each row's start time.  ``decimation`` keeps
     every n-th raw sample, and ``det_cfg`` is the detector of that
     decimated stream; the chain allocates a fresh C-contiguous matrix,
-    so the strided view costs no copy of its own.  A (decimated) rate
-    off the detector's ``rate_hz`` would mis-time the shared window
-    grid, so it raises.
+    so the strided view costs no copy of its own.  The matrix is
+    read-only and stays with the recording until a different chain
+    replaces it, so detector settings that differ only in eqs. 4-8
+    share one filtering.  A (decimated) rate off the detector's
+    ``rate_hz`` would mis-time the shared window grid, so it raises.
     """
     det_cfg.check_sample_rate(recording.rate_hz / decimation)
-    samples = preprocess_z_counts_batch(
-        recording.z[:, ::decimation], det_cfg.rate_hz, det_cfg.preprocess
-    )
-    return samples, recording.t0s
+    key = (decimation, det_cfg.rate_hz, det_cfg.preprocess)
+    cached = recording._samples
+    if cached is None or cached[0] != key:
+        samples = preprocess_z_counts_batch(
+            recording.z[:, ::decimation], det_cfg.rate_hz, det_cfg.preprocess
+        )
+        samples.flags.writeable = False
+        cached = (key, samples)
+        # The recording is frozen; the slot is a cache, not its data.
+        object.__setattr__(recording, "_samples", cached)
+    return cached[1], recording.t0s
 
 
 def fuse_sequential_clusters(
@@ -286,8 +302,6 @@ def run_offline_scenario(
     with maybe_stage(telemetry, "detection"):
         fleet = FleetDetector.from_deployment(deployment, det_cfg)
         fleet.tracer = tracer
-        # Passed straight through: the sample matrix is freed as soon
-        # as the walk returns, not held through fusion.
         reports_by_node = fleet.process_samples(
             *_fleet_samples(recording, det_cfg)
         )
@@ -454,22 +468,39 @@ def _fleet_network_outcomes(
 
     Detection is purely local (no radio feedback reaches eqs. 4-8), so
     the whole fleet's Delta-t walk can run vectorized before the
-    discrete-event simulation starts.  The only run-time influence on a
-    node's detector state is a window it never evaluates, and the
-    plan's ``live`` mask says which: masked rows are left untouched.
+    discrete-event simulation starts: one kernel call over the hop
+    grid, with the plan's window start times, plus one for a trailing
+    right-aligned window off the grid.  The only run-time influence on
+    a node's detector state is a window it never evaluates, and the
+    plan's ``live`` mask says which: dead windows are left untouched.
+    A fresh detector seeds a row at its ``init_windows``-th live
+    window, so its running live count says when it is seeded.
     """
     a, _ = _fleet_samples(recording, det_cfg)
-    out: WindowOutcomes = {nid: [] for nid in recording.node_ids}
-    rows = list(out.values())
     fleet = FleetDetector.from_deployment(deployment, det_cfg)
-    w = det_cfg.window_samples
-    for k, (start, t0s) in enumerate(zip(plan.starts, plan.t_start.T.tolist())):
-        live = plan.live[:, k]
-        reports = fleet.step(a[:, start : start + w], t0s, active=live)
-        seeded = fleet.seeded
-        for i in np.flatnonzero(live).tolist():
-            rows[i].append((k, reports[i], bool(seeded[i])))
-    return out
+    w, hop = det_cfg.window_samples, det_cfg.hop_samples
+    n_grid = len(range(0, a.shape[1] - w + 1, hop))
+    reports: list[Optional[NodeReport]] = []
+    if n_grid:
+        reports = fleet.step(
+            hop_windows(a, 0, n_grid, w, hop),
+            plan.t_start[:, :n_grid],
+            active=plan.live[:, :n_grid],
+        )
+    if len(plan.starts) > n_grid:
+        start = plan.starts[-1]
+        reports += fleet.step(
+            a[:, start : start + w], plan.t_start[:, -1], active=plan.live[:, -1]
+        )
+    n = len(recording.node_ids)
+    seeded = (np.cumsum(plan.live, axis=1) >= det_cfg.init_windows).tolist()
+    return {
+        nid: [
+            (k, reports[k * n + i], seeded[i][k])
+            for k in np.flatnonzero(plan.live[i]).tolist()
+        ]
+        for i, nid in enumerate(recording.node_ids)
+    }
 
 
 def _head_active(report_ends: list[float], t: float, guard_s: float) -> bool:

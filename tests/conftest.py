@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.physics.spectrum import PiersonMoskowitzSpectrum, SeaState
 from repro.physics.wavefield import AmbientWaveField
 from repro.scenario.deployment import GridDeployment
 from repro.types import Position
+
+#: ``HYPOTHESIS_PROFILE=ci`` deepens every property that leaves its
+#: example budget to the profile (ten times hypothesis' default, no
+#: deadline); tier-1 runs the default profile.
+settings.register_profile("ci", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -10,10 +10,11 @@ import pytest
 
 from repro.detection.cluster import ClusterEvent, TemporaryClusterConfig
 from repro.detection.node_detector import NodeDetectorConfig
-from repro.detection.preprocess import PreprocessConfig
+from repro.detection.preprocess import PreprocessConfig, preprocess_z_counts_batch
 from repro.detection.sid import SIDNodeConfig
 from repro.errors import ConfigurationError, SignalLengthError
 from repro.network.selfheal import SelfHealingConfig
+from repro.scenario import runner
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.presets import paper_scenario, paper_ship
 from repro.scenario.runner import (
@@ -350,6 +351,43 @@ class TestFleetRecording:
         )
         assert synthesised.all_reports
         assert detected == synthesised
+
+    def test_preprocessed_once_per_conditioning_chain(self):
+        # Detector settings that differ only in eqs. 4-8 share one
+        # read-only filtering; another chain filters afresh.
+        dep, _, traces = self._recorded(1)
+        rec = FleetRecording.from_traces(dep, traces)
+        first, t0s = runner._fleet_samples(rec, self.DET)
+        again, _ = runner._fleet_samples(
+            rec, replace(self.DET, m=1.0, af_threshold=0.3, init_windows=2)
+        )
+        assert again is first and t0s == rec.t0s
+        assert not first.flags.writeable
+        causal = replace(
+            self.DET, preprocess=PreprocessConfig(filter_kind="butter-causal")
+        )
+        other, _ = runner._fleet_samples(rec, causal)
+        assert other is not first
+        np.testing.assert_array_equal(
+            other,
+            preprocess_z_counts_batch(rec.z, causal.rate_hz, causal.preprocess),
+        )
+
+    def test_replaced_recording_starts_without_samples(self):
+        # Sensor faults replace a recording's z: its samples must be
+        # filtered from the corrupted counts, never the healthy ones.
+        dep, _, traces = self._recorded(1)
+        rec = FleetRecording.from_traces(dep, traces)
+        healthy, _ = runner._fleet_samples(rec, self.DET)
+        corrupted = replace(rec, z=np.where(rec.z > 0, rec.z // 2, rec.z))
+        samples, _ = runner._fleet_samples(corrupted, self.DET)
+        np.testing.assert_array_equal(
+            samples,
+            preprocess_z_counts_batch(
+                corrupted.z, self.DET.rate_hz, self.DET.preprocess
+            ),
+        )
+        assert not np.array_equal(samples, healthy)
 
     def test_node_id_mismatch_rejected(self):
         dep, ship, traces = self._recorded(1)
