@@ -1,7 +1,9 @@
 """Fleet detection throughput — lockstep walk vs per-node window loop.
 
-The scenario runners historically looped :class:`NodeDetector` over the
-fleet, paying the Python window walk once per node.
+The scenario runners historically looped a per-node detector over the
+fleet, paying the Python window walk once per node; the reference here
+is that loop, each node's :meth:`NodeDetector.process_window` fed every
+window of :func:`window_starts` in turn.
 :class:`FleetDetector` swaps the loops — one walk over windows with
 ``(nodes,)``-shaped vector steps — and must be **bit-identical** to the
 per-node reference while running at least 5x faster on the 64-node /
@@ -21,6 +23,7 @@ from repro.detection.fleet import FleetDetector, FleetMember, FleetStream
 from repro.detection.node_detector import NodeDetector, NodeDetectorConfig
 from repro.rng import make_rng
 from repro.types import Position
+from tests.detection.oracles import node_window_walk
 
 RATE_HZ = 50.0
 DURATION_S = 400.0
@@ -67,7 +70,7 @@ def _reference(a, t0s, cfg, members):
         det = NodeDetector(
             m.node_id, m.position, cfg, row=m.row, column=m.column
         )
-        out[m.node_id] = det.process_samples(a[i], t0s[i])
+        out[m.node_id] = node_window_walk(det, a[i], t0s[i])
     return out
 
 
@@ -130,8 +133,8 @@ def test_bench_fleet_detection_256(once):
         det = NodeDetector(
             m.node_id, m.position, cfg, row=m.row, column=m.column
         )
-        assert fleet[m.node_id] == det.process_samples(
-            a[m.node_id], t0s[m.node_id]
+        assert fleet[m.node_id] == node_window_walk(
+            det, a[m.node_id], t0s[m.node_id]
         )
     assert sum(len(v) for v in fleet.values()) > 0
 

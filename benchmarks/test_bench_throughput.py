@@ -12,12 +12,12 @@ import time
 import numpy as np
 
 from repro.constants import SAMPLE_RATE_HZ
-from repro.detection.node_detector import NodeDetector, NodeDetectorConfig
-from repro.detection.preprocess import preprocess_z_counts
+from repro.detection.node_detector import NodeDetectorConfig
 from repro.dsp.wavelet import cwt_morlet
 from repro.physics.spectrum import SeaState, sea_state_spectrum
 from repro.physics.wavefield import AmbientWaveField
 from repro.rng import make_rng
+from repro.scenario.trace_io import detect_on_trace
 from repro.types import Position
 from tests.dsp.oracles import timedomain_cwt
 
@@ -34,17 +34,13 @@ def test_bench_wavefield_synthesis(benchmark):
 
 
 def test_bench_detector_throughput(benchmark):
-    """Preprocess + detect over a 400 s trace (the per-node hot path)."""
+    """Preprocess + detect + merge over a 400 s trace (the one-trace
+    path: ``detect_on_trace``'s one-row fleet walk)."""
     rng = make_rng(2)
     z = (1024 + 60 * rng.standard_normal(20000)).astype(np.int64)
+    config = NodeDetectorConfig(m=2.0, af_threshold=0.6)
 
-    def run():
-        config = NodeDetectorConfig(m=2.0, af_threshold=0.6)
-        a = preprocess_z_counts(z, config.rate_hz)
-        det = NodeDetector(0, Position(0, 0), config)
-        return det.process_samples(a, 0.0)
-
-    benchmark(run)
+    benchmark(detect_on_trace, z, config=config)
 
 
 def test_bench_cwt_throughput(benchmark, monkeypatch):

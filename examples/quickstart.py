@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 
-from repro.detection.node_detector import NodeDetector, NodeDetectorConfig
+from repro.detection.fleet import FleetDetector, FleetMember
+from repro.detection.node_detector import NodeDetectorConfig
+from repro.detection.preprocess import preprocess_z_counts
 from repro.physics.kelvin import default_amplitude_coefficient
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.ship import ShipTrack
@@ -55,13 +57,13 @@ def main() -> None:
         f"{trace.z.mean():.0f} counts (~1 g) with sigma {trace.z.std():.0f}"
     )
 
-    # Node-level detection at the paper's M = 2, af = 60 % operating point.
-    detector = NodeDetector(
-        node_id=0,
-        position=buoy_node.anchor,
-        config=NodeDetectorConfig(m=2.0, af_threshold=0.6),
-    )
-    reports = detector.process_trace(trace)
+    # Node-level detection at the paper's M = 2, af = 60 % operating
+    # point: condition the z axis, then walk its windows as a one-row
+    # fleet.
+    detector_config = NodeDetectorConfig(m=2.0, af_threshold=0.6)
+    a = preprocess_z_counts(trace.z, trace.rate_hz)
+    fleet = FleetDetector([FleetMember(0, buoy_node.anchor)], detector_config)
+    (reports,) = fleet.process_samples(a[None, :], [trace.t0]).values()
     if not reports:
         print("no detection (try a closer pass or lower threshold)")
         return

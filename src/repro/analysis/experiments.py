@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.constants import ACCEL_COUNTS_PER_G, SAMPLE_RATE_HZ
 from repro.detection.cluster import TravelLine
 from repro.detection.correlation import cluster_correlation, majority_side
+from repro.detection.fleet import FleetDetector
 from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.reports import NodeReport, RowObservation
 from repro.detection.speed import SpeedEstimate, estimate_ship_speed
@@ -40,7 +41,11 @@ from repro.scenario.presets import (
     paper_ship,
 )
 from repro.scenario.ship import ShipTrack
-from repro.scenario.runner import FleetRecording, run_offline_scenario
+from repro.scenario.runner import (
+    FleetRecording,
+    _fleet_samples,
+    run_offline_scenario,
+)
 from repro.scenario.synthesis import (
     SynthesisConfig,
     build_ambient_field,
@@ -496,31 +501,22 @@ def run_fig11_detection_ratio(
 # ----------------------------------------------------------------------
 # Tables I / II — correlation coefficient without / with ship
 # ----------------------------------------------------------------------
-def run_correlation_table(
+def _correlation_runs(
     with_ship: bool,
-    m_values: Sequence[float] = (1.0, 2.0, 3.0),
-    row_counts: Sequence[int] = (4, 5, 6),
-    seeds: Sequence[int] = (1, 2, 3, 4),
+    m_values: Sequence[float],
+    n_rows: int,
+    seeds: Sequence[int],
     af_threshold: float | None = None,
     speeds_knots: Sequence[float] = (10.0, 16.0),
-) -> list[list[float]]:
-    """Reproduce Table I (``with_ship=False``) or Table II (True).
+) -> Iterator[tuple[int, list[list[RowObservation]]]]:
+    """Yield ``(index into m_values, row observations)`` per Table I/II run.
 
-    Protocol (Sec. V-B.1): 5 nodes per row, C computed over the first
-    4/5/6 rows against the (known) test travel line, keeping one side
-    of the line per row and each node's highest-energy report.  For
-    Table I the af threshold is lowered to 0.3 to harvest false alarms;
-    runs with ship average over both test speeds.
-
-    Returns the matrix ``values[i][j]`` for ``m_values[i]`` x
-    ``row_counts[j]``.
+    One synthesis per seed and ship speed (a no-ship run has the one
+    10-knot slot and the nuisance mix), detected at every M; each run
+    yields the eq. 9-13 inputs of its first ``n_rows`` rows.
     """
     if af_threshold is None:
         af_threshold = 0.4 if with_ship else 0.3
-    # samples[i][n_rows]: C of every run at m_values[i], in run order.
-    samples: list[dict[int, list[float]]] = [
-        {k: [] for k in row_counts} for _ in m_values
-    ]
     for seed in seeds:
         for speed in speeds_knots if with_ship else (10.0,):
             dep = paper_deployment(seed=seed)
@@ -565,14 +561,42 @@ def run_correlation_table(
                     track_hypothesis=track,
                     recording=recording,
                 )
-                # One run scores every requested row count: the row set
-                # is a scoring choice, not a deployment choice.
-                per_row_obs = _row_observations(
-                    dep, track, res.merged_by_node, center, max(row_counts)
+                yield i, _row_observations(
+                    dep, track, res.merged_by_node, center, n_rows
                 )
-                for n_rows in row_counts:
-                    _, _, c = cluster_correlation(per_row_obs[:n_rows])
-                    samples[i][n_rows].append(c)
+
+
+def run_correlation_table(
+    with_ship: bool,
+    m_values: Sequence[float] = (1.0, 2.0, 3.0),
+    row_counts: Sequence[int] = (4, 5, 6),
+    seeds: Sequence[int] = (1, 2, 3, 4),
+    af_threshold: float | None = None,
+    speeds_knots: Sequence[float] = (10.0, 16.0),
+) -> list[list[float]]:
+    """Reproduce Table I (``with_ship=False``) or Table II (True).
+
+    Protocol (Sec. V-B.1): 5 nodes per row, C computed over the first
+    4/5/6 rows against the (known) test travel line, keeping one side
+    of the line per row and each node's highest-energy report.  For
+    Table I the af threshold is lowered to 0.3 to harvest false alarms;
+    runs with ship average over both test speeds.
+
+    Returns the matrix ``values[i][j]`` for ``m_values[i]`` x
+    ``row_counts[j]``.
+    """
+    # samples[i][n_rows]: C of every run at m_values[i], in run order.
+    samples: list[dict[int, list[float]]] = [
+        {k: [] for k in row_counts} for _ in m_values
+    ]
+    for i, per_row_obs in _correlation_runs(
+        with_ship, m_values, max(row_counts), seeds, af_threshold, speeds_knots
+    ):
+        # One run scores every requested row count: the row set is a
+        # scoring choice, not a deployment choice.
+        for n_rows in row_counts:
+            _, _, c = cluster_correlation(per_row_obs[:n_rows])
+            samples[i][n_rows].append(c)
     return [
         [float(np.mean(by_rows[n_rows])) for n_rows in row_counts]
         for by_rows in samples
@@ -728,6 +752,7 @@ def run_threshold_ablation(
         rough_field = build_ambient_field(
             rough_cfg, seed=derive_rng(root, "rough")
         )
+        traces = {}
         for node in dep:
             t1 = node.mote.sample_instants(0.0, half_s)
             t2 = node.mote.sample_instants(half_s, half_s)
@@ -743,22 +768,22 @@ def run_threshold_ablation(
             )
             t = np.concatenate([t1, t2])
             motion = node.buoy.specific_force(t, az)
-            trace = node.mote.record(motion)
-            from repro.detection.node_detector import NodeDetector
-
-            for label, betas in (("adaptive", (0.99, 0.99)), ("fixed", (1.0, 1.0))):
-                det = NodeDetector(
-                    node.node_id,
-                    node.anchor,
-                    NodeDetectorConfig(
-                        m=m, af_threshold=af, beta1=betas[0], beta2=betas[1]
-                    ),
-                )
-                reports = det.process_trace(trace)
-                counts[label] += sum(
-                    1 for r in reports if r.onset_time >= half_s + 30.0
-                )
+            traces[node.node_id] = node.mote.record(motion)
             node_hours += (half_s - 30.0) / 3600.0
+        recording = FleetRecording.from_traces(dep, traces)
+        for label, beta in (("adaptive", 0.99), ("fixed", 1.0)):
+            cfg = NodeDetectorConfig(
+                m=m, af_threshold=af, beta1=beta, beta2=beta
+            )
+            reports = FleetDetector.from_deployment(dep, cfg).process_samples(
+                *_fleet_samples(recording, cfg)
+            )
+            counts[label] += sum(
+                1
+                for node_reports in reports.values()
+                for r in node_reports
+                if r.onset_time >= half_s + 30.0
+            )
     return {
         "adaptive_false_per_node_hour": counts["adaptive"] / node_hours,
         "fixed_false_per_node_hour": counts["fixed"] / node_hours,
@@ -775,47 +800,15 @@ def run_correlation_components(
 
     Used by the correlation ablation: the combined coefficient
     ``C = CNt * CNe`` must separate ship from no-ship at least as well
-    as either factor alone.
+    as either factor alone.  The runs are :func:`run_correlation_table`'s
+    at one M.
     """
-    af = 0.4 if with_ship else 0.3
-    cnts, cnes, cs = [], [], []
-    for seed in seeds:
-        speeds = (10.0, 16.0) if with_ship else (10.0,)
-        for speed in speeds:
-            dep = paper_deployment(seed=seed)
-            ship = paper_ship(dep, speed_knots=speed)
-            track = ship.travel_line()
-            synth = SynthesisConfig(duration_s=400.0)
-            nuisances = (
-                None
-                if with_ship
-                else random_disturbances(
-                    dep,
-                    synth,
-                    gusts_per_node_hour=1.0,
-                    bumps_per_node_hour=0.5,
-                    seed=seed + 999,
-                )
-            )
-            res = run_offline_scenario(
-                dep,
-                [ship] if with_ship else [],
-                detector_config=NodeDetectorConfig(m=m, af_threshold=af),
-                synthesis_config=synth,
-                disturbances_by_node=nuisances,
-                track_hypothesis=track,
-                seed=seed * 100 + int(speed),
-            )
-            center = (
-                ship.time_at_point(dep.center()) if with_ship else 200.0
-            )
-            rows = _row_observations(
-                dep, track, res.merged_by_node, center, n_rows
-            )
-            cnt, cne, c = cluster_correlation(rows)
-            cnts.append(cnt)
-            cnes.append(cne)
-            cs.append(c)
+    cnts, cnes, cs = zip(
+        *(
+            cluster_correlation(rows)
+            for _, rows in _correlation_runs(with_ship, (m,), n_rows, seeds)
+        )
+    )
     return {
         "time_only": float(np.mean(cnts)),
         "energy_only": float(np.mean(cnes)),

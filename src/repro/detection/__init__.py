@@ -4,12 +4,12 @@ Pure algorithms, independent of the network simulator:
 
 - :mod:`repro.detection.preprocess` — Sec. IV-B signal conditioning
   (1 Hz low-pass, gravity removal, rectification);
-- :mod:`repro.detection.adaptive` — the environment-adaptive baseline
-  (eqs. 4-5);
-- :mod:`repro.detection.anomaly` — deviations, threshold crossings,
-  anomaly frequency and crossing energy (eqs. 6-8);
 - :mod:`repro.detection.node_detector` — the node-level detector
-  emitting :class:`repro.detection.reports.NodeReport`;
+  (the adaptive baseline, deviations, anomaly frequency and crossing
+  energy of eqs. 4-8) fed one window at a time, emitting
+  :class:`repro.detection.reports.NodeReport`;
+- :mod:`repro.detection.fleet` — the same eqs. 4-8 walked for every
+  node at once, over whole records or chunks;
 - :mod:`repro.detection.correlation` — spatial/temporal correlation
   coefficients (eqs. 9-13);
 - :mod:`repro.detection.cluster` — static cells and the on-demand
@@ -21,7 +21,6 @@ Pure algorithms, independent of the network simulator:
   end on one node.
 """
 
-from repro.detection.adaptive import AdaptiveBaseline, window_stats
 from repro.detection.classifier import (
     Classification,
     ClassifierConfig,
@@ -30,12 +29,6 @@ from repro.detection.classifier import (
     EventFeatures,
 )
 from repro.detection.dutycycle import DutyCycleConfig, DutyCycleController
-from repro.detection.anomaly import (
-    anomaly_frequency,
-    crossing_energy,
-    crossing_mask,
-    deviations,
-)
 from repro.detection.cluster import (
     ClusterEvent,
     StaticCluster,
@@ -77,7 +70,6 @@ from repro.detection.speed import (
 )
 
 __all__ = [
-    "AdaptiveBaseline",
     "Classification",
     "ClassifierConfig",
     "DutyCycleConfig",
@@ -106,11 +98,7 @@ __all__ = [
     "StreamingPreprocessor",
     "TemporaryCluster",
     "TemporaryClusterConfig",
-    "anomaly_frequency",
     "cluster_correlation",
-    "crossing_energy",
-    "crossing_mask",
-    "deviations",
     "estimate_heading_alpha_rad",
     "estimate_ship_speed",
     "longest_consistent_chain",
@@ -121,5 +109,4 @@ __all__ = [
     "row_energy_correlation",
     "row_time_correlation",
     "window_starts",
-    "window_stats",
 ]

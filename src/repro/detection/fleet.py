@@ -1,8 +1,8 @@
 """Fleet-vectorized node detection (eqs. 4-8, block-speculative).
 
-:class:`~repro.detection.node_detector.NodeDetector` walks one node's
-stream window by window in pure Python.  :class:`FleetDetector` walks
-every node at once: :meth:`FleetDetector.step` takes a ``(nodes, k,
+:class:`~repro.detection.node_detector.NodeDetector` takes one node's
+windows one call at a time, in pure Python.  :class:`FleetDetector`
+walks every node at once: :meth:`FleetDetector.step` takes a ``(nodes, k,
 window)`` stack of Delta-t windows and advances each row through its
 windows in blocks.  Within a block it first assumes every window is
 quiet, so the eq.-5 baseline before each window is a short recurrence
@@ -15,9 +15,9 @@ window, whose statistics update the baseline; the row then restarts
 after it.
 
 The kernel is **bit-identical** to the one-window lockstep walk (the
-oracle in ``tests/detection/oracles.py``) and so to the per-node
-reference: the recurrence repeats eq. 5's operations in
-``AdaptiveBaseline.update``'s order, window statistics are reductions
+oracle in ``tests/detection/oracles.py``) and so to ``NodeDetector``:
+the recurrence repeats eq. 5's operations in
+``NodeDetector.process_window``'s order, window statistics are reductions
 over contiguous rows, and each report's crossing energy is the same
 compacted sum.
 
@@ -255,7 +255,7 @@ class FleetDetector:
 
         # Hypothesis Q, every window quiet: base[j] holds each row's
         # (m'_T, d'_T) baseline before slot j, every step eq. 5 in
-        # AdaptiveBaseline.update's operation order.
+        # NodeDetector.process_window's operation order.
         beta = np.array([cfg.beta1, cfg.beta2])
         gain = np.stack([m_dt.T, d_dt.T], axis=2) * (1.0 - beta)
         base = np.empty((b + 1, r, 2))

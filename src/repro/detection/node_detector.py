@@ -12,23 +12,16 @@ baseline update.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.constants import BETA_1, BETA_2, NODE_LOWPASS_CUTOFF_HZ, SAMPLE_RATE_HZ
-from repro.detection.adaptive import AdaptiveBaseline
-from repro.detection.anomaly import (
-    anomaly_frequency,
-    crossing_energy,
-    crossing_mask,
-    deviations,
-    onset_index,
-)
-from repro.detection.preprocess import PreprocessConfig, preprocess_z_counts
+from repro.detection.preprocess import PreprocessConfig
 from repro.detection.reports import NodeReport
 from repro.errors import ConfigurationError, InternalError, SignalLengthError
-from repro.types import AccelTrace, Position
+from repro.types import Position
 
 
 @dataclass(frozen=True)
@@ -131,11 +124,17 @@ def window_starts(config: NodeDetectorConfig, n_samples: int) -> list[int]:
 
 
 class NodeDetector:
-    """The per-node detection state machine.
+    """One node's eqs. 4-8 state, fed one window at a time.
 
-    Use :meth:`process_trace` for a full offline record, or
-    :meth:`process_window` to stream preprocessed windows (the form the
-    network-driven scenario runner uses).
+    This is the event-time walk: a healing-armed network run feeds each
+    node's preprocessed windows to its own detector at their end times,
+    because a cold restart (:meth:`reset`) can wipe a baseline mid-run.
+    Whole records are walked by
+    :class:`~repro.detection.fleet.FleetDetector`, one row per node.
+
+    The eq.-5 baseline is two floats, :attr:`mean` (``m'_T``) and
+    :attr:`std` (``d'_T``); both read 0 until the first
+    ``init_windows`` windows have seeded them.
     """
 
     def __init__(
@@ -151,26 +150,20 @@ class NodeDetector:
         self.config = config if config is not None else NodeDetectorConfig()
         self.row = row
         self.column = column
-        self.baseline = AdaptiveBaseline(
-            beta1=self.config.beta1, beta2=self.config.beta2
-        )
-        self._init_buffer: list[np.ndarray] = []
+        self.reset()
 
     @property
     def initialized(self) -> bool:
         """True once the adaptive baseline has been seeded."""
-        return self.baseline.seeded
+        return self._init_buffer is None
 
     def reset(self) -> None:
         """Forget all baseline state (fresh deployment)."""
-        self.baseline = AdaptiveBaseline(
-            beta1=self.baseline.beta1, beta2=self.baseline.beta2
-        )
-        self._init_buffer = []
+        self.mean = 0.0
+        self.std = 0.0
+        #: Initialization windows so far; None once the baseline seeded.
+        self._init_buffer: list[np.ndarray] | None = []
 
-    # ------------------------------------------------------------------
-    # Streaming interface
-    # ------------------------------------------------------------------
     def process_window(
         self, a_window: np.ndarray, t0: float
     ) -> NodeReport | None:
@@ -183,69 +176,47 @@ class NodeDetector:
         a = np.asarray(a_window, dtype=float)
         if a.size == 0:
             raise SignalLengthError("empty detection window")
-        if not self.baseline.seeded:
-            self._init_buffer.append(a)
-            if len(self._init_buffer) >= self.config.init_windows:
-                self.baseline.seed(np.concatenate(self._init_buffer))
-                self._init_buffer = []
+        cfg = self.config
+        buffer = self._init_buffer
+        if buffer is not None:
+            # Initialization: eq. 4 over the first init_windows windows.
+            buffer.append(a)
+            if len(buffer) >= cfg.init_windows:
+                x = np.concatenate(buffer)
+                self.mean = float(x.mean())
+                self.std = math.sqrt(float(np.mean((x - self.mean) ** 2)))
+                self._init_buffer = None
             return None
-        d = deviations(a, self.baseline.std)
-        d_max = self.baseline.threshold(self.config.m)
-        mask = crossing_mask(d, d_max)
-        af = anomaly_frequency(mask)
-        if af > self.config.af_threshold:
-            onset = onset_index(mask)
-            if onset is None:  # af > 0 implies at least one crossing
+        # Eq. 6 deviations D_i, crossings of D_max = M m'_T, eq. 7 af.
+        d = np.abs(a - self.std)
+        d_max = cfg.m * self.mean
+        if d_max < 0:
+            raise ConfigurationError(f"D_max must be >= 0, got {d_max}")
+        mask = d > d_max
+        af = float(np.count_nonzero(mask)) / mask.size
+        if af > cfg.af_threshold:
+            (crossings,) = mask.nonzero()
+            if crossings.size == 0:  # af > 0 implies at least one crossing
                 raise InternalError(
                     "anomalous window with no crossing onset (af "
-                    f"{af} > {self.config.af_threshold} but empty mask)"
+                    f"{af} > {cfg.af_threshold} but empty mask)"
                 )
             return NodeReport(
                 node_id=self.node_id,
                 position=self.position,
-                onset_time=t0 + onset / self.config.rate_hz,
-                energy=crossing_energy(d, mask),
+                onset_time=t0 + int(crossings[0]) / cfg.rate_hz,
+                # Eq. 8: the mean deviation over the crossings.
+                energy=float(d[crossings].sum()) / crossings.size,
                 anomaly_frequency=af,
                 row=self.row,
                 column=self.column,
             )
-        self.baseline.update(a)
+        # A quiet window: its eq. 4 statistics update the baseline (eq. 5).
+        m_dt = float(a.mean())
+        d_dt = math.sqrt(float(np.mean((a - m_dt) ** 2)))
+        self.mean = cfg.beta1 * self.mean + m_dt * (1.0 - cfg.beta1)
+        self.std = cfg.beta2 * self.std + d_dt * (1.0 - cfg.beta2)
         return None
-
-    # ------------------------------------------------------------------
-    # Offline interface
-    # ------------------------------------------------------------------
-    def process_samples(
-        self, a: np.ndarray, t0: float
-    ) -> list[NodeReport]:
-        """Walk an already-preprocessed stream window by window."""
-        a = np.asarray(a, dtype=float)
-        w = self.config.window_samples
-        if a.size < w:
-            raise SignalLengthError(
-                f"need at least one window ({w} samples), got {a.size}"
-            )
-        reports: list[NodeReport] = []
-        for start in window_starts(self.config, a.size):
-            seg = a[start : start + w]
-            report = self.process_window(
-                seg, t0 + start / self.config.rate_hz
-            )
-            if report is not None:
-                reports.append(report)
-        return reports
-
-    def process_trace(self, trace: AccelTrace) -> list[NodeReport]:
-        """Preprocess a raw count trace (Sec. IV-B) and detect on it.
-
-        A trace sampled off the detector's ``rate_hz`` would be
-        mis-filtered and mis-timed, so it raises.
-        """
-        self.config.check_sample_rate(trace.rate_hz)
-        a = preprocess_z_counts(
-            trace.z, self.config.rate_hz, self.config.preprocess
-        )
-        return self.process_samples(a, trace.t0)
 
 
 def merge_reports(

@@ -15,8 +15,8 @@ The node-side algorithm (paper Sec. IV-D) has four procedures:
   head when correlated, and compute the ship speed (eq. 16) when the
   four-node condition holds.
 
-:class:`SIDNode` is a *pure state machine*: it consumes sample windows
-and peer messages and returns :class:`SIDAction` values describing what
+:class:`SIDNode` is a *pure state machine*: it consumes window
+detection outcomes and peer messages and returns :class:`SIDAction` values describing what
 the node wants transmitted.  Both the in-process scenario runner and
 the discrete-event network stack drive it, so protocol behaviour is
 identical with and without a lossy radio in between.
@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
-
-import numpy as np
 
 from repro.detection.cluster import (
     ClusterEvent,
@@ -179,15 +177,6 @@ class SIDNode:
     # ------------------------------------------------------------------
     # DetectIntrusion
     # ------------------------------------------------------------------
-    def on_samples(self, a_window: np.ndarray, t0: float) -> list[SIDAction]:
-        """Process one preprocessed Delta-t window (DetectIntrusion).
-
-        Runs eqs. 4-8 on the node's own detector and replays the
-        outcome through :meth:`on_window_outcome`.
-        """
-        report = self.detector.process_window(a_window, t0)
-        return self.on_window_outcome(report, t0, self.detector.initialized)
-
     def on_window_outcome(
         self,
         report: Optional[NodeReport],

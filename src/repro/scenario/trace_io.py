@@ -20,11 +20,9 @@ from typing import Mapping
 import numpy as np
 
 from repro.constants import SAMPLE_RATE_HZ
-from repro.detection.node_detector import (
-    NodeDetector,
-    NodeDetectorConfig,
-    merge_reports,
-)
+from repro.detection.fleet import FleetDetector, FleetMember
+from repro.detection.node_detector import NodeDetectorConfig, merge_reports
+from repro.detection.preprocess import preprocess_z_counts
 from repro.detection.reports import NodeReport
 from repro.errors import ConfigurationError
 from repro.types import AccelTrace, Position
@@ -139,18 +137,16 @@ def detect_on_trace(
     """Run the full node-level pipeline on a raw z-axis count array.
 
     The one-call API for external data: preprocessing (1 Hz low-pass,
-    gravity removal, rectification), adaptive thresholding and window
-    merging, returning one report per detected event.
+    gravity removal, rectification), adaptive thresholding on a one-row
+    :class:`FleetDetector` and window merging, returning one report per
+    detected event.  A ``config`` whose ``rate_hz`` differs from
+    ``rate_hz`` raises :class:`ConfigurationError`.
     """
-    z = np.asarray(z_counts)
     if config is None:
         config = NodeDetectorConfig(rate_hz=rate_hz)
-    trace = AccelTrace(
-        t0=t0,
-        rate_hz=rate_hz,
-        x=np.zeros_like(z),
-        y=np.zeros_like(z),
-        z=z,
-    )
-    detector = NodeDetector(0, Position(0.0, 0.0), config)
-    return merge_reports(detector.process_trace(trace), gap_s=merge_gap_s)
+    # Filtering and window timing use the detector's rate.
+    config.check_sample_rate(rate_hz)
+    a = preprocess_z_counts(z_counts, config.rate_hz, config.preprocess)
+    fleet = FleetDetector([FleetMember(0, Position(0.0, 0.0))], config)
+    (reports,) = fleet.process_samples(a[None, :], [t0]).values()
+    return merge_reports(reports, gap_s=merge_gap_s)

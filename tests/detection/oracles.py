@@ -10,6 +10,10 @@ a time with the same window-major return, so the oracle can stand in
 for the kernel under :class:`~repro.detection.fleet.FleetStream` and
 the scenario runners.  Events go through the production
 ``_trace_step``, one call per window.
+
+:func:`node_window_walk` is the per-node reference: one
+:class:`~repro.detection.node_detector.NodeDetector` fed every window
+of a stream in turn, as the event-time network feed does.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.detection.fleet import FleetDetector
+from repro.detection.node_detector import NodeDetector, window_starts
 from repro.detection.reports import NodeReport
 from repro.errors import ConfigurationError, InternalError, SignalLengthError
 
@@ -139,3 +144,23 @@ class LockstepFleetDetector(FleetDetector):
         if self.tracer is not None:
             self._trace_step(rows, reporting, t0s, out)
         return out
+
+
+def node_window_walk(
+    detector: NodeDetector, a: np.ndarray, t0: float
+) -> list[NodeReport]:
+    """Feed every window of ``window_starts`` over ``a`` to ``detector``.
+
+    ``a`` is one node's preprocessed stream starting at time ``t0``;
+    returns the reports in window order.
+    """
+    cfg = detector.config
+    w = cfg.window_samples
+    reports = []
+    for start in window_starts(cfg, len(a)):
+        report = detector.process_window(
+            a[start : start + w], t0 + start / cfg.rate_hz
+        )
+        if report is not None:
+            reports.append(report)
+    return reports

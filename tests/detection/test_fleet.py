@@ -3,7 +3,7 @@
 The fleet-vectorized detector's contract is *bit-identical* reports:
 every test here compares :class:`FleetDetector` (and its chunked
 :class:`FleetStream` driver) against per-node :class:`NodeDetector`
-walks with ``==`` on whole report lists — no tolerances.
+window walks with ``==`` on whole report lists — no tolerances.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.detection.node_detector import (
 from repro.errors import ConfigurationError, SignalLengthError
 from repro.rng import make_rng
 from repro.types import Position
+from tests.detection.oracles import node_window_walk
 
 
 def make_members(n: int) -> list[FleetMember]:
@@ -63,7 +64,7 @@ def reference_reports(
         det = NodeDetector(
             m.node_id, m.position, cfg, row=m.row, column=m.column
         )
-        out[m.node_id] = det.process_samples(a[i], t0s[i])
+        out[m.node_id] = node_window_walk(det, a[i], t0s[i])
     return out
 
 

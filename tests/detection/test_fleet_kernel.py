@@ -9,7 +9,9 @@ baselines.  Hypothesis draws the fleet size, the record length (off
 the hop grid too), every detector knob the walk reads, the report
 density (from none to most windows, through bursts), per-row clocks,
 dead runs in the ``active`` mask and random chunkings of both the
-sample stream and the window stack.
+sample stream and the window stack.  The same fleets check the
+event-time walk: one :class:`NodeDetector` per row, fed only its live
+windows, equals the masked kernel in reports and final state.
 
 Run with ``HYPOTHESIS_PROFILE=ci`` for ten times the examples.
 """
@@ -24,7 +26,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.detection.fleet import FleetDetector, FleetMember, hop_windows
-from repro.detection.node_detector import NodeDetectorConfig
+from repro.detection.node_detector import NodeDetector, NodeDetectorConfig
+from repro.errors import ConfigurationError
 from repro.rng import make_rng
 from repro.telemetry import ManualClock, Telemetry
 from repro.types import Position
@@ -132,6 +135,51 @@ def test_block_kernel_matches_lockstep_oracle(case):
         got += masked.step(windows[:, lo:hi], t[:, lo:hi], active=live[:, lo:hi])
     assert got == want_masked
     _assert_same_state(masked, oracle)
+
+
+@given(case=_fleets())
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_event_time_walk_matches_masked_kernel(case):
+    # A healing-armed network run feeds each live window to its node's
+    # own detector; the precompute steps the fleet with active=live.
+    cfg, a, t0s, seed = case
+    members = _members(a.shape[0])
+    w, hop = cfg.window_samples, cfg.hop_samples
+    k = len(range(0, a.shape[1] - w + 1, hop))
+    windows = hop_windows(a, 0, k, w, hop)
+    t = np.asarray(t0s)[:, None] + np.arange(0, k * hop, hop) / cfg.rate_hz
+    live = _dead_runs(make_rng(seed + 2), a.shape[0], k)
+    fleet = FleetDetector(members, cfg)
+    want = fleet.step(windows, t, active=live)
+    n = len(members)
+    for i, member in enumerate(members):
+        det = NodeDetector(
+            member.node_id, member.position, cfg, member.row, member.column
+        )
+        got = [
+            det.process_window(windows[i, j], float(t[i, j]))
+            if live[i, j]
+            else None
+            for j in range(k)
+        ]
+        assert got == want[i::n]
+        assert det.initialized == fleet._seeded[i]
+        assert np.float64(det.mean).tobytes() == fleet._mean[i].tobytes()
+        assert np.float64(det.std).tobytes() == fleet._std[i].tobytes()
+
+
+def test_negative_baseline_mean_raises_in_both():
+    # A negative m'_T makes D_max = M m'_T negative: both bodies refuse.
+    cfg = NodeDetectorConfig(init_windows=1)
+    w = cfg.window_samples
+    windows = np.stack([np.full(w, -1.0), np.zeros(w)])
+    det = NodeDetector(0, Position(0.0, 0.0), cfg)
+    assert det.process_window(windows[0], 0.0) is None
+    with pytest.raises(ConfigurationError, match="D_max"):
+        det.process_window(windows[1], 2.0)
+    fleet = FleetDetector(_members(1), cfg)
+    with pytest.raises(ConfigurationError, match="D_max"):
+        fleet.step(windows[None], np.array([[0.0, 2.0]]))
 
 
 @pytest.mark.parametrize("m, af, bursts", [(2.0, 0.6, 2), (1.0, 0.3, 20)])

@@ -49,10 +49,16 @@ def _burst(rng, n=100):
     return _quiet(rng, n) + 10.0
 
 
+def _feed(node, a_window, t0):
+    """Detect one window on the node's own detector; replay the outcome."""
+    report = node.detector.process_window(a_window, t0)
+    return node.on_window_outcome(report, t0, node.detector.initialized)
+
+
 def _init(node, rng, t0=0.0):
     """Run the Initialization procedure (2 windows)."""
-    node.on_samples(_quiet(rng), t0)
-    node.on_samples(_quiet(rng), t0 + 2.0)
+    _feed(node, _quiet(rng), t0)
+    _feed(node, _quiet(rng), t0 + 2.0)
 
 
 def _member_report(node_id, t):
@@ -78,7 +84,7 @@ class TestLifecycle:
     def test_detection_sets_up_cluster(self, rng):
         node = _node()
         _init(node, rng)
-        actions = node.on_samples(_burst(rng), 4.0)
+        actions = _feed(node, _burst(rng), 4.0)
         assert len(actions) == 1
         assert isinstance(actions[0], SetupClusterAction)
         assert node.state == SIDState.TEMP_CLUSTER_HEAD
@@ -89,7 +95,7 @@ class TestLifecycle:
         _init(node, rng)
         node.on_cluster_setup(head_id=9, t=4.0)
         assert node.state == SIDState.TEMP_CLUSTER_MEMBER
-        actions = node.on_samples(_burst(rng), 6.0)
+        actions = _feed(node, _burst(rng), 6.0)
         assert len(actions) == 1
         assert isinstance(actions[0], MemberReportAction)
         assert actions[0].head_id == 9
@@ -97,7 +103,7 @@ class TestLifecycle:
     def test_head_ignores_invites(self, rng):
         node = _node()
         _init(node, rng)
-        node.on_samples(_burst(rng), 4.0)
+        _feed(node, _burst(rng), 4.0)
         node.on_cluster_setup(head_id=9, t=5.0)
         assert node.state == SIDState.TEMP_CLUSTER_HEAD
 
@@ -132,7 +138,7 @@ class TestHeadEvaluation:
     def test_lone_head_cancels_after_quiet_timeout(self, rng):
         node = _node()
         _init(node, rng)
-        node.on_samples(_burst(rng), 4.0)
+        _feed(node, _burst(rng), 4.0)
         assert node.on_timer(10.0) == []  # before quiet deadline
         actions = node.on_timer(30.0)
         assert len(actions) == 1
@@ -142,7 +148,7 @@ class TestHeadEvaluation:
     def test_head_confirms_with_member_reports(self, rng):
         node = _node(min_reports=2, min_rows=1)
         _init(node, rng)
-        node.on_samples(_burst(rng), 4.0)
+        _feed(node, _burst(rng), 4.0)
         node.on_member_report(_member_report(1, 6.0))
         node.on_member_report(_member_report(2, 8.0))
         actions = node.on_timer(4.0 + 61.0)
@@ -153,7 +159,7 @@ class TestHeadEvaluation:
     def test_late_member_report_dropped(self, rng):
         node = _node()
         _init(node, rng)
-        node.on_samples(_burst(rng), 4.0)
+        _feed(node, _burst(rng), 4.0)
         node.on_timer(200.0)  # cluster evaluated and closed
         node.on_member_report(_member_report(1, 201.0))  # must not crash
 
@@ -165,7 +171,7 @@ class TestHeadEvaluation:
     def test_result_action_carries_event(self, rng):
         node = _node(min_reports=2, min_rows=1)
         _init(node, rng)
-        node.on_samples(_burst(rng), 4.0)
+        _feed(node, _burst(rng), 4.0)
         # Two member reports in the same row with correlated structure.
         node.on_member_report(_member_report(1, 6.0))
         actions = node.on_timer(4.0 + 61.0)

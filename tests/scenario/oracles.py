@@ -4,8 +4,8 @@ Each runner runs one lockstep :class:`~repro.detection.fleet.FleetDetector`
 walk.  The functions here are the plain per-node (or per-window)
 formulations of the same detection, kept as test oracles:
 
-- :func:`offline_reports` — one ``NodeDetector`` per node over its
-  whole trace (what ``run_offline_scenario`` must reproduce);
+- :func:`offline_reports` — one ``NodeDetector`` per node fed every
+  window of its trace (what ``run_offline_scenario`` must reproduce);
 - :func:`network_outcomes` — the crash-masked per-node window walk,
   with its own crash rule, checked against the network runner's window
   plan and precompute (and substituted for the precompute to run the
@@ -31,6 +31,7 @@ from repro.faults.plan import BatteryDrain, FaultPlan
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.runner import FleetRecording, WindowOutcomes
 from repro.types import AccelTrace
+from tests.detection.oracles import node_window_walk
 
 
 def offline_reports(
@@ -38,7 +39,8 @@ def offline_reports(
     traces: dict[int, AccelTrace],
     det_cfg: NodeDetectorConfig,
 ) -> dict[int, list[NodeReport]]:
-    """Per-node offline detection: one ``NodeDetector`` per trace."""
+    """Per-node offline detection: each trace preprocessed on its own
+    and walked window by window through its node's ``NodeDetector``."""
     reports_by_node = {}
     for node in deployment:
         detector = NodeDetector(
@@ -48,9 +50,10 @@ def offline_reports(
             row=node.row,
             column=node.column,
         )
-        reports_by_node[node.node_id] = detector.process_trace(
-            traces[node.node_id]
-        )
+        trace = traces[node.node_id]
+        det_cfg.check_sample_rate(trace.rate_hz)
+        a = preprocess_z_counts(trace.z, det_cfg.rate_hz, det_cfg.preprocess)
+        reports_by_node[node.node_id] = node_window_walk(detector, a, trace.t0)
     return reports_by_node
 
 
