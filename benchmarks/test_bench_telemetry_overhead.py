@@ -30,13 +30,17 @@ EPSILON_S = 0.05
 ROUNDS = 9
 
 
-def _best_of(fn, rounds: int = ROUNDS) -> float:
-    times = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
+def _timed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def _best_of_alternating(untraced, traced, rounds: int = ROUNDS):
+    """Each arm's best of ``rounds``, running one round of each in turn
+    so that a host slowing down or speeding up mid-bench hits both."""
+    off, on = zip(*[(_timed(untraced), _timed(traced)) for _ in range(rounds)])
+    return min(off), min(on)
 
 
 def test_bench_telemetry_overhead_64(once):
@@ -64,8 +68,7 @@ def test_bench_telemetry_overhead_64(once):
         for e in telemetry.events
     )
 
-    t_off = _best_of(untraced)
-    t_on = _best_of(traced)
+    t_off, t_on = _best_of_alternating(untraced, traced)
     overhead = (t_on - t_off) / t_off
     print(
         f"\n64-node fleet detection: untraced {t_off * 1e3:.1f} ms, "

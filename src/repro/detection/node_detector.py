@@ -179,8 +179,9 @@ class NodeDetector:
         cfg = self.config
         buffer = self._init_buffer
         if buffer is not None:
-            # Initialization: eq. 4 over the first init_windows windows.
-            buffer.append(a)
+            # Initialization: eq. 4 over the first init_windows windows,
+            # each copied, since a caller may refill one buffer per window.
+            buffer.append(a.copy())
             if len(buffer) >= cfg.init_windows:
                 x = np.concatenate(buffer)
                 self.mean = float(x.mean())

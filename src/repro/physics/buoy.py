@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -50,45 +51,56 @@ class BuoyMotion:
 
 
 class _SinusoidProcess:
-    """A zero-mean, band-limited gaussian-ish process as a sum of sines.
+    """Zero-mean, band-limited gaussian-ish processes as sums of sines.
 
-    Deterministic in ``t`` for a fixed seed; RMS and characteristic
-    period are configurable.  Used for tilt and drift, and evaluated on
-    evenly spaced sample grids by
-    :func:`~repro.physics.sinusoids.grid_sinusoid_sum`.
+    One row per entry of ``periods_s``: each row has RMS ``rms`` and its
+    own characteristic period, and draws its frequencies, phases and
+    amplitudes from ``rng`` after the previous row's, as separate
+    one-row processes would.  Deterministic in ``t`` for a fixed seed.
+    Used for tilt and drift; all rows are evaluated on evenly spaced
+    sample grids by one
+    :func:`~repro.physics.sinusoids.grid_sinusoid_sum` call.
     """
 
     def __init__(
         self,
         rng: np.random.Generator,
         rms: float,
-        period_s: float,
+        periods_s: Sequence[float],
         n_terms: int = 6,
         period_spread: float = 0.5,
     ) -> None:
         if rms < 0:
             raise ConfigurationError(f"rms must be >= 0, got {rms}")
-        if period_s <= 0:
-            raise ConfigurationError(f"period must be positive, got {period_s}")
-        base = 1.0 / period_s
-        self._freqs = base * (
-            1.0 + period_spread * rng.uniform(-1.0, 1.0, size=n_terms)
-        )
-        self._phases = rng.uniform(0.0, 2.0 * math.pi, size=n_terms)
-        raw = rng.uniform(0.5, 1.0, size=n_terms)
-        # Normalise so the sum of sinusoids has the requested RMS.
-        norm = math.sqrt(float(np.sum(raw * raw)) / 2.0)
-        self._amps = raw * (rms / norm) if norm > 0 else raw * 0.0
+        freqs: list[np.ndarray] = []
+        phases: list[np.ndarray] = []
+        amps: list[np.ndarray] = []
+        for period_s in periods_s:
+            if period_s <= 0:
+                raise ConfigurationError(
+                    f"period must be positive, got {period_s}"
+                )
+            freqs.append(
+                (1.0 / period_s)
+                * (1.0 + period_spread * rng.uniform(-1.0, 1.0, size=n_terms))
+            )
+            phases.append(rng.uniform(0.0, 2.0 * math.pi, size=n_terms))
+            raw = rng.uniform(0.5, 1.0, size=n_terms)
+            # Normalise so each row's sum of sinusoids has the requested RMS.
+            amps.append(raw * (rms / math.sqrt(float(np.sum(raw * raw)) / 2.0)))
+        self._freqs = np.array(freqs)
+        self._phases = np.array(phases)
+        self._amps = np.array(amps)
         # sin(w t + p) = sin p cos(w t) + cos p sin(w t)
         self._omega = 2.0 * math.pi * self._freqs
-        self._cos_weights = (self._amps * np.sin(self._phases))[None, :]
-        self._sin_weights = (self._amps * np.cos(self._phases))[None, :]
+        self._cos_weights = self._amps * np.sin(self._phases)
+        self._sin_weights = self._amps * np.cos(self._phases)
 
     def __call__(self, t: npt.ArrayLike) -> np.ndarray:
-        """The process on the evenly spaced sample grid ``t``."""
+        """Every row on the evenly spaced sample grid ``t``; (rows, len(t))."""
         return grid_sinusoid_sum(
             self._omega, t, self._cos_weights, self._sin_weights
-        )[0]
+        )
 
 
 class Buoy:
@@ -143,14 +155,14 @@ class Buoy:
         self.heave_order = heave_order
         rng = make_rng(seed)
         tilt_rms = math.radians(tilt_rms_deg)
-        self._tilt_x = _SinusoidProcess(rng, tilt_rms, tilt_period_s)
-        self._tilt_y = _SinusoidProcess(rng, tilt_rms, tilt_period_s)
-        # Drift RMS chosen so the 2-sigma excursion stays at the radius;
-        # values are clipped to the radius anyway.
-        drift_rms = drift_radius_m / 2.0
-        self._drift_x = _SinusoidProcess(rng, drift_rms, drift_period_s)
-        self._drift_y = _SinusoidProcess(
-            rng, drift_rms, drift_period_s * 1.3
+        # Rows: rocking about the x axis, then about the y axis.
+        self._tilt = _SinusoidProcess(
+            rng, tilt_rms, (tilt_period_s, tilt_period_s)
+        )
+        # Rows: the x offset, then the y offset.  The RMS keeps the
+        # 2-sigma excursion at the radius; values are clipped to it too.
+        self._drift = _SinusoidProcess(
+            rng, drift_radius_m / 2.0, (drift_period_s, drift_period_s * 1.3)
         )
 
     # ------------------------------------------------------------------
@@ -159,8 +171,7 @@ class Buoy:
     def drift_offsets(self, t: npt.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
         """Mooring offsets (dx, dy) [m] on the evenly spaced grid ``t``,
         clipped to the drift radius."""
-        dx = self._drift_x(t)
-        dy = self._drift_y(t)
+        dx, dy = self._drift(t)
         r = np.hypot(dx, dy)
         if self.drift_radius_m == 0:
             return np.zeros_like(dx), np.zeros_like(dy)
@@ -198,7 +209,8 @@ class Buoy:
     def tilt_angles(self, t: npt.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
         """Rocking angles about the x and y axes [rad] on the evenly
         spaced grid ``t``."""
-        return self._tilt_x(t), self._tilt_y(t)
+        theta_x, theta_y = self._tilt(t)
+        return theta_x, theta_y
 
     def specific_force(
         self,
@@ -215,19 +227,14 @@ class Buoy:
         components.  A resting, untilted buoy reads ``fz = +g``.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        az = np.broadcast_to(
+        vertical = GRAVITY + np.broadcast_to(
             np.asarray(vertical_accel, dtype=float), t.shape
-        ).copy()
-        if horizontal_accel is None:
-            ahx = np.zeros_like(t)
-            ahy = np.zeros_like(t)
-        else:
-            ahx = np.broadcast_to(np.asarray(horizontal_accel[0], float), t.shape)
-            ahy = np.broadcast_to(np.asarray(horizontal_accel[1], float), t.shape)
+        )
         theta_x, theta_y = self.tilt_angles(t)
-        vertical = GRAVITY + az
-        cos_t = np.cos(theta_x) * np.cos(theta_y)
-        fz = vertical * cos_t
-        fx = vertical * np.sin(theta_y) + ahx
-        fy = -vertical * np.sin(theta_x) + ahy
+        fz = vertical * (np.cos(theta_x) * np.cos(theta_y))
+        fx = vertical * np.sin(theta_y)
+        fy = -vertical * np.sin(theta_x)
+        if horizontal_accel is not None:
+            fx += horizontal_accel[0]
+            fy += horizontal_accel[1]
         return BuoyMotion(t=t, fx=fx, fy=fy, fz=fz)

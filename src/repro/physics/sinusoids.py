@@ -3,7 +3,10 @@
 The ambient sea, the buoy's tilt and its mooring drift are all weighted
 sums of sinusoids on a mote's sample grid,
 
-``y[p, n] = sum_k c[p, k] cos(w_k t_n) + s[p, k] sin(w_k t_n)``.
+``y[p, n] = sum_k c[p, k] cos(w_k t_n) + s[p, k] sin(w_k t_n)``,
+
+with frequencies shared by every row (the ambient field) or drawn per
+row (a buoy's two tilt axes, its two drift axes).
 
 Taking trig at every (component, sample) pair costs ``K N`` libm calls.
 On an evenly spaced grid each index splits as ``n = j B + m`` with
@@ -55,12 +58,16 @@ def grid_sinusoid_sum(
     cos_weights: np.ndarray,
     sin_weights: np.ndarray,
 ) -> np.ndarray:
-    """``sum_k c[p, k] cos(w_k t_n) + s[p, k] sin(w_k t_n)``; (P, len(t)).
+    """``sum_k c[p, k] cos(w[p, k] t_n) + s[p, k] sin(w[p, k] t_n)``; (P, len(t)).
 
-    ``omega`` holds the K angular frequencies [rad/s]; ``cos_weights``
-    and ``sin_weights`` are (P, K).  ``t`` must be evenly spaced (any
-    sample grid of :class:`~repro.sensors.sampler.Sampler`, or a slice
-    of one); anything else raises :class:`ConfigurationError`.
+    ``cos_weights`` and ``sin_weights`` are (P, K).  ``omega`` holds the
+    angular frequencies [rad/s]: K shared by every row, or (P, K), one
+    set per row.  Shared frequencies stack every row into one GEMM;
+    per-row frequencies contract each row with its own GEMM (a stacked
+    ``matmul``), the BLAS call a one-row sum makes, so a (P, K) sum
+    equals P one-row sums bit for bit.  ``t`` must be evenly spaced
+    (any sample grid of :class:`~repro.sensors.sampler.Sampler`, or a
+    slice of one); anything else raises :class:`ConfigurationError`.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     _check_even_grid(t)
@@ -68,13 +75,16 @@ def grid_sinusoid_sum(
     if t.size == 0:
         return np.zeros((n_rows, 0))
     block = min(BLOCK, t.size)
-    starts = t[::block, None] * omega
+    # (R, K) with R = 1 (shared) or P (per row); R GEMMs below.
+    omega = np.reshape(omega, (-1, n_terms))
+    starts = t[::block, None] * omega[:, None, :]
     cos_start = np.cos(starts)
     sin_start = np.sin(starts)
     c = cos_weights[:, None, :]
     s = sin_weights[:, None, :]
-    c_block = (c * cos_start + s * sin_start).reshape(-1, n_terms)
-    s_block = (s * cos_start - c * sin_start).reshape(-1, n_terms)
-    offsets = omega[:, None] * (t[:block] - t[0])
+    operand = (omega.shape[0], -1, n_terms)
+    c_block = (c * cos_start + s * sin_start).reshape(operand)
+    s_block = (s * cos_start - c * sin_start).reshape(operand)
+    offsets = omega[:, :, None] * (t[:block] - t[0])
     out = c_block @ np.cos(offsets) + s_block @ np.sin(offsets)
     return out.reshape(n_rows, -1)[:, : t.size]

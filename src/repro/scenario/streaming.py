@@ -178,16 +178,21 @@ def run_streaming_scenario(
     disturbances_by_node: dict[int, list[Disturbance]] | None = None,
     track_hypothesis: TravelLine | None = None,
     seed: RandomState = None,
-    chunk_s: float = 20.0,
+    chunk_s: float = 60.0,
     telemetry: Optional[Telemetry] = None,
 ) -> OfflineScenarioResult:
     """The offline scenario with synthesis fused into detection.
 
     Equivalent to :func:`~repro.scenario.runner.run_offline_scenario`
-    with a streamable preprocessing filter, but never materialises a
-    full trace: synthesis output flows through the carried-state
-    preprocessor into the fleet window walk ``chunk_s`` seconds at a
-    time, capping peak memory at O(nodes x chunk).
+    with a streamable preprocessing filter, for any ``chunk_s``, but
+    never materialises a full trace: synthesis output flows through the
+    carried-state preprocessor into the fleet window walk ``chunk_s``
+    seconds at a time, and each chunk's arrays are released before the
+    next is synthesised, capping peak memory at O(nodes x chunk).  The
+    default 60 s (3,000 samples at 50 Hz) is a whole number of
+    200-sample synthesis blocks and of 50-sample hops; each chunk pays
+    per-node Python and numpy call overhead once, so longer chunks
+    trade memory for speed.
 
     ``telemetry`` (optional) records a profiling span per streaming
     stage (synthesize/preprocess/detect, once per chunk, plus the
@@ -234,6 +239,8 @@ def run_streaming_scenario(
             a_chunk = pre.push(z_chunk)
         with maybe_stage(telemetry, "detect_chunk", chunk=chunk_index):
             stream.push(a_chunk)
+        # Hold one chunk's arrays at a time, not two across synthesis.
+        del z_chunk, a_chunk
     return fuse_offline_reports(
         deployment,
         ships,

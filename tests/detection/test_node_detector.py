@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SignalLengthError
+from repro.detection.fleet import FleetDetector, FleetMember
 from repro.detection.node_detector import (
     NodeDetector,
     NodeDetectorConfig,
@@ -41,6 +42,23 @@ class TestStreaming:
         assert not det.initialized
         assert det.process_window(_ambient(rng, w), 2.0) is None
         assert det.initialized
+
+    def test_initialization_copies_a_refilled_buffer(self):
+        # A caller may refill one buffer per window: the baseline must
+        # seed from every window fed (1.0 then 3.0), as the fleet
+        # kernel's does, not from the buffer's last contents.
+        det = _detector()
+        fleet = FleetDetector(
+            [FleetMember(7, Position(1.0, 2.0), 3, 2)], det.config
+        )
+        buf = np.empty(det.config.window_samples)
+        for i, level in enumerate((1.0, 3.0)):
+            buf[:] = level
+            assert det.process_window(buf, 2.0 * i) is None
+            assert fleet.step(buf[None, :], [2.0 * i]) == [None]
+        assert det.initialized and fleet.seeded[0]
+        assert det.mean == fleet._mean[0] == 2.0
+        assert det.std == fleet._std[0] == 1.0
 
     def test_quiet_window_updates_baseline(self, rng):
         det = _detector()

@@ -8,8 +8,8 @@ plain full-grid formulations:
 - :func:`shared_trig_sum` — the shared-trig GEMM: full
   ``(components x samples)`` ``cos(w t)`` / ``sin(w t)`` matrices
   contracted once each, with the signature of ``grid_sinusoid_sum``;
-- :func:`direct_process_sum` — a buoy tilt or drift process as the
-  direct ``amps @ sin(w t + p)`` sum;
+- :func:`direct_process_sum` — every row of a buoy tilt or drift
+  process as the direct ``amps @ sin(w t + p)`` sum;
 - :func:`full_grid_wake` / :func:`full_grid_elevation` — a wake packet
   evaluated over the whole record and masked afterwards;
 - :func:`elevation`, :func:`vertical_acceleration` and
@@ -49,13 +49,14 @@ def shared_trig_sum(
 
 
 def direct_process_sum(process: _SinusoidProcess, t: npt.ArrayLike) -> np.ndarray:
-    """A tilt/drift process as ``amps @ sin(2 pi f t + p)``."""
+    """Every row of a tilt/drift process as ``amps @ sin(2 pi f t + p)``;
+    (rows, len(t))."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     phases = (
-        2.0 * math.pi * process._freqs[:, None] * t[None, :]
-        + process._phases[:, None]
+        2.0 * math.pi * process._freqs[:, :, None] * t
+        + process._phases[:, :, None]
     )
-    return np.asarray(process._amps @ np.sin(phases))
+    return np.asarray((process._amps[:, :, None] * np.sin(phases)).sum(axis=1))
 
 
 def _full_grid_terms(

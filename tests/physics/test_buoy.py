@@ -115,3 +115,7 @@ def test_invalid_parameters_rejected():
         Buoy(Position(0, 0), tilt_rms_deg=-1.0)
     with pytest.raises(ConfigurationError):
         Buoy(Position(0, 0), heave_corner_hz=0.0)
+    with pytest.raises(ConfigurationError, match="period"):
+        Buoy(Position(0, 0), tilt_period_s=0.0)
+    with pytest.raises(ConfigurationError, match="period"):
+        Buoy(Position(0, 0), drift_period_s=-1.0)

@@ -3,7 +3,9 @@
 Each runner runs one lockstep fleet detection walk; it must produce
 *identical* results to the per-node reference walks kept in
 :mod:`tests.scenario.oracles`, and the streaming synthesis->detection
-path must reproduce the monolithic offline run report for report.
+path must reproduce the monolithic offline run report for report, on
+hand-picked and on generated chunkings (run with
+``HYPOTHESIS_PROFILE=ci`` for ten times the generated examples).
 """
 
 from __future__ import annotations
@@ -13,11 +15,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.detection.dutycycle import DutyCycleConfig
 from repro.detection.node_detector import NodeDetectorConfig, merge_reports
+from repro.detection.preprocess import PreprocessConfig
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan, NodeCrash
+from repro.physics.sinusoids import BLOCK
 from repro.scenario import runner
 from repro.scenario.digest import scenario_digest
 from repro.scenario.presets import paper_scenario
@@ -42,6 +48,14 @@ CRASH_PLAN = FaultPlan(
         NodeCrash(5, 60.0),  # never reboots
         NodeCrash(7, 0.0, reboot_after_s=20.0),
     )
+)
+
+
+#: The detector of every streaming run: a streamable filter.
+STREAM_DETECTOR = NodeDetectorConfig(
+    m=2.0,
+    af_threshold=0.5,
+    preprocess=PreprocessConfig(filter_kind="butter-causal"),
 )
 
 
@@ -214,6 +228,29 @@ class TestStreamingScenario:
                 dep, [ship], synthesis_config=synth, seed=SEED
             )
 
+    def test_default_chunk_holds_no_full_record_array(self):
+        # The runner's own chunk_s default: a whole 16-node, 1,200 s
+        # run (synthesis, preprocessing, window walk, fusion) peaks
+        # under half of one float64 slab of the record.
+        dep, ship, synth = paper_scenario(
+            rows=4, columns=4, duration_s=1200.0, seed=SEED
+        )
+        tracemalloc.start()
+        try:
+            out = run_streaming_scenario(
+                dep,
+                [ship],
+                detector_config=STREAM_DETECTOR,
+                synthesis_config=synth,
+                seed=SEED,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(r) for r in out.reports_by_node.values()) > 0
+        slab_bytes = 16 * int(synth.duration_s * STREAM_DETECTOR.rate_hz) * 8
+        assert peak < slab_bytes / 2
+
     def test_bad_chunk_rejected(self):
         dep, ship, synth = _scenario()
         det = _detector()
@@ -280,3 +317,74 @@ class TestStreamingSynthesizer:
             tracemalloc.stop()
         slab_bytes = source.n_nodes * source.n_samples * 8
         assert peak < slab_bytes / 2
+
+
+def _chunk_lengths(n: int, least: int = 1) -> st.SearchStrategy[int]:
+    """Chunk lengths for an ``n``-sample record, from ``least`` samples
+    to past its end: under one hop, whole synthesis blocks, off the
+    block grid, longer than the record."""
+    hop = STREAM_DETECTOR.hop_samples
+    return st.one_of(
+        st.integers(least, hop - 1),
+        st.integers(1, n // BLOCK).map(lambda blocks: blocks * BLOCK),
+        st.integers(hop, n).filter(lambda k: k % BLOCK != 0),
+        st.integers(n + 1, 2 * n),
+    )
+
+
+@st.composite
+def _streamed_scenarios(draw):
+    side = draw(st.integers(2, 3))
+    duration_s = draw(st.integers(40, 120))
+    n = int(duration_s * STREAM_DETECTOR.rate_hz)
+    lengths = draw(st.lists(_chunk_lengths(n), min_size=1, max_size=6))
+    # The runner makes at most ~200 chunks (one-sample chunks are the
+    # synthesizer's, above): each costs a pass over every node.
+    chunk = draw(_chunk_lengths(n, least=-(-n // 200)))
+    return side, float(duration_s), draw(st.integers(0, 2**20)), lengths, chunk
+
+
+@given(case=_streamed_scenarios())
+@settings(max_examples=settings.default.max_examples // 10, deadline=None)
+def test_streaming_equals_offline_on_generated_chunkings(case):
+    """Chunked synthesis reproduces the offline z counts bit for bit,
+    and the streaming runner the offline ``"butter-causal"`` reports,
+    whatever the chunking."""
+    side, duration_s, seed, lengths, chunk = case
+
+    def scenario():
+        return paper_scenario(
+            rows=side, columns=side, duration_s=duration_s, seed=seed
+        )
+
+    dep, ship, synth = scenario()
+    traces = synthesize_fleet_traces(dep, [ship], synth, seed=seed)
+    offline = run_offline_scenario(
+        dep,
+        [ship],
+        detector_config=STREAM_DETECTOR,
+        recording=FleetRecording.from_traces(dep, traces),
+    )
+
+    # The drawn lengths in turn, then whatever is left in one chunk.
+    dep, ship, synth = scenario()
+    source = StreamingFleetSynthesizer(dep, [ship], synth, seed=seed)
+    blocks = [source.next_chunk(k) for k in [*lengths, source.n_samples]]
+    assert source.next_chunk(1) is None
+    z = np.concatenate([b for b in blocks if b is not None], axis=1)
+    assert z.shape == (side * side, source.n_samples)
+    for row, node in zip(z, dep):
+        assert np.array_equal(row, traces[node.node_id].z)
+
+    dep, ship, synth = scenario()
+    streamed = run_streaming_scenario(
+        dep,
+        [ship],
+        detector_config=STREAM_DETECTOR,
+        synthesis_config=synth,
+        seed=seed,
+        chunk_s=chunk / STREAM_DETECTOR.rate_hz,
+    )
+    assert streamed.reports_by_node == offline.reports_by_node
+    assert streamed.merged_by_node == offline.merged_by_node
+    assert streamed.cluster_event == offline.cluster_event
