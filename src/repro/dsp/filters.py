@@ -10,6 +10,8 @@ runs the same :func:`butter_sos` design causally with carried state.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy import signal as sp_signal
 
@@ -22,14 +24,25 @@ def butter_sos(
     rate_hz: float = SAMPLE_RATE_HZ,
     order: int = 4,
 ) -> np.ndarray:
-    """Second-order-section coefficients of the node low-pass."""
+    """Second-order-section coefficients of the node low-pass.
+
+    Each ``(cutoff, rate, order)`` is designed once; every call returns
+    a fresh copy, because ``sosfilt`` rejects a read-only ``sos``.
+    """
     if not 0 < cutoff_hz < rate_hz / 2:
         raise ConfigurationError(
             f"cutoff {cutoff_hz} Hz outside (0, Nyquist={rate_hz / 2}) range"
         )
-    return sp_signal.butter(
+    return _butter_design(cutoff_hz, rate_hz, order).copy()
+
+
+@lru_cache(maxsize=16)
+def _butter_design(cutoff_hz: float, rate_hz: float, order: int) -> np.ndarray:
+    sos = sp_signal.butter(
         order, cutoff_hz, btype="low", fs=rate_hz, output="sos"
     )
+    sos.flags.writeable = False
+    return sos
 
 
 def butter_lowpass(

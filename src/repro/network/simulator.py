@@ -10,16 +10,17 @@ never reaches the non-orderable callback).  Cancellation is lazy — a
 cancelled entry stays queued until popped — with threshold-triggered
 compaction so a workload that cancels heavily (retransmit timers over a
 long soak) cannot grow the heap without bound.  Periodic trains
-(``schedule_periodic``) keep a single queue entry that is re-armed by
-the loop itself, preserving the entry's original ``seq`` so the
-``(time, seq)`` replay order is exactly that of pre-scheduling the
-whole train contiguously up front.
+(``schedule_periodic``) and finite item trains (``schedule_train``)
+keep a single queue entry that is re-armed by the loop itself,
+preserving the entry's original ``seq`` so the ``(time, seq)`` replay
+order is exactly that of pre-scheduling the whole train contiguously
+up front.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.errors import SimulationError
 
@@ -27,6 +28,9 @@ from repro.errors import SimulationError
 #: is cancelled entries (and at least ``_COMPACT_MIN`` of them).
 _COMPACT_FRACTION = 0.5
 _COMPACT_MIN = 64
+
+#: One item of a :meth:`Simulator.schedule_train`: ``(time, fn, args)``.
+TrainItem = tuple[float, Callable[..., Any], tuple]
 
 
 class Event:
@@ -40,6 +44,8 @@ class Event:
         "seq",
         "interval",
         "until",
+        "items",
+        "rearms",
         "_sim",
         "_queued",
     )
@@ -51,18 +57,20 @@ class Event:
         fn: Callable[..., Any],
         args: tuple,
         seq: int,
-        interval: Optional[float] = None,
-        until: Optional[float] = None,
     ) -> None:
         self.time = time
         self.fn = fn
         self.args = args
         self.cancelled = False
         self.seq = seq
-        #: Re-arm period for periodic events; None for one-shots.
-        self.interval = interval
+        #: Periodics and trains re-arm after firing; one-shots do not.
+        self.rearms = False
+        #: Re-arm period of a periodic; None otherwise.
+        self.interval: Optional[float] = None
         #: Exclusive horizon for periodic re-arming; None = unbounded.
-        self.until = until
+        self.until: Optional[float] = None
+        #: A train's items after the queued one; None otherwise.
+        self.items: Optional[Iterator[TrainItem]] = None
         self._sim = sim
         self._queued = True
 
@@ -218,9 +226,10 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(
-            self, start, fn, args, seq, interval=interval, until=until
-        )
+        event = Event(self, start, fn, args, seq)
+        event.rearms = True
+        event.interval = interval
+        event.until = until
         if until is not None and start >= until:
             # Empty train: nothing to queue; hand back an inert handle.
             event._queued = False
@@ -232,6 +241,60 @@ class Simulator:
         if len(queue) > self._peak_depth:
             self._peak_depth = len(queue)
         return event
+
+    def schedule_train(self, items: Iterable[TrainItem]) -> Event:
+        """Run each ``(time, fn, args)`` item at its absolute time.
+
+        Item times must not decrease.  The train is one queue entry:
+        it holds the next item, and after each firing re-pushes itself
+        with the following one under its creation ``seq``, so the
+        ``(time, seq)`` order equals scheduling every item up front in
+        one loop.  ``items`` is consumed one item per firing, so a
+        generator computes each item just before it is queued.  A
+        first time before ``now`` raises here; a later time before its
+        predecessor raises when the train reaches it.  Cancelling the
+        returned event drops the remaining items; an empty train
+        returns an inert handle.
+        """
+        rest = iter(items)
+        seq = self._seq
+        self._seq = seq + 1
+        first = next(rest, None)
+        if first is None:
+            event = Event(self, self._now, _inert, (), seq)
+            event._queued = False
+            return event
+        time, fn, args = first
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at {time} < now ({self._now})"
+            )
+        event = Event(self, time, fn, args, seq)
+        event.rearms = True
+        event.items = rest
+        if self._probe is not None:
+            self._probe.on_scheduled(event)
+        queue = self._queue
+        heapq.heappush(queue, (time, seq, event))
+        if len(queue) > self._peak_depth:
+            self._peak_depth = len(queue)
+        return event
+
+    @staticmethod
+    def _next_item(event: Event, time: float) -> bool:
+        """Load a fired train's next item; False when none is left."""
+        items = event.items
+        item = next(items, None) if items is not None else None
+        if item is None:
+            return False
+        next_time, event.fn, event.args = item
+        if next_time < time:
+            raise SimulationError(
+                f"train item at {next_time} follows one at {time}"
+            )
+        event.time = next_time
+        event._queued = True
+        return True
 
     # ------------------------------------------------------------------
     # Heap hygiene
@@ -312,17 +375,24 @@ class Simulator:
                     finally:
                         probe.on_event_end(event)
                 executed += 1
-                interval = event.interval
-                if interval is not None and not event.cancelled:
-                    next_time = time + interval
-                    event_until = event.until
-                    if event_until is None or next_time < event_until:
-                        event.time = next_time
-                        event._queued = True
-                        heappush(queue, (next_time, event.seq, event))
+                if event.rearms and not event.cancelled:
+                    interval = event.interval
+                    if interval is not None:
+                        next_time = time + interval
+                        event_until = event.until
+                        if event_until is None or next_time < event_until:
+                            event.time = next_time
+                            event._queued = True
+                            heappush(queue, (next_time, event.seq, event))
+                    elif self._next_item(event, time):
+                        heappush(queue, (event.time, event.seq, event))
             if until is not None and self._now < until:
                 self._now = until
         finally:
             self._processed += executed
             self._running = False
         return executed
+
+
+def _inert() -> None:
+    """Callback of an empty train's handle; never queued, never run."""

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.detection.cluster import (
     ClusterEvent,
@@ -44,8 +44,9 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import BatteryDrain, FaultPlan, FaultStats
 from repro.network.channel import Channel, ChannelConfig
 from repro.network.mac import MacConfig
-from repro.network.nodeproc import RetransmitPolicy, SensorNetwork
+from repro.network.nodeproc import NetworkNode, RetransmitPolicy, SensorNetwork
 from repro.network.selfheal import OrphanEvent, SelfHealingConfig
+from repro.network.simulator import TrainItem
 from repro.physics.disturbance import Disturbance
 from repro.rng import RandomState, derive_rng, make_rng
 from repro.sanitize import Sanitizer
@@ -452,10 +453,28 @@ def _window_plan(
     return WindowPlan(starts=starts, t_start=t_start, t_end=t_end, live=live)
 
 
-#: Per-node window outcomes of the network precompute:
-#: ``{node_id: [(window index, report-or-None, baseline seeded after)]}``,
-#: one entry per live window of the :class:`WindowPlan`.
-WindowOutcomes = dict[int, list[tuple[int, Optional[NodeReport], bool]]]
+@dataclass(frozen=True, eq=False)
+class NodeOutcomes:
+    """One node's live-window outcomes from the network precompute.
+
+    Three arrays over the node's live windows, in window order:
+    ``windows`` holds their indices into the :class:`WindowPlan`,
+    ``reports`` (dtype object) each window's report or None, and
+    ``seeded`` whether the baseline is seeded after the window.
+    """
+
+    windows: np.ndarray
+    reports: np.ndarray
+    seeded: np.ndarray
+
+    @property
+    def reported(self) -> np.ndarray:
+        """True where the window raised a report."""
+        return np.not_equal(self.reports, None)
+
+
+#: Per-node window outcomes of the network precompute, keyed by node id.
+WindowOutcomes = dict[int, NodeOutcomes]
 
 
 def _fleet_network_outcomes(
@@ -492,19 +511,22 @@ def _fleet_network_outcomes(
         reports += fleet.step(
             a[:, start : start + w], plan.t_start[:, -1], active=plan.live[:, -1]
         )
-    n = len(recording.node_ids)
-    seeded = (np.cumsum(plan.live, axis=1) >= det_cfg.init_windows).tolist()
-    return {
-        nid: [
-            (k, reports[k * n + i], seeded[i][k])
-            for k in np.flatnonzero(plan.live[i]).tolist()
-        ]
-        for i, nid in enumerate(recording.node_ids)
-    }
+    # The kernel lists reports window by window, nodes within a window.
+    grid = np.empty(len(reports), dtype=object)
+    grid[:] = reports
+    grid = grid.reshape(len(plan.starts), len(recording.node_ids)).T
+    seeded = np.cumsum(plan.live, axis=1) >= det_cfg.init_windows
+    outcomes: WindowOutcomes = {}
+    for i, nid in enumerate(recording.node_ids):
+        ks = np.flatnonzero(plan.live[i])
+        outcomes[nid] = NodeOutcomes(ks, grid[i, ks], seeded[i, ks])
+    return outcomes
 
 
-def _head_active(report_ends: list[float], t: float, guard_s: float) -> bool:
-    """True when one node may head an open temporary cluster at ``t``.
+def _head_active_mask(
+    report_ends: np.ndarray, t: np.ndarray, guard_s: float
+) -> np.ndarray:
+    """Where one node may head an open temporary cluster, at times ``t``.
 
     A node's report-less window feeds and timer ticks have observable
     effects beyond battery billing only while that node *heads an open
@@ -519,10 +541,69 @@ def _head_active(report_ends: list[float], t: float, guard_s: float) -> bool:
     baseline-init bookkeeping defers benignly to the next retained
     event (every SID entry point re-runs ``_expire_membership`` with
     the same clock comparison, and ``on_cluster_setup`` overwrites
-    membership unconditionally for non-heads).
+    membership unconditionally for non-heads).  A leading ``-inf``
+    end stands for "no report yet", which no finite ``t`` is within
+    ``guard_s`` of.
     """
-    i = bisect_right(report_ends, t)
-    return i > 0 and t <= report_ends[i - 1] + guard_s
+    ends = np.concatenate(([-np.inf], report_ends))
+    last = ends[np.searchsorted(ends, t, side="right") - 1]
+    return t <= last + guard_s
+
+
+def _tick_times(t0: float, step: float, horizon: float) -> np.ndarray:
+    """The times ``t = t0 + step; while t < horizon: t += step`` visits.
+
+    ``np.add.accumulate`` adds in order, so every time is bit-equal to
+    the loop's; two extra steps past the estimated count outrun any
+    rounding in the estimate.
+    """
+    steps = np.full(max(int((horizon - t0) / step) + 3, 1), step)
+    steps[0] = t0 + step
+    t = np.add.accumulate(steps)
+    return t[: np.searchsorted(t, horizon)]
+
+
+def _outcome_feeds(
+    proc: NetworkNode,
+    window: int,
+    outcomes: NodeOutcomes,
+    t_start: list[float],
+    t_end: list[float],
+    quiet: np.ndarray,
+) -> Iterator[TrainItem]:
+    """One node's feed train on the precompute: replays and catch-ups.
+
+    Every live window not marked ``quiet`` replays its outcome at its
+    end time; each run of quiet windows is billed by one catch-up at
+    the run's last end time, queued before the next replay.
+    """
+    feed, catch_up = proc.feed_outcome, proc.catch_up_quiet_windows
+    n = quiet.size
+    # Each kept window (and the end) closes the quiet run before it.
+    bounds = np.append(np.flatnonzero(~quiet), n)
+    runs = np.diff(bounds, prepend=-1) - 1
+    reports = outcomes.reports
+    seeded = outcomes.seeded.tolist()
+    for p, run in zip(bounds.tolist(), runs.tolist()):
+        if run:
+            yield t_end[p - 1], catch_up, (run, window)
+        if p < n:
+            yield t_end[p], feed, (reports[p], window, t_start[p], seeded[p])
+
+
+def _window_feeds(
+    proc: NetworkNode,
+    row: np.ndarray,
+    starts: list[int],
+    t_start: list[float],
+    t_end: list[float],
+    window: int,
+) -> Iterator[TrainItem]:
+    """One node's feed train at event time: each live window of its
+    preprocessed ``row``, sliced when the train reaches it."""
+    feed = proc.feed_window
+    for start, ts, te in zip(starts, t_start, t_end):
+        yield te, feed, (row[start : start + window], ts)
 
 
 def _elision_guard_s(
@@ -568,7 +649,7 @@ def _billing_order_free(
     """
     n_nodes = sum(1 for _ in deployment)
     n_dispatches = sum(
-        1 for rows in outcomes.values() for _, r, _ in rows if r is not None
+        int(np.count_nonzero(out.reported)) for out in outcomes.values()
     )
     retries = 1 + (retransmit.max_attempts if retransmit is not None else 0)
     frame_bytes_bound = n_dispatches * 4 * (n_nodes + 1) * retries * 512
@@ -579,7 +660,9 @@ def _billing_order_free(
             continue
         costs = battery.costs
         cpu_j = (
-            len(outcomes[node.node_id]) * cpu_s_per_window * costs.cpu_j_per_s
+            outcomes[node.node_id].windows.size
+            * cpu_s_per_window
+            * costs.cpu_j_per_s
         )
         radio_j = frame_bytes_bound * max(
             costs.tx_j_per_byte, costs.rx_j_per_byte
@@ -608,8 +691,9 @@ def run_network_scenario(
 ) -> NetworkScenarioResult:
     """Run one scenario through the full network stack.
 
-    Every node preprocesses its own synthesised trace and feeds
-    Delta-t windows into its SID state machine at the window end times;
+    Every node feeds its Delta-t windows into its SID state machine at
+    the window end times, through one re-arming queue entry per node
+    (:meth:`~repro.network.simulator.Simulator.schedule_train`);
     protocol traffic rides the lossy simulated radio.
 
     ``faults`` injects the plan's sensor / node / network pathologies
@@ -629,10 +713,12 @@ def run_network_scenario(
     Both feed paths evaluate the windows of one per-run plan: a window
     whose end time falls in a planned crash is never scheduled.
     Without healing, every live window's outcome is precomputed by one
-    lockstep :class:`FleetDetector` walk and replayed through the event
-    loop.  A cold restart resets a node's eq. 5 baseline at run time,
-    which that precompute cannot model, so a healing-armed run instead
-    feeds raw windows into each node's own detector at event time.
+    lockstep :class:`FleetDetector` walk over the fleet's preprocessed
+    recording and replayed through the event loop.  A cold restart
+    resets a node's eq. 5 baseline at run time, which that precompute
+    cannot model, so a healing-armed run instead preprocesses each
+    node's trace on its own and feeds its raw windows into the node's
+    own detector at event time.
 
     ``resync_interval_s`` schedules a periodic fleet-wide time-sync
     beacon (None disables it); crashed nodes miss their beacons and a
@@ -645,12 +731,12 @@ def run_network_scenario(
     (the default) installs nothing: every emission site reduces to one
     attribute check and the run stays bit-identical to seed.
 
-    The precomputed path skips scheduling provably-no-op window feeds
-    and timer ticks during radio-quiet stretches, coalescing their
-    battery billing into batched catch-up events with arithmetically
-    identical draws.  This elision engages only when no fault plan is
-    active and no battery can deplete; otherwise the run keeps the
-    one-event-per-window schedule, with the same result either way.
+    The precomputed path skips provably-no-op window feeds and timer
+    ticks during radio-quiet stretches, coalescing their battery
+    billing into batched catch-up items with arithmetically identical
+    draws.  This elision engages only when no fault plan is active and
+    no battery can deplete; otherwise the run keeps one feed per window
+    and one tick per ``window_s``, with the same result either way.
 
     ``sanitizer`` (optional) attaches a :class:`repro.sanitize.
     Sanitizer` recording probe: per-event shadow access sets, order-
@@ -763,7 +849,7 @@ def run_network_scenario(
     # open cluster.  Outside its own guarded intervals a node's
     # report-less window feeds and timer ticks are provably no-ops
     # except for their battery billing, so each quiet run collapses
-    # into one catch-up event and its ticks are dropped outright (ticks
+    # into one catch-up item and its ticks are dropped outright (ticks
     # never bill).  Billing batched this way commutes only while
     # depletion is unreachable, hence the headroom precondition.
     elide = (
@@ -772,9 +858,7 @@ def run_network_scenario(
         and _billing_order_free(deployment, outcomes, cfg.detector, retransmit)
     )
     guard_s = _elision_guard_s(cfg, retransmit)
-    # Plan times reach events as Python floats, never np.float64.
-    t_starts = plan.t_start.tolist()
-    t_ends = plan.t_end.tolist()
+    window_s = cfg.detector.window_s
     for i, node in enumerate(deployment):
         sid = SIDNode(
             node.node_id,
@@ -787,63 +871,40 @@ def run_network_scenario(
         proc = network.add_node(sid, battery=node.mote.battery)
         if sanitizer is not None:
             sanitizer.track_node(proc)
-        t_start, t_end = t_starts[i], t_ends[i]
-        # Both feed paths schedule the plan's live windows only, at
-        # their end times: a dead window's feed would be a no-op.
-        report_ends: list[float] = []
+        # One feed train per node over the plan's live windows, each
+        # fed at its end time (a dead window's feed would be a no-op).
+        # Plan times reach events as Python floats, never np.float64.
+        live = np.flatnonzero(plan.live[i])
+        t_start = plan.t_start[i, live].tolist()
+        t_end = plan.t_end[i, live]
         if outcomes is not None:
-            rows = outcomes[node.node_id]
-            report_ends = [t_end[k] for k, report, _ in rows if report is not None]
-            quiet_n = 0
-            quiet_last = 0.0
-            for k, report, seeded in rows:
-                if (
-                    elide
-                    and report is None
-                    and not _head_active(report_ends, t_end[k], guard_s)
-                ):
-                    quiet_n += 1
-                    quiet_last = t_end[k]
-                    continue
-                if quiet_n:
-                    network.sim.schedule_at(
-                        quiet_last,
-                        proc.catch_up_quiet_windows,
-                        quiet_n,
-                        window,
-                    )
-                    quiet_n = 0
-                network.sim.schedule_at(
-                    t_end[k],
-                    proc.feed_outcome,
-                    report,
-                    window,
-                    t_start[k],
-                    seeded,
-                )
-            if quiet_n:
-                network.sim.schedule_at(
-                    quiet_last, proc.catch_up_quiet_windows, quiet_n, window
-                )
+            out = outcomes[node.node_id]
+            reported = out.reported
+            report_ends = t_end[reported]
+            quiet = (
+                ~reported & ~_head_active_mask(report_ends, t_end, guard_s)
+                if elide
+                else np.zeros(live.size, dtype=bool)
+            )
+            feeds = _outcome_feeds(
+                proc, window, out, t_start, t_end.tolist(), quiet
+            )
         else:
-            a = preprocess_z_counts(
+            row = preprocess_z_counts(
                 recording.z[i], cfg.detector.rate_hz, cfg.detector.preprocess
             )
-            for k in np.flatnonzero(plan.live[i]).tolist():
-                start = plan.starts[k]
-                network.sim.schedule_at(
-                    t_end[k],
-                    proc.feed_window,
-                    a[start : start + window],
-                    t_start[k],
-                )
+            starts = np.asarray(plan.starts)[live].tolist()
+            feeds = _window_feeds(
+                proc, row, starts, t_start, t_end.tolist(), window
+            )
+        network.sim.schedule_train(feeds)
         if sanitizer is not None and proc.battery is not None:
             # Declared billing intent: each live window bills draw_cpu
             # seconds of 0.001*window, so the per-window joule amount
             # replicates Battery.draw_cpu's op order bit-exactly.
             sanitizer.expect_cpu_billing(
                 node.node_id,
-                int(np.count_nonzero(plan.live[i])),
+                live.size,
                 (0.001 * window) * proc.battery.costs.cpu_j_per_s,
             )
         # Timer ticks keep cluster deadlines firing after sampling ends.
@@ -854,17 +915,16 @@ def run_network_scenario(
             + 2 * cfg.cluster.collection_timeout_s
         )
         if elide:
-            t = t0 + cfg.detector.window_s
-            while t < horizon:
-                if _head_active(report_ends, t, guard_s):
-                    network.sim.schedule_at(t, proc.tick)
-                t += cfg.detector.window_s
+            # Only ticks while the node may head an open cluster (elide
+            # implies the precompute branch above set report_ends).
+            ticks = _tick_times(t0, window_s, horizon)
+            ticks = ticks[_head_active_mask(report_ends, ticks, guard_s)]
+            network.sim.schedule_train(
+                zip(ticks.tolist(), repeat(proc.tick), repeat(()))
+            )
         else:
             network.sim.schedule_periodic(
-                cfg.detector.window_s,
-                proc.tick,
-                first=t0 + cfg.detector.window_s,
-                until=horizon,
+                window_s, proc.tick, first=t0 + window_s, until=horizon
             )
 
     # Periodic fleet-wide time-sync beacons (Sec. IV-C assumes the

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SignalLengthError
-from repro.dsp.filters import butter_lowpass, moving_average
+from repro.dsp.filters import butter_lowpass, butter_sos, moving_average
 
 
 def _two_tone(rate=50.0, dur=60.0):
@@ -55,6 +55,20 @@ class TestButterworth:
             butter_lowpass(np.ones(100), 30.0, 50.0)
         with pytest.raises(ConfigurationError):
             butter_lowpass(np.ones(100), 0.0, 50.0)
+        # The Nyquist check runs on every call, designed before or not.
+        butter_sos(1.0, 50.0)
+        with pytest.raises(ConfigurationError):
+            butter_sos(1.0, 2.0)
+
+    def test_design_is_shared_but_each_copy_is_the_callers(self):
+        first = butter_sos(1.0, 50.0)
+        want = first.copy()
+        # sosfilt needs a writeable design, so every call returns its
+        # own; writing into one leaves the next call's unchanged.
+        assert first.flags.writeable
+        first[:] = 0.0
+        assert np.array_equal(butter_sos(1.0, 50.0), want)
+        assert butter_sos(1.0, 50.0) is not butter_sos(1.0, 50.0)
 
 
 class TestMovingAverage:

@@ -5,9 +5,11 @@ tuple-heap rewrite (DESIGN.md §14), kept verbatim: dataclass heap
 entries compared through their generated ``__lt__``, cancelled entries
 skipped on pop with no compaction, and periodic trains pre-scheduled in
 full with one fresh ``seq`` per firing, as the old runner's
-``while t < horizon`` install loops did.  Its API is padded so it can
-replace ``repro.network.nodeproc.Simulator`` under ``monkeypatch`` and
-drive ``run_network_scenario`` end to end.
+``while t < horizon`` install loops did.  Item trains are likewise
+scheduled item by item up front, each with its own ``seq``: that is the
+order ``Simulator.schedule_train`` claims to keep with one queue entry.
+Its API is padded so it can replace ``repro.network.nodeproc.Simulator``
+under ``monkeypatch`` and drive ``run_network_scenario`` end to end.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import SimulationError
 
@@ -129,6 +131,14 @@ class ReferenceSimulator:
             events.append(self.schedule_at(t, fn, *args))
             t += interval
         return _RefTrain(events)
+
+    def schedule_train(
+        self, items: Iterable[tuple[float, Callable[..., Any], tuple]]
+    ) -> _RefTrain:
+        # Every item up front, in order, each drawing its own seq.
+        return _RefTrain(
+            [self.schedule_at(t, fn, *args) for t, fn, args in items]
+        )
 
     def run(
         self,

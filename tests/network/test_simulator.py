@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro.network.nodeproc as nodeproc
 from repro.detection.cluster import TemporaryClusterConfig
 from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.sid import SIDNodeConfig
 from repro.errors import SimulationError
+from repro.faults.plan import FaultPlan
+from repro.network.selfheal import SelfHealingConfig
 from repro.network.simulator import _COMPACT_MIN, Simulator
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.digest import scenario_digest
@@ -281,6 +285,219 @@ class TestSchedulePeriodic:
             sim.schedule_periodic(1.0, lambda: None, first=1.0)
 
 
+class TestScheduleTrain:
+    def test_fires_items_in_order(self):
+        sim = Simulator()
+        log = []
+        sim.schedule_train(
+            [(1.0, log.append, ("a",)), (1.0, log.append, ("b",)),
+             (2.5, log.append, ("c",))]
+        )
+        sim.run()
+        assert log == ["a", "b", "c"]
+        assert sim.n_processed == 3
+
+    def test_keeps_seq_against_later_events(self):
+        # Like a periodic, the train keeps its creation seq: a one-shot
+        # scheduled after it at a shared time fires after the train's
+        # items at that time, including one queued at run time.
+        sim = Simulator()
+        log = []
+        sim.schedule_train(
+            [(1.0, log.append, ("t1",)), (2.0, log.append, ("t2",)),
+             (2.0, log.append, ("t3",))]
+        )
+        sim.schedule_at(2.0, log.append, "one-shot")
+        sim.run()
+        assert log == ["t1", "t2", "t3", "one-shot"]
+
+    def test_backwards_time_raises(self):
+        sim = Simulator()
+        sim.schedule_train(
+            [(2.0, lambda: None, ()), (1.0, lambda: None, ())]
+        )
+        with pytest.raises(SimulationError):
+            sim.run()
+
+    def test_first_time_in_past_raises(self):
+        sim = Simulator()
+        sim.schedule(5.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.schedule_train([(1.0, lambda: None, ())])
+
+    def test_cancel_stops_the_remaining_items(self):
+        sim = Simulator()
+        fired = []
+        handle = []
+
+        def hit(k):
+            fired.append(k)
+            if k == 1:
+                handle[0].cancel()
+
+        handle.append(
+            sim.schedule_train([(float(k), hit, (k,)) for k in range(5)])
+        )
+        sim.run()
+        assert fired == [0, 1]
+        # Cancelled while queued: reaped on pop, never fired.
+        queued = sim.schedule_train([(9.0, fired.append, (9,))])
+        queued.cancel()
+        assert sim.n_cancelled == 1
+        sim.run()
+        assert fired == [0, 1]
+        assert sim.n_cancelled == 0
+
+    def test_empty_train_is_inert(self):
+        sim = Simulator()
+        ev = sim.schedule_train([])
+        assert sim.n_pending == 0
+        ev.cancel()
+        assert sim.n_cancelled == 0
+        assert sim.run() == 0
+
+    def test_peak_queue_depth_counts_one_entry_per_train(self):
+        sim = Simulator()
+        for j in range(3):
+            sim.schedule_train(
+                [(k + 0.1 * j, lambda: None, ()) for k in range(100)]
+            )
+        sim.run()
+        assert sim.peak_queue_depth == 3
+        assert sim.n_processed == 300
+
+    def test_items_are_pulled_one_firing_at_a_time(self):
+        # A generator computes each item just before it is queued.
+        sim = Simulator()
+        pulled = []
+
+        def items():
+            for k in range(3):
+                pulled.append(k)
+                yield float(k), lambda: None, ()
+
+        sim.schedule_train(items())
+        assert pulled == [0]
+        sim.run(until=0.5)
+        assert pulled == [0, 1]
+        sim.run()
+        assert pulled == [0, 1, 2]
+
+
+#: Coarse time grid of the generated schedules: ties are common.
+_grid = st.integers(0, 40).map(lambda k: 0.5 * k)
+
+
+@st.composite
+def _schedule_ops(draw) -> list[tuple]:
+    """Install ops for one mixed schedule, in install (seq) order.
+
+    Trains hold 0-50 items with non-decreasing times (repeats
+    included); one may cancel itself from one of its items, and
+    one-shots may cancel a train when they fire.
+    """
+    n_trains = draw(st.integers(0, 6))
+    ops: list[tuple] = []
+    for j in range(n_trains):
+        times = sorted(draw(st.lists(_grid, max_size=50)))
+        self_cancel = draw(
+            st.one_of(st.none(), st.integers(0, max(len(times) - 1, 0)))
+        )
+        ops.append(("train", j, times, self_cancel))
+    ops += [("one-shot", t) for t in draw(st.lists(_grid, max_size=30))]
+    ops += [
+        ("periodic", first, interval, n)
+        for first, interval, n in draw(
+            st.lists(
+                st.tuples(_grid, st.integers(1, 4), st.integers(1, 10)),
+                max_size=4,
+            )
+        )
+    ]
+    ops += [
+        ("spawn", t, delay, depth)
+        for t, delay, depth in draw(
+            st.lists(
+                st.tuples(_grid, st.integers(0, 2), st.integers(0, 3)),
+                max_size=10,
+            )
+        )
+    ]
+    if n_trains:
+        ops += [
+            ("cancel", t, target)
+            for t, target in draw(
+                st.lists(
+                    st.tuples(_grid, st.integers(0, n_trains - 1)),
+                    max_size=3,
+                )
+            )
+        ]
+    return draw(st.permutations(ops))
+
+
+def _replay(sim_cls, ops) -> list[tuple[float, str]]:
+    """Install ``ops`` on a fresh ``sim_cls`` and run; the firing log."""
+    sim = sim_cls()
+    log: list[tuple[float, str]] = []
+    trains: dict[int, object] = {}
+
+    def fire(label: str) -> None:
+        log.append((sim.now, label))
+
+    def train_item(label: str, j: int, cancel: bool) -> None:
+        fire(label)
+        if cancel:
+            trains[j].cancel()
+
+    def spawn(label: str, delay: float, depth: int) -> None:
+        fire(label)
+        if depth:
+            sim.schedule(delay, spawn, label + "+", delay, depth - 1)
+
+    def cancel(label: str, j: int) -> None:
+        fire(label)
+        trains[j].cancel()
+
+    for n, op in enumerate(ops):
+        kind = op[0]
+        if kind == "train":
+            _, j, times, self_cancel = op
+            trains[j] = sim.schedule_train(
+                [
+                    (t, train_item, (f"t{j}.{k}", j, k == self_cancel))
+                    for k, t in enumerate(times)
+                ]
+            )
+        elif kind == "one-shot":
+            sim.schedule_at(op[1], fire, f"o{n}")
+        elif kind == "periodic":
+            _, first, interval, count = op
+            sim.schedule_periodic(
+                0.5 * interval,
+                fire,
+                f"p{n}",
+                first=first,
+                until=first + 0.5 * interval * count,
+            )
+        elif kind == "spawn":
+            _, t, delay, depth = op
+            sim.schedule_at(t, spawn, f"s{n}", 0.5 * delay, depth)
+        else:
+            _, t, j = op
+            sim.schedule_at(t, cancel, f"c{n}", j)
+    sim.run()
+    return log
+
+
+@given(ops=_schedule_ops())
+def test_trains_fire_as_if_scheduled_up_front(ops):
+    # The oracle schedules every train item up front with its own seq;
+    # one re-arming queue entry per train must replay the same order.
+    assert _replay(Simulator, ops) == _replay(ReferenceSimulator, ops)
+
+
 class TestReferenceSimulatorParity:
     """The tuple heap replays the pre-rewrite scheduler's order exactly."""
 
@@ -348,7 +565,21 @@ class TestReferenceSimulatorParity:
         assert len({t for t, _ in log}) < len(log) // 2
 
     def test_network_scenario_digest_matches(self, monkeypatch):
-        def run():
+        # Clean (precomputed outcomes, elided feeds and ticks), then
+        # under rolling crashes: unhealed (precomputed, every live
+        # window fed), healed with a persisted baseline and healed with
+        # cold restarts (raw windows fed at event time).
+        crashes = FaultPlan.rolling_crashes(
+            [4, 4], first_at_s=15.0, interval_s=20.0, downtime_s=10.0
+        )
+        arms = [
+            (None, None),
+            (crashes, None),
+            (crashes, SelfHealingConfig(persist_baseline=True)),
+            (crashes, SelfHealingConfig(persist_baseline=False)),
+        ]
+
+        def run(faults, healing):
             dep = GridDeployment(3, 3, seed=31)
             return run_network_scenario(
                 dep,
@@ -358,12 +589,17 @@ class TestReferenceSimulatorParity:
                     cluster=TemporaryClusterConfig(min_rows=3),
                 ),
                 synthesis_config=SynthesisConfig(duration_s=60.0),
+                faults=faults,
+                healing=healing,
                 resync_interval_s=20.0,
                 seed=9,
             )
 
-        fast = run()
+        fast = [run(*arm) for arm in arms]
         monkeypatch.setattr(nodeproc, "Simulator", ReferenceSimulator)
-        reference = run()
-        assert fast.mac_stats["transmissions"] > 0
-        assert scenario_digest(fast) == scenario_digest(reference)
+        reference = [run(*arm) for arm in arms]
+        assert fast[0].mac_stats["transmissions"] > 0
+        assert fast[3].fault_stats["cold_restarts"] == 2
+        assert [scenario_digest(r) for r in fast] == [
+            scenario_digest(r) for r in reference
+        ]

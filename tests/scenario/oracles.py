@@ -9,7 +9,11 @@ formulations of the same detection, kept as test oracles:
 - :func:`network_outcomes` — the crash-masked per-node window walk,
   with its own crash rule, checked against the network runner's window
   plan and precompute (and substituted for the precompute to run the
-  event loop end to end);
+  event loop end to end); :func:`outcome_rows` lists either one's
+  outcomes window by window for comparison;
+- :func:`head_active` — the per-time bisect test of whether a node may
+  head an open cluster, which the runner's array elision plan must
+  reproduce;
 - :func:`sequential_dutycycle` — the node-by-node, window-by-window
   duty-cycle loop, with the signature of ``runner._dutycycled_reports``.
 """
@@ -17,7 +21,10 @@ formulations of the same detection, kept as test oracles:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Optional
+
+import numpy as np
 
 from repro.detection.dutycycle import DutyCycleController
 from repro.detection.node_detector import (
@@ -29,7 +36,7 @@ from repro.detection.preprocess import preprocess_z_counts
 from repro.detection.reports import NodeReport
 from repro.faults.plan import BatteryDrain, FaultPlan
 from repro.scenario.deployment import GridDeployment
-from repro.scenario.runner import FleetRecording, WindowOutcomes
+from repro.scenario.runner import FleetRecording, NodeOutcomes, WindowOutcomes
 from repro.types import AccelTrace
 from tests.detection.oracles import node_window_walk
 
@@ -71,7 +78,7 @@ def network_outcomes(
     the reboot is scheduled during the run, after the feeds, so a feed
     at the reboot instant still finds the node dead.  Every evaluated
     window yields ``(window index, report-or-None, baseline seeded
-    after)``.
+    after)``, gathered into the runner's per-node arrays.
     """
     rate = det_cfg.rate_hz
     w = det_cfg.window_samples
@@ -102,8 +109,42 @@ def network_outcomes(
                 continue
             report = detector.process_window(a[start : start + w], t_start)
             rows.append((k, report, detector.initialized))
-        out[node.node_id] = rows
+        reports = np.empty(len(rows), dtype=object)
+        reports[:] = [r for _, r, _ in rows]
+        out[node.node_id] = NodeOutcomes(
+            windows=np.array([k for k, _, _ in rows], dtype=np.int64),
+            reports=reports,
+            seeded=np.array([s for _, _, s in rows], dtype=bool),
+        )
     return out
+
+
+def outcome_rows(
+    outcomes: WindowOutcomes,
+) -> dict[int, list[tuple[int, Optional[NodeReport], bool]]]:
+    """Each node's outcomes as ``(window index, report-or-None, seeded
+    after)`` rows, one per live window: the form equality reads."""
+    return {
+        nid: list(
+            zip(
+                out.windows.tolist(),
+                out.reports.tolist(),
+                out.seeded.tolist(),
+            )
+        )
+        for nid, out in outcomes.items()
+    }
+
+
+def head_active(report_ends: list[float], t: float, guard_s: float) -> bool:
+    """True when one node may head an open temporary cluster at ``t``.
+
+    The last of the node's report window end times at or before ``t``
+    (``report_ends``, ascending) must lie within ``guard_s`` of it:
+    one bisect per query time.
+    """
+    i = bisect_right(report_ends, t)
+    return i > 0 and t <= report_ends[i - 1] + guard_s
 
 
 def sequential_dutycycle(

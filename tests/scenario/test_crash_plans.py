@@ -108,9 +108,11 @@ def test_plan_and_precompute_match_oracle(crashes, now):
     plan = runner._window_plan(rec, DETECTOR, faults, now)
     want = oracles.network_outcomes(dep, rec, DETECTOR, faults, now)
     assert _live_windows(plan) == {
-        nid: [k for k, _, _ in rows] for nid, rows in want.items()
+        nid: out.windows.tolist() for nid, out in want.items()
     }
-    assert runner._fleet_network_outcomes(dep, rec, DETECTOR, plan) == want
+    assert oracles.outcome_rows(
+        runner._fleet_network_outcomes(dep, rec, DETECTOR, plan)
+    ) == oracles.outcome_rows(want)
 
 
 @given(crashes=st.lists(_crash(), min_size=1, max_size=4))
@@ -147,4 +149,4 @@ def test_window_times_are_the_runs_own():
     assert rec.t0s == _fleet()[1].t0s
     # And the scenario raises alarms, so crashes cut real detections.
     rows = oracles.network_outcomes(*_fleet(), DETECTOR, None, 0.0)
-    assert any(r is not None for node in rows.values() for _, r, _ in node)
+    assert any(out.reported.any() for out in rows.values())

@@ -142,8 +142,12 @@ class TestNetworkEngineParity:
             dep, synthesize_fleet_traces(dep, [ship], synth, seed=SEED)
         )
         plan = runner._window_plan(rec, det, faults, now)
-        rows = runner._fleet_network_outcomes(dep, rec, det, plan)
-        assert rows == oracles.network_outcomes(dep, rec, det, faults, now)
+        rows = oracles.outcome_rows(
+            runner._fleet_network_outcomes(dep, rec, det, plan)
+        )
+        assert rows == oracles.outcome_rows(
+            oracles.network_outcomes(dep, rec, det, faults, now)
+        )
         if faults is not None:
             # Crash windows are masked out, not evaluated.
             assert len(rows[5]) < len(rows[0])
