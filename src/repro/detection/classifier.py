@@ -61,14 +61,6 @@ class Classification:
     scores: dict[str, float]
     features: EventFeatures
 
-    @property
-    def confidence(self) -> float:
-        """Winning score normalised over all class scores."""
-        total = sum(self.scores.values())
-        if total <= 0:
-            return 0.0
-        return self.scores[self.label.value] / total
-
 
 @dataclass(frozen=True)
 class ClassifierConfig:

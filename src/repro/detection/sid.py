@@ -16,10 +16,14 @@ The node-side algorithm (paper Sec. IV-D) has four procedures:
   four-node condition holds.
 
 :class:`SIDNode` is a *pure state machine*: it consumes window
-detection outcomes and peer messages and returns :class:`SIDAction` values describing what
-the node wants transmitted.  Both the in-process scenario runner and
-the discrete-event network stack drive it, so protocol behaviour is
-identical with and without a lossy radio in between.
+detection outcomes and peer messages and returns :class:`SIDAction`
+values describing what the node wants transmitted.  Only the
+discrete-event network stack drives it, one per
+:class:`repro.network.nodeproc.NetworkNode`.  The offline and streaming
+runners replay cluster formation with
+:func:`repro.scenario.runner.fuse_sequential_clusters` over the same
+:class:`~repro.detection.cluster.TemporaryCluster`, so cluster
+evaluation is identical with and without a lossy radio in between.
 """
 
 from __future__ import annotations
@@ -165,14 +169,6 @@ class SIDNode:
         if self._member_of is not None:
             return SIDState.TEMP_CLUSTER_MEMBER
         return SIDState.MONITORING
-
-    @property
-    def in_temp_cluster(self) -> bool:
-        """The pseudocode's ``NotInTempCluster`` flag, inverted."""
-        return self.state in (
-            SIDState.TEMP_CLUSTER_HEAD,
-            SIDState.TEMP_CLUSTER_MEMBER,
-        )
 
     # ------------------------------------------------------------------
     # DetectIntrusion

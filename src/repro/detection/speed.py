@@ -49,16 +49,6 @@ class SpeedEstimate:
         return math.degrees(self.alpha_rad)
 
     @property
-    def speed_min_mps(self) -> float:
-        """Lower of the two pairwise estimates (Fig. 12's minimum)."""
-        return min(self.speed_pair_i_mps, self.speed_pair_j_mps)
-
-    @property
-    def speed_max_mps(self) -> float:
-        """Higher of the two pairwise estimates (Fig. 12's maximum)."""
-        return max(self.speed_pair_i_mps, self.speed_pair_j_mps)
-
-    @property
     def speed_mean_mps(self) -> float:
         """Midpoint of the two pairwise estimates."""
         return 0.5 * (self.speed_pair_i_mps + self.speed_pair_j_mps)

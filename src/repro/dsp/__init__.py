@@ -16,16 +16,10 @@ from repro.dsp.features import (
     spectral_entropy,
     summarize_spectrum,
 )
-from repro.dsp.fft_utils import next_pow2, power_spectrum
+from repro.dsp.fft_utils import power_spectrum
 from repro.dsp.filters import butter_lowpass, moving_average
 from repro.dsp.stft import Spectrogram, stft, stft_segments
-from repro.dsp.wavelet import (
-    MorletWavelet,
-    Scalogram,
-    cwt_morlet,
-    scale_to_frequency,
-)
-from repro.dsp.window import get_window
+from repro.dsp.wavelet import MorletWavelet, Scalogram, cwt_morlet
 
 __all__ = [
     "MorletWavelet",
@@ -36,12 +30,9 @@ __all__ = [
     "butter_lowpass",
     "count_spectral_peaks",
     "cwt_morlet",
-    "get_window",
     "moving_average",
-    "next_pow2",
     "peak_width_hz",
     "power_spectrum",
-    "scale_to_frequency",
     "smooth_spectrum",
     "spectral_entropy",
     "stft",

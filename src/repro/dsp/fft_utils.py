@@ -5,28 +5,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SignalLengthError
-from repro.dsp.window import get_window
-
-
-def next_pow2(n: int) -> int:
-    """Smallest power of two >= ``n`` (>= 1)."""
-    if n <= 1:
-        return 1
-    return 1 << (n - 1).bit_length()
+from repro.dsp.window import hann
 
 
 def power_spectrum(
-    signal: np.ndarray,
-    rate_hz: float,
-    window: str = "hann",
-    detrend: bool = True,
-    nfft: int | None = None,
+    signal: np.ndarray, rate_hz: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-sided power spectrum of a real signal.
 
     Returns ``(frequencies_hz, power)`` where ``power`` is |X(f)|^2 of
-    the windowed (and optionally mean-removed) signal — the quantity the
-    paper plots as "Z-Power Spectrum" in Fig. 6.
+    the mean-removed, Hann-windowed signal — the quantity the paper
+    plots as "Z-Power Spectrum" in Fig. 6.
     """
     x = np.asarray(signal, dtype=float)
     if x.size < 2:
@@ -35,11 +24,7 @@ def power_spectrum(
         )
     if rate_hz <= 0:
         raise SignalLengthError(f"rate_hz must be positive, got {rate_hz}")
-    if detrend:
-        x = x - x.mean()
-    w = get_window(window, x.size)
-    xw = x * w
-    n = nfft if nfft is not None else x.size
-    spec = np.fft.rfft(xw, n=n)
-    freqs = np.fft.rfftfreq(n, d=1.0 / rate_hz)
+    x = x - x.mean()
+    spec = np.fft.rfft(x * hann(x.size))
+    freqs = np.fft.rfftfreq(x.size, d=1.0 / rate_hz)
     return freqs, np.abs(spec) ** 2

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.constants import SAMPLE_RATE_HZ, STFT_SEGMENT_SAMPLES
 from repro.errors import ConfigurationError, SignalLengthError
-from repro.dsp.window import get_window
+from repro.dsp.window import hann
 
 
 @dataclass(frozen=True)
@@ -34,20 +34,6 @@ class Spectrogram:
         nf, nt = self.power.shape
         if len(self.frequencies_hz) != nf or len(self.times_s) != nt:
             raise ConfigurationError("spectrogram axes do not match power shape")
-
-    @property
-    def n_segments(self) -> int:
-        """Number of time segments."""
-        return self.power.shape[1]
-
-    def segment_spectrum(self, j: int) -> np.ndarray:
-        """Power spectrum of segment ``j``."""
-        return self.power[:, j]
-
-    def band_power_series(self, f_lo: float, f_hi: float) -> np.ndarray:
-        """Total power in ``[f_lo, f_hi]`` per segment — a detection cue."""
-        mask = (self.frequencies_hz >= f_lo) & (self.frequencies_hz <= f_hi)
-        return self.power[mask].sum(axis=0)
 
 
 def stft_segments(
@@ -77,25 +63,21 @@ def stft(
     rate_hz: float = SAMPLE_RATE_HZ,
     segment: int = STFT_SEGMENT_SAMPLES,
     hop: int | None = None,
-    window: str = "hann",
-    detrend: bool = True,
 ) -> Spectrogram:
-    """Windowed-FFT spectrogram of a real signal.
+    """Hann-windowed FFT spectrogram of a real signal.
 
     Parameters follow the paper's defaults: 50 Hz input, 2048-point
-    segments.  ``hop`` defaults to half a segment (50 % overlap);
-    ``detrend`` removes each segment's mean so the 1 g gravity offset
-    does not bury the wave band in spectral leakage.
+    segments.  ``hop`` defaults to half a segment (50 % overlap).  Each
+    segment's mean is removed so the 1 g gravity offset does not bury
+    the wave band in spectral leakage.
     """
     if rate_hz <= 0:
         raise ConfigurationError(f"rate_hz must be positive, got {rate_hz}")
     if hop is None:
         hop = segment // 2
     frames = stft_segments(signal, segment, hop)
-    if detrend:
-        frames = frames - frames.mean(axis=1, keepdims=True)
-    w = get_window(window, segment)
-    spec = np.fft.rfft(frames * w[None, :], axis=1)
+    frames = frames - frames.mean(axis=1, keepdims=True)
+    spec = np.fft.rfft(frames * hann(segment)[None, :], axis=1)
     power = (np.abs(spec) ** 2).T
     freqs = np.fft.rfftfreq(segment, d=1.0 / rate_hz)
     centers = (np.arange(frames.shape[0]) * hop + segment / 2.0) / rate_hz

@@ -19,7 +19,7 @@ so the whole transform is one signal FFT, a vectorised
 per-scale time-domain kernel construction it replaced is the test
 oracle in ``tests/dsp/oracles.py``.  The centre frequency of the scaled
 wavelet is ``f = w0 / (2 pi s)`` for scale ``s`` (in seconds), which
-:func:`scale_to_frequency` exposes.
+:meth:`MorletWavelet.scale_for_frequency` inverts.
 """
 
 from __future__ import annotations
@@ -69,13 +69,6 @@ class MorletWavelet:
         return self.w0 / (2.0 * math.pi * frequency_hz)
 
 
-def scale_to_frequency(scale: float, w0: float = 6.0) -> float:
-    """Centre frequency [Hz] of a Morlet wavelet at scale ``scale`` [s]."""
-    if scale <= 0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
-    return w0 / (2.0 * math.pi * scale)
-
-
 @dataclass(frozen=True)
 class Scalogram:
     """|CWT|^2 on a (frequency, time) grid — the paper's Fig. 7 surface."""
@@ -92,14 +85,6 @@ class Scalogram:
     def dominant_frequency_at(self, j: int) -> float:
         """Frequency with the most power in time column ``j``."""
         return float(self.frequencies_hz[int(np.argmax(self.power[:, j]))])
-
-    def band_fraction(self, f_lo: float, f_hi: float) -> float:
-        """Fraction of total scalogram energy inside ``[f_lo, f_hi]``."""
-        total = float(self.power.sum())
-        if total <= 0.0:
-            return 0.0
-        mask = (self.frequencies_hz >= f_lo) & (self.frequencies_hz <= f_hi)
-        return float(self.power[mask].sum()) / total
 
 
 def _next_fast_len(target: int) -> int:
@@ -174,22 +159,21 @@ def cwt_morlet(
     rate_hz: float = SAMPLE_RATE_HZ,
     frequencies_hz: np.ndarray | None = None,
     w0: float = 6.0,
-    detrend: bool = True,
 ) -> Scalogram:
     """Continuous wavelet transform with a Morlet mother wavelet.
 
-    Each requested analysis frequency maps to a scale; the transform
-    correlates the signal with the scaled wavelet normalised by
-    ``1/sqrt(s)``, yielding the standard L2-normalised CWT, and returns
-    |coefficients|^2 as a :class:`Scalogram`.
+    The signal's mean is removed first.  Each requested analysis
+    frequency maps to a scale; the transform correlates the signal with
+    the scaled wavelet normalised by ``1/sqrt(s)``, yielding the
+    standard L2-normalised CWT, and returns |coefficients|^2 as a
+    :class:`Scalogram`.
     """
     x = np.asarray(signal, dtype=float)
     if x.size < 8:
         raise SignalLengthError(f"cwt needs >= 8 samples, got {x.size}")
     if rate_hz <= 0:
         raise ConfigurationError(f"rate_hz must be positive, got {rate_hz}")
-    if detrend:
-        x = x - x.mean()
+    x = x - x.mean()
     mother = MorletWavelet(w0)
     if frequencies_hz is None:
         # Default: logarithmic grid from ~1/20 of the trace up to Nyquist/2.

@@ -1,8 +1,8 @@
-"""Window functions for spectral analysis.
+"""The Hann window the STFT and the power spectrum taper with.
 
 Implemented directly (rather than via :mod:`scipy.signal.windows`) so
-the STFT used in the reproduction is self-contained and its windows are
-exactly documented.
+the spectra used in the reproduction are self-contained and their
+window is exactly documented.
 """
 
 from __future__ import annotations
@@ -12,60 +12,11 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 
-def rectangular(n: int) -> np.ndarray:
-    """All-ones window (no tapering)."""
-    return np.ones(n)
-
-
 def hann(n: int) -> np.ndarray:
-    """Hann window: ``0.5 (1 - cos(2 pi k / (n-1)))`` (periodic ends at 0)."""
+    """Symmetric Hann window ``0.5 (1 - cos(2 pi k / (n-1)))``: both ends 0."""
+    if n < 1:
+        raise ConfigurationError(f"window length must be >= 1, got {n}")
     if n == 1:
         return np.ones(1)
     k = np.arange(n)
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / (n - 1)))
-
-
-def hamming(n: int) -> np.ndarray:
-    """Hamming window: ``0.54 - 0.46 cos(2 pi k / (n-1))``."""
-    if n == 1:
-        return np.ones(1)
-    k = np.arange(n)
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * k / (n - 1))
-
-
-def gaussian(n: int, sigma_fraction: float = 0.125) -> np.ndarray:
-    """Gaussian window with sigma = ``sigma_fraction * n`` samples."""
-    if sigma_fraction <= 0:
-        raise ConfigurationError(
-            f"sigma_fraction must be positive, got {sigma_fraction}"
-        )
-    k = np.arange(n) - (n - 1) / 2.0
-    sigma = sigma_fraction * n
-    return np.exp(-0.5 * (k / sigma) ** 2)
-
-
-_WINDOWS = {
-    "rect": rectangular,
-    "rectangular": rectangular,
-    "boxcar": rectangular,
-    "hann": hann,
-    "hamming": hamming,
-    "gauss": gaussian,
-    "gaussian": gaussian,
-}
-
-
-def get_window(name: str, n: int) -> np.ndarray:
-    """Build a length-``n`` window by name.
-
-    Known names: rect/rectangular/boxcar, hann, hamming, gauss/gaussian.
-    """
-    if n < 1:
-        raise ConfigurationError(f"window length must be >= 1, got {n}")
-    try:
-        fn = _WINDOWS[name.lower()]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown window {name!r}; known: {sorted(set(_WINDOWS))}"
-        ) from None
-    return fn(n)

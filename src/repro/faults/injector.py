@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, Optional
 import numpy as np
 
 from repro.faults.network import DeliveryFaults, FaultyChannel
-from repro.faults.plan import BatteryDrain, FaultPlan, FaultStats, NodeCrash
+from repro.faults.plan import BatteryDrain, FaultPlan, FaultStats, Outage
 from repro.faults.sensor import corrupt_counts
 from repro.network.channel import Channel
 from repro.rng import derive_rng
@@ -120,8 +120,9 @@ class FaultInjector:
         """Arm the event-driven faults on a built network.
 
         Binds the channel decorator to the simulation clock, attaches
-        the delivery hook, and schedules every crash/reboot and battery
-        drain the plan declares.  A no-op for inactive plans.
+        the delivery hook, and schedules one crash per node outage
+        (:meth:`FaultPlan.outages`) and every battery drain the plan
+        declares.  A no-op for inactive plans.
         """
         if not self.active:
             return
@@ -132,9 +133,9 @@ class FaultInjector:
         hook = self.delivery_faults()
         if hook is not None:
             network.delivery_faults = hook
-        for crash in self.plan.node_crashes:
+        for outage in self.plan.outages(network.sim.now):
             network.sim.schedule_at(
-                max(crash.at_s, network.sim.now), self._crash, network, crash
+                outage.start_s, self._crash, network, outage
             )
         for drain in self.plan.battery_drains:
             network.sim.schedule_at(
@@ -221,7 +222,8 @@ class FaultInjector:
                 probability=plan.delay.probability,
             )
 
-    def _crash(self, network: "SensorNetwork", crash: NodeCrash) -> None:
+    def _crash(self, network: "SensorNetwork", outage: Outage) -> None:
+        crash = outage.crash
         node = network.nodes.get(crash.node_id)
         if node is None or not node.alive:
             return
@@ -235,9 +237,13 @@ class FaultInjector:
                 node_id=crash.node_id,
                 reboot_after_s=crash.reboot_after_s,
             )
-        if crash.reboot_after_s is not None:
-            network.sim.schedule(
-                crash.reboot_after_s, self._reboot, network, crash.node_id
+        # Scheduled now, after the feeds, so a feed at the reboot
+        # instant still finds the node down; ``end_s`` is this crash's
+        # time plus its ``reboot_after_s`` bit for bit when the outage
+        # is one entry.
+        if math.isfinite(outage.end_s):
+            network.sim.schedule_at(
+                outage.end_s, self._reboot, network, crash.node_id
             )
 
     def _reboot(self, network: "SensorNetwork", node_id: int) -> None:

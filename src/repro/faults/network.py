@@ -66,7 +66,7 @@ class GilbertElliott:
 class FaultyChannel:
     """Channel decorator layering burst loss and blackouts on delivery.
 
-    Topology building (``in_range``, ``delivery_probability``) sees the
+    Topology building (``delivery_probability``) sees the
     healthy channel via delegation — faults strike frames in flight,
     not the deployment-time connectivity survey, matching how real
     interference bursts behave.

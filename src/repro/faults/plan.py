@@ -97,7 +97,8 @@ class NodeCrash:
     While crashed the node neither samples, ticks, transmits nor
     receives.  A reboot restores the process with its detection state
     intact (warm restart — the paper's motes keep state in RAM across
-    watchdog resets).
+    watchdog resets).  A node is down while any of its entries covers
+    the time: see :meth:`FaultPlan.outages`.
     """
 
     node_id: int
@@ -109,6 +110,20 @@ class NodeCrash:
             raise ConfigurationError(
                 f"reboot_after_s must be positive, got {self.reboot_after_s}"
             )
+
+
+@dataclass(frozen=True)
+class Outage:
+    """One stretch a node is down: its overlapping crash entries merged.
+
+    The node is down over the closed interval ``[start_s, end_s]``;
+    ``end_s`` is ``inf`` when no entry reboots it.  ``crash`` is the
+    entry that opens the outage.
+    """
+
+    crash: NodeCrash
+    start_s: float
+    end_s: float
 
 
 @dataclass(frozen=True)
@@ -326,6 +341,42 @@ class FaultPlan:
             for f in self.sync_failures
         )
 
+    def outages(self, now: float) -> tuple[Outage, ...]:
+        """Every node's downtime, as merged closed intervals.
+
+        Entry ``c`` keeps its node down over ``[lo, lo +
+        c.reboot_after_s]`` with ``lo = max(c.at_s, now)`` (``inf``
+        without a reboot): a crash planned before ``now`` lands at
+        ``now``.  A node is down while any of its entries covers the
+        time, so one node's entries whose intervals overlap or touch
+        merge into one outage.  Outages come in the plan order of the
+        entry that opens each, so a plan without overlaps yields one
+        outage per entry, in plan order.
+        """
+        by_node: dict[int, list[tuple[float, int, float]]] = {}
+        for k, crash in enumerate(self.node_crashes):
+            lo = max(crash.at_s, now)
+            hi = (
+                lo + crash.reboot_after_s
+                if crash.reboot_after_s is not None
+                else math.inf
+            )
+            by_node.setdefault(crash.node_id, []).append((lo, k, hi))
+        merged: list[tuple[int, float, float]] = []
+        for spans in by_node.values():
+            spans.sort()  # by start; a tie opens with the earlier entry
+            lo0, k0, hi0 = spans[0]
+            for lo, k, hi in spans[1:]:
+                if lo <= hi0:
+                    hi0 = max(hi0, hi)
+                else:
+                    merged.append((k0, lo0, hi0))
+                    lo0, k0, hi0 = lo, k, hi
+            merged.append((k0, lo0, hi0))
+        return tuple(
+            Outage(self.node_crashes[k], lo, hi) for k, lo, hi in sorted(merged)
+        )
+
     @property
     def has_channel_faults(self) -> bool:
         """True when the radio channel needs the fault decorator."""
@@ -350,8 +401,10 @@ class FaultPlan:
         Node ``i`` goes dark at ``first_at_s + i * interval_s`` and
         reboots ``downtime_s`` later — the chaos-soak pattern: with
         ``downtime_s > interval_s`` outages overlap, so at least one
-        forwarder is always down during the wave.  The plan is fully
-        deterministic (no entropy drawn).
+        forwarder is always down during the wave.  A node named twice
+        whose outages overlap stays down until the later reboot
+        (:meth:`outages`).  The plan is fully deterministic (no entropy
+        drawn).
         """
         ids = list(node_ids)
         if not ids:

@@ -140,7 +140,7 @@ class StreamAliasRule(Rule):
     draw in the other.  Derivation helpers (``derive_rng``,
     ``spawn_rng``, ``make_rng``) are exempt — forking a child stream
     is exactly the sanctioned alternative — and plain lowercase calls
-    (``optional_jitter(rng, ...)``) are borrows, not hand-offs.
+    (``jitter(rng, ...)``) are borrows, not hand-offs.
 
     The call-site-only RNG001 cannot see this: every individual call
     is legal; only the *sequence* (hand-off, then reuse) is the bug.

@@ -119,20 +119,6 @@ class Channel:
             < self.delivery_probability(src, dst, src_pos, dst_pos)
         )
 
-    def in_range(
-        self,
-        src: int,
-        dst: int,
-        src_pos: Position,
-        dst_pos: Position,
-        min_probability: float = 0.05,
-    ) -> bool:
-        """True when the link is usable at all (for topology building)."""
-        return (
-            self.delivery_probability(src, dst, src_pos, dst_pos)
-            >= min_probability
-        )
-
     def airtime_s(self, size_bytes: int) -> float:
         """Transmission time of a frame of ``size_bytes``."""
         if size_bytes <= 0:
@@ -142,32 +128,4 @@ class Channel:
         return (
             self.config.latency_floor_s
             + 8.0 * size_bytes / self.config.bitrate_bps
-        )
-
-    def communication_range_m(self, min_probability: float = 0.5) -> float:
-        """Distance at which median delivery drops to ``min_probability``.
-
-        Solved on the median channel (no shadowing); useful to pick
-        grid spacings that keep neighbours connected.
-        """
-        cfg = self.config
-        if not 0 < min_probability < 1:
-            raise ConfigurationError(
-                f"min_probability must be in (0, 1), got {min_probability}"
-            )
-        # Invert the logistic for the SNR needed, then the path loss.
-        p = min_probability / (1.0 - cfg.base_loss_rate)
-        if p >= 1.0:
-            return 0.0
-        snr_needed = cfg.snr_per50_db - cfg.snr_slope_db * math.log(
-            1.0 / p - 1.0
-        )
-        margin = (
-            cfg.tx_power_dbm
-            - cfg.path_loss_d0_db
-            - cfg.noise_floor_dbm
-            - snr_needed
-        )
-        return cfg.reference_distance_m * 10.0 ** (
-            margin / (10.0 * cfg.path_loss_exponent)
         )

@@ -95,8 +95,6 @@ class Frame:
     dst: int
     payload: Payload
     seq: int = field(default_factory=lambda: next(_frame_seq))
-    #: Hop count already travelled (incremented by forwarders).
-    hops: int = 0
 
     @property
     def size_bytes(self) -> int:
@@ -108,13 +106,3 @@ class Frame:
     def is_broadcast(self) -> bool:
         """True for link-local broadcast frames."""
         return self.dst == BROADCAST
-
-    def forwarded(self, new_src: int, new_dst: int) -> "Frame":
-        """A copy travelling the next hop."""
-        return Frame(
-            src=new_src,
-            dst=new_dst,
-            payload=self.payload,
-            seq=self.seq,
-            hops=self.hops + 1,
-        )

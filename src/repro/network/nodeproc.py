@@ -58,6 +58,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 logger = logging.getLogger("repro.network.resilience")
 
+#: CPU seconds a node bills per sample of each window it evaluates:
+#: a window of ``n`` samples draws ``CPU_S_PER_SAMPLE * n`` seconds.
+#: The runner's elision precondition and the sanitizer's billing
+#: intent compute the same product, so the audit stays bit-exact.
+CPU_S_PER_SAMPLE = 0.001
+
 #: Detection-category trace event name per dispatched SID action.
 _ACTION_EVENT_NAMES: dict[type, str] = {
     SetupClusterAction: "cluster_setup",
@@ -258,7 +264,7 @@ class NetworkNode:
         if self.battery is not None:
             if self.battery.depleted:
                 return False
-            self.battery.draw_cpu(0.001 * n_samples)
+            self.battery.draw_cpu(CPU_S_PER_SAMPLE * n_samples)
         telemetry = self.network.telemetry
         if telemetry is not None:
             telemetry.metrics.counter("windows_processed").inc()
@@ -306,7 +312,7 @@ class NetworkNode:
             if battery is not None:
                 if battery.depleted:
                     break
-                battery.draw_cpu(0.001 * n_samples)
+                battery.draw_cpu(CPU_S_PER_SAMPLE * n_samples)
             if counter is not None:
                 counter.inc()
 

@@ -91,10 +91,7 @@ class RoutingTable:
             core, sink_id, weight="etx"
         )
         self._parent: dict[int, int] = {}
-        self._depth: dict[int, int] = {}
-        self._etx: dict[int, float] = dict(costs)
         for node, path in paths.items():
-            self._depth[node] = len(path) - 1
             if len(path) >= 2:
                 # path runs sink -> ... -> node; the next hop toward the
                 # sink is the penultimate element.
@@ -110,28 +107,18 @@ class RoutingTable:
             ]
             if not candidates:
                 continue
-            cost, parent = min(candidates)
-            self._etx[nid] = cost
+            _, parent = min(candidates)
             self._parent[nid] = parent
-            self._depth[nid] = self._depth[parent] + 1
 
     def is_connected(self, node_id: int) -> bool:
         """True when ``node_id`` has a route to the sink."""
-        return node_id in self._depth
+        return node_id == self.sink_id or node_id in self._parent
 
     def next_hop(self, node_id: int) -> Optional[int]:
         """Next hop toward the sink, or None (sink itself / partitioned)."""
         if node_id == self.sink_id:
             return None
         return self._parent.get(node_id)
-
-    def hops_to_sink(self, node_id: int) -> Optional[int]:
-        """Hop count of the ETX-optimal route, or None when partitioned."""
-        return self._depth.get(node_id)
-
-    def etx_to_sink(self, node_id: int) -> Optional[float]:
-        """Expected transmissions to reach the sink, or None."""
-        return self._etx.get(node_id)
 
     def route(self, node_id: int) -> list[int]:
         """Full node sequence from ``node_id`` to the sink (inclusive)."""

@@ -126,10 +126,6 @@ class Simulator:
             raise SimulationError("a probe is already attached")
         self._probe = probe
 
-    def detach_probe(self) -> None:
-        """Remove the recording probe (no-op when none is attached)."""
-        self._probe = None
-
     @property
     def now(self) -> float:
         """Current simulation time [s]."""

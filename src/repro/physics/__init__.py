@@ -5,8 +5,8 @@ sea.  We do not have that sea, so this package synthesises it:
 
 - :mod:`repro.physics.spectrum` — ambient ocean wave spectra
   (Pierson–Moskowitz, JONSWAP) and named sea states;
-- :mod:`repro.physics.airy` — linear (Airy) wave theory: dispersion,
-  phase/group speed, orbital kinematics;
+- :mod:`repro.physics.airy` — linear (Airy) wave theory: the dispersion
+  relation and its inverse;
 - :mod:`repro.physics.wavefield` — random-phase superposition of
   spectral components into a space–time ambient wave field;
 - :mod:`repro.physics.kelvin` — the Kelvin ship-wake model: cusp
@@ -20,14 +20,7 @@ sea.  We do not have that sea, so this package synthesises it:
   birds, fish) used for false-alarm experiments.
 """
 
-from repro.physics.airy import (
-    deep_water_wavelength,
-    dispersion_omega,
-    group_speed,
-    phase_speed,
-    wavelength_from_period,
-    wavenumber_from_omega,
-)
+from repro.physics.airy import dispersion_omega, wavenumber_from_omega
 from repro.physics.buoy import Buoy, BuoyMotion
 from repro.physics.disturbance import (
     BirdStrike,
@@ -69,15 +62,11 @@ __all__ = [
     "WaveSpectrum",
     "WindGust",
     "cusp_wave_period",
-    "deep_water_wavelength",
     "depth_froude_number",
     "dispersion_omega",
-    "group_speed",
-    "phase_speed",
     "render_disturbances",
     "sea_state_spectrum",
     "wake_propagation_angle_deg",
     "wake_wave_speed",
-    "wavelength_from_period",
     "wavenumber_from_omega",
 ]

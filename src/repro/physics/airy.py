@@ -1,9 +1,9 @@
-"""Linear (Airy) wave theory.
+"""Linear (Airy) wave theory: the dispersion relation and its inverse.
 
-First-order gravity-wave kinematics used by both the ambient wave field
-and the Kelvin wake: the dispersion relation, phase and group speed, and
-wavelength conversions.  Deep water means ``depth > wavelength / 2``;
-``depth=None`` selects the deep-water limit throughout.
+The ambient wave field gives each spectral component the wavenumber of
+its frequency through :func:`wavenumber_from_omega`.  Deep water means
+``depth > wavelength / 2``; ``depth=None`` selects the deep-water limit
+throughout.
 """
 
 from __future__ import annotations
@@ -58,59 +58,3 @@ def wavenumber_from_omega(
         if abs(step) < tol * max(k, 1.0):
             break
     return k
-
-
-def phase_speed(k: float, depth: Optional[float] = None) -> float:
-    """Phase speed ``c = omega / k`` for wavenumber ``k``."""
-    return dispersion_omega(k, depth) / k
-
-
-def group_speed(k: float, depth: Optional[float] = None) -> float:
-    """Group speed ``cg = d(omega)/dk``.
-
-    Deep water: ``cg = c / 2``.  Finite depth:
-    ``cg = (c / 2) * (1 + 2 k h / sinh(2 k h))``.
-    """
-    c = phase_speed(k, depth)
-    if depth is None:
-        return 0.5 * c
-    kh2 = 2.0 * k * depth
-    if kh2 > 700.0:  # sinh overflow guard; effectively deep water
-        return 0.5 * c
-    return 0.5 * c * (1.0 + kh2 / math.sinh(kh2))
-
-
-def deep_water_wavelength(period: float) -> float:
-    """Deep-water wavelength for wave period ``period`` [s].
-
-    ``lambda = g T^2 / (2 pi)``.
-    """
-    if period <= 0:
-        raise ConfigurationError(f"period must be positive, got {period}")
-    return GRAVITY * period * period / (2.0 * math.pi)
-
-
-def wavelength_from_period(period: float, depth: Optional[float] = None) -> float:
-    """Wavelength for period ``period`` at the given depth."""
-    omega = 2.0 * math.pi / period if period > 0 else 0.0
-    if omega <= 0:
-        raise ConfigurationError(f"period must be positive, got {period}")
-    k = wavenumber_from_omega(omega, depth)
-    return 2.0 * math.pi / k
-
-
-def orbital_acceleration_amplitude(
-    amplitude: float, omega: float
-) -> float:
-    """Peak vertical acceleration of a surface particle.
-
-    For a linear wave of surface amplitude ``a`` and angular frequency
-    ``omega``, the vertical acceleration amplitude at the surface is
-    ``a * omega^2``.  This is what a surface-following buoy's
-    accelerometer feels on top of gravity.
-    """
-    if amplitude < 0:
-        raise ConfigurationError(f"amplitude must be >= 0, got {amplitude}")
-    if omega < 0:
-        raise ConfigurationError(f"omega must be >= 0, got {omega}")
-    return amplitude * omega * omega

@@ -170,15 +170,6 @@ def significant_wave_height(spectrum: WaveSpectrum) -> float:
     return 4.0 * math.sqrt(spectral_moment(spectrum, 0))
 
 
-def mean_zero_crossing_period(spectrum: WaveSpectrum) -> float:
-    """Mean zero up-crossing period ``Tz = sqrt(m0 / m2)`` [s]."""
-    m0 = spectral_moment(spectrum, 0)
-    m2 = spectral_moment(spectrum, 2)
-    if m2 <= 0:
-        raise ConfigurationError("spectrum has no second moment")
-    return math.sqrt(m0 / m2)
-
-
 class SeaState(Enum):
     """Named sea states used by the scenario presets.
 

@@ -95,11 +95,6 @@ class WakeTrain:
         """Centre carrier frequency [Hz]."""
         return 1.0 / self.period
 
-    @property
-    def end_time(self) -> float:
-        """Time the packet has fully passed [s]."""
-        return self.arrival_time + self.duration
-
     def _support(
         self, t: npt.ArrayLike
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,11 +149,3 @@ class WakeTrain:
         )
         out[inside] = self.amplitude * second
         return out
-
-    def peak_vertical_acceleration(self) -> float:
-        """Approximate peak |acceleration| of the packet [m/s^2].
-
-        Dominated by the carrier term ``A w^2`` at the envelope top.
-        """
-        omega = 2.0 * math.pi * self.carrier_frequency_hz
-        return self.amplitude * omega * omega

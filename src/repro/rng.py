@@ -56,12 +56,3 @@ def derive_rng(seed: RandomState, stream: str) -> np.random.Generator:
         base = int(seed)
     mix = zlib.crc32(stream.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence([base, mix]))
-
-
-def optional_jitter(
-    rng: np.random.Generator, scale: float, size: int | None = None
-) -> float | np.ndarray:
-    """Zero-mean gaussian jitter helper; ``scale <= 0`` returns zeros."""
-    if scale <= 0.0:
-        return 0.0 if size is None else np.zeros(size)
-    return rng.normal(0.0, scale, size=size)

@@ -8,7 +8,7 @@
   models);
 - :mod:`repro.scenario.runner` — offline (radio-less) and networked
   scenario execution;
-- :mod:`repro.scenario.metrics` — detection/estimation quality metrics;
+- :mod:`repro.scenario.metrics` — alarm precision against ground truth;
 - :mod:`repro.scenario.presets` — the canonical paper configurations.
 """
 
@@ -18,12 +18,7 @@ from repro.scenario.coverage import (
     detection_radius_m,
 )
 from repro.scenario.deployment import DeployedNode, GridDeployment
-from repro.scenario.metrics import (
-    ClassifiedAlarms,
-    classify_alarms,
-    detection_ratio,
-    speed_error_fraction,
-)
+from repro.scenario.metrics import ClassifiedAlarms, classify_alarms
 from repro.scenario.presets import (
     paper_deployment,
     paper_scenario,
@@ -66,7 +61,6 @@ __all__ = [
     "classify_alarms",
     "detect_on_trace",
     "detection_radius_m",
-    "detection_ratio",
     "paper_deployment",
     "paper_scenario",
     "paper_ship",
@@ -78,6 +72,5 @@ __all__ = [
     "import_csv",
     "load_traces",
     "save_traces",
-    "speed_error_fraction",
     "synthesize_fleet_traces",
 ]

@@ -1,9 +1,8 @@
-"""Detection and estimation quality metrics.
+"""Detection quality against ground truth.
 
-The paper's headline numbers: the node-level *successful detection
-ratio* (Fig. 11) — the fraction of raised alarms that coincide with a
-real ship disturbance — and the speed-estimation error (Fig. 12,
-"within 20% of the actual speed").
+The paper's headline number is the node-level *successful detection
+ratio* (Fig. 11): the fraction of raised alarms that coincide with a
+real ship disturbance.
 """
 
 from __future__ import annotations
@@ -36,13 +35,6 @@ class ClassifiedAlarms:
         if self.n_alarms == 0:
             return 0.0
         return self.true_positives / self.n_alarms
-
-    @property
-    def recall(self) -> float:
-        """Fraction of real events that produced at least one alarm."""
-        if self.events_total == 0:
-            return 0.0
-        return self.events_detected / self.events_total
 
 
 def classify_alarms(
@@ -83,32 +75,3 @@ def classify_alarms(
         events_total=len(true_windows),
         events_detected=sum(hit),
     )
-
-
-def detection_ratio(
-    reports: Sequence[NodeReport],
-    true_windows: Sequence[TimeWindow],
-    tolerance_s: float = 2.0,
-) -> float:
-    """The paper's successful detection ratio (alarm precision)."""
-    return classify_alarms(reports, true_windows, tolerance_s).precision
-
-
-def speed_error_fraction(estimate_mps: float, actual_mps: float) -> float:
-    """Relative speed-estimation error |est - actual| / actual."""
-    if actual_mps <= 0:
-        raise ConfigurationError(
-            f"actual speed must be positive, got {actual_mps}"
-        )
-    return abs(estimate_mps - actual_mps) / actual_mps
-
-
-def false_alarm_rate_per_hour(
-    n_false: int, duration_s: float
-) -> float:
-    """False alarms normalised to events per hour."""
-    if duration_s <= 0:
-        raise ConfigurationError(
-            f"duration must be positive, got {duration_s}"
-        )
-    return n_false * 3600.0 / duration_s

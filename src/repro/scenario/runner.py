@@ -44,7 +44,12 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import BatteryDrain, FaultPlan, FaultStats
 from repro.network.channel import Channel, ChannelConfig
 from repro.network.mac import MacConfig
-from repro.network.nodeproc import NetworkNode, RetransmitPolicy, SensorNetwork
+from repro.network.nodeproc import (
+    CPU_S_PER_SAMPLE,
+    NetworkNode,
+    RetransmitPolicy,
+    SensorNetwork,
+)
 from repro.network.selfheal import OrphanEvent, SelfHealingConfig
 from repro.network.simulator import TrainItem
 from repro.physics.disturbance import Disturbance
@@ -421,16 +426,16 @@ def _window_plan(
 ) -> WindowPlan:
     """Plan every node's windows and the crash windows it misses.
 
-    A window is dead iff its end time falls inside ``[lo, lo +
-    reboot_after_s]`` (both ends inclusive, ``inf`` without a reboot)
-    of one of the node's :class:`~repro.faults.plan.NodeCrash` entries,
-    where ``lo = max(at_s, now)``: the crash event is scheduled at
-    install time, before the feeds, so it pops first on a time tie;
-    the reboot event is scheduled during the run, after the feeds, so
-    the feed at the reboot instant still finds the node dead.  (Battery
-    depletion also skips windows, but a depleted node never comes back,
-    so the feed's own gate handles it.)  A recording sampled off the
-    detector's ``rate_hz`` would mis-time the plan, so it raises.
+    A window is dead iff its end time falls inside one of the node's
+    outages (:meth:`~repro.faults.plan.FaultPlan.outages`: closed
+    intervals, ``inf`` without a reboot), which the fault injector
+    reads too: the crash event is scheduled at install time, before
+    the feeds, so it pops first on a time tie; the reboot event is
+    scheduled during the run, after the feeds, so the feed at the
+    reboot instant still finds the node dead.  (Battery depletion also
+    skips windows, but a depleted node never comes back, so the feed's
+    own gate handles it.)  A recording sampled off the detector's
+    ``rate_hz`` would mis-time the plan, so it raises.
     """
     det_cfg.check_sample_rate(recording.rate_hz)
     starts = window_starts(det_cfg, recording.z.shape[1])
@@ -439,17 +444,11 @@ def _window_plan(
     t_end = t_start + det_cfg.window_samples / rate
     live = np.ones(t_end.shape, dtype=bool)
     row = {nid: i for i, nid in enumerate(recording.node_ids)}
-    for crash in faults.node_crashes if faults is not None else ():
-        i = row.get(crash.node_id)
+    for outage in faults.outages(now) if faults is not None else ():
+        i = row.get(outage.crash.node_id)
         if i is None:
             continue
-        lo = max(crash.at_s, now)
-        hi = (
-            lo + crash.reboot_after_s
-            if crash.reboot_after_s is not None
-            else math.inf
-        )
-        live[i] &= (t_end[i] < lo) | (t_end[i] > hi)
+        live[i] &= (t_end[i] < outage.start_s) | (t_end[i] > outage.end_s)
     return WindowPlan(starts=starts, t_start=t_start, t_end=t_end, live=live)
 
 
@@ -653,7 +652,7 @@ def _billing_order_free(
     )
     retries = 1 + (retransmit.max_attempts if retransmit is not None else 0)
     frame_bytes_bound = n_dispatches * 4 * (n_nodes + 1) * retries * 512
-    cpu_s_per_window = 0.001 * det_cfg.window_samples
+    cpu_s_per_window = CPU_S_PER_SAMPLE * det_cfg.window_samples
     for node in deployment:
         battery = node.mote.battery
         if battery is None:
@@ -900,12 +899,13 @@ def run_network_scenario(
         network.sim.schedule_train(feeds)
         if sanitizer is not None and proc.battery is not None:
             # Declared billing intent: each live window bills draw_cpu
-            # seconds of 0.001*window, so the per-window joule amount
-            # replicates Battery.draw_cpu's op order bit-exactly.
+            # seconds of CPU_S_PER_SAMPLE * window, so the per-window
+            # joule amount replicates Battery.draw_cpu's op order
+            # bit-exactly.
             sanitizer.expect_cpu_billing(
                 node.node_id,
                 live.size,
-                (0.001 * window) * proc.battery.costs.cpu_j_per_s,
+                (CPU_S_PER_SAMPLE * window) * proc.battery.costs.cpu_j_per_s,
             )
         # Timer ticks keep cluster deadlines firing after sampling ends.
         t0 = recording.t0s[i]

@@ -158,11 +158,3 @@ class Battery:
     def draw_rx(self, n_bytes: int) -> bool:
         """Account for receiving ``n_bytes``."""
         return self.draw(n_bytes * self.costs.rx_j_per_byte, "rx")
-
-    def draw_idle(self, seconds: float) -> bool:
-        """Account for ``seconds`` of idle listening."""
-        return self.draw(seconds * self.costs.idle_j_per_s, "idle")
-
-    def draw_sleep(self, seconds: float) -> bool:
-        """Account for ``seconds`` of deep sleep."""
-        return self.draw(seconds * self.costs.sleep_j_per_s, "sleep")

@@ -74,7 +74,3 @@ class Clock:
         self._offset = float(self._rng.normal(0.0, self._sync_residual))
         self._last_sync_true_time = true_time
         return self._offset
-
-    def timestamp(self, true_time: float) -> float:
-        """Alias for :meth:`local_time`, named for report stamping."""
-        return self.local_time(true_time)

@@ -1,33 +1,24 @@
 """Fixed-rate sampling of continuous signals.
 
 Bridges the physics layer (functions of continuous time) and the sensor
-layer (50 Hz sample streams): builds the sample-instant grid, evaluates
-callables on it and accounts the sampling energy.
+layer (50 Hz sample streams): builds the sample-instant grid.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
 from repro.constants import SAMPLE_RATE_HZ
 from repro.errors import ConfigurationError
-from repro.sensors.battery import Battery
 
 
 class Sampler:
-    """Generates sample instants and drives signal evaluation."""
+    """Generates sample instants."""
 
     def __init__(self, rate_hz: float = SAMPLE_RATE_HZ) -> None:
         if rate_hz <= 0:
             raise ConfigurationError(f"rate_hz must be positive, got {rate_hz}")
         self.rate_hz = rate_hz
-
-    @property
-    def period_s(self) -> float:
-        """Sample period [s]."""
-        return 1.0 / self.rate_hz
 
     def instants(self, t0: float, duration_s: float) -> np.ndarray:
         """Sample timestamps covering ``[t0, t0 + duration_s)``."""
@@ -37,42 +28,3 @@ class Sampler:
             )
         n = int(round(duration_s * self.rate_hz))
         return t0 + np.arange(n) / self.rate_hz
-
-    def n_samples(self, duration_s: float) -> int:
-        """Number of samples in ``duration_s`` seconds."""
-        if duration_s < 0:
-            raise ConfigurationError(
-                f"duration must be >= 0, got {duration_s}"
-            )
-        return int(round(duration_s * self.rate_hz))
-
-    def sample(
-        self,
-        signal: Callable[[np.ndarray], np.ndarray],
-        t0: float,
-        duration_s: float,
-        battery: Battery | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate ``signal`` on the grid; optionally bill a battery.
-
-        Returns ``(t, values)``.  When a battery is supplied and runs
-        out, the trace is truncated at the death instant — nodes that
-        die mid-scenario simply stop producing samples, which is one of
-        the failure modes Sec. IV-C's cluster detection tolerates.
-        """
-        t = self.instants(t0, duration_s)
-        values = np.asarray(signal(t), dtype=float)
-        if values.shape != t.shape:
-            raise ConfigurationError(
-                "signal returned shape "
-                f"{values.shape}, expected {t.shape}"
-            )
-        if battery is not None:
-            per_sample = battery.costs.sample_j
-            if per_sample > 0:
-                affordable = int(battery.remaining_j / per_sample)
-                if affordable < t.size:
-                    t = t[:affordable]
-                    values = values[:affordable]
-            battery.draw_samples(t.size)
-        return t, values

@@ -25,7 +25,6 @@ from repro.telemetry.events import (
 from repro.telemetry.chrome import to_chrome_trace, write_chrome_trace
 from repro.telemetry.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     series_key,
@@ -36,7 +35,6 @@ from repro.telemetry.sinks import (
     InMemorySink,
     JsonlSink,
     TraceSink,
-    iter_trace_jsonl,
     read_trace_jsonl,
 )
 from repro.telemetry.tracer import SpanHandle, Tracer
@@ -54,7 +52,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "Clock",
     "Counter",
-    "Gauge",
     "Histogram",
     "InMemorySink",
     "JsonlSink",
@@ -66,7 +63,6 @@ __all__ = [
     "TraceSink",
     "Tracer",
     "format_summary",
-    "iter_trace_jsonl",
     "maybe_stage",
     "perf_clock",
     "read_trace_jsonl",

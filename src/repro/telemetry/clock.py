@@ -45,11 +45,6 @@ class ManualClock:
         self._now += self._tick
         return now
 
-    @property
-    def now_s(self) -> float:
-        """Current clock value without consuming a tick."""
-        return self._now
-
     def advance(self, dt_s: float) -> None:
         """Move the clock forward by ``dt_s`` seconds."""
         if dt_s < 0:

@@ -1,11 +1,10 @@
 """A small labeled-series metrics registry.
 
-Three instrument kinds, matching what the benches and the future
+Two instrument kinds, matching what the benches and the future
 serving layer need to read:
 
 - :class:`Counter` — monotonically increasing totals (frames sent,
   windows processed);
-- :class:`Gauge` — last-write-wins levels (active nodes, queue depth);
 - :class:`Histogram` — observation sets with nearest-rank percentile
   queries (stage latencies).
 
@@ -43,22 +42,6 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """A last-write-wins level."""
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-
 class Histogram:
     """An observation set with nearest-rank percentile queries."""
 
@@ -90,18 +73,14 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Get-or-create registry of labeled counter/gauge/histogram series."""
+    """Get-or-create registry of labeled counter/histogram series."""
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str, **labels: str) -> Counter:
         return self._get(self._counters, Counter, name, labels)
-
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        return self._get(self._gauges, Gauge, name, labels)
 
     def histogram(self, name: str, **labels: str) -> Histogram:
         return self._get(self._histograms, Histogram, name, labels)
@@ -122,9 +101,6 @@ class MetricsRegistry:
         """One JSON-ready dict of every series in the registry."""
         out: dict[str, Any] = {
             "counters": self.counter_values(),
-            "gauges": {
-                k: g.value for k, g in sorted(self._gauges.items())
-            },
             "histograms": {},
         }
         for key, hist in sorted(self._histograms.items()):

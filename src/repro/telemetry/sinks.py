@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator
 
 from repro.errors import ConfigurationError
 from repro.telemetry.events import TraceEvent
@@ -79,12 +78,3 @@ def read_trace_jsonl(path: str | Path) -> list[TraceEvent]:
                 ) from exc
             events.append(TraceEvent.from_json_dict(data))
     return events
-
-
-def iter_trace_jsonl(path: str | Path) -> Iterator[TraceEvent]:
-    """Stream events from a JSONL trace without loading the whole file."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield TraceEvent.from_json_dict(json.loads(line))

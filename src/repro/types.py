@@ -24,10 +24,6 @@ class Position:
         """Return a new position translated by ``(dx, dy)``."""
         return Position(self.x + dx, self.y + dy)
 
-    def as_array(self) -> np.ndarray:
-        """Return the position as a length-2 float array."""
-        return np.array([self.x, self.y], dtype=float)
-
     def __iter__(self) -> Iterator[float]:
         yield self.x
         yield self.y
@@ -54,28 +50,6 @@ class TimeWindow:
     def contains(self, t: float) -> bool:
         """True when ``start <= t < end``."""
         return self.start <= t < self.end
-
-    def overlaps(self, other: "TimeWindow") -> bool:
-        """True when the two half-open intervals intersect."""
-        return self.start < other.end and other.start < self.end
-
-    def intersection(self, other: "TimeWindow") -> "TimeWindow | None":
-        """The overlapping window, or ``None`` when disjoint."""
-        lo = max(self.start, other.start)
-        hi = min(self.end, other.end)
-        if hi <= lo:
-            return None
-        return TimeWindow(lo, hi)
-
-
-@dataclass(frozen=True)
-class AccelSample:
-    """One three-axis accelerometer reading in raw ADC counts."""
-
-    t: float
-    x: int
-    y: int
-    z: int
 
 
 @dataclass
@@ -112,26 +86,3 @@ class AccelTrace:
     def times(self) -> np.ndarray:
         """Sample timestamps in seconds."""
         return self.t0 + np.arange(len(self)) / self.rate_hz
-
-    def slice_window(self, window: TimeWindow) -> "AccelTrace":
-        """Return the samples whose timestamps fall inside ``window``."""
-        times = self.times
-        mask = (times >= window.start) & (times < window.end)
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            return AccelTrace(
-                window.start,
-                self.rate_hz,
-                np.array([], dtype=self.x.dtype),
-                np.array([], dtype=self.y.dtype),
-                np.array([], dtype=self.z.dtype),
-            )
-        start = idx[0]
-        stop = idx[-1] + 1
-        return AccelTrace(
-            float(times[start]),
-            self.rate_hz,
-            self.x[start:stop],
-            self.y[start:stop],
-            self.z[start:stop],
-        )

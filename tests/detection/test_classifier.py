@@ -81,11 +81,6 @@ class TestClassification:
         verdict = classifier.classify(_ambient(rng))
         assert verdict.label == EventClass.AMBIENT
 
-    def test_confidence_in_unit_interval(self, classifier, rng):
-        for segment in (_with_wake(rng), _with_impulse(rng), _ambient(rng)):
-            verdict = classifier.classify(segment)
-            assert 0.0 <= verdict.confidence <= 1.0
-
     def test_scores_cover_all_classes(self, classifier, rng):
         verdict = classifier.classify(_with_wake(rng))
         assert set(verdict.scores) == {c.value for c in EventClass}

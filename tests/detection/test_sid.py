@@ -88,7 +88,6 @@ class TestLifecycle:
         assert len(actions) == 1
         assert isinstance(actions[0], SetupClusterAction)
         assert node.state == SIDState.TEMP_CLUSTER_HEAD
-        assert node.in_temp_cluster
 
     def test_member_reports_to_head(self, rng):
         node = _node()

@@ -62,25 +62,9 @@ def test_stft_detrend_removes_gravity_bias():
 
 def test_stft_shape_invariants():
     sg = stft(np.random.default_rng(0).normal(size=5000), 50.0, segment=1024)
-    assert sg.power.shape == (513, sg.n_segments)
-    assert len(sg.times_s) == sg.n_segments
-
-
-def test_band_power_series_detects_burst():
-    rate = 50.0
-    t = np.arange(0, 120, 1 / rate)
-    sig = 0.1 * np.sin(2 * np.pi * 0.3 * t)
-    burst = (t > 80) & (t < 90)
-    sig[burst] += np.sin(2 * np.pi * 0.5 * t[burst])
-    sg = stft(sig, rate, segment=512, hop=256)
-    series = sg.band_power_series(0.2, 1.0)
-    t_max = sg.times_s[np.argmax(series)]
-    assert 75 < t_max < 95
-
-
-def test_segment_spectrum_accessor():
-    sg = stft(np.random.default_rng(0).normal(size=4096), 50.0, segment=1024)
-    assert np.array_equal(sg.segment_spectrum(1), sg.power[:, 1])
+    n_segments = 1 + (5000 - 1024) // 512
+    assert sg.power.shape == (513, n_segments)
+    assert len(sg.times_s) == n_segments
 
 
 def test_spectrogram_axis_validation():

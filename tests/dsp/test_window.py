@@ -1,16 +1,11 @@
-"""Tests for window functions."""
+"""Tests for the Hann window."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.dsp.window import gaussian, get_window, hamming, hann, rectangular
-
-
-def test_rectangular_all_ones():
-    assert np.all(rectangular(16) == 1.0)
+from repro.dsp.window import hann
 
 
 def test_hann_endpoints_zero():
@@ -24,48 +19,16 @@ def test_hann_peak_at_center():
     assert w[32] == pytest.approx(1.0)
 
 
-def test_hamming_endpoints_nonzero():
-    w = hamming(64)
-    assert w[0] == pytest.approx(0.08)
-
-
-def test_gaussian_symmetric():
-    w = gaussian(33)
-    assert np.allclose(w, w[::-1])
-
-
-def test_gaussian_sigma_controls_width():
-    narrow = gaussian(65, sigma_fraction=0.05)
-    wide = gaussian(65, sigma_fraction=0.3)
-    assert narrow.sum() < wide.sum()
-
-
 def test_single_sample_windows():
-    for name in ("rect", "hann", "hamming", "gauss"):
-        assert get_window(name, 1)[0] == 1.0
+    assert hann(1)[0] == 1.0
 
 
-@pytest.mark.parametrize("name", ["rect", "boxcar", "hann", "hamming", "gaussian"])
-def test_get_window_known_names(name):
-    assert get_window(name, 32).shape == (32,)
-
-
-def test_get_window_case_insensitive():
-    assert np.array_equal(get_window("HANN", 16), hann(16))
-
-
-def test_get_window_unknown_name():
+def test_hann_bad_length():
     with pytest.raises(ConfigurationError):
-        get_window("kaiser", 16)
-
-
-def test_get_window_bad_length():
-    with pytest.raises(ConfigurationError):
-        get_window("hann", 0)
+        hann(0)
 
 
 def test_all_windows_bounded():
-    for name in ("rect", "hann", "hamming", "gauss"):
-        w = get_window(name, 128)
-        assert w.min() >= 0.0
-        assert w.max() <= 1.0 + 1e-12
+    w = hann(128)
+    assert w.min() >= 0.0
+    assert w.max() <= 1.0 + 1e-12

@@ -112,6 +112,21 @@ class TestCrashAndReboot:
         assert net.nodes[1].alive
         assert injector.stats.node_reboots == 1
 
+    def test_overlapping_entries_reboot_at_the_last_ones_end(self):
+        net = _network()
+        # Outages [10, 25] and [20, 35] on one node: down until 35 s.
+        plan = FaultPlan.rolling_crashes(
+            [1, 1], first_at_s=10.0, interval_s=10.0, downtime_s=15.0
+        )
+        injector = FaultInjector(plan)
+        injector.install(net)
+        net.sim.run(until=34.0)
+        assert not net.nodes[1].alive
+        net.sim.run(until=36.0)
+        assert net.nodes[1].alive
+        assert injector.stats.node_crashes == 1
+        assert injector.stats.node_reboots == 1
+
     def test_crashed_node_ignores_windows_and_frames(self):
         net = _network()
         plan = FaultPlan(node_crashes=(NodeCrash(0, at_s=0.0),))

@@ -110,7 +110,6 @@ class TestFaultyChannel:
         assert ch.delivery_probability(1, 2, A, B) == (
             inner.delivery_probability(1, 2, A, B)
         )
-        assert ch.in_range(1, 2, A, B) == inner.in_range(1, 2, A, B)
         assert ch.config is inner.config
 
     def test_burst_composes_with_base_loss(self):

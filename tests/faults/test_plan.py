@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict
 
 import pytest
@@ -133,6 +134,40 @@ class TestFaultPlan:
         assert FaultPlan(
             delay=MessageDelay(probability=0.5, delay_s=1.0)
         ).has_delivery_faults
+
+
+class TestOutages:
+    def test_one_nodes_overlapping_or_touching_entries_merge(self):
+        plan = FaultPlan(
+            node_crashes=(
+                NodeCrash(4, at_s=10.0, reboot_after_s=15.0),  # [10, 25]
+                NodeCrash(2, at_s=12.0, reboot_after_s=1.0),  # [12, 13]
+                NodeCrash(4, at_s=20.0, reboot_after_s=15.0),  # to 35
+                NodeCrash(4, at_s=35.0, reboot_after_s=5.0),  # touches: 40
+                NodeCrash(4, at_s=41.0),  # after a gap, no reboot
+            )
+        )
+        outages = plan.outages(0.0)
+        assert [(o.crash.node_id, o.start_s, o.end_s) for o in outages] == [
+            (4, 10.0, 40.0),
+            (2, 12.0, 13.0),
+            (4, 41.0, math.inf),
+        ]
+        assert outages[0].crash is plan.node_crashes[0]
+
+    def test_entries_without_overlap_are_the_outages_in_plan_order(self):
+        crashes = (
+            NodeCrash(3, at_s=50.0, reboot_after_s=5.0),
+            NodeCrash(1, at_s=-2.0, reboot_after_s=4.0),  # lands at now
+            NodeCrash(3, at_s=10.0, reboot_after_s=20.0),
+        )
+        outages = FaultPlan(node_crashes=crashes).outages(1.0)
+        assert [o.crash for o in outages] == list(crashes)
+        assert [(o.start_s, o.end_s) for o in outages] == [
+            (50.0, 55.0),
+            (1.0, 5.0),
+            (10.0, 30.0),
+        ]
 
 
 class TestRandomPlan:

@@ -59,12 +59,6 @@ def test_attempt_delivery_statistics(channel):
     assert np.mean(outcomes) == pytest.approx(p, abs=0.04)
 
 
-def test_in_range(channel):
-    a = Position(0, 0)
-    assert channel.in_range(0, 1, a, Position(20, 0))
-    assert not channel.in_range(0, 2, a, Position(500, 0))
-
-
 def test_airtime_scales_with_size(channel):
     assert channel.airtime_s(100) > channel.airtime_s(20)
     # 39 bytes at 250 kbps ~ 1.25 ms + latency floor.
@@ -74,19 +68,6 @@ def test_airtime_scales_with_size(channel):
 def test_airtime_rejects_bad_size(channel):
     with pytest.raises(ConfigurationError):
         channel.airtime_s(0)
-
-
-def test_communication_range_consistent():
-    flat = Channel(ChannelConfig(shadowing_sigma_db=0.0), seed=0)
-    r50 = flat.communication_range_m(0.5)
-    a = Position(0, 0)
-    p = flat.delivery_probability(0, 1, a, Position(r50, 0))
-    assert p == pytest.approx(0.5, abs=0.02)
-
-
-def test_communication_range_orders():
-    flat = Channel(ChannelConfig(shadowing_sigma_db=0.0), seed=0)
-    assert flat.communication_range_m(0.9) < flat.communication_range_m(0.1)
 
 
 def test_config_validation():

@@ -44,14 +44,6 @@ def test_broadcast_flag():
     assert not Frame(src=1, dst=2, payload=ClusterCancelMsg(head_id=1)).is_broadcast
 
 
-def test_forwarded_preserves_seq_and_counts_hops():
-    f = Frame(src=1, dst=2, payload=ClusterCancelMsg(head_id=1))
-    g = f.forwarded(new_src=2, new_dst=3)
-    assert g.seq == f.seq
-    assert g.hops == f.hops + 1
-    assert (g.src, g.dst) == (2, 3)
-
-
 def test_frame_sequence_numbers_unique():
     a = Frame(src=1, dst=2, payload=ClusterCancelMsg(head_id=1))
     b = Frame(src=1, dst=2, payload=ClusterCancelMsg(head_id=1))

@@ -8,15 +8,7 @@ import pytest
 
 from repro.constants import GRAVITY
 from repro.errors import ConfigurationError
-from repro.physics.airy import (
-    deep_water_wavelength,
-    dispersion_omega,
-    group_speed,
-    orbital_acceleration_amplitude,
-    phase_speed,
-    wavelength_from_period,
-    wavenumber_from_omega,
-)
+from repro.physics.airy import dispersion_omega, wavenumber_from_omega
 
 
 def test_deep_water_dispersion():
@@ -55,49 +47,12 @@ def test_shallow_water_wavenumber_larger():
     assert wavenumber_from_omega(omega, 3.0) > wavenumber_from_omega(omega)
 
 
-def test_phase_speed_deep():
-    k = 0.2
-    assert math.isclose(phase_speed(k), math.sqrt(GRAVITY / k))
-
-
-def test_group_speed_is_half_phase_speed_in_deep_water():
-    k = 0.2
-    assert math.isclose(group_speed(k), 0.5 * phase_speed(k))
-
-
-def test_group_speed_approaches_phase_speed_in_shallow_water():
-    k = 0.05
-    depth = 0.5
-    ratio = group_speed(k, depth) / phase_speed(k, depth)
-    assert ratio > 0.95
-
-
-def test_deep_water_wavelength_formula():
-    t = 5.0
-    assert math.isclose(
-        deep_water_wavelength(t), GRAVITY * t * t / (2 * math.pi)
-    )
-
-
-def test_wavelength_from_period_matches_deep_formula():
-    t = 4.0
-    assert math.isclose(
-        wavelength_from_period(t), deep_water_wavelength(t), rel_tol=1e-9
-    )
-
-
-def test_orbital_acceleration_amplitude():
-    assert math.isclose(orbital_acceleration_amplitude(0.5, 2.0), 2.0)
-
-
 @pytest.mark.parametrize(
     "fn,args",
     [
         (dispersion_omega, (0.0,)),
         (dispersion_omega, (-1.0,)),
         (wavenumber_from_omega, (0.0,)),
-        (deep_water_wavelength, (0.0,)),
-        (wavelength_from_period, (-1.0,)),
     ],
 )
 def test_invalid_inputs_rejected(fn, args):

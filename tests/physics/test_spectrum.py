@@ -10,7 +10,6 @@ from repro.physics.spectrum import (
     JONSWAPSpectrum,
     PiersonMoskowitzSpectrum,
     SeaState,
-    mean_zero_crossing_period,
     sea_state_spectrum,
     significant_wave_height,
     spectral_moment,
@@ -95,11 +94,6 @@ class TestMomentsAndStats:
         hs = significant_wave_height(calm_spectrum)
         m0 = spectral_moment(calm_spectrum, 0)
         assert np.isclose(hs, 4.0 * np.sqrt(m0))
-
-    def test_zero_crossing_period_near_peak_period(self, calm_spectrum):
-        tz = mean_zero_crossing_period(calm_spectrum)
-        tp = 1.0 / calm_spectrum.peak_frequency_hz
-        assert 0.4 * tp < tz < 1.2 * tp
 
     def test_moment_rejects_negative_order(self, calm_spectrum):
         with pytest.raises(ConfigurationError):

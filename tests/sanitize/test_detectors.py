@@ -271,8 +271,6 @@ class TestProbeAndReportPlumbing:
         sim.attach_probe(Sanitizer())
         with pytest.raises(SimulationError):
             sim.attach_probe(Sanitizer())
-        sim.detach_probe()
-        sim.attach_probe(Sanitizer())  # reattach after detach is fine
 
     def test_event_counts_distinguish_recorded(self):
         sim, san = Simulator(), Sanitizer()

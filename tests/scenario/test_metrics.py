@@ -6,12 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.detection.reports import NodeReport
-from repro.scenario.metrics import (
-    classify_alarms,
-    detection_ratio,
-    false_alarm_rate_per_hour,
-    speed_error_fraction,
-)
+from repro.scenario.metrics import classify_alarms
 from repro.types import Position, TimeWindow
 
 
@@ -43,7 +38,7 @@ def test_tolerance_expands_window():
 
 def test_missed_event():
     ca = classify_alarms([], [TimeWindow(10.0, 12.0)])
-    assert ca.recall == 0.0
+    assert ca.events_detected == 0
     assert ca.precision == 0.0
 
 
@@ -55,31 +50,6 @@ def test_multiple_alarms_one_event():
     assert ca.events_detected == 1
 
 
-def test_detection_ratio_is_precision():
-    truth = [TimeWindow(100.0, 105.0)]
-    reports = [_report(101.0), _report(500.0), _report(600.0)]
-    assert detection_ratio(reports, truth) == pytest.approx(1.0 / 3.0)
-
-
 def test_negative_tolerance_rejected():
     with pytest.raises(ConfigurationError):
         classify_alarms([], [], tolerance_s=-1.0)
-
-
-def test_speed_error_fraction():
-    assert speed_error_fraction(12.0, 10.0) == pytest.approx(0.2)
-    assert speed_error_fraction(8.0, 10.0) == pytest.approx(0.2)
-
-
-def test_speed_error_rejects_zero_actual():
-    with pytest.raises(ConfigurationError):
-        speed_error_fraction(5.0, 0.0)
-
-
-def test_false_alarm_rate():
-    assert false_alarm_rate_per_hour(3, 1800.0) == pytest.approx(6.0)
-
-
-def test_false_alarm_rate_rejects_zero_duration():
-    with pytest.raises(ConfigurationError):
-        false_alarm_rate_per_hour(1, 0.0)

@@ -115,15 +115,11 @@ def test_convenience_wrappers_use_costs():
     b.draw_cpu(1.0)
     b.draw_tx(1)
     b.draw_rx(1)
-    b.draw_idle(1.0)
-    b.draw_sleep(1.0)
     assert b.breakdown() == {
         "sampling": 2.0,
         "cpu": 2.0,
         "tx": 3.0,
         "rx": 4.0,
-        "idle": 5.0,
-        "sleep": 6.0,
     }
 
 

@@ -52,11 +52,6 @@ def test_sync_residual_statistics():
     assert 0.008 < np.std(residuals) < 0.012
 
 
-def test_timestamp_alias():
-    c = Clock(offset_s=1.0, drift_ppm=0.0)
-    assert c.timestamp(5.0) == c.local_time(5.0)
-
-
 def test_negative_residual_rejected():
     with pytest.raises(ConfigurationError):
         Clock(sync_residual_s=-0.1)

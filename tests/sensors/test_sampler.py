@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sensors.battery import Battery, EnergyCosts
 from repro.sensors.sampler import Sampler
 
 
@@ -15,44 +14,11 @@ def sampler():
     return Sampler(50.0)
 
 
-def test_period(sampler):
-    assert sampler.period_s == 0.02
-
-
 def test_instants_grid(sampler):
     t = sampler.instants(10.0, 1.0)
     assert len(t) == 50
     assert t[0] == 10.0
     assert np.allclose(np.diff(t), 0.02)
-
-
-def test_n_samples(sampler):
-    assert sampler.n_samples(2.5) == 125
-    assert sampler.n_samples(0.0) == 0
-
-
-def test_sample_evaluates_signal(sampler):
-    t, v = sampler.sample(lambda tt: 2.0 * tt, 0.0, 1.0)
-    assert np.allclose(v, 2.0 * t)
-
-
-def test_sample_bills_battery(sampler):
-    b = Battery(100.0, EnergyCosts(sample_j=0.01))
-    sampler.sample(np.sin, 0.0, 1.0, battery=b)
-    assert b.breakdown()["sampling"] == pytest.approx(0.5)
-
-
-def test_sample_truncates_when_battery_dies(sampler):
-    # Budget for only 20 samples.
-    b = Battery(0.2, EnergyCosts(sample_j=0.01))
-    t, v = sampler.sample(np.sin, 0.0, 1.0, battery=b)
-    assert len(t) == 20
-    assert b.depleted or b.remaining_j < 0.01
-
-
-def test_sample_rejects_shape_mismatch(sampler):
-    with pytest.raises(ConfigurationError):
-        sampler.sample(lambda tt: np.zeros(3), 0.0, 1.0)
 
 
 def test_negative_duration_rejected(sampler):

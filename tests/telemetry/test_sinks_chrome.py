@@ -15,7 +15,6 @@ from repro.telemetry import (
     Telemetry,
     TraceEvent,
     Tracer,
-    iter_trace_jsonl,
     read_trace_jsonl,
     to_chrome_trace,
     write_chrome_trace,
@@ -76,10 +75,6 @@ class TestJsonlRoundTrip:
         path.write_text('{"seq": 0\n')
         with pytest.raises(ConfigurationError):
             read_trace_jsonl(path)
-
-    def test_iter_matches_read(self, tmp_path):
-        path = _traced_events(tmp_path)
-        assert list(iter_trace_jsonl(path)) == read_trace_jsonl(path)
 
     def test_sink_writes_one_line_per_event(self, tmp_path):
         path = _traced_events(tmp_path)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.rng import derive_rng, make_rng, optional_jitter, spawn_rng
+from repro.rng import derive_rng, make_rng, spawn_rng
 
 
 def test_make_rng_from_int_is_deterministic():
@@ -52,17 +52,3 @@ def test_derive_rng_distinct_seeds_differ():
     a = derive_rng(5, "x").random(4)
     b = derive_rng(6, "x").random(4)
     assert not np.array_equal(a, b)
-
-
-def test_optional_jitter_zero_scale_scalar():
-    assert optional_jitter(make_rng(0), 0.0) == 0.0
-
-
-def test_optional_jitter_zero_scale_vector():
-    out = optional_jitter(make_rng(0), 0.0, size=5)
-    assert np.array_equal(out, np.zeros(5))
-
-
-def test_optional_jitter_positive_scale():
-    out = optional_jitter(make_rng(0), 2.0, size=1000)
-    assert 1.0 < out.std() < 3.0

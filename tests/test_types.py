@@ -19,11 +19,6 @@ class TestPosition:
         x, y = Position(1.5, 2.5)
         assert (x, y) == (1.5, 2.5)
 
-    def test_as_array(self):
-        arr = Position(1, 2).as_array()
-        assert arr.dtype == float
-        assert list(arr) == [1.0, 2.0]
-
     def test_frozen(self):
         with pytest.raises(AttributeError):
             Position(0, 0).x = 1.0  # type: ignore[misc]
@@ -42,17 +37,6 @@ class TestTimeWindow:
         assert w.contains(1.0)
         assert w.contains(1.999)
         assert not w.contains(2.0)
-
-    def test_overlaps(self):
-        assert TimeWindow(0, 2).overlaps(TimeWindow(1, 3))
-        assert not TimeWindow(0, 1).overlaps(TimeWindow(1, 2))
-
-    def test_intersection(self):
-        inter = TimeWindow(0, 2).intersection(TimeWindow(1, 3))
-        assert inter == TimeWindow(1, 2)
-
-    def test_intersection_disjoint_is_none(self):
-        assert TimeWindow(0, 1).intersection(TimeWindow(2, 3)) is None
 
 
 class TestAccelTrace:
@@ -83,14 +67,3 @@ class TestAccelTrace:
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
             AccelTrace(0.0, 0.0, np.zeros(3), np.zeros(3), np.zeros(3))
-
-    def test_slice_window(self):
-        tr = self._trace(500)
-        sub = tr.slice_window(TimeWindow(12.0, 14.0))
-        assert len(sub) == 100
-        assert np.isclose(sub.t0, 12.0)
-
-    def test_slice_window_empty(self):
-        tr = self._trace(100)
-        sub = tr.slice_window(TimeWindow(100.0, 101.0))
-        assert len(sub) == 0
