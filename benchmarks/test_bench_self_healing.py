@@ -44,7 +44,7 @@ from repro.sanitize import Sanitizer
 from repro.scenario.presets import paper_deployment, paper_ship
 from repro.scenario.runner import run_network_scenario
 from repro.scenario.synthesis import SynthesisConfig
-from repro.telemetry import Telemetry
+from repro.telemetry import JsonlSink, Tracer
 
 #: The chokepoint forwarder: in the 6x5 paper grid the sink's ETX tree
 #: hangs 18 of 30 nodes below node 8, while node 8 itself sits ~1.5
@@ -84,8 +84,8 @@ def _chaos_plan() -> FaultPlan:
     )
 
 
-def _telemetry_for(seed: int, mode: str):
-    """JSONL telemetry for the representative healed run, if requested.
+def _tracer_for(seed: int, mode: str):
+    """JSONL tracer for the representative healed run, if requested.
 
     ``$REPRO_CHAOS_TRACE`` names the output path; only the first
     seed's healed run is traced so the artifact stays one scenario's
@@ -95,7 +95,7 @@ def _telemetry_for(seed: int, mode: str):
     path = os.environ.get("REPRO_CHAOS_TRACE")
     if not path or mode != "healed" or seed != SEEDS[0]:
         return None
-    return Telemetry.to_jsonl(path)
+    return Tracer([JsonlSink(path)])
 
 
 def _sanitizer_for(seed: int, mode: str):
@@ -123,7 +123,7 @@ def _run_one(seed: int, mode: str):
         if mode == "healed"
         else None
     )
-    telemetry = _telemetry_for(seed, mode)
+    tracer = _tracer_for(seed, mode)
     sanitizer, report_path = _sanitizer_for(seed, mode)
     try:
         result = run_network_scenario(
@@ -137,12 +137,12 @@ def _run_one(seed: int, mode: str):
             faults=faults,
             healing=healing,
             seed=seed,
-            telemetry=telemetry,
+            tracer=tracer,
             sanitizer=sanitizer,
         )
     finally:
-        if telemetry is not None:
-            telemetry.close()
+        if tracer is not None:
+            tracer.close()
     if sanitizer is not None:
         report = sanitizer.report()
         report.write_json(report_path)

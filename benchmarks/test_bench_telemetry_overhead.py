@@ -1,6 +1,6 @@
 """Telemetry overhead gate — tracing must stay out of the hot path.
 
-ISSUE 7's bound: attaching a tracer to the 64-node fleet detection
+The bound: attaching a tracer to the 64-node fleet detection
 workload may cost at most 15% wall clock over the untraced run.  The
 disabled path is cheaper still (one ``is not None`` check per site)
 and is covered by the equivalence tests; this bench pins the *enabled*
@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 
 from repro.detection.fleet import FleetDetector
-from repro.telemetry import Telemetry
+from repro.telemetry import InMemorySink, Tracer
 
 from benchmarks.test_bench_fleet_detection import (
     DURATION_S,
@@ -23,7 +23,7 @@ from benchmarks.test_bench_fleet_detection import (
     _t0s,
 )
 
-#: Headroom for the traced run: the ISSUE 7 bound plus a small absolute
+#: Headroom for the traced run: the 15% bound plus a small absolute
 #: epsilon so sub-100ms timing jitter cannot flip the gate.
 MAX_OVERHEAD = 0.15
 EPSILON_S = 0.05
@@ -54,18 +54,17 @@ def test_bench_telemetry_overhead_64(once):
         return FleetDetector(members, cfg).process_samples(a, t0s)
 
     def traced():
-        telemetry = Telemetry.memory()
-        fleet = FleetDetector(members, cfg, tracer=telemetry.tracer)
-        out = fleet.process_samples(a, t0s)
-        return out, telemetry
+        sink = InMemorySink()
+        fleet = FleetDetector(members, cfg, tracer=Tracer([sink]))
+        return fleet.process_samples(a, t0s), sink
 
-    reports, telemetry = once(traced)
+    reports, sink = once(traced)
 
     # Tracing observes the run without changing it.
     assert reports == untraced()
     assert any(
         e.category == "detection" and e.name == "alarm"
-        for e in telemetry.events
+        for e in sink.events
     )
 
     t_off, t_on = _best_of_alternating(untraced, traced)
@@ -73,7 +72,7 @@ def test_bench_telemetry_overhead_64(once):
     print(
         f"\n64-node fleet detection: untraced {t_off * 1e3:.1f} ms, "
         f"traced {t_on * 1e3:.1f} ms ({overhead:+.1%}, "
-        f"{len(telemetry.events)} events)"
+        f"{len(sink.events)} events)"
     )
     assert t_on <= (1.0 + MAX_OVERHEAD) * t_off + EPSILON_S, (
         f"telemetry overhead {overhead:.1%} exceeds "

@@ -107,6 +107,7 @@ class FleetDetector:
         cls,
         deployment: GridDeployment,
         config: NodeDetectorConfig | None = None,
+        tracer: Optional[Tracer] = None,
     ) -> "FleetDetector":
         """One row per deployed node, in deployment iteration order."""
         return cls(
@@ -120,6 +121,7 @@ class FleetDetector:
                 for node in deployment
             ],
             config,
+            tracer,
         )
 
     @property

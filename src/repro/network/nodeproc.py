@@ -50,7 +50,7 @@ from repro.network.simulator import Simulator
 from repro.rng import RandomState, derive_rng, make_rng
 from repro.sensors.battery import Battery
 from repro.telemetry.events import CAT_DETECTION, CAT_FRAME, CAT_HEAL
-from repro.telemetry.session import Telemetry
+from repro.telemetry.tracer import Tracer
 from repro.types import Position
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -265,9 +265,6 @@ class NetworkNode:
             if self.battery.depleted:
                 return False
             self.battery.draw_cpu(CPU_S_PER_SAMPLE * n_samples)
-        telemetry = self.network.telemetry
-        if telemetry is not None:
-            telemetry.metrics.counter("windows_processed").inc()
         return True
 
     def _replay(
@@ -291,30 +288,21 @@ class NetworkNode:
 
         The runner elides ``feed_outcome`` events whose report is None
         and which fall outside every radio-active interval: those feeds
-        touch nothing but the battery and the windows counter.  One
-        catch-up event replays exactly that effect — same gates, same
-        per-window ``draw_cpu`` amounts in the same order, stopping at
-        depletion just as the individual feeds would have — so the
-        billing is arithmetically identical to the un-elided schedule.
+        touch nothing but the battery.  One catch-up event replays
+        exactly that effect — same gates, same per-window ``draw_cpu``
+        amounts in the same order, stopping at depletion just as the
+        individual feeds would have — so the billing is arithmetically
+        identical to the un-elided schedule.
         (The runner only elides when no fault plan is active, so
         ``alive`` and the drain multiplier cannot change mid-run.)
         """
-        if not self.alive:
-            return
         battery = self.battery
-        telemetry = self.network.telemetry
-        counter = (
-            telemetry.metrics.counter("windows_processed")
-            if telemetry is not None
-            else None
-        )
+        if not self.alive or battery is None:
+            return
         for _ in range(n_windows):
-            if battery is not None:
-                if battery.depleted:
-                    break
-                battery.draw_cpu(CPU_S_PER_SAMPLE * n_samples)
-            if counter is not None:
-                counter.inc()
+            if battery.depleted:
+                break
+            battery.draw_cpu(CPU_S_PER_SAMPLE * n_samples)
 
     # ------------------------------------------------------------------
     # Action dispatch
@@ -533,7 +521,7 @@ class SensorNetwork:
         retransmit: Optional[RetransmitPolicy] = None,
         healing: Optional[SelfHealingConfig] = None,
         seed: RandomState = None,
-        telemetry: Optional[Telemetry] = None,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         if sink_id in positions:
             raise ConfigurationError(
@@ -542,10 +530,9 @@ class SensorNetwork:
         base = make_rng(seed)
         root = int(base.integers(2**31))
         self.sim = Simulator()
-        #: Optional telemetry bundle; None keeps every emission site a
-        #: single attribute check (the determinism contract of §12).
-        self.telemetry = telemetry
-        self.trace = telemetry.tracer if telemetry is not None else None
+        #: Optional tracer; None keeps every emission site a single
+        #: attribute check (the determinism contract of §12).
+        self.trace = tracer
         self.channel = (
             channel
             if channel is not None

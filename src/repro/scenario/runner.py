@@ -15,7 +15,6 @@ benchmarks stress.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import repeat
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
@@ -59,7 +58,7 @@ import numpy as np
 from repro.scenario.deployment import DeployedNode, GridDeployment
 from repro.scenario.ship import ShipTrack
 from repro.scenario.synthesis import SynthesisConfig, synthesize_fleet_traces
-from repro.telemetry.session import Telemetry, maybe_stage
+from repro.telemetry.tracer import Tracer, maybe_stage
 from repro.types import AccelTrace, TimeWindow
 
 if TYPE_CHECKING:
@@ -252,7 +251,7 @@ def run_offline_scenario(
     track_hypothesis: TravelLine | None = None,
     recording: FleetRecording | None = None,
     seed: RandomState = None,
-    telemetry: Optional[Telemetry] = None,
+    tracer: Optional[Tracer] = None,
 ) -> OfflineScenarioResult:
     """Synthesise, detect, and fuse one scenario without a radio.
 
@@ -270,18 +269,17 @@ def run_offline_scenario(
     Detection is one lockstep :class:`FleetDetector` walk over the
     whole fleet, bit-identical to running a ``NodeDetector`` per node.
 
-    ``telemetry`` (optional) traces detection events and profiles the
+    ``tracer`` (optional) traces detection events and profiles the
     synthesis/detection/fusion stages; ``None`` — the default — keeps
     the run free of any instrumentation overhead and bit-identical to
-    a run before telemetry existed.
+    an untraced run.
     """
-    tracer = telemetry.tracer if telemetry is not None else None
     det_cfg = detector_config if detector_config is not None else NodeDetectorConfig()
     if recording is None:
         synth = (
             synthesis_config if synthesis_config is not None else SynthesisConfig()
         )
-        with maybe_stage(telemetry, "synthesis"):
+        with maybe_stage(tracer, "synthesis"):
             recording = FleetRecording.from_traces(
                 deployment,
                 synthesize_fleet_traces(
@@ -305,14 +303,13 @@ def run_offline_scenario(
         raise ConfigurationError(
             "the recording's node ids do not match the deployment's"
         )
-    with maybe_stage(telemetry, "detection"):
-        fleet = FleetDetector.from_deployment(deployment, det_cfg)
-        fleet.tracer = tracer
+    with maybe_stage(tracer, "detection"):
+        fleet = FleetDetector.from_deployment(deployment, det_cfg, tracer)
         reports_by_node = fleet.process_samples(
             *_fleet_samples(recording, det_cfg)
         )
     return fuse_offline_reports(
-        deployment, ships, reports_by_node, cluster_config, track_hypothesis, telemetry
+        deployment, ships, reports_by_node, cluster_config, track_hypothesis, tracer
     )
 
 
@@ -322,7 +319,7 @@ def fuse_offline_reports(
     reports_by_node: dict[int, list[NodeReport]],
     cluster_config: TemporaryClusterConfig | None,
     track_hypothesis: TravelLine | None,
-    telemetry: Optional[Telemetry],
+    tracer: Optional[Tracer],
 ) -> OfflineScenarioResult:
     """The radio-less runners' fusion tail, after detection.
 
@@ -341,7 +338,7 @@ def fuse_offline_reports(
     )
     if track_hypothesis is None and ships:
         track_hypothesis = ships[0].travel_line()
-    with maybe_stage(telemetry, "fusion"):
+    with maybe_stage(tracer, "fusion"):
         outcomes, cluster_event, cluster_report = fuse_sequential_clusters(
             merged_all, cluster_config, track_hypothesis
         )
@@ -685,7 +682,7 @@ def run_network_scenario(
     healing: SelfHealingConfig | None = None,
     resync_interval_s: float | None = 120.0,
     seed: RandomState = None,
-    telemetry: Optional[Telemetry] = None,
+    tracer: Optional[Tracer] = None,
     sanitizer: Optional[Sanitizer] = None,
 ) -> NetworkScenarioResult:
     """Run one scenario through the full network stack.
@@ -724,9 +721,9 @@ def run_network_scenario(
     plan's :class:`~repro.faults.plan.ClockSyncFailure` suppresses
     them per node, letting drift accumulate unbounded.
 
-    ``telemetry`` (optional) traces the run end to end — frame
-    tx/rx/drop, heal/fault/detection events, profiling spans — and
-    mirrors the terminal counters into its metrics registry.  ``None``
+    ``tracer`` (optional) traces the run end to end — frame
+    tx/rx/drop, heal/fault/detection events, profiling spans, and the
+    scheduler's terminal counters on the ``event_loop`` span.  ``None``
     (the default) installs nothing: every emission site reduces to one
     attribute check and the run stays bit-identical to seed.
 
@@ -750,7 +747,6 @@ def run_network_scenario(
         raise ConfigurationError(
             f"resync_interval_s must be positive, got {resync_interval_s}"
         )
-    tracer = telemetry.tracer if telemetry is not None else None
     base = make_rng(seed)
     root = int(base.integers(2**31))
     cfg = sid_config if sid_config is not None else SIDNodeConfig()
@@ -765,7 +761,7 @@ def run_network_scenario(
             )
         if retransmit is None:
             retransmit = RetransmitPolicy()
-    with maybe_stage(telemetry, "synthesis"):
+    with maybe_stage(tracer, "synthesis"):
         recording = FleetRecording.from_traces(
             deployment,
             synthesize_fleet_traces(
@@ -806,7 +802,7 @@ def run_network_scenario(
         retransmit=retransmit,
         healing=healing,
         seed=derive_rng(root, "network"),
-        telemetry=telemetry,
+        tracer=tracer,
     )
     injector.install(network)
     if sanitizer is not None:
@@ -838,7 +834,7 @@ def run_network_scenario(
     # emitted (tracing both would double-count every alarm).
     outcomes: Optional[WindowOutcomes] = None
     if healing is None:
-        with maybe_stage(telemetry, "detection_precompute"):
+        with maybe_stage(tracer, "detection_precompute"):
             outcomes = _fleet_network_outcomes(
                 deployment, recording, cfg.detector, plan
             )
@@ -958,18 +954,10 @@ def run_network_scenario(
                 until=sync_horizon,
             )
 
-    with maybe_stage(telemetry, "event_loop") as span:
-        loop_t0 = time.perf_counter()
+    with maybe_stage(tracer, "event_loop") as span:
         network.sim.run()
-        loop_wall = time.perf_counter() - loop_t0
-        sched_stats = network.sim.stats()
-        sched_stats["events_per_s"] = (
-            sched_stats["events_executed"] / loop_wall
-            if loop_wall > 0
-            else 0.0
-        )
         if span is not None:
-            span.set(**sched_stats)
+            span.set(**network.sim.stats())
     sink.flush()
     network.finalize_resilience()
     errors = [
@@ -983,17 +971,9 @@ def run_network_scenario(
     fault_stats: dict[str, float] = {}
     if injector.active or healing is not None:
         fault_stats = {**asdict(injector.stats), **asdict(network.resilience)}
-    mac_stats = asdict(network.mac.stats)
-    if telemetry is not None:
-        # Mirror the run's terminal counters into the metrics registry
-        # so traces and metrics agree without a second bookkeeping path.
-        telemetry.record_stats("mac", mac_stats)
-        telemetry.record_stats("scheduler", sched_stats)
-        if fault_stats:
-            telemetry.record_stats("fault_stats", fault_stats)
     return NetworkScenarioResult(
         decisions=sink.decisions,
-        mac_stats=mac_stats,
+        mac_stats=asdict(network.mac.stats),
         lost_to_partition=network.lost_to_partition,
         sink_frames=network.sink_node.received_frames,
         fault_stats=fault_stats,
@@ -1177,7 +1157,7 @@ def run_dutycycled_scenario(
     disturbances_by_node: dict[int, list[Disturbance]] | None = None,
     faults: FaultPlan | None = None,
     seed: RandomState = None,
-    telemetry: Optional[Telemetry] = None,
+    tracer: Optional[Tracer] = None,
 ) -> DutyCycledScenarioResult:
     """Run the Sec. IV-A sentinel/wake-up policy over one scenario.
 
@@ -1196,7 +1176,7 @@ def run_dutycycled_scenario(
     sentinel duty.  ``faults=None`` (the default) bills nothing and
     stays bit-identical to the pre-fault runner.
 
-    ``telemetry`` (optional) traces duty-cycle policy activity —
+    ``tracer`` (optional) traces duty-cycle policy activity —
     fleet wake-ups and sentinel demotions — and records profiling
     spans; ``None`` (the default) adds nothing to the run.
     """
@@ -1204,7 +1184,7 @@ def run_dutycycled_scenario(
 
     synth = synthesis_config if synthesis_config is not None else SynthesisConfig()
     det_cfg = detector_config if detector_config is not None else NodeDetectorConfig()
-    with maybe_stage(telemetry, "synthesis"):
+    with maybe_stage(tracer, "synthesis"):
         recording = FleetRecording.from_traces(
             deployment,
             synthesize_fleet_traces(
@@ -1216,9 +1196,7 @@ def run_dutycycled_scenario(
             ),
         )
     controller = DutyCycleController(
-        [n.node_id for n in deployment],
-        duty_config,
-        tracer=telemetry.tracer if telemetry is not None else None,
+        [n.node_id for n in deployment], duty_config, tracer=tracer
     )
     # Sentinels run a coarse (decimated) detection; the wake-up raises
     # the rate back to full (Sec. IV-A).  Coarse detection keeps its own
@@ -1235,7 +1213,7 @@ def run_dutycycled_scenario(
         if decimation > 1
         else det_cfg
     )
-    with maybe_stage(telemetry, "detection"):
+    with maybe_stage(tracer, "detection"):
         reports_by_node, first_alarm = _dutycycled_reports(
             deployment,
             recording,

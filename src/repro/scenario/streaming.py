@@ -60,7 +60,7 @@ from repro.scenario.synthesis import (
     heave_gained_wake_trains,
 )
 from repro.detection.cluster import TemporaryClusterConfig, TravelLine
-from repro.telemetry.session import Telemetry, maybe_stage
+from repro.telemetry.tracer import Tracer, maybe_stage
 
 
 class StreamingFleetSynthesizer:
@@ -179,7 +179,7 @@ def run_streaming_scenario(
     track_hypothesis: TravelLine | None = None,
     seed: RandomState = None,
     chunk_s: float = 60.0,
-    telemetry: Optional[Telemetry] = None,
+    tracer: Optional[Tracer] = None,
 ) -> OfflineScenarioResult:
     """The offline scenario with synthesis fused into detection.
 
@@ -194,7 +194,7 @@ def run_streaming_scenario(
     per-node Python and numpy call overhead once, so longer chunks
     trade memory for speed.
 
-    ``telemetry`` (optional) records a profiling span per streaming
+    ``tracer`` (optional) records a profiling span per streaming
     stage (synthesize/preprocess/detect, once per chunk, plus the
     final fusion) and traces fleet alarms; ``None`` (the default)
     adds nothing to the run.
@@ -223,21 +223,19 @@ def run_streaming_scenario(
         seed=seed,
     )
     pre = StreamingPreprocessor(source.n_nodes, det_cfg.rate_hz)
-    fleet = FleetDetector.from_deployment(deployment, det_cfg)
-    if telemetry is not None:
-        fleet.tracer = telemetry.tracer
+    fleet = FleetDetector.from_deployment(deployment, det_cfg, tracer)
     stream = fleet.stream(source.t0s)
     chunk_samples = max(int(round(chunk_s * det_cfg.rate_hz)), 1)
     # One profiling span per streaming stage per chunk (free when
-    # telemetry is off).
+    # tracing is off).
     for chunk_index in itertools.count():
-        with maybe_stage(telemetry, "synthesize_chunk", chunk=chunk_index):
+        with maybe_stage(tracer, "synthesize_chunk", chunk=chunk_index):
             z_chunk = source.next_chunk(chunk_samples)
         if z_chunk is None:
             break
-        with maybe_stage(telemetry, "preprocess_chunk", chunk=chunk_index):
+        with maybe_stage(tracer, "preprocess_chunk", chunk=chunk_index):
             a_chunk = pre.push(z_chunk)
-        with maybe_stage(telemetry, "detect_chunk", chunk=chunk_index):
+        with maybe_stage(tracer, "detect_chunk", chunk=chunk_index):
             stream.push(a_chunk)
         # Hold one chunk's arrays at a time, not two across synthesis.
         del z_chunk, a_chunk
@@ -247,5 +245,5 @@ def run_streaming_scenario(
         stream.finish(),
         cluster_config,
         track_hypothesis,
-        telemetry,
+        tracer,
     )

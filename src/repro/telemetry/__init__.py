@@ -1,9 +1,11 @@
-"""Structured tracing, metrics, and profiling for the SID pipeline.
+"""Structured tracing and profiling for the SID pipeline.
 
-Zero-overhead-when-disabled observability (DESIGN.md §12): scenario
-runners accept an optional :class:`Telemetry` bundle; when it is
-``None`` every instrumentation site reduces to one attribute check.
-Events carry both sim-time and wall-time, stream to pluggable sinks
+Zero-overhead-when-disabled observability (DESIGN.md §12): every
+scenario runner takes an optional :class:`Tracer`, and its trace is
+the run's one observability record.  When the tracer is ``None`` every
+instrumentation site reduces to one attribute check.  Events carry
+both sim-time and wall-time (read through an injectable clock, so a
+``ManualClock`` trace is byte-reproducible), stream to pluggable sinks
 (in-memory, JSONL, Chrome trace-event export), and a CLI summarises
 runs: ``python -m repro.telemetry report <trace.jsonl>``.
 """
@@ -23,21 +25,14 @@ from repro.telemetry.events import (
     TraceEvent,
 )
 from repro.telemetry.chrome import to_chrome_trace, write_chrome_trace
-from repro.telemetry.metrics import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    series_key,
-)
 from repro.telemetry.report import format_summary, summarize
-from repro.telemetry.session import Telemetry, maybe_stage
 from repro.telemetry.sinks import (
     InMemorySink,
     JsonlSink,
     TraceSink,
     read_trace_jsonl,
 )
-from repro.telemetry.tracer import SpanHandle, Tracer
+from repro.telemetry.tracer import SpanHandle, Tracer, maybe_stage
 
 __all__ = [
     "CAT_DETECTION",
@@ -51,14 +46,10 @@ __all__ = [
     "KIND_SPAN",
     "SCHEMA_VERSION",
     "Clock",
-    "Counter",
-    "Histogram",
     "InMemorySink",
     "JsonlSink",
     "ManualClock",
-    "MetricsRegistry",
     "SpanHandle",
-    "Telemetry",
     "TraceEvent",
     "TraceSink",
     "Tracer",
@@ -66,7 +57,6 @@ __all__ = [
     "maybe_stage",
     "perf_clock",
     "read_trace_jsonl",
-    "series_key",
     "summarize",
     "to_chrome_trace",
     "write_chrome_trace",

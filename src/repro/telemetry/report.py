@@ -16,7 +16,6 @@ from repro.telemetry.events import (
     KIND_SPAN,
     TraceEvent,
 )
-from repro.telemetry.metrics import Histogram
 
 #: Frame-category event names that mean "this frame never arrived".
 _LOSS_NAMES = frozenset({"drop", "dead_drop"})
@@ -61,28 +60,32 @@ def alarm_timeline(
     return rows
 
 
+def _nearest_rank(ordered: Sequence[float], q: int) -> float:
+    """Nearest-rank ``q``-th percentile (``0 < q <= 100``) of sorted values."""
+    rank = -(-len(ordered) * q // 100)  # ceil(n * q / 100) >= 1
+    return ordered[rank - 1]
+
+
 def stage_latencies(
     events: Sequence[TraceEvent],
 ) -> dict[str, dict[str, float]]:
     """Per-stage wall-time percentiles from profiling spans."""
-    per_stage: dict[str, Histogram] = {}
+    per_stage: dict[str, list[float]] = {}
     for event in events:
         if event.category != CAT_PROFILING or event.kind != KIND_SPAN:
             continue
         if event.wall_dur_s is None:
             continue
-        per_stage.setdefault(event.name, Histogram()).observe(
-            event.wall_dur_s
-        )
+        per_stage.setdefault(event.name, []).append(event.wall_dur_s)
     out: dict[str, dict[str, float]] = {}
     for name in sorted(per_stage):
-        hist = per_stage[name]
+        ordered = sorted(per_stage[name])
         out[name] = {
-            "count": hist.count,
-            "total_s": hist.total,
-            "p50_s": hist.percentile(50),
-            "p90_s": hist.percentile(90),
-            "p99_s": hist.percentile(99),
+            "count": len(ordered),
+            "total_s": sum(per_stage[name]),
+            "p50_s": _nearest_rank(ordered, 50),
+            "p90_s": _nearest_rank(ordered, 90),
+            "p99_s": _nearest_rank(ordered, 99),
         }
     return out
 
@@ -93,10 +96,11 @@ def scheduler_stats(
     """Event-loop scheduler counters, one row per ``event_loop`` span.
 
     The network runner attaches the simulator's terminal counters
-    (events executed/cancelled, peak queue depth, compactions) and the
-    achieved events/sec to its ``event_loop`` profiling span; this
-    lifts them out so a trace shows scheduler health next to the stage
-    latencies.
+    (events executed/cancelled, peak queue depth, compactions) to its
+    ``event_loop`` profiling span; this lifts them out, with the
+    achieved events/sec over the span's own duration (read through the
+    tracer's clock), so a trace shows scheduler health next to the
+    stage latencies.
     """
     rows: list[dict[str, Any]] = []
     for event in events:
@@ -109,9 +113,13 @@ def scheduler_stats(
         fields = dict(event.fields)
         if "events_executed" not in fields:
             continue
+        wall_s = event.wall_dur_s
         rows.append(
             {
-                "wall_s": event.wall_dur_s,
+                "wall_s": wall_s,
+                "events_per_s": (
+                    fields["events_executed"] / wall_s if wall_s else 0.0
+                ),
                 **{k: fields[k] for k in sorted(fields)},
             }
         )

@@ -1,20 +1,22 @@
 """The event emitter: point events and wall-time spans.
 
-Design constraint (ISSUE 7): telemetry must be out-of-band.  Code
+Design constraint (DESIGN.md §12): telemetry must be out-of-band.  Code
 under instrumentation holds an ``Optional[Tracer]`` and guards every
 emission site with ``if tracer is not None`` — the disabled path is a
 single attribute check, draws no RNG, allocates nothing, and sends no
-frames.  The tracer itself reads wall time only through the injected
-clock (``repro.telemetry.clock``), keeping DET001 clean.
+frames.  :func:`maybe_stage` is that guard for a profiling span.  The
+tracer itself reads wall time only through the injected clock
+(``repro.telemetry.clock``), keeping DET001 clean.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterator, Sequence
+from contextlib import contextmanager, nullcontext
+from typing import Any, ContextManager, Iterator, Optional, Sequence
 
 from repro.telemetry.clock import Clock, perf_clock
 from repro.telemetry.events import (
+    CAT_PROFILING,
     KIND_POINT,
     KIND_SPAN,
     TraceEvent,
@@ -92,7 +94,6 @@ class Tracer:
                 fields=freeze_fields(handle.fields),
             )
             self._write(event)
-            handle.event = event
 
     def flush(self) -> None:
         for sink in self._sinks:
@@ -117,7 +118,20 @@ class SpanHandle:
 
     def __init__(self, fields: dict[str, Any]) -> None:
         self.fields = fields
-        self.event: TraceEvent | None = None
 
     def set(self, **fields: Any) -> None:
         self.fields.update(fields)
+
+
+def maybe_stage(
+    tracer: Optional[Tracer], name: str, **fields: Any
+) -> ContextManager[SpanHandle | None]:
+    """Profile one pipeline stage as a ``profiling`` span, or do nothing.
+
+    Yields the open span's :class:`SpanHandle` so a stage can attach
+    fields computed inside it (e.g. scheduler counters), or None when
+    ``tracer`` is None, so hot paths need no second check.
+    """
+    if tracer is None:
+        return nullcontext()
+    return tracer.span(CAT_PROFILING, name, **fields)

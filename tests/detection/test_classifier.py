@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.detection.classifier import (
-    Classification,
     ClassifierConfig,
     EventClass,
     EventClassifier,

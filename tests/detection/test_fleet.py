@@ -8,12 +8,10 @@ window walks with ``==`` on whole report lists — no tolerances.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from repro.detection.fleet import FleetDetector, FleetMember, FleetStream
+from repro.detection.fleet import FleetDetector, FleetMember
 from repro.detection.node_detector import (
     NodeDetector,
     NodeDetectorConfig,

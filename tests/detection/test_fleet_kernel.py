@@ -29,7 +29,7 @@ from repro.detection.fleet import FleetDetector, FleetMember, hop_windows
 from repro.detection.node_detector import NodeDetector, NodeDetectorConfig
 from repro.errors import ConfigurationError
 from repro.rng import make_rng
-from repro.telemetry import ManualClock, Telemetry
+from repro.telemetry import InMemorySink, ManualClock, Tracer
 from repro.types import Position
 from tests.detection.oracles import LockstepFleetDetector
 
@@ -199,12 +199,13 @@ def test_traced_block_walk_emits_oracle_events(m, af, bursts):
     cuts = _cuts(rng, k, 40)
     events = []
     for cls in (LockstepFleetDetector, FleetDetector):
-        telemetry = Telemetry.memory(clock=ManualClock(tick_s=0.001))
-        fleet = cls(_members(8), cfg, tracer=telemetry.tracer)
+        trace = InMemorySink()
+        tracer = Tracer([trace], clock=ManualClock(tick_s=0.001))
+        fleet = cls(_members(8), cfg, tracer=tracer)
         fleet.process_samples(a, t0s)
         for lo, hi in pairwise(cuts):
             fleet.step(windows[:, lo:hi], t[:, lo:hi], active=live[:, lo:hi])
-        events.append(telemetry.events)
+        events.append(trace.events)
     names = {e.name for e in events[0]}
     assert {"fleet_step", "report_onset", "report_clear", "alarm"} <= names
     assert events[1] == events[0]

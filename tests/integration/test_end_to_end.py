@@ -138,8 +138,6 @@ class TestSpeedThroughFullPipeline:
 class TestClassifierOnScenario:
     def test_detected_wake_events_classified_as_ship(self):
         """Cross-module loop: detect events, classify their segments."""
-        import numpy as np
-
         from repro.constants import ACCEL_COUNTS_PER_G
         from repro.detection.classifier import EventClass, EventClassifier
 

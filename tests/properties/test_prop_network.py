@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import networkx as nx
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.channel import Channel, ChannelConfig

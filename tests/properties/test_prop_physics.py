@@ -5,10 +5,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.constants import GRAVITY
 from repro.physics.airy import dispersion_omega, wavenumber_from_omega
 from repro.physics.kelvin import (
     KelvinWake,

@@ -42,7 +42,7 @@ from repro.scenario import runner
 from repro.scenario.presets import paper_scenario
 from repro.scenario.runner import FleetRecording, run_network_scenario
 from repro.scenario.synthesis import synthesize_fleet_traces
-from repro.telemetry import Telemetry
+from repro.telemetry import InMemorySink, Tracer
 from tests.scenario import oracles
 
 SEED = 11
@@ -127,11 +127,11 @@ _crash_plans = st.one_of(
 ).flatmap(st.permutations)
 
 
-def _traced_outages(telemetry: Telemetry) -> dict[int, list[list[float]]]:
+def _traced_outages(trace: InMemorySink) -> dict[int, list[list[float]]]:
     """Each node's ``[crash, reboot]`` instants from a run's trace
     (``inf`` when no reboot follows)."""
     down: dict[int, list[list[float]]] = {}
-    for event in telemetry.events:
+    for event in trace.events:
         if event.name == "node_crash":
             down.setdefault(event.node_id, []).append(
                 [event.sim_time_s, math.inf]
@@ -186,7 +186,7 @@ def test_sanitized_runs_bill_exactly_the_live_windows(crashes):
     for healing in (None, SelfHealingConfig()):
         dep, ship, synth = _scenario()
         sanitizer = Sanitizer()
-        telemetry = Telemetry.memory()
+        trace = InMemorySink()
         run_network_scenario(
             dep,
             [ship],
@@ -195,13 +195,13 @@ def test_sanitized_runs_bill_exactly_the_live_windows(crashes):
             faults=faults,
             healing=healing,
             seed=SEED,
-            telemetry=telemetry,
+            tracer=Tracer([trace]),
             sanitizer=sanitizer,
         )
         report = sanitizer.report()
         assert report.ok, report.format()
         # A crash pops before a feed at its instant, a reboot after it.
-        down = _traced_outages(telemetry)
+        down = _traced_outages(trace)
         for i, nid in enumerate(rec.node_ids):
             dead = [
                 k

@@ -24,7 +24,7 @@ from repro.scenario.presets import paper_ship
 from repro.scenario.runner import run_dutycycled_scenario
 from repro.scenario.synthesis import SynthesisConfig
 from repro.sensors.imote2 import MoteConfig
-from repro.telemetry import ManualClock, Telemetry
+from repro.telemetry import InMemorySink, ManualClock, Tracer
 from repro.telemetry.events import CAT_PROFILING
 from tests.scenario import oracles
 
@@ -73,7 +73,7 @@ def _run(monkeypatch, seed, duty, faults, oracle):
         3, 3, seed=seed, mote_config=MoteConfig(battery_capacity_j=0.2)
     )
     ship = paper_ship(dep, cross_time_s=DURATION_S / 2.0)
-    telemetry = Telemetry.memory(clock=ManualClock(tick_s=0.001))
+    trace = InMemorySink()
     with monkeypatch.context() as mp:
         if oracle:
             mp.setattr(
@@ -87,11 +87,11 @@ def _run(monkeypatch, seed, duty, faults, oracle):
             synthesis_config=SynthesisConfig(duration_s=DURATION_S),
             faults=faults,
             seed=seed,
-            telemetry=telemetry,
+            tracer=Tracer([trace], clock=ManualClock(tick_s=0.001)),
         )
     policy_trace = [
         (e.category, e.name, e.sim_time_s, e.node_id, e.fields)
-        for e in telemetry.events
+        for e in trace.events
         if e.category != CAT_PROFILING
     ]
     charges = {n.node_id: n.mote.battery.remaining_j.hex() for n in dep}

@@ -20,13 +20,13 @@ from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.sid import SIDNodeConfig
 from repro.faults.plan import FaultPlan
 from repro.network.nodeproc import RetransmitPolicy
+from repro.sanitize import Sanitizer
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.digest import scenario_digest
 from repro.scenario.presets import paper_ship
 from repro.scenario.runner import run_network_scenario
 from repro.scenario.synthesis import SynthesisConfig
 from repro.sensors.imote2 import MoteConfig
-from repro.telemetry import Telemetry
 
 
 def _config():
@@ -48,7 +48,7 @@ def full_schedule(monkeypatch):
     return run
 
 
-def _run(with_ship=True, mote_config=None, telemetry=None, **kwargs):
+def _run(with_ship=True, mote_config=None, **kwargs):
     dep = GridDeployment(3, 3, seed=31, mote_config=mote_config)
     ships = [paper_ship(dep, cross_time_s=80.0)] if with_ship else []
     return run_network_scenario(
@@ -58,7 +58,6 @@ def _run(with_ship=True, mote_config=None, telemetry=None, **kwargs):
         synthesis_config=SynthesisConfig(duration_s=160.0),
         resync_interval_s=40.0,
         seed=9,
-        telemetry=telemetry,
         **kwargs,
     )
 
@@ -89,22 +88,19 @@ class TestElisionEquivalence:
         assert scenario_digest(fast) == scenario_digest(full)
 
     def test_telemetry_counters_agree(self, full_schedule):
-        # The batched catch-up path must bill the same counter the
-        # one-event-per-window path does, the same number of times.
-        tel_fast = Telemetry.memory()
-        tel_full = Telemetry.memory()
-        fast = _run(telemetry=tel_fast)
-        full = full_schedule(telemetry=tel_full)
+        # The batched catch-up path must bill each node's battery as
+        # many times as the one-event-per-window path does.
+        san_fast, san_full = Sanitizer(), Sanitizer()
+        fast = _run(sanitizer=san_fast)
+        full = full_schedule(sanitizer=san_full)
         assert scenario_digest(fast) == scenario_digest(full)
-        windows_fast = tel_fast.metrics.counter("windows_processed").value
-        windows_full = tel_full.metrics.counter("windows_processed").value
-        assert windows_fast == windows_full > 0
+        report_fast, report_full = san_fast.report(), san_full.report()
+        assert report_fast.ok, report_fast.format()
+        assert report_full.ok, report_full.format()
+        assert report_fast.billing == report_full.billing
+        assert all(cats["cpu"] > 0 for cats in report_fast.billing.values())
         # The forced arm really ran the one-event-per-window schedule.
-        events = "scheduler.events_executed"
-        assert (
-            tel_fast.metrics.counter(events).value
-            < tel_full.metrics.counter(events).value
-        )
+        assert report_fast.events_executed < report_full.events_executed
 
 
 class TestElisionPreconditions:

@@ -1,4 +1,4 @@
-"""Unit tests for the telemetry core: clock, events, tracer, metrics."""
+"""Unit tests for the telemetry core: clock, events, tracer, stages."""
 
 from __future__ import annotations
 
@@ -11,17 +11,14 @@ from repro.telemetry import (
     CATEGORIES,
     KIND_POINT,
     KIND_SPAN,
-    Counter,
-    Histogram,
     ManualClock,
-    MetricsRegistry,
-    Telemetry,
+    TraceEvent,
     Tracer,
     InMemorySink,
     maybe_stage,
-    series_key,
 )
 from repro.telemetry.events import coerce_field_value, freeze_fields
+from repro.telemetry.report import stage_latencies
 
 
 class TestManualClock:
@@ -97,7 +94,6 @@ class TestTracer:
         # Two clock reads, 1 s apart.
         assert event.wall_dur_s == 1.0
         assert event.field("rows") == 4
-        assert handle.event is event
 
     def test_span_emits_on_exception(self):
         sink = InMemorySink()
@@ -119,61 +115,41 @@ class TestTracer:
 
 
 class TestMetrics:
-    def test_series_key_sorts_labels(self):
-        assert series_key("hits", {"b": "2", "a": "1"}) == "hits{a=1,b=2}"
-        assert series_key("hits", {}) == "hits"
-
-    def test_counter_monotonic(self):
-        c = Counter()
-        c.inc()
-        c.inc(2.0)
-        assert c.value == 3.0
-        with pytest.raises(ConfigurationError):
-            c.inc(-1.0)
-
     def test_histogram_nearest_rank(self):
-        h = Histogram()
-        for v in [1.0, 2.0, 3.0, 4.0]:
-            h.observe(v)
-        assert h.percentile(50) == 2.0
-        assert h.percentile(100) == 4.0
-        assert h.percentile(0) == 1.0
-        with pytest.raises(ConfigurationError):
-            h.percentile(101)
-        with pytest.raises(ConfigurationError):
-            Histogram().percentile(50)
-
-    def test_registry_get_or_create(self):
-        reg = MetricsRegistry()
-        a = reg.counter("tx", node="1")
-        b = reg.counter("tx", node="1")
-        assert a is b
-        reg.histogram("lat").observe(0.5)
-        snap = reg.snapshot()
-        assert snap["counters"] == {"tx{node=1}": 0.0}
-        assert snap["histograms"]["lat"]["count"] == 1
+        spans = [
+            TraceEvent(
+                seq=i,
+                kind=KIND_SPAN,
+                category=CAT_PROFILING,
+                name="stage",
+                wall_time_s=0.0,
+                wall_dur_s=dur,
+            )
+            for i, dur in enumerate([4.0, 1.0, 3.0, 2.0])
+        ]
+        row = stage_latencies(spans)["stage"]
+        assert row["count"] == 4
+        assert row["total_s"] == 10.0
+        assert row["p50_s"] == 2.0
+        assert row["p90_s"] == 4.0
+        assert row["p99_s"] == 4.0
+        (one,) = stage_latencies(spans[:1]).values()
+        assert one["p50_s"] == one["p99_s"] == 4.0
 
 
 class TestTelemetrySession:
     def test_stage_records_span_and_histogram(self):
-        tel = Telemetry.memory(clock=ManualClock(tick_s=0.25))
-        with tel.stage("synthesis", n=9):
-            pass
-        (event,) = tel.events
+        sink = InMemorySink()
+        tracer = Tracer([sink], clock=ManualClock(tick_s=0.25))
+        with maybe_stage(tracer, "synthesis", n=9) as handle:
+            handle.set(rows=3)
+        (event,) = sink.events
         assert event.category == CAT_PROFILING
+        assert event.kind == KIND_SPAN
         assert event.name == "synthesis"
-        snap = tel.metrics.snapshot()
-        assert snap["histograms"]["stage_seconds{stage=synthesis}"][
-            "count"
-        ] == 1
-
-    def test_record_stats_skips_non_numeric(self):
-        tel = Telemetry.memory(clock=ManualClock())
-        tel.record_stats(
-            "mac", {"transmissions": 7, "mode": "csma", "on": True}
-        )
-        assert tel.metrics.counter_values() == {"mac.transmissions": 7.0}
+        assert event.wall_dur_s == 0.25
+        assert event.fields == (("n", 9), ("rows", 3))
 
     def test_maybe_stage_none_is_noop(self):
-        with maybe_stage(None, "anything"):
-            pass
+        with maybe_stage(None, "anything") as handle:
+            assert handle is None

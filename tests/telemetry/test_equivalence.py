@@ -1,22 +1,28 @@
 """Telemetry equivalence: tracing must never change scenario results.
 
-Two properties from ISSUE 7, asserted per runner:
+Three properties, asserted per runner:
 
-- disabled (``telemetry=None``, the default) adds nothing — the run is
+- disabled (``tracer=None``, the default) adds nothing — the run is
   the seed behaviour;
 - enabled runs produce *identical* scenario outputs: no RNG draw, no
-  frame, no schedule entry may depend on whether a tracer is attached.
+  frame, no schedule entry may depend on whether a tracer is attached;
+- a trace read through a ``ManualClock`` is byte-reproducible: two
+  traced runs of one scenario emit the same events.
 
-Plus the end-to-end acceptance check: a traced network-with-faults run
-exports a valid Chrome trace covering all six event categories.
+The hand-built scenarios below pin one run per runner; the property at
+the end checks all three on generated scenarios.  Plus the end-to-end
+acceptance check: a traced network-with-faults run exports a valid
+Chrome trace covering all six event categories.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Optional
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.detection.cluster import TemporaryClusterConfig
 from repro.detection.dutycycle import DutyCycleConfig
@@ -25,7 +31,8 @@ from repro.detection.sid import SIDNodeConfig
 from repro.faults.plan import BatteryDrain, BurstLoss, FaultPlan
 from repro.network.selfheal import SelfHealingConfig
 from repro.scenario.deployment import GridDeployment
-from repro.scenario.presets import paper_scenario, paper_ship
+from repro.scenario.digest import scenario_digest
+from repro.scenario.presets import paper_deployment, paper_scenario, paper_ship
 from repro.scenario.runner import (
     run_dutycycled_scenario,
     run_network_scenario,
@@ -36,8 +43,10 @@ from repro.scenario.synthesis import SynthesisConfig
 from repro.sensors.imote2 import MoteConfig
 from repro.telemetry import (
     CATEGORIES,
+    InMemorySink,
+    JsonlSink,
     ManualClock,
-    Telemetry,
+    Tracer,
     read_trace_jsonl,
     to_chrome_trace,
 )
@@ -45,11 +54,13 @@ from repro.telemetry import (
 SEED = 23
 
 
-def _telemetry():
-    return Telemetry.memory(clock=ManualClock(tick_s=0.001))
+def _traced():
+    """A fresh in-memory sink and a ``ManualClock`` tracer writing to it."""
+    sink = InMemorySink()
+    return sink, Tracer([sink], clock=ManualClock(tick_s=0.001))
 
 
-def _offline(telemetry=None):
+def _offline(tracer=None):
     dep, ship, synth = paper_scenario(
         rows=3, columns=3, duration_s=120.0, seed=SEED
     )
@@ -59,11 +70,11 @@ def _offline(telemetry=None):
         detector_config=NodeDetectorConfig(m=2.0, af_threshold=0.5),
         synthesis_config=synth,
         seed=SEED,
-        telemetry=telemetry,
+        tracer=tracer,
     )
 
 
-def _streaming(telemetry=None):
+def _streaming(tracer=None):
     dep, ship, synth = paper_scenario(
         rows=3, columns=3, duration_s=120.0, seed=SEED
     )
@@ -78,7 +89,7 @@ def _streaming(telemetry=None):
         synthesis_config=synth,
         seed=SEED,
         chunk_s=17.3,
-        telemetry=telemetry,
+        tracer=tracer,
     )
 
 
@@ -97,7 +108,7 @@ def _chaos_plan():
     )
 
 
-def _network(telemetry=None):
+def _network(tracer=None):
     dep = GridDeployment(
         3, 3, seed=31, mote_config=MoteConfig(battery_capacity_j=30.0)
     )
@@ -114,11 +125,11 @@ def _network(telemetry=None):
         faults=_chaos_plan(),
         healing=SelfHealingConfig(demote_battery_fraction=0.2),
         seed=9,
-        telemetry=telemetry,
+        tracer=tracer,
     )
 
 
-def _dutycycled(telemetry=None):
+def _dutycycled(tracer=None):
     dep = GridDeployment(3, 3, seed=31)
     ship = paper_ship(dep, cross_time_s=60.0)
     return run_dutycycled_scenario(
@@ -128,39 +139,33 @@ def _dutycycled(telemetry=None):
         duty_config=DutyCycleConfig(),
         synthesis_config=SynthesisConfig(duration_s=120.0),
         seed=SEED,
-        telemetry=telemetry,
+        tracer=tracer,
     )
-
-
-@pytest.fixture(scope="module")
-def network_traced():
-    tel = _telemetry()
-    return _network(telemetry=tel), tel
 
 
 class TestOfflineEquivalence:
     def test_enabled_outputs_identical(self):
         plain = _offline()
-        tel = _telemetry()
-        traced = _offline(telemetry=tel)
+        sink, tracer = _traced()
+        traced = _offline(tracer=tracer)
         assert traced.reports_by_node == plain.reports_by_node
         assert traced.merged_by_node == plain.merged_by_node
         assert traced.cluster_event == plain.cluster_event
         assert traced.cluster_report == plain.cluster_report
         # The traced run did record something.
-        stages = {e.name for e in tel.events}
+        stages = {e.name for e in sink.events}
         assert {"synthesis", "detection", "fusion"} <= stages
 
 
 class TestStreamingEquivalence:
     def test_enabled_outputs_identical(self):
         plain = _streaming()
-        tel = _telemetry()
-        traced = _streaming(telemetry=tel)
+        sink, tracer = _traced()
+        traced = _streaming(tracer=tracer)
         assert traced.reports_by_node == plain.reports_by_node
         assert traced.merged_by_node == plain.merged_by_node
         assert traced.cluster_event == plain.cluster_event
-        stages = {e.name for e in tel.events}
+        stages = {e.name for e in sink.events}
         assert {
             "synthesize_chunk",
             "preprocess_chunk",
@@ -172,17 +177,18 @@ class TestStreamingEquivalence:
 class TestDutyCycledEquivalence:
     def test_enabled_outputs_identical(self):
         plain = _dutycycled()
-        tel = _telemetry()
-        traced = _dutycycled(telemetry=tel)
+        sink, tracer = _traced()
+        traced = _dutycycled(tracer=tracer)
         assert traced.reports_by_node == plain.reports_by_node
         assert traced.first_alarm_time == plain.first_alarm_time
-        assert {e.name for e in tel.events} >= {"wakeup"}
+        assert {e.name for e in sink.events} >= {"wakeup"}
 
 
 class TestNetworkEquivalence:
-    def test_enabled_outputs_identical(self, network_traced):
+    def test_enabled_outputs_identical(self):
         plain = _network()
-        traced, _ = network_traced
+        _, tracer = _traced()
+        traced = _network(tracer=tracer)
         assert traced.decisions == plain.decisions
         assert traced.mac_stats == plain.mac_stats
         assert traced.fault_stats == plain.fault_stats
@@ -192,28 +198,15 @@ class TestNetworkEquivalence:
         assert traced.clock_rms_error_s == plain.clock_rms_error_s
         assert traced.degradation_events == plain.degradation_events
 
-    def test_metrics_mirror_fault_and_mac_stats(self, network_traced):
-        """ResilienceStats / fault_stats flow through MetricsRegistry."""
-        result, tel = network_traced
-        counters = tel.metrics.counter_values()
-        for key, value in result.fault_stats.items():
-            assert counters[f"fault_stats.{key}"] == float(value)
-        for key, value in result.mac_stats.items():
-            assert counters[f"mac.{key}"] == float(value)
-
-    def test_windows_processed_counted(self, network_traced):
-        _, tel = network_traced
-        assert tel.metrics.counter_values()["windows_processed"] > 0
-
 
 class TestChromeAcceptance:
     def test_network_fault_trace_covers_all_categories(self, tmp_path):
-        """ISSUE 7 acceptance: valid Chrome JSON, >= 6 categories."""
-        tel = Telemetry.to_jsonl(
-            tmp_path / "run.jsonl", clock=ManualClock(tick_s=0.001)
+        """Acceptance: valid Chrome JSON, >= 6 categories."""
+        tracer = Tracer(
+            [JsonlSink(tmp_path / "run.jsonl")], clock=ManualClock(tick_s=0.001)
         )
-        _network(telemetry=tel)
-        tel.close()
+        _network(tracer=tracer)
+        tracer.close()
         events = read_trace_jsonl(tmp_path / "run.jsonl")
         categories = {e.category for e in events}
         assert categories >= set(CATEGORIES)
@@ -222,3 +215,103 @@ class TestChromeAcceptance:
         # Strict JSON: no NaN/Infinity may leak into the export.
         parsed = json.loads(json.dumps(doc, allow_nan=False))
         assert len(parsed["traceEvents"]) >= len(events)
+
+
+# ----------------------------------------------------------------------
+# Generated scenarios
+# ----------------------------------------------------------------------
+#: Network first: hypothesis tries the simplest draw early, and a
+#: network run is the one with a scheduler span.
+RUNNERS = ("network", "offline", "streaming", "dutycycled")
+
+
+@dataclass(frozen=True)
+class GeneratedRun:
+    runner: str
+    rows: int
+    columns: int
+    duration_s: float
+    cross_time_s: float
+    seed: int
+    faults: Optional[FaultPlan] = None
+    healing: Optional[SelfHealingConfig] = None
+
+
+@st.composite
+def _generated_runs(draw) -> GeneratedRun:
+    runner = draw(st.sampled_from(RUNNERS))
+    rows, columns = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    duration = draw(st.integers(40, 120))
+    faults = healing = None
+    if runner == "network":
+        if draw(st.booleans()):
+            nodes = st.integers(0, rows * columns - 1)
+            faults = FaultPlan.rolling_crashes(
+                draw(st.lists(nodes, min_size=1, max_size=3)),
+                first_at_s=float(draw(st.integers(0, duration))),
+                interval_s=float(draw(st.integers(5, 40))),
+                downtime_s=float(draw(st.integers(5, 60))),
+            )
+        if draw(st.booleans()):
+            healing = SelfHealingConfig()
+    return GeneratedRun(
+        runner,
+        rows,
+        columns,
+        float(duration),
+        float(draw(st.integers(1, duration))),
+        draw(st.integers(0, 2**20)),
+        faults,
+        healing,
+    )
+
+
+def _generated_outcome(case: GeneratedRun, tracer=None):
+    """Run ``case`` on a fresh deployment; return what must not move."""
+    dep = paper_deployment(case.rows, case.columns, seed=case.seed)
+    ships = [paper_ship(dep, cross_time_s=case.cross_time_s)]
+    synth = SynthesisConfig(duration_s=case.duration_s)
+    det = NodeDetectorConfig(m=2.0, af_threshold=0.4)
+    common = dict(synthesis_config=synth, seed=case.seed, tracer=tracer)
+    if case.runner == "network":
+        return scenario_digest(
+            run_network_scenario(
+                dep,
+                ships,
+                sid_config=SIDNodeConfig(
+                    detector=det,
+                    cluster=TemporaryClusterConfig(min_rows=2),
+                ),
+                faults=case.faults,
+                healing=case.healing,
+                **common,
+            )
+        )
+    if case.runner == "offline":
+        return run_offline_scenario(dep, ships, detector_config=det, **common)
+    if case.runner == "streaming":
+        det = replace(
+            det, preprocess=replace(det.preprocess, filter_kind="butter-causal")
+        )
+        return run_streaming_scenario(
+            dep, ships, detector_config=det, chunk_s=17.3, **common
+        )
+    result = run_dutycycled_scenario(
+        dep, ships, detector_config=det, duty_config=DutyCycleConfig(), **common
+    )
+    # The controller compares by identity; its decisions show in the
+    # reports and its demotion count.
+    return replace(result, controller=None), result.sentinel_demotions
+
+
+@given(case=_generated_runs())
+@settings(max_examples=settings.default.max_examples // 20, deadline=None)
+def test_generated_traces_are_inert_and_reproducible(case):
+    """Traced ≡ untraced, and two ``ManualClock`` traces are equal."""
+    plain = _generated_outcome(case)
+    traces = []
+    for _ in range(2):
+        sink, tracer = _traced()
+        assert _generated_outcome(case, tracer) == plain
+        traces.append([event.to_json_dict() for event in sink.events])
+    assert traces[0] == traces[1]

@@ -10,6 +10,7 @@ from repro.telemetry import (
     CAT_DETECTION,
     CAT_FRAME,
     CAT_PROFILING,
+    InMemorySink,
     JsonlSink,
     ManualClock,
     Tracer,
@@ -18,7 +19,9 @@ from repro.telemetry.cli import main
 from repro.telemetry.report import (
     alarm_timeline,
     event_counts,
+    format_summary,
     frame_loss,
+    scheduler_stats,
     stage_latencies,
     summarize,
 )
@@ -75,6 +78,23 @@ class TestSummaries:
         stages = stage_latencies(events)
         assert stages["detection"]["count"] == 3
         assert stages["detection"]["p50_s"] > 0.0
+
+    def test_scheduler_rate_from_span_duration(self):
+        # The rate comes from the span's own duration on the tracer's
+        # clock, so a ManualClock trace reports the same rate every run.
+        sink = InMemorySink()
+        tracer = Tracer([sink], clock=ManualClock(tick_s=0.5))
+        with tracer.span(CAT_PROFILING, "event_loop") as span:
+            span.set(
+                events_executed=100,
+                events_cancelled=0,
+                peak_queue_depth=3,
+                compactions=0,
+            )
+        (row,) = scheduler_stats(sink.events)
+        assert row["wall_s"] == 0.5
+        assert row["events_per_s"] == 200.0
+        assert "200 events/s" in format_summary(summarize(sink.events))
 
     def test_frame_loss_per_node(self, tmp_path):
         from repro.telemetry import read_trace_jsonl

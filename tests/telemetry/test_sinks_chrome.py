@@ -12,7 +12,6 @@ from repro.telemetry import (
     SCHEMA_VERSION,
     JsonlSink,
     ManualClock,
-    Telemetry,
     TraceEvent,
     Tracer,
     read_trace_jsonl,
@@ -25,10 +24,9 @@ from repro.telemetry.chrome import PID_SIMULATION, PID_WALL
 def _traced_events(tmp_path):
     """Write a small mixed trace to JSONL and return (path, events)."""
     path = tmp_path / "trace.jsonl"
-    tel = Telemetry(
+    tracer = Tracer(
         [JsonlSink(path)], clock=ManualClock(start_s=2.0, tick_s=0.5)
     )
-    tracer = tel.tracer
     tracer.emit(
         "frame",
         "tx",
@@ -42,7 +40,7 @@ def _traced_events(tmp_path):
         with tracer.span(CAT_PROFILING, "inner") as h:
             h.set(rows=3)
     tracer.emit("heal", "rejoin", sim_time_s=9.5, node_id=2)
-    tel.close()
+    tracer.close()
     return path
 
 
