@@ -20,7 +20,7 @@ from repro.detection.correlation import cluster_correlation, majority_side
 from repro.detection.fleet import FleetDetector
 from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.reports import NodeReport, RowObservation
-from repro.detection.speed import SpeedEstimate, estimate_ship_speed
+from repro.detection.speed import SpeedEstimate, four_node_speed_estimate
 from repro.dsp.features import (
     SpectralFeatures,
     smooth_spectrum,
@@ -667,7 +667,11 @@ def run_fig12_speed_estimation(
 def _one_speed_trial(
     speed_knots: float, alpha_deg: float, seed: int
 ) -> SpeedEstimate | None:
-    """One Fig. 12 trial: 2x2 grid, detection-derived timestamps."""
+    """One Fig. 12 trial: 2x2 grid, detection-derived timestamps.
+
+    Each node's highest-energy report near the crossing goes to the
+    cluster head's Fig. 10 estimate; a node without one fails the trial.
+    """
     dep = paper_deployment(rows=2, columns=2, seed=seed)
     ship = paper_ship(
         dep,
@@ -676,7 +680,6 @@ def _one_speed_trial(
         cross_time_s=150.0,
         column_gap=0.5,
     )
-    track = ship.travel_line()
     synth = SynthesisConfig(duration_s=300.0)
     res = run_offline_scenario(
         dep,
@@ -688,33 +691,15 @@ def _one_speed_trial(
         seed=seed * 1000 + int(alpha_deg),
     )
     cross_t = ship.time_at_point(dep.center())
-    onsets: dict[tuple[int, int], float] = {}
+    best: list[NodeReport] = []
     for node in dep:
-        best = _best_report_per_node(
+        report = _best_report_per_node(
             res.merged_by_node[node.node_id], cross_t, 80.0
         )
-        if best is None:
+        if report is None:
             return None
-        onsets[(node.row, node.column)] = best.onset_time
-    # Column sides w.r.t. the track.
-    col_side = {
-        c: track.signed_distance(dep.node(c).anchor) for c in (0, 1)
-    }
-    port_col = 0 if col_side[0] > col_side[1] else 1
-    star_col = 1 - port_col
-    t_a = onsets[(0, port_col)]
-    t_b = onsets[(1, port_col)]
-    if t_a <= t_b:
-        t1, t2 = t_a, t_b
-        t3, t4 = onsets[(0, star_col)], onsets[(1, star_col)]
-    else:
-        t1, t2 = t_b, t_a
-        t3, t4 = onsets[(1, star_col)], onsets[(0, star_col)]
-    spacing = dep.spacing_m
-    try:
-        return estimate_ship_speed(spacing, t1, t2, t3, t4)
-    except EstimationError:
-        return None
+        best.append(report)
+    return four_node_speed_estimate(best, ship.travel_line())
 
 
 # ----------------------------------------------------------------------

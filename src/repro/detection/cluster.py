@@ -27,12 +27,8 @@ from repro.constants import (
 )
 from repro.detection.correlation import cluster_correlation, majority_side
 from repro.detection.reports import ClusterReport, NodeReport, RowObservation
-from repro.detection.speed import (
-    SpeedEstimate,
-    estimate_ship_speed,
-    moving_direction,
-)
-from repro.errors import ConfigurationError, EstimationError, GeometryError
+from repro.detection.speed import SpeedEstimate, four_node_speed_estimate
+from repro.errors import ConfigurationError, GeometryError
 from repro.types import Position
 
 
@@ -180,7 +176,6 @@ class TemporaryClusterConfig:
     #: single-report rows would otherwise score a perfect C.
     min_rows: int = 4
     correlation_threshold: float = CORRELATION_DECISION_THRESHOLD
-    estimate_speed: bool = True
     #: Graceful degradation: when True and the head knows how many
     #: members the setup flood reached (``expected_members``), a
     #: sub-quorum cluster whose expected members fell silent (node
@@ -392,8 +387,8 @@ class TemporaryCluster:
             and c >= self.config.correlation_threshold
         )
         speed: Optional[SpeedEstimate] = None
-        if self.config.estimate_speed and confirmable:
-            speed = self._try_speed_estimate(track)
+        if confirmable:
+            speed = four_node_speed_estimate(self._reports.values(), track)
         report = ClusterReport(
             head_id=self.head_id,
             reports=reports,
@@ -409,92 +404,3 @@ class TemporaryCluster:
         if confirmable:
             return ClusterEvent.CONFIRMED, report
         return ClusterEvent.REJECTED_LOW_CORRELATION, report
-
-    def _try_speed_estimate(
-        self, track: TravelLine
-    ) -> Optional[SpeedEstimate]:
-        """Apply eq. 16 when the Fig. 10 four-node condition holds.
-
-        Needs two grid columns straddling the track, each reporting in
-        the same two adjacent rows.  Per test, only the highest-energy
-        candidates are used ("we only record the reports which have the
-        highest detected energy", Sec. V-B.2).
-        """
-        by_cell: dict[tuple[int, int], NodeReport] = {}
-        for r in self._reports.values():
-            key = (r.row, r.column)
-            best = by_cell.get(key)
-            if best is None or r.energy > best.energy:
-                by_cell[key] = r
-        columns: dict[int, dict[int, NodeReport]] = {}
-        for (row, col), r in by_cell.items():
-            columns.setdefault(col, {})[row] = r
-
-        def side(report: NodeReport) -> int:
-            s = track.signed_distance(report.position)
-            # Exact sign: a node precisely on the track line belongs to
-            # neither side, so the zero case must be bit-exact.
-            return 0 if s == 0.0 else (1 if s > 0 else -1)  # lint: ignore[NUM001]
-
-        best: Optional[SpeedEstimate] = None
-        best_energy = -1.0
-        for ci, rows_i in columns.items():
-            for cj, rows_j in columns.items():
-                if ci == cj:
-                    continue
-                shared = sorted(set(rows_i) & set(rows_j))
-                for r_lo, r_hi in zip(shared, shared[1:]):
-                    if r_hi != r_lo + 1:
-                        continue
-                    # Fig. 10 needs column i fully to port and column j
-                    # fully to starboard over the two rows used.
-                    if not (
-                        side(rows_i[r_lo]) > 0
-                        and side(rows_i[r_hi]) > 0
-                        and side(rows_j[r_lo]) < 0
-                        and side(rows_j[r_hi]) < 0
-                    ):
-                        continue
-                    a, b = rows_i[r_lo], rows_i[r_hi]
-                    # The port column is swept outward along the travel
-                    # direction: t1 is its earlier detection, and t3 is
-                    # the starboard node in t1's row.
-                    near_i, far_i = (a, b) if a.onset_time <= b.onset_time else (b, a)
-                    near_j = rows_j[near_i.row]
-                    far_j = rows_j[far_i.row]
-                    spacing = near_i.position.distance_to(far_i.position)
-                    try:
-                        est = estimate_ship_speed(
-                            spacing,
-                            near_i.onset_time,
-                            far_i.onset_time,
-                            near_j.onset_time,
-                            far_j.onset_time,
-                        )
-                        # "As for the moving direction of the ship, it
-                        # is easy to obtain with the timestamps of the
-                        # four nodes" (Sec. IV-C.2).
-                        direction = moving_direction(
-                            near_i.onset_time,
-                            far_i.onset_time,
-                            near_j.onset_time,
-                            far_j.onset_time,
-                        )
-                        est = SpeedEstimate(
-                            speed_pair_i_mps=est.speed_pair_i_mps,
-                            speed_pair_j_mps=est.speed_pair_j_mps,
-                            alpha_rad=est.alpha_rad,
-                            direction=direction,
-                        )
-                    except EstimationError:
-                        continue
-                    energy = (
-                        near_i.energy
-                        + far_i.energy
-                        + near_j.energy
-                        + far_j.energy
-                    )
-                    if energy > best_energy:
-                        best = est
-                        best_energy = energy
-        return best

@@ -36,7 +36,6 @@ from repro.detection.cluster import (
     ClusterEvent,
     TemporaryCluster,
     TemporaryClusterConfig,
-    TravelLine,
 )
 from repro.detection.node_detector import NodeDetector, NodeDetectorConfig
 from repro.detection.reports import ClusterReport, NodeReport
@@ -121,7 +120,6 @@ class SIDNode:
         config: SIDNodeConfig | None = None,
         row: int = 0,
         column: int = 0,
-        track_hint: TravelLine | None = None,
     ) -> None:
         self.config = config if config is not None else SIDNodeConfig()
         self.node_id = node_id
@@ -129,9 +127,6 @@ class SIDNode:
         self.detector = NodeDetector(
             node_id, position, self.config.detector, row=row, column=column
         )
-        #: Optional externally supplied travel-line hypothesis (used by
-        #: the controlled Table I/II experiments); None = fit from data.
-        self.track_hint = track_hint
         self._state = SIDState.INITIALIZING
         self._cluster: Optional[TemporaryCluster] = None
         self._member_of: Optional[int] = None
@@ -280,7 +275,9 @@ class SIDNode:
             return []
         if t < self._cluster.deadline:
             return []
-        event, report = self._cluster.evaluate(self.track_hint)
+        # An online head knows no ground-truth sailing line, so the
+        # cluster fits one from its own reports.
+        event, report = self._cluster.evaluate()
         head_id = self.node_id
         self._cluster = None
         if event == ClusterEvent.CONFIRMED and report is not None:

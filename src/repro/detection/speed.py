@@ -22,9 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.constants import SPEED_GEOMETRY_THETA_RAD
+from repro.detection.reports import NodeReport
 from repro.errors import EstimationError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.detection.cluster import TravelLine
 
 _SEVENTY_RAD = math.radians(70.0)
 
@@ -128,3 +133,84 @@ def moving_direction(t1: float, t2: float, t3: float, t4: float) -> int:
     near_mean = 0.5 * (t1 + t3)
     far_mean = 0.5 * (t2 + t4)
     return 1 if far_mean >= near_mean else -1
+
+
+def four_node_speed_estimate(
+    reports: Iterable[NodeReport], track: "TravelLine"
+) -> Optional[SpeedEstimate]:
+    """Apply eq. 16 when the Fig. 10 four-node condition holds.
+
+    Needs two grid columns straddling ``track``, each reporting in the
+    same two adjacent rows.  Per grid cell only the highest-energy
+    report is used ("we only record the reports which have the highest
+    detected energy", Sec. V-B.2); of the qualifying four-node sets the
+    one with the largest summed energy wins (ties: the first found in
+    ``reports`` order).  Returns None when no set qualifies or every
+    qualifying set is degenerate.
+    """
+    by_cell: dict[tuple[int, int], NodeReport] = {}
+    for r in reports:
+        key = (r.row, r.column)
+        best_in_cell = by_cell.get(key)
+        if best_in_cell is None or r.energy > best_in_cell.energy:
+            by_cell[key] = r
+    columns: dict[int, dict[int, NodeReport]] = {}
+    for (row, col), r in by_cell.items():
+        columns.setdefault(col, {})[row] = r
+
+    def side(report: NodeReport) -> int:
+        s = track.signed_distance(report.position)
+        # Exact sign: a node precisely on the track line belongs to
+        # neither side, so the zero case must be bit-exact.
+        return 0 if s == 0.0 else (1 if s > 0 else -1)  # lint: ignore[NUM001]
+
+    best: Optional[SpeedEstimate] = None
+    best_energy = -1.0
+    for ci, rows_i in columns.items():
+        for cj, rows_j in columns.items():
+            if ci == cj:
+                continue
+            shared = sorted(set(rows_i) & set(rows_j))
+            for r_lo, r_hi in zip(shared, shared[1:]):
+                if r_hi != r_lo + 1:
+                    continue
+                # Fig. 10 needs column i fully to port and column j
+                # fully to starboard over the two rows used.
+                if not (
+                    side(rows_i[r_lo]) > 0
+                    and side(rows_i[r_hi]) > 0
+                    and side(rows_j[r_lo]) < 0
+                    and side(rows_j[r_hi]) < 0
+                ):
+                    continue
+                a, b = rows_i[r_lo], rows_i[r_hi]
+                # The port column is swept outward along the travel
+                # direction: t1 is its earlier detection, and t3 is
+                # the starboard node in t1's row.
+                near_i, far_i = (a, b) if a.onset_time <= b.onset_time else (b, a)
+                near_j = rows_j[near_i.row]
+                far_j = rows_j[far_i.row]
+                times = (
+                    near_i.onset_time,
+                    far_i.onset_time,
+                    near_j.onset_time,
+                    far_j.onset_time,
+                )
+                spacing = near_i.position.distance_to(far_i.position)
+                try:
+                    est = estimate_ship_speed(spacing, *times)
+                except EstimationError:
+                    continue
+                energy = near_i.energy + far_i.energy + near_j.energy + far_j.energy
+                if energy > best_energy:
+                    # "As for the moving direction of the ship, it is
+                    # easy to obtain with the timestamps of the four
+                    # nodes" (Sec. IV-C.2).
+                    best = SpeedEstimate(
+                        speed_pair_i_mps=est.speed_pair_i_mps,
+                        speed_pair_j_mps=est.speed_pair_j_mps,
+                        alpha_rad=est.alpha_rad,
+                        direction=moving_direction(*times),
+                    )
+                    best_energy = energy
+    return best

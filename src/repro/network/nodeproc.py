@@ -31,7 +31,7 @@ from repro.detection.reports import NodeReport
 from repro.detection.sink import Sink
 from repro.errors import ConfigurationError
 from repro.network.channel import Channel
-from repro.network.mac import Mac, MacConfig
+from repro.network.mac import Mac
 from repro.network.messages import (
     BROADCAST,
     ClusterCancelMsg,
@@ -73,34 +73,17 @@ _ACTION_EVENT_NAMES: dict[type, str] = {
 }
 
 
-@dataclass(frozen=True)
-class RetransmitPolicy:
-    """Report retransmission with exponential backoff (degradation aid).
-
-    When a member/cluster report's unicast exhausts its MAC retries,
-    the originating node re-queues it after ``base_backoff_s * 2**k``
-    seconds, up to ``max_attempts`` extra tries — but never past the
-    ``staleness_s`` cutoff, after which the report would miss its
-    collection/merge window anyway and only add congestion.
-    """
-
-    max_attempts: int = 3
-    base_backoff_s: float = 0.5
-    staleness_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.base_backoff_s <= 0:
-            raise ConfigurationError(
-                f"base_backoff_s must be positive, got {self.base_backoff_s}"
-            )
-        if self.staleness_s <= 0:
-            raise ConfigurationError(
-                f"staleness_s must be positive, got {self.staleness_s}"
-            )
+#: Report retransmission with exponential backoff (a degradation aid,
+#: armed with ``SensorNetwork(retransmit=True)``): when a member/cluster
+#: report's unicast exhausts its MAC retries, the originating node
+#: re-queues it after ``RETRANSMIT_BASE_BACKOFF_S * 2**k`` seconds, up to
+#: ``RETRANSMIT_MAX_ATTEMPTS`` extra tries — but never once
+#: ``RETRANSMIT_STALENESS_S`` have passed since its first try, after
+#: which the report would miss its collection/merge window anyway and
+#: only add congestion.
+RETRANSMIT_MAX_ATTEMPTS = 3
+RETRANSMIT_BASE_BACKOFF_S = 0.5
+RETRANSMIT_STALENESS_S = 30.0
 
 
 @dataclass
@@ -375,14 +358,14 @@ class NetworkNode:
     ) -> None:
         """Send a report to ``dst``, or toward the sink when None.
 
-        With a :class:`RetransmitPolicy` installed, a MAC-level drop
-        re-queues the report through :meth:`_retry_reliable`; with none
-        this is a plain send — identical behaviour (and RNG
-        consumption) to the pre-resilience transport.
+        With retransmission armed, a MAC-level drop re-queues the
+        report through :meth:`_retry_reliable`; without it this is a
+        plain send — identical behaviour (and RNG consumption) to the
+        pre-resilience transport.
         """
         network = self.network
         on_failed: Optional[Callable[[Frame], None]] = None
-        if network.retransmit is not None:
+        if network.retransmit:
             first_at = network.sim.now if first_try_at is None else first_try_at
 
             def retry(_frame: Frame) -> None:
@@ -401,14 +384,13 @@ class NetworkNode:
         attempt: int,
         first_try_at: float,
     ) -> None:
-        policy = self.network.retransmit
         stats = self.network.resilience
-        if policy is None or not self.alive:
+        if not self.alive:
             return
         now = self.network.sim.now
         if (
-            attempt + 1 > policy.max_attempts
-            or now - first_try_at >= policy.staleness_s
+            attempt + 1 > RETRANSMIT_MAX_ATTEMPTS
+            or now - first_try_at >= RETRANSMIT_STALENESS_S
         ):
             # Past the staleness cutoff the report would miss its
             # collection/merge window anyway; give up cleanly.
@@ -416,7 +398,7 @@ class NetworkNode:
             return
         stats.report_retransmits += 1
         self.network.sim.schedule(
-            policy.base_backoff_s * (2.0**attempt),
+            RETRANSMIT_BASE_BACKOFF_S * (2.0**attempt),
             self._send_reliable,
             dst,
             payload,
@@ -517,8 +499,7 @@ class SensorNetwork:
         sink_position: Position,
         sink: Sink,
         channel: Optional[Channel] = None,
-        mac_config: Optional[MacConfig] = None,
-        retransmit: Optional[RetransmitPolicy] = None,
+        retransmit: bool = False,
         healing: Optional[SelfHealingConfig] = None,
         seed: RandomState = None,
         tracer: Optional[Tracer] = None,
@@ -539,11 +520,7 @@ class SensorNetwork:
             else Channel(seed=derive_rng(root, "channel"))
         )
         self.mac = Mac(
-            self.sim,
-            self.channel,
-            mac_config,
-            seed=derive_rng(root, "mac"),
-            tracer=self.trace,
+            self.sim, self.channel, seed=derive_rng(root, "mac"), tracer=self.trace
         )
         self.positions = dict(positions)
         self.positions[sink_id] = sink_position
@@ -552,8 +529,8 @@ class SensorNetwork:
         self.sink_node = SinkNode(sink_id, sink_position, sink)
         self.nodes: dict[int, NetworkNode] = {}
         self.lost_to_partition = 0
-        #: Optional report-retransmission policy (graceful degradation);
-        #: None preserves the fire-and-forget transport exactly.
+        #: Whether reports are retransmitted (graceful degradation);
+        #: False preserves the fire-and-forget transport exactly.
         self.retransmit = retransmit
         self.resilience = ResilienceStats()
         #: Optional self-healing runtime; None preserves the seed

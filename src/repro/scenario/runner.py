@@ -42,16 +42,9 @@ from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import BatteryDrain, FaultPlan, FaultStats
 from repro.network.channel import Channel, ChannelConfig
-from repro.network.mac import MacConfig
-from repro.network.nodeproc import (
-    CPU_S_PER_SAMPLE,
-    NetworkNode,
-    RetransmitPolicy,
-    SensorNetwork,
-)
+from repro.network.nodeproc import CPU_S_PER_SAMPLE, NetworkNode, SensorNetwork
 from repro.network.selfheal import OrphanEvent, SelfHealingConfig
 from repro.network.simulator import TrainItem
-from repro.physics.disturbance import Disturbance
 from repro.rng import RandomState, derive_rng, make_rng
 from repro.sanitize import Sanitizer
 import numpy as np
@@ -247,7 +240,6 @@ def run_offline_scenario(
     detector_config: NodeDetectorConfig | None = None,
     cluster_config: TemporaryClusterConfig | None = None,
     synthesis_config: SynthesisConfig | None = None,
-    disturbances_by_node: dict[int, list[Disturbance]] | None = None,
     track_hypothesis: TravelLine | None = None,
     recording: FleetRecording | None = None,
     seed: RandomState = None,
@@ -257,14 +249,17 @@ def run_offline_scenario(
 
     ``track_hypothesis`` defaults to the first ship's ground-truth
     line (the controlled setting of Tables I/II); pass an explicit
-    hypothesis for no-ship runs.
+    hypothesis for no-ship runs.  Without either, each cluster fits its
+    line from its own reports, as the online heads of
+    :func:`run_network_scenario` always do.
 
     ``recording`` (optional) is an already-synthesised fleet of this
     deployment to detect instead of synthesising one, so a driver can
-    detect one scenario under many detector settings.  It replaces
-    ``synthesis_config``, ``disturbances_by_node`` and ``seed``, which
-    must then stay unset; ``ships`` still sets the truth windows and
-    the default track hypothesis.
+    detect one scenario under many detector settings (and with
+    nuisance disturbances: see :func:`synthesize_fleet_traces`).  It
+    replaces ``synthesis_config`` and ``seed``, which must then stay
+    unset; ``ships`` still sets the truth windows and the default track
+    hypothesis.
 
     Detection is one lockstep :class:`FleetDetector` walk over the
     whole fleet, bit-identical to running a ``NodeDetector`` per node.
@@ -282,22 +277,12 @@ def run_offline_scenario(
         with maybe_stage(tracer, "synthesis"):
             recording = FleetRecording.from_traces(
                 deployment,
-                synthesize_fleet_traces(
-                    deployment,
-                    ships,
-                    synth,
-                    disturbances_by_node=disturbances_by_node,
-                    seed=seed,
-                ),
+                synthesize_fleet_traces(deployment, ships, synth, seed=seed),
             )
-    elif (
-        synthesis_config is not None
-        or disturbances_by_node is not None
-        or seed is not None
-    ):
+    elif synthesis_config is not None or seed is not None:
         raise ConfigurationError(
-            "a recording replaces synthesis: pass no synthesis_config, "
-            "disturbances_by_node or seed with it"
+            "a recording replaces synthesis: pass no synthesis_config "
+            "or seed with it"
         )
     elif recording.node_ids != tuple(node.node_id for node in deployment):
         raise ConfigurationError(
@@ -602,33 +587,24 @@ def _window_feeds(
         yield te, feed, (row[start : start + window], ts)
 
 
-def _elision_guard_s(
-    cfg: SIDNodeConfig, retransmit: Optional[RetransmitPolicy]
-) -> float:
+def _elision_guard_s(cfg: SIDNodeConfig) -> float:
     """Upper bound on a node's open-cluster lifetime after a dispatch.
 
     A cluster opened at dispatch time has its deadline at most
     ``collection_timeout_s`` later (deadlines anchor on the initiating
     report's onset, which precedes the dispatch) and is evaluated by
     the first head entry point after it — within one window of ticks.
-    A retransmit policy can keep the head's own report traffic alive up
-    to its staleness cutoff.  Overestimating only shrinks the elided
-    region — it never costs correctness.
+    Elision runs only without a fault plan, so no report retransmission
+    keeps the head's traffic alive beyond that.  Overestimating only
+    shrinks the elided region — it never costs correctness.
     """
-    staleness = retransmit.staleness_s if retransmit is not None else 0.0
-    return (
-        cfg.cluster.collection_timeout_s
-        + 2.0 * cfg.detector.window_s
-        + staleness
-        + 1.0
-    )
+    return cfg.cluster.collection_timeout_s + 2.0 * cfg.detector.window_s + 1.0
 
 
 def _billing_order_free(
     deployment: GridDeployment,
     outcomes: WindowOutcomes,
     det_cfg: NodeDetectorConfig,
-    retransmit: Optional[RetransmitPolicy],
 ) -> bool:
     """True when no battery can possibly deplete during the event loop.
 
@@ -639,16 +615,16 @@ def _billing_order_free(
     check proves depletion unreachable: each battery's remaining charge
     must exceed its full-run CPU billing plus a crude upper bound on
     fleet-wide radio traffic — every report dispatch can fan out floods
-    and relays to every node, retried in full and generously oversized
-    per frame.  A deployment running batteries tight enough to fail
-    this simply keeps the one-event-per-window schedule.
+    and relays to every node, generously oversized per frame (elided
+    runs have no fault plan, so no report is retransmitted).  A
+    deployment running batteries tight enough to fail this simply keeps
+    the one-event-per-window schedule.
     """
     n_nodes = sum(1 for _ in deployment)
     n_dispatches = sum(
         int(np.count_nonzero(out.reported)) for out in outcomes.values()
     )
-    retries = 1 + (retransmit.max_attempts if retransmit is not None else 0)
-    frame_bytes_bound = n_dispatches * 4 * (n_nodes + 1) * retries * 512
+    frame_bytes_bound = n_dispatches * 4 * (n_nodes + 1) * 512
     cpu_s_per_window = CPU_S_PER_SAMPLE * det_cfg.window_samples
     for node in deployment:
         battery = node.mote.battery
@@ -673,12 +649,8 @@ def run_network_scenario(
     ships: Sequence[ShipTrack] = (),
     sid_config: SIDNodeConfig | None = None,
     synthesis_config: SynthesisConfig | None = None,
-    disturbances_by_node: dict[int, list[Disturbance]] | None = None,
     channel_config: ChannelConfig | None = None,
-    mac_config: MacConfig | None = None,
-    track_hypothesis: TravelLine | None = None,
     faults: FaultPlan | None = None,
-    retransmit: RetransmitPolicy | None = None,
     healing: SelfHealingConfig | None = None,
     resync_interval_s: float | None = 120.0,
     seed: RandomState = None,
@@ -690,15 +662,17 @@ def run_network_scenario(
     Every node feeds its Delta-t windows into its SID state machine at
     the window end times, through one re-arming queue entry per node
     (:meth:`~repro.network.simulator.Simulator.schedule_train`);
-    protocol traffic rides the lossy simulated radio.
+    protocol traffic rides the lossy simulated radio.  Unlike the
+    controlled offline experiments, the online system has no
+    ground-truth sailing line: every temporary-cluster head fits its
+    line from its own reports (:meth:`TravelLine.fit_from_reports`).
 
     ``faults`` injects the plan's sensor / node / network pathologies
     into the run (sensor faults act on the z counts synthesis
     recorded); an absent or empty plan leaves every code path — and
     every random stream — exactly as the unfaulted runner draws them.
     An active plan also arms the degradation machinery: degraded-quorum
-    cluster evaluation and report retransmission (the latter can be
-    tuned or forced on independently via ``retransmit``).
+    cluster evaluation and report retransmission (DESIGN.md §6).
 
     ``healing`` arms the self-healing runtime (route repair around
     dead parents, hop-by-hop relay retries, cold-restart recovery,
@@ -759,17 +733,11 @@ def run_network_scenario(
             cfg = replace(
                 cfg, cluster=replace(cfg.cluster, allow_degraded=True)
             )
-        if retransmit is None:
-            retransmit = RetransmitPolicy()
     with maybe_stage(tracer, "synthesis"):
         recording = FleetRecording.from_traces(
             deployment,
             synthesize_fleet_traces(
-                deployment,
-                ships,
-                synth,
-                disturbances_by_node=disturbances_by_node,
-                seed=derive_rng(root, "synthesis"),
+                deployment, ships, synth, seed=derive_rng(root, "synthesis")
             ),
         )
         if injector.plan.sensor_faults:
@@ -798,8 +766,7 @@ def run_network_scenario(
         sink_position=deployment.sink_position,
         sink=sink,
         channel=injector.wrap_channel(channel),
-        mac_config=mac_config,
-        retransmit=retransmit,
+        retransmit=injector.active,
         healing=healing,
         seed=derive_rng(root, "network"),
         tracer=tracer,
@@ -819,11 +786,6 @@ def run_network_scenario(
                 healing.demote_battery_fraction,
                 lambda nid=node.node_id: network.heal.demote(nid),
             )
-    # Unlike the controlled offline experiments, the online system has
-    # no ground-truth sailing line: unless the caller supplies a
-    # hypothesis explicitly, each temporary-cluster head fits the line
-    # from its own reports (TravelLine.fit_from_reports).
-
     window = cfg.detector.window_samples
     plan = _window_plan(recording, cfg.detector, faults, network.sim.now)
     # The fleet precompute assumes no baseline resets mid-run; a
@@ -850,18 +812,13 @@ def run_network_scenario(
     elide = (
         outcomes is not None
         and not injector.active
-        and _billing_order_free(deployment, outcomes, cfg.detector, retransmit)
+        and _billing_order_free(deployment, outcomes, cfg.detector)
     )
-    guard_s = _elision_guard_s(cfg, retransmit)
+    guard_s = _elision_guard_s(cfg)
     window_s = cfg.detector.window_s
     for i, node in enumerate(deployment):
         sid = SIDNode(
-            node.node_id,
-            node.anchor,
-            cfg,
-            row=node.row,
-            column=node.column,
-            track_hint=track_hypothesis,
+            node.node_id, node.anchor, cfg, row=node.row, column=node.column
         )
         proc = network.add_node(sid, battery=node.mote.battery)
         if sanitizer is not None:
@@ -1154,7 +1111,6 @@ def run_dutycycled_scenario(
     detector_config: NodeDetectorConfig | None = None,
     duty_config: "DutyCycleConfig | None" = None,
     synthesis_config: SynthesisConfig | None = None,
-    disturbances_by_node: dict[int, list[Disturbance]] | None = None,
     faults: FaultPlan | None = None,
     seed: RandomState = None,
     tracer: Optional[Tracer] = None,
@@ -1165,7 +1121,9 @@ def run_dutycycled_scenario(
     sentinel alarm wakes the whole fleet after the configured latency,
     so most nodes sleep through quiet water yet still catch the ship.
     Windows are processed in global time order so an alarm at t can
-    wake other nodes for their windows after t.
+    wake other nodes for their windows after t.  The run stops at node
+    alarms: it forms no cluster, so no travel line enters it (online
+    heads, as in :func:`run_network_scenario`, always fit their own).
 
     ``faults`` (only :class:`~repro.faults.plan.BatteryDrain` entries
     apply here) turns on battery accounting: every evaluated window
@@ -1187,13 +1145,7 @@ def run_dutycycled_scenario(
     with maybe_stage(tracer, "synthesis"):
         recording = FleetRecording.from_traces(
             deployment,
-            synthesize_fleet_traces(
-                deployment,
-                ships,
-                synth,
-                disturbances_by_node=disturbances_by_node,
-                seed=seed,
-            ),
+            synthesize_fleet_traces(deployment, ships, synth, seed=seed),
         )
     controller = DutyCycleController(
         [n.node_id for n in deployment], duty_config, tracer=tracer

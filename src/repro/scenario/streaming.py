@@ -47,7 +47,6 @@ from repro.detection.preprocess import (
     StreamingPreprocessor,
 )
 from repro.errors import ConfigurationError
-from repro.physics.disturbance import Disturbance
 from repro.rng import RandomState
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.runner import OfflineScenarioResult, fuse_offline_reports
@@ -56,10 +55,9 @@ from repro.scenario.synthesis import (
     SynthesisConfig,
     add_wakes_and_disturbances,
     fleet_ambient_field,
-    fleet_sample_grid,
+    fleet_sampler,
     heave_gained_wake_trains,
 )
-from repro.detection.cluster import TemporaryClusterConfig, TravelLine
 from repro.telemetry.tracer import Tracer, maybe_stage
 
 
@@ -67,9 +65,11 @@ class StreamingFleetSynthesizer:
     """Produce a fleet's raw z-count traces in ``(nodes, chunk)`` blocks.
 
     Draws the exact random realisation :func:`synthesize_fleet_traces`
-    would (same seed derivation, same ambient field, same per-device
-    noise streams); only the z axis is digitised, which is all the
-    detection pipeline consumes.
+    would without nuisance disturbances (same seed derivation, same
+    ambient field, same per-device noise streams); only the z axis is
+    digitised, which is all the detection pipeline consumes.  Of the
+    record's sample grid it keeps only the start time, rate and sample
+    count: each chunk builds its own instants.
     """
 
     def __init__(
@@ -77,7 +77,6 @@ class StreamingFleetSynthesizer:
         deployment: GridDeployment,
         ships: Sequence[ShipTrack] = (),
         config: SynthesisConfig | None = None,
-        disturbances_by_node: dict[int, list[Disturbance]] | None = None,
         seed: RandomState = None,
     ) -> None:
         cfg = config if config is not None else SynthesisConfig()
@@ -90,28 +89,26 @@ class StreamingFleetSynthesizer:
         self.nodes = list(deployment)
         if not self.nodes:
             raise ConfigurationError("empty deployment")
+        sampler = fleet_sampler(self.nodes)
+        self._t0 = cfg.t0
+        self._rate = sampler.rate_hz
+        self._n = sampler.count(cfg.duration_s)
         # The same field as synthesize_fleet_traces for a given seed.
-        self.t = fleet_sample_grid(self.nodes, cfg)
         self.field = fleet_ambient_field(cfg, seed)
         wakes = [ship.wake() for ship in ships]
         self._wakes = [
             heave_gained_wake_trains(n, ships, cfg, wakes=wakes)
             for n in self.nodes
         ]
-        dmap = disturbances_by_node or {}
-        self._disturbances = [dmap.get(n.node_id, []) for n in self.nodes]
         # The monolithic read consumes x-, y- then z-noise from one
         # stream; position a per-node clone at the z draws.
-        n_samples = self.t.size
         self._noise = [
-            n.mote.accelerometer.axis_noise_rng(2, n_samples)
-            for n in self.nodes
+            n.mote.accelerometer.axis_noise_rng(2, self._n) for n in self.nodes
         ]
         self._positions = [n.anchor for n in self.nodes]
         self._responses = [n.buoy.heave_gain for n in self.nodes]
         self.t0s = [
-            float(n.mote.clock.local_time(float(self.t[0])))
-            for n in self.nodes
+            float(n.mote.clock.local_time(float(cfg.t0))) for n in self.nodes
         ]
         self._pos = 0
 
@@ -123,12 +120,12 @@ class StreamingFleetSynthesizer:
     @property
     def n_samples(self) -> int:
         """Samples per node on the shared grid."""
-        return int(self.t.size)
+        return self._n
 
     @property
     def samples_remaining(self) -> int:
         """Samples not yet produced."""
-        return int(self.t.size) - self._pos
+        return self._n - self._pos
 
     def next_chunk(self, chunk_samples: int) -> Optional[np.ndarray]:
         """The next ``(nodes, <=chunk_samples)`` block of raw z counts.
@@ -141,18 +138,19 @@ class StreamingFleetSynthesizer:
             raise ConfigurationError(
                 f"chunk_samples must be >= 1, got {chunk_samples}"
             )
-        if self._pos >= self.t.size:
+        if self._pos >= self._n:
             return None
-        t_c = self.t[self._pos : self._pos + chunk_samples]
+        # Sampler.instants' formula on this chunk's sample indices:
+        # bit-equal to slicing the whole record's grid.
+        stop = min(self._pos + chunk_samples, self._n)
+        t_c = self._t0 + np.arange(self._pos, stop) / self._rate
         az = self.field.vertical_acceleration_batch(
             self._positions, t_c, responses=self._responses
         )
         self._pos += t_c.size
         out = np.empty((len(self.nodes), t_c.size), dtype=np.int64)
         for i, node in enumerate(self.nodes):
-            az_i = add_wakes_and_disturbances(
-                az[i], t_c, self._wakes[i], self._disturbances[i]
-            )
+            az_i = add_wakes_and_disturbances(az[i], t_c, self._wakes[i], ())
             motion = node.buoy.specific_force(t_c, az_i)
             out[i] = node.mote.accelerometer.read_axis_chunk(
                 motion.fz, 2, self._noise[i]
@@ -173,10 +171,7 @@ def run_streaming_scenario(
     deployment: GridDeployment,
     ships: Sequence[ShipTrack] = (),
     detector_config: NodeDetectorConfig | None = None,
-    cluster_config: TemporaryClusterConfig | None = None,
     synthesis_config: SynthesisConfig | None = None,
-    disturbances_by_node: dict[int, list[Disturbance]] | None = None,
-    track_hypothesis: TravelLine | None = None,
     seed: RandomState = None,
     chunk_s: float = 60.0,
     tracer: Optional[Tracer] = None,
@@ -193,6 +188,12 @@ def run_streaming_scenario(
     200-sample synthesis blocks and of 50-sample hops; each chunk pays
     per-node Python and numpy call overhead once, so longer chunks
     trade memory for speed.
+
+    Reports fuse under the offline runner's defaults: the default
+    cluster config and the first ship's ground-truth line, or with no
+    ship a line each cluster fits from its own reports — as the online
+    heads of :func:`~repro.scenario.runner.run_network_scenario` always
+    do.
 
     ``tracer`` (optional) records a profiling span per streaming
     stage (synthesize/preprocess/detect, once per chunk, plus the
@@ -215,13 +216,7 @@ def run_streaming_scenario(
     synth = (
         synthesis_config if synthesis_config is not None else SynthesisConfig()
     )
-    source = StreamingFleetSynthesizer(
-        deployment,
-        ships,
-        synth,
-        disturbances_by_node=disturbances_by_node,
-        seed=seed,
-    )
+    source = StreamingFleetSynthesizer(deployment, ships, synth, seed=seed)
     pre = StreamingPreprocessor(source.n_nodes, det_cfg.rate_hz)
     fleet = FleetDetector.from_deployment(deployment, det_cfg, tracer)
     stream = fleet.stream(source.t0s)
@@ -243,7 +238,7 @@ def run_streaming_scenario(
         deployment,
         ships,
         stream.finish(),
-        cluster_config,
-        track_hypothesis,
-        tracer,
+        cluster_config=None,
+        track_hypothesis=None,
+        tracer=tracer,
     )

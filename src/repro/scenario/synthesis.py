@@ -32,6 +32,7 @@ from repro.physics.wavefield import AmbientWaveField
 from repro.rng import RandomState, derive_rng, make_rng
 from repro.scenario.deployment import DeployedNode, GridDeployment
 from repro.scenario.ship import ShipTrack
+from repro.sensors.sampler import Sampler
 from repro.types import AccelTrace
 
 
@@ -80,26 +81,21 @@ def fleet_ambient_field(
     return build_ambient_field(config, seed=derive_rng(root, "ambient"))
 
 
-def fleet_sample_grid(
-    nodes: Sequence[DeployedNode], config: SynthesisConfig
-) -> np.ndarray:
-    """The one sample grid every mote of a fleet shares.
+def fleet_sampler(nodes: Sequence[DeployedNode]) -> Sampler:
+    """The sampler whose one sample grid every mote of a fleet shares.
 
-    Fleet synthesis evaluates the ambient field once on this grid and
-    every runner walks one Delta-t window grid across the fleet, so
-    motes sampling on different grids raise :class:`ConfigurationError`.
+    Fleet synthesis evaluates the ambient field once on one grid and
+    every runner walks one Delta-t window grid across the fleet.  A
+    grid depends only on the start time, the duration and the rate, so
+    motes sampling at different rates raise :class:`ConfigurationError`.
     """
-    grid = nodes[0].mote.sample_instants(config.t0, config.duration_s)
-    for node in nodes[1:]:
-        # One grid at a time: streaming stays O(nodes x chunk) in memory.
-        if not np.array_equal(
-            node.mote.sample_instants(config.t0, config.duration_s), grid
-        ):
-            raise ConfigurationError(
-                "fleet synthesis needs one shared fleet sample grid; this "
-                "deployment's motes sample on different grids"
-            )
-    return grid
+    sampler = nodes[0].mote.sampler
+    if any(node.mote.sampler.rate_hz != sampler.rate_hz for node in nodes[1:]):
+        raise ConfigurationError(
+            "fleet synthesis needs one shared fleet sample grid; this "
+            "deployment's motes sample on different grids"
+        )
+    return sampler
 
 
 def wake_trains_for_node(
@@ -239,15 +235,15 @@ def synthesize_fleet_traces(
     reduces to weights on fleet-shared ``cos(w t)`` / ``sin(w t)``
     terms, summed on the sample grid by block angle addition.
 
-    The motes must share one sample grid (:func:`fleet_sample_grid`);
-    the check runs before any mote records, so a rejected call bills
-    no battery.
+    The motes must share one sample grid (:func:`fleet_sampler`); the
+    check runs before any mote records, so a rejected call bills no
+    battery.
     """
     cfg = config if config is not None else SynthesisConfig()
     nodes = list(deployment)
     if not nodes:
         return {}
-    t = fleet_sample_grid(nodes, cfg)
+    t = fleet_sampler(nodes).instants(cfg.t0, cfg.duration_s)
     dmap = disturbances_by_node or {}
     traces = _record_fleet(
         nodes,

@@ -20,11 +20,17 @@ class Sampler:
             raise ConfigurationError(f"rate_hz must be positive, got {rate_hz}")
         self.rate_hz = rate_hz
 
-    def instants(self, t0: float, duration_s: float) -> np.ndarray:
-        """Sample timestamps covering ``[t0, t0 + duration_s)``."""
+    def count(self, duration_s: float) -> int:
+        """Samples covering a ``duration_s``-second record."""
         if duration_s < 0:
             raise ConfigurationError(
                 f"duration must be >= 0, got {duration_s}"
             )
-        n = int(round(duration_s * self.rate_hz))
-        return t0 + np.arange(n) / self.rate_hz
+        return int(round(duration_s * self.rate_hz))
+
+    def instants(self, t0: float, duration_s: float) -> np.ndarray:
+        """Sample timestamps covering ``[t0, t0 + duration_s)``.
+
+        Sample ``k`` is taken at ``t0 + k / rate_hz``.
+        """
+        return t0 + np.arange(self.count(duration_s)) / self.rate_hz

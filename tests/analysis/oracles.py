@@ -12,8 +12,8 @@ from repro.analysis.experiments import _heavy_nuisances
 from repro.detection.node_detector import NodeDetectorConfig
 from repro.scenario.metrics import classify_alarms
 from repro.scenario.presets import paper_deployment, paper_ship
-from repro.scenario.runner import run_offline_scenario
-from repro.scenario.synthesis import SynthesisConfig
+from repro.scenario.runner import FleetRecording, run_offline_scenario
+from repro.scenario.synthesis import SynthesisConfig, synthesize_fleet_traces
 
 
 def fig11_cell(
@@ -38,13 +38,18 @@ def fig11_cell(
     nuisances = _heavy_nuisances(
         dep, synth, seed=seed + seed_offset + 7919
     )
+    traces = synthesize_fleet_traces(
+        dep,
+        ships,
+        synth,
+        disturbances_by_node=nuisances,
+        seed=(seed + seed_offset) * 100,
+    )
     res = run_offline_scenario(
         dep,
         ships,
         detector_config=NodeDetectorConfig(m=m, af_threshold=af),
-        synthesis_config=synth,
-        disturbances_by_node=nuisances,
-        seed=(seed + seed_offset) * 100,
+        recording=FleetRecording.from_traces(dep, traces),
     )
     cross_times = [s.time_at_point(dep.center()) for s in ships]
     tp = fp = 0

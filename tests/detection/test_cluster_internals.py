@@ -12,11 +12,13 @@ import math
 import pytest
 
 from repro.detection.cluster import (
+    ClusterEvent,
     TemporaryCluster,
     TemporaryClusterConfig,
     TravelLine,
 )
 from repro.detection.reports import NodeReport
+from repro.detection.speed import four_node_speed_estimate
 from repro.physics.kelvin import KelvinWake
 from repro.types import Position
 
@@ -121,22 +123,19 @@ class TestSpeedCandidateSelection:
 
     def test_estimate_recovers_speed(self):
         reports, track, speed = self._wake_reports()
-        cluster = _cluster(reports)
-        est = cluster._try_speed_estimate(track)
+        est = four_node_speed_estimate(reports, track)
         assert est is not None
         assert est.speed_mean_mps == pytest.approx(speed, rel=0.02)
 
     def test_no_estimate_when_single_column(self):
         reports, track, _ = self._wake_reports()
         one_column = [r for r in reports if r.column == 0]
-        cluster = _cluster(one_column)
-        assert cluster._try_speed_estimate(track) is None
+        assert four_node_speed_estimate(one_column, track) is None
 
     def test_no_estimate_when_single_row(self):
         reports, track, _ = self._wake_reports()
         one_row = [r for r in reports if r.row == 1]
-        cluster = _cluster(one_row)
-        assert cluster._try_speed_estimate(track) is None
+        assert four_node_speed_estimate(one_row, track) is None
 
     def test_highest_energy_candidates_preferred(self):
         reports, track, speed = self._wake_reports()
@@ -146,16 +145,18 @@ class TestSpeedCandidateSelection:
             99, 0.0, 0.0, t=reports[0].onset_time + 40.0, energy=0.1,
             row=0, column=0,
         )
-        cluster = _cluster(reports + [decoy])
-        est = cluster._try_speed_estimate(track)
+        est = four_node_speed_estimate(reports + [decoy], track)
         assert est is not None
         assert est.speed_mean_mps == pytest.approx(speed, rel=0.05)
 
     def test_estimate_skipped_below_threshold(self):
-        # estimate_speed=False disables the whole machinery.
+        # A cluster that cannot confirm carries no speed estimate, even
+        # when its reports satisfy the Fig. 10 four-node condition.
         reports, track, _ = self._wake_reports()
-        cluster = _cluster(reports, estimate_speed=False)
+        assert four_node_speed_estimate(reports, track) is not None
+        cluster = _cluster(reports, min_rows=4)
         event, report = cluster.evaluate(track)
+        assert event == ClusterEvent.REJECTED_LOW_CORRELATION
         assert report is not None
         assert report.speed_estimate_mps is None
 
@@ -164,8 +165,7 @@ class TestMovingDirection:
     def test_direction_attached_to_estimate(self):
         sel = TestSpeedCandidateSelection()
         reports, track, _ = sel._wake_reports()
-        cluster = _cluster(reports)
-        est = cluster._try_speed_estimate(track)
+        est = four_node_speed_estimate(reports, track)
         assert est is not None
         assert est.direction in (-1, 1)
 

@@ -7,23 +7,29 @@ guarded head-activity intervals.  The whole point is that this is
 and off and demands bit-identical results — including the battery
 billing that the catch-up path replays in batch.  The "off" arm forces
 the one-event-per-window schedule by making the elision precondition
-(``runner._billing_order_free``) fail.
+(``runner._billing_order_free``) fail.  The hand-built scenarios pin
+one run each; the property at the end checks elision on ≡ off and
+sanitized ≡ unsanitized on generated clean runs.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Optional
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.scenario.runner as runner
 from repro.detection.cluster import TemporaryClusterConfig
 from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.sid import SIDNodeConfig
 from repro.faults.plan import FaultPlan
-from repro.network.nodeproc import RetransmitPolicy
 from repro.sanitize import Sanitizer
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.digest import scenario_digest
-from repro.scenario.presets import paper_ship
+from repro.scenario.presets import paper_deployment, paper_ship
 from repro.scenario.runner import run_network_scenario
 from repro.scenario.synthesis import SynthesisConfig
 from repro.sensors.imote2 import MoteConfig
@@ -77,16 +83,6 @@ class TestElisionEquivalence:
         assert not fast.intrusion_detected
         assert scenario_digest(fast) == scenario_digest(full)
 
-    def test_forced_retransmit_bit_identical(self, full_schedule):
-        # A retransmit policy widens the elision guard (staleness);
-        # both arms must still agree.
-        policy = RetransmitPolicy(
-            max_attempts=3, base_backoff_s=0.5, staleness_s=30.0
-        )
-        fast = _run(retransmit=policy)
-        full = full_schedule(retransmit=policy)
-        assert scenario_digest(fast) == scenario_digest(full)
-
     def test_telemetry_counters_agree(self, full_schedule):
         # The batched catch-up path must bill each node's battery as
         # many times as the one-event-per-window path does.
@@ -123,3 +119,70 @@ class TestElisionPreconditions:
         fast = _run(faults=plan)
         full = full_schedule(faults=plan)
         assert scenario_digest(fast) == scenario_digest(full)
+
+
+# ----------------------------------------------------------------------
+# Generated clean runs
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class CleanRun:
+    rows: int
+    columns: int
+    duration_s: float
+    cross_times_s: tuple[float, ...]
+    resync_interval_s: Optional[float]
+    seed: int
+
+
+@st.composite
+def _clean_runs(draw) -> CleanRun:
+    duration = draw(st.integers(40, 120))
+    crossings = st.integers(1, duration).map(float)
+    return CleanRun(
+        rows=draw(st.integers(2, 3)),
+        columns=draw(st.integers(2, 3)),
+        duration_s=float(duration),
+        cross_times_s=tuple(draw(st.lists(crossings, max_size=2))),
+        resync_interval_s=draw(st.sampled_from([None, 20.0, 120.0])),
+        seed=draw(st.integers(0, 2**20)),
+    )
+
+
+def _clean_run(case: CleanRun, sanitizer=None):
+    """Run ``case`` on a fresh deployment (batteries start full)."""
+    dep = paper_deployment(case.rows, case.columns, seed=case.seed)
+    # A second ship crosses the other way, as in the Fig. 11 trials.
+    ships = [
+        paper_ship(dep, alpha_deg=alpha, cross_time_s=t)
+        for alpha, t in zip((70.0, 110.0), case.cross_times_s)
+    ]
+    return run_network_scenario(
+        dep,
+        ships,
+        sid_config=SIDNodeConfig(
+            detector=NodeDetectorConfig(m=2.0, af_threshold=0.4),
+            cluster=TemporaryClusterConfig(min_rows=2),
+        ),
+        synthesis_config=SynthesisConfig(duration_s=case.duration_s),
+        resync_interval_s=case.resync_interval_s,
+        seed=case.seed,
+        sanitizer=sanitizer,
+    )
+
+
+@given(case=_clean_runs())
+@settings(max_examples=settings.default.max_examples // 3, deadline=None)
+def test_generated_elision_and_sanitizer_are_invisible(case):
+    """Elided ≡ full schedule, and a sanitized elided run ≡ both."""
+    digest = scenario_digest(_clean_run(case))
+    san_full = Sanitizer()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "_billing_order_free", lambda *a: False)
+        assert scenario_digest(_clean_run(case, san_full)) == digest
+    san_fast = Sanitizer()
+    assert scenario_digest(_clean_run(case, san_fast)) == digest
+    report_fast, report_full = san_fast.report(), san_full.report()
+    assert report_fast.ok, report_fast.format()
+    assert report_full.ok, report_full.format()
+    assert report_fast.billing == report_full.billing
+    assert report_fast.events_executed <= report_full.events_executed

@@ -401,10 +401,9 @@ class TestFleetRecording:
         "synthesis_input",
         [
             {"synthesis_config": SynthesisConfig(duration_s=120.0)},
-            {"disturbances_by_node": {}},
             {"seed": 1},
         ],
-        ids=["synthesis_config", "disturbances_by_node", "seed"],
+        ids=["synthesis_config", "seed"],
     )
     def test_synthesis_inputs_rejected_with_recording(self, synthesis_input):
         # They would be silently ignored: the recording is already made.

@@ -322,6 +322,22 @@ class TestStreamingSynthesizer:
         slab_bytes = source.n_nodes * source.n_samples * 8
         assert peak < slab_bytes / 2
 
+    def test_setup_memory_independent_of_duration(self):
+        # Construction keeps no sample grid: its peak is one block of
+        # the discarded x/y noise draws (65,536 normals), however long
+        # the watch.  A 4 h grid would be 5.8 MB.
+        dep, ship, synth = paper_scenario(
+            rows=2, columns=2, duration_s=4 * 3600.0, seed=SEED
+        )
+        tracemalloc.start()
+        try:
+            source = StreamingFleetSynthesizer(dep, [ship], synth, seed=SEED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert source.n_samples == 720_000
+        assert peak < 2 * 65_536 * 8
+
 
 def _chunk_lengths(n: int, least: int = 1) -> st.SearchStrategy[int]:
     """Chunk lengths for an ``n``-sample record, from ``least`` samples
