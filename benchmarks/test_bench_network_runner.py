@@ -1,4 +1,4 @@
-"""Event-loop fast path gates — tuple heap + quiet-tick elision.
+"""Event-loop fast path gates — tuple heap + event diet.
 
 ISSUE 9 rebuilt the discrete-event core (plain ``(time, seq, event)``
 tuple heap, lazy cancellation with compaction, native periodics) and
@@ -13,7 +13,9 @@ of the pre-rewrite simulator, the test oracle
   on the old dataclass-entry heap.
 - **End-to-end runner**: a 64-node, event-loop-dominated scenario must
   finish at least ``MIN_RUNNER_SPEEDUP`` faster than the reference
-  simulator with elision off — with a bit-identical
+  simulator on the full schedule (every window fed, every tick
+  queued: :func:`tests.scenario.oracles.full_schedule`) — with a
+  bit-identical
   :class:`NetworkScenarioResult` digest, so the speed never buys a
   different answer.
 
@@ -34,6 +36,7 @@ from repro.scenario.digest import scenario_digest
 from repro.scenario.runner import run_network_scenario
 from repro.scenario.synthesis import SynthesisConfig
 from tests.network.oracles import ReferenceSimulator
+from tests.scenario.oracles import full_schedule
 
 #: End-to-end floor: new scheduler + event diet vs reference simulator
 #: with the one-event-per-window schedule.  Measured ~2.4x on the dev
@@ -159,14 +162,12 @@ def _runner_scenario():
 
 def test_bench_network_runner_64(once, monkeypatch):
     import repro.network.nodeproc as nodeproc
-    import repro.scenario.runner as runner
 
     def reference_arm():
         # The pre-rewrite scheduler on the one-event-per-window
-        # schedule: the elision precondition never holds.
-        with monkeypatch.context() as mp:
+        # schedule with every tick queued up front.
+        with monkeypatch.context() as mp, full_schedule():
             mp.setattr(nodeproc, "Simulator", ReferenceSimulator)
-            mp.setattr(runner, "_billing_order_free", lambda *a: False)
             return _runner_scenario()
 
     # Warm both arms once (imports, numpy caches), then time.

@@ -165,6 +165,20 @@ class SIDNode:
             return SIDState.TEMP_CLUSTER_MEMBER
         return SIDState.MONITORING
 
+    @property
+    def cluster_deadline(self) -> Optional[float]:
+        """Deadline of the open temporary cluster this node heads.
+
+        None when it heads none.  :meth:`on_timer` evaluates the cluster
+        at the first call at or after this time.  A cluster opens only
+        at one of the node's own reports, and its deadline only moves
+        later (the first member report extends it).
+        """
+        cluster = self._cluster
+        if cluster is None or cluster.closed:
+            return None
+        return cluster.deadline
+
     # ------------------------------------------------------------------
     # DetectIntrusion
     # ------------------------------------------------------------------
@@ -182,7 +196,7 @@ class SIDNode:
         whole deployment ahead of the discrete-event run; either way it
         takes the same cluster-protocol branches.
         """
-        self._expire_membership(t0)
+        self.expire_membership(t0)
         if initialized:
             self._seeded = True
         return self._actions_for_report(report)
@@ -270,7 +284,7 @@ class SIDNode:
     # ------------------------------------------------------------------
     def on_timer(self, t: float) -> list[SIDAction]:
         """Evaluation timer tick; fires SpaceTimeDataProcessing when due."""
-        self._expire_membership(t)
+        self.expire_membership(t)
         if self._cluster is None or self._cluster.closed:
             return []
         if t < self._cluster.deadline:
@@ -289,7 +303,11 @@ class SIDNode:
             ]
         return [CancelClusterAction(head_id=head_id)]
 
-    def _expire_membership(self, t: float) -> None:
+    def expire_membership(self, t: float) -> None:
+        """Leave a temporary cluster joined more than the TTL before ``t``.
+
+        Every window outcome and timer tick runs this check first.
+        """
         if (
             self._member_of is not None
             and t - self._member_since > self.config.membership_ttl_s

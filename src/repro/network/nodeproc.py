@@ -12,8 +12,9 @@ back into SID callbacks.  :class:`SinkNode` feeds the detection-layer
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 import networkx as nx
 import numpy as np
@@ -46,7 +47,7 @@ from repro.network.selfheal import (
     SelfHealingConfig,
     SelfHealingRuntime,
 )
-from repro.network.simulator import Simulator
+from repro.network.simulator import Event, Simulator, TrainItem
 from repro.rng import RandomState, derive_rng, make_rng
 from repro.sensors.battery import Battery
 from repro.telemetry.events import CAT_DETECTION, CAT_FRAME, CAT_HEAL
@@ -151,6 +152,10 @@ class NetworkNode:
         self._relayed_seqs: set[int] = set()
         #: Reboot time of an unfinished baseline re-warm-up, or None.
         self._blind_since: Optional[float] = None
+        #: Cluster-evaluation tick grid and its train (see
+        #: :meth:`schedule_ticks`); no train means no ticks.
+        self._tick_times: list[float] = []
+        self._ticks: Optional[Event] = None
 
     # ------------------------------------------------------------------
     # Fault-injection lifecycle
@@ -254,38 +259,94 @@ class NetworkNode:
         self, report: Optional[NodeReport], t0: float, seeded: bool
     ) -> None:
         """Run one window outcome through the SID machine and dispatch."""
+        if report is not None:
+            self._expire_at_last_tick()
         actions = self.sid.on_window_outcome(report, t0, initialized=seeded)
         if self._blind_since is not None and seeded:
             self._close_blind_window()
         self._dispatch(actions)
         self._dispatch(self.sid.on_timer(self.network.sim.now))
+        if report is not None:
+            self._arm_ticks()
+
+    def schedule_ticks(self, times: list[float]) -> None:
+        """Give the node its cluster-evaluation ticks on a time grid.
+
+        The tick train is created dormant here, so it holds the queue
+        slot of a train of every grid tick scheduled now.  A report
+        that opens a cluster arms it from the first grid time at or
+        after the dispatch (:meth:`_arm_ticks`), and it drains at the
+        first tick that finds no cluster open.  ``times`` holds only the
+        grid ticks at which the node is up: a tick while it is down
+        returns at once.
+        """
+        self._tick_times = times
+        self._ticks = self.network.sim.schedule_train(())
+
+    def _expire_at_last_tick(self) -> None:
+        """Run the membership check of the last grid tick before now.
+
+        A tick the train skipped would have found no cluster open, so it
+        could only have expired a stale membership, and only a report's
+        replay reads membership.  Expiry is monotone in time, so the
+        last tick's check, run just before the replay, leaves the node
+        as every skipped tick would have; where that tick did fire,
+        repeating its check changes nothing.
+        """
+        times = self._tick_times
+        i = bisect_left(times, self.network.sim.now)
+        if i:
+            self.sid.expire_membership(times[i - 1])
+
+    def _arm_ticks(self) -> None:
+        """Queue the dormant tick train if the node heads an open cluster."""
+        ticks = self._ticks
+        if (
+            ticks is not None
+            and not ticks.queued
+            and self.sid.cluster_deadline is not None
+        ):
+            self.network.sim.rearm(ticks, self._tick_items())
+
+    def _tick_items(self) -> Iterator[TrainItem]:
+        """Grid ticks from now on, while the node heads an open cluster."""
+        times = self._tick_times
+        for t in times[bisect_left(times, self.network.sim.now) :]:
+            yield t, self.tick, ()
+            if self.sid.cluster_deadline is None:
+                return
 
     def tick(self) -> None:
-        """Periodic timer (cluster deadline evaluation)."""
+        """Cluster-evaluation tick: evaluate the head's cluster when due."""
         if not self.alive:
             return
         self._dispatch(self.sid.on_timer(self.network.sim.now))
 
     def catch_up_quiet_windows(self, n_windows: int, n_samples: int) -> None:
-        """Bill a coalesced run of provably-quiet precomputed windows.
+        """Replay a coalesced run of quiet precomputed windows.
 
-        The runner elides ``feed_outcome`` events whose report is None
-        and which fall outside every radio-active interval: those feeds
-        touch nothing but the battery.  One catch-up event replays
-        exactly that effect — same gates, same per-window ``draw_cpu``
-        amounts in the same order, stopping at depletion just as the
-        individual feeds would have — so the billing is arithmetically
-        identical to the un-elided schedule.
-        (The runner only elides when no fault plan is active, so
-        ``alive`` and the drain multiplier cannot change mid-run.)
+        The runner elides ``feed_outcome`` events whose window raised
+        no report and could not reach the deadline of a cluster the
+        node heads: such feeds bill the battery and run the timer check
+        that expires a stale membership, nothing else.  One catch-up at
+        the run's last end time does both — same gates, same
+        per-window ``draw_cpu`` amounts in the same order, stopping at
+        depletion just as the individual feeds would have, then the
+        last feed's timer check.  It fires at a live window's end, when
+        the node is up, like every window of its run; the runner elides
+        only under plans without battery drains, so the per-window
+        amount never changes, and only while no battery can deplete,
+        so batching the draws cannot move the depletion gate.
         """
-        battery = self.battery
-        if not self.alive or battery is None:
+        if not self.alive:
             return
-        for _ in range(n_windows):
-            if battery.depleted:
-                break
-            battery.draw_cpu(CPU_S_PER_SAMPLE * n_samples)
+        battery = self.battery
+        if battery is not None:
+            for _ in range(n_windows):
+                if battery.depleted:
+                    break
+                battery.draw_cpu(CPU_S_PER_SAMPLE * n_samples)
+        self._dispatch(self.sid.on_timer(self.network.sim.now))
 
     # ------------------------------------------------------------------
     # Action dispatch

@@ -14,7 +14,10 @@ long soak) cannot grow the heap without bound.  Periodic trains
 keep a single queue entry that is re-armed by the loop itself,
 preserving the entry's original ``seq`` so the ``(time, seq)`` replay
 order is exactly that of pre-scheduling the whole train contiguously
-up front.
+up front.  A train whose items run out (or an empty one) goes dormant
+but keeps its ``seq``: ``rearm`` queues new items in the same slot, so
+a train armed only while its owner needs it fires its items exactly
+where the up-front train would have.
 """
 
 from __future__ import annotations
@@ -69,10 +72,16 @@ class Event:
         self.interval: Optional[float] = None
         #: Exclusive horizon for periodic re-arming; None = unbounded.
         self.until: Optional[float] = None
-        #: A train's items after the queued one; None otherwise.
+        #: A train's items after the queued one; None for a dormant
+        #: train and for every other event.
         self.items: Optional[Iterator[TrainItem]] = None
         self._sim = sim
         self._queued = True
+
+    @property
+    def queued(self) -> bool:
+        """True while the event (a train: its next item) is queued."""
+        return self._queued
 
     def cancel(self) -> None:
         """Prevent the callback from firing (safe to call twice).
@@ -249,39 +258,75 @@ class Simulator:
         generator computes each item just before it is queued.  A
         first time before ``now`` raises here; a later time before its
         predecessor raises when the train reaches it.  Cancelling the
-        returned event drops the remaining items; an empty train
-        returns an inert handle.
+        returned event drops the remaining items.  A train whose items
+        run out goes dormant, and an empty train starts dormant:
+        :meth:`rearm` queues it again in the slot it holds.
         """
-        rest = iter(items)
         seq = self._seq
         self._seq = seq + 1
+        event = Event(self, self._now, _inert, (), seq)
+        event.rearms = True
+        event._queued = False
+        if self._probe is not None:
+            self._probe.on_scheduled(event)
+        self._load(event, items)
+        return event
+
+    def rearm(self, event: Event, items: Iterable[TrainItem]) -> None:
+        """Queue new items on a dormant train, under its creation ``seq``.
+
+        The items fire exactly where the same items of one up-front
+        train would have: at equal times, after every event created
+        before the train and before every event created after it.  An
+        empty ``items`` leaves the train dormant.  The probe is not
+        told: the train keeps the provenance of its creation, so the
+        sanitizer sees an install-time train as install-time however
+        often it is re-armed.  Re-arming a queued, cancelled, periodic
+        or one-shot event, or a train from its own callback (its items
+        are not yet known to be spent), raises
+        :class:`SimulationError`.
+        """
+        if (
+            event.cancelled
+            or event._queued
+            or not event.rearms
+            or event.interval is not None
+            or event.items is not None
+        ):
+            raise SimulationError(
+                "only a dormant, uncancelled train can be re-armed"
+            )
+        self._load(event, items)
+
+    def _load(self, event: Event, items: Iterable[TrainItem]) -> None:
+        """Queue a dormant train's first item; no item keeps it dormant."""
+        rest = iter(items)
         first = next(rest, None)
         if first is None:
-            event = Event(self, self._now, _inert, (), seq)
-            event._queued = False
-            return event
+            return
         time, fn, args = first
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} < now ({self._now})"
             )
-        event = Event(self, time, fn, args, seq)
-        event.rearms = True
+        event.time = time
+        event.fn = fn
+        event.args = args
         event.items = rest
-        if self._probe is not None:
-            self._probe.on_scheduled(event)
+        event._queued = True
         queue = self._queue
-        heapq.heappush(queue, (time, seq, event))
+        heapq.heappush(queue, (time, event.seq, event))
         if len(queue) > self._peak_depth:
             self._peak_depth = len(queue)
-        return event
 
     @staticmethod
     def _next_item(event: Event, time: float) -> bool:
-        """Load a fired train's next item; False when none is left."""
+        """Load a fired train's next item; False (dormant) when none is
+        left."""
         items = event.items
         item = next(items, None) if items is not None else None
         if item is None:
+            event.items = None
             return False
         next_time, event.fn, event.args = item
         if next_time < time:
@@ -391,4 +436,4 @@ class Simulator:
 
 
 def _inert() -> None:
-    """Callback of an empty train's handle; never queued, never run."""
+    """Callback of a train that was never loaded; never queued, never run."""

@@ -365,7 +365,7 @@ class Sanitizer:
                     f"node {node_id} billed only {len(draws)} of "
                     f"{expected_n} scheduled CPU window draws with its "
                     "battery not depleted — windows went unbilled "
-                    "(quiet-tick elision dropped a catch-up, or a live "
+                    "(feed elision dropped a catch-up, or a live "
                     "window met a dead node?)",
                     details={
                         "node_id": node_id,

@@ -15,8 +15,8 @@ benchmarks stress.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import repeat
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.detection.cluster import (
@@ -40,9 +40,14 @@ from repro.detection.sid import SIDNode, SIDNodeConfig
 from repro.detection.sink import Sink
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import BatteryDrain, FaultPlan, FaultStats
+from repro.faults.plan import BatteryDrain, FaultPlan, FaultStats, Outage
 from repro.network.channel import Channel, ChannelConfig
-from repro.network.nodeproc import CPU_S_PER_SAMPLE, NetworkNode, SensorNetwork
+from repro.network.nodeproc import (
+    CPU_S_PER_SAMPLE,
+    RETRANSMIT_MAX_ATTEMPTS,
+    NetworkNode,
+    SensorNetwork,
+)
 from repro.network.selfheal import OrphanEvent, SelfHealingConfig
 from repro.network.simulator import TrainItem
 from repro.rng import RandomState, derive_rng, make_rng
@@ -392,12 +397,28 @@ class WindowPlan:
     end times on each node's own clock, rows in deployment order; a
     window's feed fires at its end time.  ``live`` is False where the
     node is planned down at that end time, so the window is never fed.
+    ``outages`` lists each row's planned outages.
     """
 
     starts: list[int]
     t_start: np.ndarray
     t_end: np.ndarray
     live: np.ndarray
+    outages: list[list[Outage]]
+
+
+def _up(t: np.ndarray, outages: Sequence[Outage]) -> np.ndarray:
+    """Where a node is up at times ``t``: outside each of its outages.
+
+    Outages are closed intervals: the crash is queued at install time,
+    before every node train, so it pops first on a time tie; the
+    reboot is queued during the run, after them, so a feed or tick at
+    the reboot instant still finds the node down.
+    """
+    up = np.ones(t.shape, dtype=bool)
+    for outage in outages:
+        up &= (t < outage.start_s) | (t > outage.end_s)
+    return up
 
 
 def _window_plan(
@@ -410,28 +431,29 @@ def _window_plan(
 
     A window is dead iff its end time falls inside one of the node's
     outages (:meth:`~repro.faults.plan.FaultPlan.outages`: closed
-    intervals, ``inf`` without a reboot), which the fault injector
-    reads too: the crash event is scheduled at install time, before
-    the feeds, so it pops first on a time tie; the reboot event is
-    scheduled during the run, after the feeds, so the feed at the
-    reboot instant still finds the node dead.  (Battery depletion also
-    skips windows, but a depleted node never comes back, so the feed's
-    own gate handles it.)  A recording sampled off the detector's
-    ``rate_hz`` would mis-time the plan, so it raises.
+    intervals, ``inf`` without a reboot; see :func:`_up`), which the
+    fault injector reads too.  (Battery depletion also skips windows,
+    but a depleted node never comes back, so the feed's own gate
+    handles it.)  A recording sampled off the detector's ``rate_hz``
+    would mis-time the plan, so it raises.
     """
     det_cfg.check_sample_rate(recording.rate_hz)
     starts = window_starts(det_cfg, recording.z.shape[1])
     rate = det_cfg.rate_hz
     t_start = np.asarray(recording.t0s)[:, None] + np.asarray(starts) / rate
     t_end = t_start + det_cfg.window_samples / rate
-    live = np.ones(t_end.shape, dtype=bool)
     row = {nid: i for i, nid in enumerate(recording.node_ids)}
+    outages: list[list[Outage]] = [[] for _ in row]
     for outage in faults.outages(now) if faults is not None else ():
         i = row.get(outage.crash.node_id)
-        if i is None:
-            continue
-        live[i] &= (t_end[i] < outage.start_s) | (t_end[i] > outage.end_s)
-    return WindowPlan(starts=starts, t_start=t_start, t_end=t_end, live=live)
+        if i is not None:
+            outages[i].append(outage)
+    live = np.array(
+        [_up(t, down) for t, down in zip(t_end, outages)], dtype=bool
+    ).reshape(t_end.shape)
+    return WindowPlan(
+        starts=starts, t_start=t_start, t_end=t_end, live=live, outages=outages
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,33 +526,6 @@ def _fleet_network_outcomes(
     return outcomes
 
 
-def _head_active_mask(
-    report_ends: np.ndarray, t: np.ndarray, guard_s: float
-) -> np.ndarray:
-    """Where one node may head an open temporary cluster, at times ``t``.
-
-    A node's report-less window feeds and timer ticks have observable
-    effects beyond battery billing only while that node *heads an open
-    temporary cluster* — and a cluster opens exclusively at one of the
-    node's own report-dispatch feeds (``_actions_for_report`` with a
-    non-None report) and closes no later than its collection deadline
-    plus one tick of slack.  So the node may be an active head at
-    ``t`` iff the last of its report window end times at or before
-    ``t`` (``report_ends``, ascending) lies within ``guard_s`` of it.
-    Otherwise the node is provably not an active head, its
-    ``on_timer`` returns without touching anything, and membership /
-    baseline-init bookkeeping defers benignly to the next retained
-    event (every SID entry point re-runs ``_expire_membership`` with
-    the same clock comparison, and ``on_cluster_setup`` overwrites
-    membership unconditionally for non-heads).  A leading ``-inf``
-    end stands for "no report yet", which no finite ``t`` is within
-    ``guard_s`` of.
-    """
-    ends = np.concatenate(([-np.inf], report_ends))
-    last = ends[np.searchsorted(ends, t, side="right") - 1]
-    return t <= last + guard_s
-
-
 def _tick_times(t0: float, step: float, horizon: float) -> np.ndarray:
     """The times ``t = t0 + step; while t < horizon: t += step`` visits.
 
@@ -550,26 +545,40 @@ def _outcome_feeds(
     outcomes: NodeOutcomes,
     t_start: list[float],
     t_end: list[float],
-    quiet: np.ndarray,
+    elide: bool,
 ) -> Iterator[TrainItem]:
-    """One node's feed train on the precompute: replays and catch-ups.
+    """One node's feed train on the precompute, decided at run time.
 
-    Every live window not marked ``quiet`` replays its outcome at its
-    end time; each run of quiet windows is billed by one catch-up at
-    the run's last end time, queued before the next replay.
+    Without ``elide`` every live window replays its outcome at its end
+    time.  With it, the train decides one item per firing, on the node
+    state at that moment: it feeds the next report window or, if
+    sooner, the first window at or after the deadline of the cluster
+    the node heads; the quiet windows before that one are billed by a
+    catch-up item at the last one's end time.  A skipped window cannot
+    have been the one that evaluates the cluster: a cluster opens only
+    at one of the node's own report windows, which are all fed, and
+    its deadline only moves later, so a window before the deadline seen
+    at decision time stays before the real one.
     """
     feed, catch_up = proc.feed_outcome, proc.catch_up_quiet_windows
-    n = quiet.size
-    # Each kept window (and the end) closes the quiet run before it.
-    bounds = np.append(np.flatnonzero(~quiet), n)
-    runs = np.diff(bounds, prepend=-1) - 1
-    reports = outcomes.reports
+    reports = outcomes.reports.tolist()
     seeded = outcomes.seeded.tolist()
-    for p, run in zip(bounds.tolist(), runs.tolist()):
-        if run:
-            yield t_end[p - 1], catch_up, (run, window)
-        if p < n:
-            yield t_end[p], feed, (reports[p], window, t_start[p], seeded[p])
+    n = len(reports)
+    reported = np.flatnonzero(outcomes.reported).tolist() + [n]
+    sid = proc.sid
+    p = 0
+    while p < n:
+        if elide:
+            q = reported[bisect_left(reported, p)]
+            deadline = sid.cluster_deadline
+            if deadline is not None:
+                q = min(q, bisect_left(t_end, deadline, p))
+            if q > p:
+                yield t_end[q - 1], catch_up, (q - p, window)
+                p = q
+                continue
+        yield t_end[p], feed, (reports[p], window, t_start[p], seeded[p])
+        p += 1
 
 
 def _window_feeds(
@@ -587,24 +596,11 @@ def _window_feeds(
         yield te, feed, (row[start : start + window], ts)
 
 
-def _elision_guard_s(cfg: SIDNodeConfig) -> float:
-    """Upper bound on a node's open-cluster lifetime after a dispatch.
-
-    A cluster opened at dispatch time has its deadline at most
-    ``collection_timeout_s`` later (deadlines anchor on the initiating
-    report's onset, which precedes the dispatch) and is evaluated by
-    the first head entry point after it — within one window of ticks.
-    Elision runs only without a fault plan, so no report retransmission
-    keeps the head's traffic alive beyond that.  Overestimating only
-    shrinks the elided region — it never costs correctness.
-    """
-    return cfg.cluster.collection_timeout_s + 2.0 * cfg.detector.window_s + 1.0
-
-
 def _billing_order_free(
     deployment: GridDeployment,
     outcomes: WindowOutcomes,
     det_cfg: NodeDetectorConfig,
+    retransmit: bool,
 ) -> bool:
     """True when no battery can possibly deplete during the event loop.
 
@@ -615,16 +611,19 @@ def _billing_order_free(
     check proves depletion unreachable: each battery's remaining charge
     must exceed its full-run CPU billing plus a crude upper bound on
     fleet-wide radio traffic — every report dispatch can fan out floods
-    and relays to every node, generously oversized per frame (elided
-    runs have no fault plan, so no report is retransmitted).  A
-    deployment running batteries tight enough to fail this simply keeps
-    the one-event-per-window schedule.
+    and relays to every node, generously oversized per frame, and with
+    ``retransmit`` (an active fault plan) every report may go out
+    ``1 + RETRANSMIT_MAX_ATTEMPTS`` times.  A deployment running
+    batteries tight enough to fail this simply keeps the
+    one-event-per-window schedule.
     """
     n_nodes = sum(1 for _ in deployment)
     n_dispatches = sum(
         int(np.count_nonzero(out.reported)) for out in outcomes.values()
     )
     frame_bytes_bound = n_dispatches * 4 * (n_nodes + 1) * 512
+    if retransmit:
+        frame_bytes_bound *= 1 + RETRANSMIT_MAX_ATTEMPTS
     cpu_s_per_window = CPU_S_PER_SAMPLE * det_cfg.window_samples
     for node in deployment:
         battery = node.mote.battery
@@ -701,12 +700,17 @@ def run_network_scenario(
     (the default) installs nothing: every emission site reduces to one
     attribute check and the run stays bit-identical to seed.
 
-    The precomputed path skips provably-no-op window feeds and timer
-    ticks during radio-quiet stretches, coalescing their battery
-    billing into batched catch-up items with arithmetically identical
-    draws.  This elision engages only when no fault plan is active and
-    no battery can deplete; otherwise the run keeps one feed per window
-    and one tick per ``window_s``, with the same result either way.
+    Events go only where a node's state can change.  Each node's
+    cluster-evaluation ticks (every ``window_s`` on its own clock) are
+    queued only while it heads an open temporary cluster, in every run.
+    On the precomputed path a node's quiet windows are fed only where
+    one may reach the deadline of a cluster the node heads; each other
+    run of them is billed by one catch-up item with arithmetically
+    identical draws.  That feed elision needs a plan of node crashes
+    and reboots at most (no battery drain, sensor or network fault)
+    and batteries that cannot deplete; otherwise every live window is
+    fed.  Either way the result equals the full schedule's: every live
+    window fed and every grid tick fired.
 
     ``sanitizer`` (optional) attaches a :class:`repro.sanitize.
     Sanitizer` recording probe: per-event shadow access sets, order-
@@ -800,22 +804,24 @@ def run_network_scenario(
             outcomes = _fleet_network_outcomes(
                 deployment, recording, cfg.detector, plan
             )
-    # Quiet-tick elision: with the precompute and no fault plan, the
-    # precompute tells us every moment each node can originate protocol
-    # traffic — and thereby every stretch in which it could head an
-    # open cluster.  Outside its own guarded intervals a node's
-    # report-less window feeds and timer ticks are provably no-ops
-    # except for their battery billing, so each quiet run collapses
-    # into one catch-up item and its ticks are dropped outright (ticks
-    # never bill).  Billing batched this way commutes only while
-    # depletion is unreachable, hence the headroom precondition.
+    # Feed elision: a precomputed node's quiet windows can change only
+    # its battery and a stale membership until one of them reaches the
+    # deadline of a cluster the node heads, so each quiet run collapses
+    # into one catch-up item (_outcome_feeds).  Batched billing commutes
+    # with the radio's draws only while no battery can deplete, and
+    # keeps each window's amount only under plans without battery
+    # drains: crash/reboot-only plans are the ones it allows.
     elide = (
         outcomes is not None
-        and not injector.active
-        and _billing_order_free(deployment, outcomes, cfg.detector)
+        and not replace(injector.plan, node_crashes=()).active
+        and _billing_order_free(
+            deployment, outcomes, cfg.detector, injector.active
+        )
     )
-    guard_s = _elision_guard_s(cfg)
     window_s = cfg.detector.window_s
+    # The last grid tick of any node: the full tick schedule runs the
+    # clock at least that far.
+    run_end = network.sim.now
     for i, node in enumerate(deployment):
         sid = SIDNode(
             node.node_id, node.anchor, cfg, row=node.row, column=node.column
@@ -828,27 +834,17 @@ def run_network_scenario(
         # Plan times reach events as Python floats, never np.float64.
         live = np.flatnonzero(plan.live[i])
         t_start = plan.t_start[i, live].tolist()
-        t_end = plan.t_end[i, live]
+        t_end = plan.t_end[i, live].tolist()
         if outcomes is not None:
-            out = outcomes[node.node_id]
-            reported = out.reported
-            report_ends = t_end[reported]
-            quiet = (
-                ~reported & ~_head_active_mask(report_ends, t_end, guard_s)
-                if elide
-                else np.zeros(live.size, dtype=bool)
-            )
             feeds = _outcome_feeds(
-                proc, window, out, t_start, t_end.tolist(), quiet
+                proc, window, outcomes[node.node_id], t_start, t_end, elide
             )
         else:
             row = preprocess_z_counts(
                 recording.z[i], cfg.detector.rate_hz, cfg.detector.preprocess
             )
             starts = np.asarray(plan.starts)[live].tolist()
-            feeds = _window_feeds(
-                proc, row, starts, t_start, t_end.tolist(), window
-            )
+            feeds = _window_feeds(proc, row, starts, t_start, t_end, window)
         network.sim.schedule_train(feeds)
         if sanitizer is not None and proc.battery is not None:
             # Declared billing intent: each live window bills draw_cpu
@@ -860,25 +856,19 @@ def run_network_scenario(
                 live.size,
                 (CPU_S_PER_SAMPLE * window) * proc.battery.costs.cpu_j_per_s,
             )
-        # Timer ticks keep cluster deadlines firing after sampling ends.
+        # Cluster-evaluation ticks every window_s at the times the node
+        # is up, queued only while it heads an open cluster; the grid
+        # runs past the end of sampling so deadlines still fire after it.
         t0 = recording.t0s[i]
         horizon = (
             t0
             + recording.z.shape[1] / recording.rate_hz
             + 2 * cfg.cluster.collection_timeout_s
         )
-        if elide:
-            # Only ticks while the node may head an open cluster (elide
-            # implies the precompute branch above set report_ends).
-            ticks = _tick_times(t0, window_s, horizon)
-            ticks = ticks[_head_active_mask(report_ends, ticks, guard_s)]
-            network.sim.schedule_train(
-                zip(ticks.tolist(), repeat(proc.tick), repeat(()))
-            )
-        else:
-            network.sim.schedule_periodic(
-                window_s, proc.tick, first=t0 + window_s, until=horizon
-            )
+        ticks = _tick_times(t0, window_s, horizon)
+        if ticks.size:
+            run_end = max(run_end, float(ticks[-1]))
+        proc.schedule_ticks(ticks[_up(ticks, plan.outages[i])].tolist())
 
     # Periodic fleet-wide time-sync beacons (Sec. IV-C assumes the
     # network keeps "synchronized time ... within certain precision").
@@ -913,6 +903,9 @@ def run_network_scenario(
 
     with maybe_stage(tracer, "event_loop") as span:
         network.sim.run()
+        # Skipped ticks still end the run: episodes and blind windows
+        # open at the end close at the time the full schedule ends.
+        network.sim.run(until=run_end)
         if span is not None:
             span.set(**network.sim.stats())
     sink.flush()

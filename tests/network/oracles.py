@@ -9,7 +9,10 @@ full with one fresh ``seq`` per firing, as the old runner's
 scheduled item by item up front, each with its own ``seq``: that is the
 order ``Simulator.schedule_train`` claims to keep with one queue entry.
 Its API is padded so it can replace ``repro.network.nodeproc.Simulator``
-under ``monkeypatch`` and drive ``run_network_scenario`` end to end.
+under ``monkeypatch`` and drive ``run_network_scenario`` end to end, on
+the full schedule (:func:`tests.scenario.oracles.full_schedule`): every
+train runs in full from install, so it never re-arms one with items
+left (``rearm`` queues what it is given with fresh seqs).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ class _RefEntry:
 
 
 class _RefEvent:
-    __slots__ = ("time", "fn", "args", "cancelled")
+    __slots__ = ("time", "fn", "args", "cancelled", "popped")
 
     def __init__(
         self, time: float, fn: Callable[..., Any], args: tuple
@@ -39,18 +42,23 @@ class _RefEvent:
         self.fn = fn
         self.args = args
         self.cancelled = False
+        self.popped = False
 
     def cancel(self) -> None:
         self.cancelled = True
 
 
 class _RefTrain:
-    """Cancellation handle over a pre-scheduled periodic train."""
+    """Handle over a pre-scheduled train: cancellation and queue state."""
 
     __slots__ = ("events",)
 
     def __init__(self, events: list[_RefEvent]) -> None:
         self.events = events
+
+    @property
+    def queued(self) -> bool:
+        return any(not (e.popped or e.cancelled) for e in self.events)
 
     def cancel(self) -> None:
         for event in self.events:
@@ -140,6 +148,17 @@ class ReferenceSimulator:
             [self.schedule_at(t, fn, *args) for t, fn, args in items]
         )
 
+    def rearm(
+        self,
+        train: _RefTrain,
+        items: Iterable[tuple[float, Callable[..., Any], tuple]],
+    ) -> None:
+        if train.queued:
+            raise SimulationError("only a dormant train can be re-armed")
+        train.events = [
+            self.schedule_at(t, fn, *args) for t, fn, args in items
+        ]
+
     def run(
         self,
         until: Optional[float] = None,
@@ -159,6 +178,7 @@ class ReferenceSimulator:
                 if until is not None and entry.time > until:
                     break
                 heapq.heappop(self._queue)
+                entry.event.popped = True
                 if entry.event.cancelled:
                     continue
                 self._now = entry.time
@@ -174,6 +194,7 @@ class ReferenceSimulator:
     def step(self) -> bool:
         while self._queue:
             entry = heapq.heappop(self._queue)
+            entry.event.popped = True
             if entry.event.cancelled:
                 continue
             self._now = entry.time

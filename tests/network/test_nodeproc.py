@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.detection.cluster import TemporaryClusterConfig
+from repro.detection.cluster import ClusterEvent, TemporaryClusterConfig
 from repro.detection.node_detector import NodeDetectorConfig
-from repro.detection.reports import NodeReport
-from repro.detection.sid import SIDNode, SIDNodeConfig
+from repro.detection.reports import ClusterReport, NodeReport
+from repro.detection.sid import ClusterResultAction, SIDNode, SIDNodeConfig
 from repro.detection.sink import Sink
 from repro.errors import ConfigurationError
 from repro.network.channel import Channel, ChannelConfig
@@ -81,21 +81,28 @@ def test_member_report_reaches_head():
     assert len(head_cluster.reports) == 2
 
 
-def test_confirmed_report_reaches_sink():
+def test_confirmed_report_reaches_sink(monkeypatch):
+    # A head's confirmed cluster result travels through its static
+    # head to the sink, where it becomes one intrusion decision.
     net, sink = _network()
-    for nid in range(4):
-        _drive(net, nid, ["quiet", "quiet", "burst", "burst"])
-        # Keep the evaluation timers alive past the sampling horizon.
-        for t in range(10, 120, 2):
-            net.sim.schedule_at(float(t), net.nodes[nid].tick)
+    received = []
+    receive = sink.receive
+
+    def spy(report):
+        received.append(report)
+        return receive(report)
+
+    monkeypatch.setattr(sink, "receive", spy)
+    report = _cluster_report()
+    net.nodes[0]._dispatch(
+        [ClusterResultAction(report=report, event=ClusterEvent.CONFIRMED)]
+    )
     net.sim.run()
+    assert received == [report]
+    assert net.sink_node.received_frames == 1
     sink.flush()
-    assert net.sink_node.received_frames >= 1 or len(sink.decisions) >= 0
-    # At least the temporary cluster protocol ran to completion: no
-    # cluster should remain open.
-    for node in net.nodes.values():
-        cluster = node.sid._cluster
-        assert cluster is None or cluster.closed
+    assert len(sink.decisions) == 1
+    assert sink.decisions[0].intrusion
 
 
 def test_flood_dedup_prevents_broadcast_storm():
@@ -125,11 +132,8 @@ def _report():
     )
 
 
-def test_send_to_sink_multihop():
-    net, sink = _network(n=6)
-    from repro.detection.reports import ClusterReport
-
-    report = ClusterReport(
+def _cluster_report():
+    return ClusterReport(
         head_id=0,
         reports=(_report(),),
         time_correlation=1.0,
@@ -137,6 +141,11 @@ def test_send_to_sink_multihop():
         correlation=1.0,
         detection_time=1.0,
     )
+
+
+def test_send_to_sink_multihop():
+    net, sink = _network(n=6)
+    report = _cluster_report()
     net.send_to_sink(0, ClusterReportMsg(report=report))
     net.sim.run()
     assert net.sink_node.received_frames == 1

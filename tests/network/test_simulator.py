@@ -21,6 +21,7 @@ from repro.scenario.presets import paper_ship
 from repro.scenario.runner import run_network_scenario
 from repro.scenario.synthesis import SynthesisConfig
 from tests.network.oracles import ReferenceSimulator
+from tests.scenario.oracles import full_schedule
 
 
 def test_events_run_in_time_order():
@@ -357,6 +358,59 @@ class TestScheduleTrain:
         assert sim.n_cancelled == 0
         assert sim.run() == 0
 
+    def test_rearm_fires_in_the_dormant_trains_slot(self):
+        # An empty train is dormant but holds its creation seq: items
+        # re-armed later fire before a one-shot created after the train
+        # at a shared time, as the up-front train's items would.
+        sim = Simulator()
+        log = []
+        train = sim.schedule_train([])
+        sim.schedule_at(2.0, log.append, "one-shot")
+        items = [(2.0, log.append, ("t1",)), (3.0, log.append, ("t2",))]
+        sim.schedule_at(1.0, sim.rearm, train, items)
+        sim.run()
+        assert log == ["t1", "one-shot", "t2"]
+        # Drained again; re-armed from outside a run, still in its slot.
+        sim.schedule_at(5.0, log.append, "later")
+        sim.rearm(train, [(5.0, log.append, ("t3",))])
+        assert train.queued
+        sim.run()
+        assert log[-2:] == ["t3", "later"]
+        assert not train.queued
+
+    def test_rearm_with_no_items_stays_dormant(self):
+        sim = Simulator()
+        train = sim.schedule_train([])
+        sim.rearm(train, [])
+        assert not train.queued and sim.n_pending == 0
+        sim.rearm(train, [(1.0, lambda: None, ())])
+        assert sim.run() == 1
+
+    def test_rearm_rejects_everything_but_a_dormant_train(self):
+        sim = Simulator()
+        item = [(1.0, lambda: None, ())]
+        cancelled = sim.schedule_train([])
+        cancelled.cancel()
+        for event in (
+            sim.schedule_train(item),
+            cancelled,
+            sim.schedule_at(1.0, lambda: None),
+            sim.schedule_periodic(1.0, lambda: None, until=3.0),
+        ):
+            with pytest.raises(SimulationError):
+                sim.rearm(event, item)
+        sim.run()
+        # Before now, like schedule_train's first item.
+        with pytest.raises(SimulationError):
+            sim.rearm(sim.schedule_train([]), item)
+        # From its own callback a train's items are not yet spent.
+        own = []
+        own.append(
+            sim.schedule_train([(5.0, lambda: sim.rearm(own[0], []), ())])
+        )
+        with pytest.raises(SimulationError):
+            sim.run()
+
     def test_peak_queue_depth_counts_one_entry_per_train(self):
         sim = Simulator()
         for j in range(3):
@@ -395,7 +449,9 @@ def _schedule_ops(draw) -> list[tuple]:
 
     Trains hold 0-50 items with non-decreasing times (repeats
     included); one may cancel itself from one of its items, and
-    one-shots may cancel a train when they fire.
+    one-shots may cancel a train when they fire.  A train may also run
+    dry after its k-th item (k = -1: it starts dormant) and be re-armed
+    with the rest at a drawn time in ``[t_k, t_{k+1})``.
     """
     n_trains = draw(st.integers(0, 6))
     ops: list[tuple] = []
@@ -404,7 +460,24 @@ def _schedule_ops(draw) -> list[tuple]:
         self_cancel = draw(
             st.one_of(st.none(), st.integers(0, max(len(times) - 1, 0)))
         )
-        ops.append(("train", j, times, self_cancel))
+        # The rest can be re-armed only strictly before its first time.
+        before = [0.0] + times
+        splits = [k for k in range(-1, len(times) - 1) if before[k + 1] < times[k + 1]]
+        drains = sorted(draw(st.sets(st.sampled_from(splits)))) if splits else []
+        rearms = [
+            (k, before[k + 1] + f * (times[k + 1] - before[k + 1]))
+            for k, f in zip(
+                drains,
+                draw(
+                    st.lists(
+                        st.sampled_from([0.0, 0.5, 0.99]),
+                        min_size=len(drains),
+                        max_size=len(drains),
+                    )
+                ),
+            )
+        ]
+        ops.append(("train", j, times, self_cancel, rearms))
     ops += [("one-shot", t) for t in draw(st.lists(_grid, max_size=30))]
     ops += [
         ("periodic", first, interval, n)
@@ -437,8 +510,13 @@ def _schedule_ops(draw) -> list[tuple]:
     return draw(st.permutations(ops))
 
 
-def _replay(sim_cls, ops) -> list[tuple[float, str]]:
-    """Install ``ops`` on a fresh ``sim_cls`` and run; the firing log."""
+def _replay(sim_cls, ops, on_demand=False) -> list[tuple[float, str]]:
+    """Install ``ops`` on a fresh ``sim_cls`` and run; the firing log.
+
+    ``on_demand`` splits each train at its drain points and re-arms
+    each rest from a one-shot at its drawn time (unless the train was
+    cancelled by then); otherwise every train is scheduled in full.
+    """
     sim = sim_cls()
     log: list[tuple[float, str]] = []
     trains: dict[int, object] = {}
@@ -460,16 +538,28 @@ def _replay(sim_cls, ops) -> list[tuple[float, str]]:
         fire(label)
         trains[j].cancel()
 
+    def rearm(j: int, rest: list) -> None:
+        if not trains[j].cancelled:
+            sim.rearm(trains[j], rest)
+
     for n, op in enumerate(ops):
         kind = op[0]
         if kind == "train":
-            _, j, times, self_cancel = op
-            trains[j] = sim.schedule_train(
-                [
-                    (t, train_item, (f"t{j}.{k}", j, k == self_cancel))
-                    for k, t in enumerate(times)
-                ]
-            )
+            _, j, times, self_cancel, rearms = op
+            items = [
+                (t, train_item, (f"t{j}.{k}", j, k == self_cancel))
+                for k, t in enumerate(times)
+            ]
+            if not on_demand:
+                trains[j] = sim.schedule_train(items)
+                continue
+            cuts = [k + 1 for k, _ in rearms]
+            parts = [
+                items[a:b] for a, b in zip([0] + cuts, cuts + [len(items)])
+            ]
+            trains[j] = sim.schedule_train(parts[0])
+            for (_, at), rest in zip(rearms, parts[1:]):
+                sim.schedule_at(at, rearm, j, rest)
         elif kind == "one-shot":
             sim.schedule_at(op[1], fire, f"o{n}")
         elif kind == "periodic":
@@ -494,8 +584,11 @@ def _replay(sim_cls, ops) -> list[tuple[float, str]]:
 @given(ops=_schedule_ops())
 def test_trains_fire_as_if_scheduled_up_front(ops):
     # The oracle schedules every train item up front with its own seq;
-    # one re-arming queue entry per train must replay the same order.
-    assert _replay(Simulator, ops) == _replay(ReferenceSimulator, ops)
+    # one re-arming queue entry per train must replay the same order,
+    # whether it runs in full or runs dry and is re-armed on demand.
+    want = _replay(ReferenceSimulator, ops)
+    assert _replay(Simulator, ops) == want
+    assert _replay(Simulator, ops, on_demand=True) == want
 
 
 class TestReferenceSimulatorParity:
@@ -565,10 +658,10 @@ class TestReferenceSimulatorParity:
         assert len({t for t, _ in log}) < len(log) // 2
 
     def test_network_scenario_digest_matches(self, monkeypatch):
-        # Clean (precomputed outcomes, elided feeds and ticks), then
-        # under rolling crashes: unhealed (precomputed, every live
-        # window fed), healed with a persisted baseline and healed with
-        # cold restarts (raw windows fed at event time).
+        # Clean and unhealed under rolling crashes (precomputed
+        # outcomes, elided feeds), healed with a persisted baseline and
+        # healed with cold restarts (raw windows fed at event time); all
+        # tick on demand.  The reference arm runs the full schedule.
         crashes = FaultPlan.rolling_crashes(
             [4, 4], first_at_s=15.0, interval_s=20.0, downtime_s=10.0
         )
@@ -597,7 +690,8 @@ class TestReferenceSimulatorParity:
 
         fast = [run(*arm) for arm in arms]
         monkeypatch.setattr(nodeproc, "Simulator", ReferenceSimulator)
-        reference = [run(*arm) for arm in arms]
+        with full_schedule():
+            reference = [run(*arm) for arm in arms]
         assert fast[0].mac_stats["transmissions"] > 0
         assert fast[3].fault_stats["cold_restarts"] == 2
         assert [scenario_digest(r) for r in fast] == [

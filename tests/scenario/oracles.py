@@ -11,9 +11,9 @@ formulations of the same detection, kept as test oracles:
   plan and precompute (and substituted for the precompute to run the
   event loop end to end); :func:`outcome_rows` lists either one's
   outcomes window by window for comparison;
-- :func:`head_active` — the per-time bisect test of whether a node may
-  head an open cluster, which the runner's array elision plan must
-  reproduce;
+- :func:`full_schedule` — the network runner's schedule without its
+  event diet: every live window fed and every grid tick at which the
+  node is up queued up front, which the diet must equal;
 - :func:`sequential_dutycycle` — the node-by-node, window-by-window
   duty-cycle loop, with the signature of ``runner._dutycycled_reports``.
 """
@@ -21,10 +21,12 @@ formulations of the same detection, kept as test oracles:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from typing import Optional
+from contextlib import contextmanager
+from itertools import repeat
+from typing import Iterator, Optional
 
 import numpy as np
+import pytest
 
 from repro.detection.dutycycle import DutyCycleController
 from repro.detection.node_detector import (
@@ -35,6 +37,8 @@ from repro.detection.node_detector import (
 from repro.detection.preprocess import preprocess_z_counts
 from repro.detection.reports import NodeReport
 from repro.faults.plan import BatteryDrain, FaultPlan
+from repro.network.nodeproc import NetworkNode
+from repro.scenario import runner
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.runner import FleetRecording, NodeOutcomes, WindowOutcomes
 from repro.types import AccelTrace
@@ -136,15 +140,27 @@ def outcome_rows(
     }
 
 
-def head_active(report_ends: list[float], t: float, guard_s: float) -> bool:
-    """True when one node may head an open temporary cluster at ``t``.
+@contextmanager
+def full_schedule() -> Iterator[None]:
+    """Run ``run_network_scenario`` on its full schedule in the block.
 
-    The last of the node's report window end times at or before ``t``
-    (``report_ends``, ascending) must lie within ``guard_s`` of it:
-    one bisect per query time.
+    Feed elision is off (its billing precondition fails), so every live
+    window is fed at its end time, and each node queues every grid tick
+    at which it is up (one while it is down would return at once) up
+    front as one train, in the slot of the runner's dormant tick train:
+    the schedule before the event diet.
     """
-    i = bisect_right(report_ends, t)
-    return i > 0 and t <= report_ends[i - 1] + guard_s
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "_billing_order_free", lambda *a: False)
+        mp.setattr(NetworkNode, "schedule_ticks", _every_tick)
+        yield
+
+
+def _every_tick(self: NetworkNode, times: list[float]) -> None:
+    self._tick_times = times
+    self._ticks = self.network.sim.schedule_train(
+        zip(times, repeat(self.tick), repeat(()))
+    )
 
 
 def sequential_dutycycle(
