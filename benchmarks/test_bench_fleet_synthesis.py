@@ -9,8 +9,8 @@ per-position formula node by node (the test oracle
 :func:`tests.physics.oracles.vertical_acceleration`; measured ~70x) and
 at least 2x faster than the shared-trig GEMM with full trig matrices
 (the test oracle :func:`tests.physics.oracles.shared_trig_ambient`;
-measured ~2.7x), and the end-to-end fleet path must stay bit-identical
-to per-node synthesis through the per-position formulas
+measured ~2.7x), and the end-to-end fleet path's z counts must stay
+bit-identical to per-node synthesis through the per-position formulas
 (:func:`tests.physics.oracles.per_position_ambient`).
 """
 
@@ -68,14 +68,17 @@ def _best_of(fn, rounds: int = 3) -> float:
 def test_bench_fleet_synthesis(once, monkeypatch):
     fleet = once(_batched)
 
-    # Bit-identical digitised counts on every axis of every node.
+    # Bit-identical z counts on every node; neither path asked for the
+    # horizontal axes, so neither recorded them.
     with monkeypatch.context() as mp:
         reference = _per_node(mp)
     assert len(fleet) == ROWS * COLUMNS
     assert all(
         np.array_equal(fleet[nid].z, reference[nid].z)
-        and np.array_equal(fleet[nid].x, reference[nid].x)
-        and np.array_equal(fleet[nid].y, reference[nid].y)
+        and fleet[nid].x is None
+        and fleet[nid].y is None
+        and reference[nid].x is None
+        and reference[nid].y is None
         for nid in reference
     )
 

@@ -29,7 +29,7 @@ from repro.dsp.features import (
 from repro.dsp.filters import butter_lowpass
 from repro.dsp.stft import stft
 from repro.dsp.wavelet import Scalogram, cwt_morlet
-from repro.errors import EstimationError
+from repro.errors import EstimationError, InternalError
 from repro.physics.disturbance import BirdStrike, WindGust
 from repro.rng import RandomState, derive_rng, make_rng
 from repro.scenario.deployment import GridDeployment
@@ -181,6 +181,8 @@ def run_fig5_ocean_waves(
     )
     field = build_ambient_field(synth, seed=derive_rng(root, "ambient"))
     trace = synthesize_node_trace(dep.node(0), field, config=synth)
+    if trace.x is None or trace.y is None:
+        raise InternalError("include_horizontal must record x and y")
     summaries = {
         axis: AxisSummary(
             mean=float(values.mean()),

@@ -39,7 +39,7 @@ from repro.detection.cluster import (
 )
 from repro.detection.node_detector import NodeDetector, NodeDetectorConfig
 from repro.detection.reports import ClusterReport, NodeReport
-from repro.errors import InternalError, ProtocolError
+from repro.errors import ConfigurationError, InternalError, ProtocolError
 from repro.telemetry.events import CAT_DETECTION
 from repro.telemetry.tracer import Tracer
 from repro.types import Position
@@ -108,6 +108,14 @@ class SIDNodeConfig:
     #: the head confirming (protects members when the head dies).  Must
     #: exceed the cluster collection window.
     membership_ttl_s: float = 180.0
+
+    def __post_init__(self) -> None:
+        if self.membership_ttl_s <= self.cluster.collection_timeout_s:
+            raise ConfigurationError(
+                f"membership_ttl_s ({self.membership_ttl_s}) must exceed "
+                "the cluster collection window "
+                f"({self.cluster.collection_timeout_s})"
+            )
 
 
 class SIDNode:

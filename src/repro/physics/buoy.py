@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -37,16 +37,24 @@ from repro.types import Position
 
 @dataclass(frozen=True)
 class BuoyMotion:
-    """Three-axis specific force felt by the mote, in m/s^2."""
+    """Specific force felt by the mote, in m/s^2.
+
+    ``fx`` and ``fy`` are ``None`` in a z-only motion: the horizontal
+    axes are built only where the caller supplies the surface's
+    horizontal motion (:meth:`Buoy.specific_force`).
+    """
 
     t: np.ndarray
-    fx: np.ndarray
-    fy: np.ndarray
+    fx: Optional[np.ndarray]
+    fy: Optional[np.ndarray]
     fz: np.ndarray
 
     def __post_init__(self) -> None:
+        if (self.fx is None) != (self.fy is None):
+            raise ConfigurationError("fx and fy must be given together")
         n = len(self.t)
-        if not (len(self.fx) == len(self.fy) == len(self.fz) == n):
+        axes = (self.fx, self.fy, self.fz)
+        if any(len(f) != n for f in axes if f is not None):
             raise ConfigurationError("motion arrays must share one length")
 
 
@@ -222,9 +230,12 @@ class Buoy:
 
         ``t`` is the mote's evenly spaced sample grid (or a slice of
         it); ``vertical_accel`` is the surface vertical acceleration
-        [m/s^2] at the buoy (ambient field + wakes + disturbances);
-        ``horizontal_accel`` optionally supplies the surface horizontal
-        components.  A resting, untilted buoy reads ``fz = +g``.
+        [m/s^2] at the buoy (ambient field + wakes + disturbances).
+        ``horizontal_accel`` supplies the surface horizontal components;
+        only then are ``fx`` and ``fy`` built.  Without it the motion is
+        z-only (``fx``/``fy`` are ``None``), which is all detection
+        reads, and ``fz`` is the same either way.  A resting, untilted
+        buoy reads ``fz = +g``.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         vertical = GRAVITY + np.broadcast_to(
@@ -232,9 +243,10 @@ class Buoy:
         )
         theta_x, theta_y = self.tilt_angles(t)
         fz = vertical * (np.cos(theta_x) * np.cos(theta_y))
+        if horizontal_accel is None:
+            return BuoyMotion(t=t, fx=None, fy=None, fz=fz)
         fx = vertical * np.sin(theta_y)
         fy = -vertical * np.sin(theta_x)
-        if horizontal_accel is not None:
-            fx += horizontal_accel[0]
-            fy += horizontal_accel[1]
+        fx += horizontal_accel[0]
+        fy += horizontal_accel[1]
         return BuoyMotion(t=t, fx=fx, fy=fy, fz=fz)

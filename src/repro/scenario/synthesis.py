@@ -46,6 +46,11 @@ class SynthesisConfig:
     n_wave_components: int = 96
     #: Dispersive chirp of the wake packet (fraction of the carrier).
     wake_chirp_fraction: float = -0.08
+    #: Add the ambient surface's horizontal acceleration and record the
+    #: x and y axes too (Fig. 5).  Off, each buoy projects and each
+    #: mote digitises z alone, the one axis detection reads; the
+    #: traces' ``x``/``y`` are then ``None``, and every z count, noise
+    #: stream and battery ends as it would with the axes recorded.
     include_horizontal: bool = False
 
     def __post_init__(self) -> None:
@@ -177,7 +182,8 @@ def _record_fleet(
 
     The ambient term is one batch over the fleet; each node then adds
     its wakes and ``disturbances[i]``, projects through its buoy and
-    digitises.  Each ship's Kelvin wake is built once, not per node.
+    digitises (z only unless ``config.include_horizontal``).  Each
+    ship's Kelvin wake is built once, not per node.
     """
     anchors = [n.anchor for n in nodes]
     az_all = field.vertical_acceleration_batch(

@@ -6,7 +6,8 @@ gives them the two things they need:
 
 - :func:`save_traces` / :func:`load_traces` — lossless ``.npz``
   persistence of multi-node :class:`~repro.types.AccelTrace` sets,
-  plus :func:`export_csv` for spreadsheet-friendly dumps;
+  plus :func:`export_csv` for spreadsheet-friendly dumps (z-only
+  traces, whose ``x``/``y`` are ``None``, round-trip as z-only);
 - :func:`detect_on_trace` — the full Sec. IV-B node-level pipeline on a
   raw z-axis count array in one call.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +32,10 @@ _FORMAT_VERSION = 1
 
 
 def save_traces(path: str | Path, traces: Mapping[int, AccelTrace]) -> None:
-    """Persist a node-id -> trace mapping to one ``.npz`` file."""
+    """Persist a node-id -> trace mapping to one ``.npz`` file.
+
+    A z-only trace stores no x/y arrays.
+    """
     if not traces:
         raise ConfigurationError("nothing to save")
     payload: dict[str, np.ndarray] = {
@@ -41,8 +45,9 @@ def save_traces(path: str | Path, traces: Mapping[int, AccelTrace]) -> None:
     for nid in sorted(traces):
         trace = traces[nid]
         payload[f"meta_{nid}"] = np.array([trace.t0, trace.rate_hz])
-        payload[f"x_{nid}"] = np.asarray(trace.x)
-        payload[f"y_{nid}"] = np.asarray(trace.y)
+        if trace.x is not None and trace.y is not None:
+            payload[f"x_{nid}"] = np.asarray(trace.x)
+            payload[f"y_{nid}"] = np.asarray(trace.y)
         payload[f"z_{nid}"] = np.asarray(trace.z)
     np.savez_compressed(Path(path), **payload)
 
@@ -62,40 +67,58 @@ def load_traces(path: str | Path) -> dict[int, AccelTrace]:
         for nid in data["node_ids"]:
             nid = int(nid)
             t0, rate = data[f"meta_{nid}"]
+            horizontal = f"x_{nid}" in data
             out[nid] = AccelTrace(
                 t0=float(t0),
                 rate_hz=float(rate),
-                x=data[f"x_{nid}"].copy(),
-                y=data[f"y_{nid}"].copy(),
+                x=data[f"x_{nid}"].copy() if horizontal else None,
+                y=data[f"y_{nid}"].copy() if horizontal else None,
                 z=data[f"z_{nid}"].copy(),
             )
         return out
 
 
 def export_csv(path: str | Path, trace: AccelTrace) -> None:
-    """Write one trace as ``time,x,y,z`` rows (spreadsheet-friendly)."""
+    """Write one trace as ``time,x,y,z`` rows (spreadsheet-friendly).
+
+    A z-only trace leaves the x and y cells empty.
+    """
     times = trace.times
+    empty = [""] * len(trace)
+    xs = empty if trace.x is None else [str(int(v)) for v in trace.x]
+    ys = empty if trace.y is None else [str(int(v)) for v in trace.y]
     with open(Path(path), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time_s", "x_counts", "y_counts", "z_counts"])
         for i in range(len(trace)):
-            writer.writerow(
-                [f"{times[i]:.6f}", int(trace.x[i]), int(trace.y[i]), int(trace.z[i])]
-            )
+            writer.writerow([f"{times[i]:.6f}", xs[i], ys[i], int(trace.z[i])])
+
+
+def _csv_axis(cells: Sequence[str], name: str) -> Optional[np.ndarray]:
+    """One CSV column as int64 counts; ``None`` when every cell is empty."""
+    if not any(cells):
+        return None
+    try:
+        return np.array([int(float(c)) for c in cells], dtype=np.int64)
+    except ValueError:
+        raise ConfigurationError(
+            f"the {name} column must be all counts or all empty"
+        ) from None
 
 
 def import_csv(path: str | Path, rate_hz: float | None = None) -> AccelTrace:
     """Read a ``time,x,y,z`` CSV back into an :class:`AccelTrace`.
 
     The sample rate is inferred from the median timestamp step unless
-    given explicitly; irregular timestamps are tolerated to 1 %.
+    given explicitly; irregular timestamps are tolerated to 1 %.  Empty
+    x and y columns (a z-only export) read back as ``None``.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"no such CSV file: {path}")
     times: list[float] = []
-    xs: list[int] = []
-    ys: list[int] = []
+    xs: list[str] = []
+    ys: list[str] = []
     zs: list[int] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -104,8 +127,8 @@ def import_csv(path: str | Path, rate_hz: float | None = None) -> AccelTrace:
             raise ConfigurationError("empty CSV file")
         for row in reader:
             times.append(float(row[0]))
-            xs.append(int(float(row[1])))
-            ys.append(int(float(row[2])))
+            xs.append(row[1])
+            ys.append(row[2])
             zs.append(int(float(row[3])))
     if len(times) < 2:
         raise ConfigurationError("CSV carries fewer than two samples")
@@ -118,11 +141,14 @@ def import_csv(path: str | Path, rate_hz: float | None = None) -> AccelTrace:
             f"declared rate {rate_hz} Hz disagrees with timestamps "
             f"(~{inferred:.2f} Hz)"
         )
+    x, y = _csv_axis(xs, "x"), _csv_axis(ys, "y")
+    if (x is None) != (y is None):
+        raise ConfigurationError("x and y columns must both be filled or empty")
     return AccelTrace(
         t0=times[0],
         rate_hz=float(rate_hz),
-        x=np.array(xs, dtype=np.int64),
-        y=np.array(ys, dtype=np.int64),
+        x=x,
+        y=y,
         z=np.array(zs, dtype=np.int64),
     )
 

@@ -28,6 +28,24 @@ from repro.constants import (
 from repro.errors import ConfigurationError
 from repro.rng import RandomState, make_rng
 
+#: Most normals one step of :func:`skip_normals` draws.
+SKIP_BLOCK = 1 << 16
+
+
+def skip_normals(rng: np.random.Generator, count: int) -> None:
+    """Advance ``rng`` past ``count`` normal draws.
+
+    The draws are discarded in blocks of at most :data:`SKIP_BLOCK`, so
+    skipping costs one block of memory however long the record.  A
+    normal consumes the same bits whatever its mean, scale or the shape
+    it is drawn in, so the stream then stands where ``count`` noise
+    draws of any read would leave it.
+    """
+    while count:
+        block = min(count, SKIP_BLOCK)
+        rng.normal(size=block)
+        count -= block
+
 
 @dataclass(frozen=True)
 class AccelerometerSpec:
@@ -114,6 +132,17 @@ class Accelerometer:
             self.read_axis(fz_mps2, 2),
         )
 
+    def read_z(self, fz_mps2: npt.ArrayLike) -> np.ndarray:
+        """The z counts of :meth:`read`, without digitising x and y.
+
+        The noise stream first skips the x and y draws
+        (:func:`skip_normals`), so the z counts and the stream's final
+        state equal those of a three-axis read of the same record.
+        """
+        fz = np.asarray(fz_mps2, dtype=float)
+        skip_normals(self._noise_rng, 2 * fz.size)
+        return self.read_axis(fz, 2)
+
     # ------------------------------------------------------------------
     # Chunked (streaming) digitisation
     # ------------------------------------------------------------------
@@ -125,10 +154,11 @@ class Accelerometer:
         :meth:`read` consumes x-, y- then z-noise from one stream, so
         within a three-axis read of ``n_samples`` the draws for ``axis``
         start ``axis * n_samples`` normals into the stream.  The clone
-        is advanced there (the generator's normal stream is
-        split-invariant, so chunked draws from it reproduce the
-        monolithic read's values exactly) and the device's own stream is
-        left untouched.
+        is advanced there by :func:`skip_normals`, the skip
+        :meth:`read_z` makes on the device's own stream (the
+        generator's normal stream is split-invariant, so chunked draws
+        from it reproduce the monolithic read's values exactly), and
+        the device's own stream is left untouched.
         """
         if axis not in (0, 1, 2):
             raise ConfigurationError(f"axis must be 0, 1 or 2, got {axis}")
@@ -137,11 +167,7 @@ class Accelerometer:
                 f"n_samples must be >= 0, got {n_samples}"
             )
         rng = copy.deepcopy(self._noise_rng)
-        skip = axis * n_samples
-        while skip:
-            block = min(skip, 1 << 16)
-            rng.normal(size=block)
-            skip -= block
+        skip_normals(rng, axis * n_samples)
         return rng
 
     def read_axis_chunk(

@@ -10,6 +10,7 @@ detection pipeline consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -87,12 +88,20 @@ class IMote2:
         ``motion`` must be sampled on this mote's own grid (use
         :meth:`sample_instants` to build it).  Timestamps in the
         returned trace are *local clock* readings — the same imperfect
-        stamps real reports would carry.
+        stamps real reports would carry.  A z-only motion gives a
+        z-only trace (``x``/``y`` are ``None``); its z counts, the
+        device's noise stream and the battery end as a three-axis
+        record of the same motion leaves them.
         """
         t = motion.t
         if t.size == 0:
             raise ConfigurationError("empty motion record")
-        x, y, z = self.accelerometer.read(motion.fx, motion.fy, motion.fz)
+        x: Optional[np.ndarray] = None
+        y: Optional[np.ndarray] = None
+        if motion.fx is None or motion.fy is None:
+            z = self.accelerometer.read_z(motion.fz)
+        else:
+            x, y, z = self.accelerometer.read(motion.fx, motion.fy, motion.fz)
         self.battery.draw_samples(t.size)
         local_t0 = self.clock.local_time(float(t[0]))
         return AccelTrace(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -54,24 +54,28 @@ class TimeWindow:
 
 @dataclass
 class AccelTrace:
-    """A fixed-rate three-axis accelerometer record in raw ADC counts.
+    """A fixed-rate accelerometer record in raw ADC counts.
 
     This mirrors what the paper's motes log: integer counts at 50 Hz,
     with gravity putting the resting z-axis near +1 g (~1024 counts for
-    the 12-bit, +/-2 g LIS3L02DQ).
+    the 12-bit, +/-2 g LIS3L02DQ).  Detection reads only z, so ``x``
+    and ``y`` are ``None`` unless the horizontal axes were recorded
+    (both or neither).
     """
 
     t0: float
     rate_hz: float
-    x: np.ndarray
-    y: np.ndarray
+    x: Optional[np.ndarray]
+    y: Optional[np.ndarray]
     z: np.ndarray
 
     def __post_init__(self) -> None:
         if self.rate_hz <= 0:
             raise ValueError(f"rate_hz must be positive, got {self.rate_hz}")
-        n = len(self.x)
-        if len(self.y) != n or len(self.z) != n:
+        if (self.x is None) != (self.y is None):
+            raise ValueError("x and y must be given together")
+        n = len(self.z)
+        if any(len(a) != n for a in (self.x, self.y) if a is not None):
             raise ValueError("axis arrays must share one length")
 
     def __len__(self) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.detection.cluster import TemporaryClusterConfig
 from repro.detection.node_detector import NodeDetectorConfig
 from repro.detection.reports import NodeReport
@@ -130,6 +130,16 @@ class TestLifecycle:
         node.on_cluster_setup(head_id=9, t=4.0)
         node.on_timer(4.0 + node.config.membership_ttl_s + 1.0)
         assert node.state == SIDState.MONITORING
+
+    def test_membership_ttl_must_exceed_collection_window(self):
+        # A membership that lapsed before its head's collection window
+        # closed would drop the member mid-cluster.
+        cluster = TemporaryClusterConfig(collection_timeout_s=60.0)
+        with pytest.raises(ConfigurationError, match="membership_ttl_s"):
+            SIDNodeConfig(membership_ttl_s=1.0)
+        with pytest.raises(ConfigurationError, match="membership_ttl_s"):
+            SIDNodeConfig(cluster=cluster, membership_ttl_s=60.0)
+        assert SIDNodeConfig(cluster=cluster, membership_ttl_s=60.5)
 
 
 class TestHeadEvaluation:

@@ -28,9 +28,9 @@ from repro.sensors.accelerometer import Accelerometer
 class FaultyAccelerometer:
     """Accelerometer decorator applying time-windowed faults to z reads.
 
-    ``read``/``read_axis`` must receive the full, contiguous record of
-    one scenario starting at ``t0``, so sample ``i`` maps to time
-    ``t0 + i / rate_hz``.  x and y reads pass through untouched.
+    ``read``/``read_axis``/``read_z`` must receive the full, contiguous
+    record of one scenario starting at ``t0``, so sample ``i`` maps to
+    time ``t0 + i / rate_hz``.  x and y reads pass through untouched.
     """
 
     def __init__(
@@ -68,6 +68,9 @@ class FaultyAccelerometer:
             self.read_axis(fy_mps2, 1),
             self.read_axis(fz_mps2, 2),
         )
+
+    def read_z(self, fz_mps2: npt.ArrayLike) -> np.ndarray:
+        return self._apply(self.inner.read_z(fz_mps2))
 
     def _apply(self, counts: np.ndarray) -> np.ndarray:
         out = np.atleast_1d(np.asarray(counts, dtype=float)).copy()

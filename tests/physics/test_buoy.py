@@ -7,7 +7,7 @@ import pytest
 
 from repro.constants import GRAVITY
 from repro.errors import ConfigurationError
-from repro.physics.buoy import Buoy
+from repro.physics.buoy import Buoy, BuoyMotion
 from repro.types import Position
 
 
@@ -60,7 +60,7 @@ def test_tilt_rms_near_configuration():
 def test_resting_specific_force_is_gravity():
     b = Buoy(Position(0, 0), tilt_rms_deg=0.0, seed=1)
     t = np.linspace(0, 10, 100)
-    m = b.specific_force(t, np.zeros_like(t))
+    m = b.specific_force(t, np.zeros_like(t), (0.0, 0.0))
     assert np.allclose(m.fz, GRAVITY)
     assert np.allclose(m.fx, 0.0)
     assert np.allclose(m.fy, 0.0)
@@ -76,7 +76,7 @@ def test_vertical_accel_passes_through_untitled():
 
 def test_tilt_projects_gravity_sideways(buoy):
     t = np.linspace(0, 120, 6000)
-    m = buoy.specific_force(t, np.zeros_like(t))
+    m = buoy.specific_force(t, np.zeros_like(t), (0.0, 0.0))
     # Horizontal axes pick up large gravity components; z shrinks.
     assert m.fx.std() > 0.3
     assert np.all(m.fz <= GRAVITY + 1e-9)
@@ -103,9 +103,28 @@ def test_horizontal_accel_added(buoy):
     t = np.linspace(0, 10, 500)
     ah = np.ones_like(t)
     with_h = buoy.specific_force(t, np.zeros_like(t), (ah, ah))
-    without = buoy.specific_force(t, np.zeros_like(t))
+    without = buoy.specific_force(t, np.zeros_like(t), (0.0, 0.0))
     assert np.allclose(with_h.fx - without.fx, 1.0)
     assert np.allclose(with_h.fy - without.fy, 1.0)
+
+
+def test_z_only_motion_has_the_three_axis_fz(buoy):
+    # Without horizontal surface motion no x/y axis is built, and fz is
+    # the three-axis projection's bit for bit.
+    t = np.arange(3000) / 50.0
+    az = 0.4 * np.sin(2 * np.pi * 0.2 * t)
+    z_only = buoy.specific_force(t, az)
+    full = buoy.specific_force(t, az, (np.ones_like(t), -np.ones_like(t)))
+    assert z_only.fx is None and z_only.fy is None
+    assert np.array_equal(z_only.fz, full.fz)
+
+
+def test_motion_needs_both_horizontal_axes_or_neither():
+    t = np.zeros(3)
+    with pytest.raises(ConfigurationError, match="together"):
+        BuoyMotion(t=t, fx=t, fy=None, fz=t)
+    with pytest.raises(ConfigurationError, match="length"):
+        BuoyMotion(t=t, fx=None, fy=None, fz=np.zeros(4))
 
 
 def test_invalid_parameters_rejected():

@@ -210,7 +210,7 @@ def test_buoy_evaluates_tilt_and_drift_through_the_process_call(monkeypatch):
     dx, dy = buoy.drift_offsets(t)
     assert calls[1:] == [buoy._drift]
     assert np.all(dx == 0.1) and np.all(dy == 0.2)
-    motion = buoy.specific_force(t, np.zeros_like(t))
+    motion = buoy.specific_force(t, np.zeros_like(t), (0.0, 0.0))
     assert calls[2:] == [buoy._tilt]
     np.testing.assert_allclose(motion.fz, GRAVITY * math.cos(0.1) * math.cos(0.2))
     np.testing.assert_allclose(motion.fx, GRAVITY * math.sin(0.2))

@@ -236,7 +236,12 @@ def _generated_runs(draw) -> GeneratedRun:
 
 
 def _generated_run(case: GeneratedRun, sanitizer=None):
-    """Run ``case`` on a fresh deployment (batteries start full)."""
+    """Run ``case`` on a fresh deployment (batteries start full).
+
+    Returns the run's ``scenario_digest`` and every node's battery
+    afterwards (charge left and spend by category), which the digest
+    does not cover.
+    """
     dep = paper_deployment(case.rows, case.columns, seed=case.seed)
     # A second ship crosses the other way, as in the Fig. 11 trials.
     ships = [
@@ -258,7 +263,7 @@ def _generated_run(case: GeneratedRun, sanitizer=None):
             ),
             membership_ttl_s=case.membership_ttl_s,
         )
-    return run_network_scenario(
+    result = run_network_scenario(
         dep,
         ships,
         sid_config=cfg,
@@ -269,6 +274,11 @@ def _generated_run(case: GeneratedRun, sanitizer=None):
         seed=case.seed,
         sanitizer=sanitizer,
     )
+    batteries = [
+        (node.mote.battery.remaining_j, node.mote.battery.breakdown())
+        for node in dep
+    ]
+    return scenario_digest(result), batteries
 
 
 @given(case=_generated_runs())
@@ -323,13 +333,14 @@ def _generated_run(case: GeneratedRun, sanitizer=None):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_generated_elision_and_sanitizer_are_invisible(case):
-    """The diet ≡ the full schedule, and a sanitized run ≡ both."""
-    digest = scenario_digest(_generated_run(case))
+    """The diet ≡ the full schedule, and a sanitized run ≡ both, down to
+    every node's battery."""
+    outcome = _generated_run(case)
     san_full = Sanitizer()
     with oracles.full_schedule():
-        assert scenario_digest(_generated_run(case, san_full)) == digest
+        assert _generated_run(case, san_full) == outcome
     san_fast = Sanitizer()
-    assert scenario_digest(_generated_run(case, san_fast)) == digest
+    assert _generated_run(case, san_fast) == outcome
     report_fast, report_full = san_fast.report(), san_full.report()
     assert report_fast.ok, report_fast.format()
     assert report_full.ok, report_full.format()

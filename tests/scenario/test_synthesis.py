@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.constants import ACCEL_COUNTS_PER_G
 from repro.errors import ConfigurationError
 from repro.physics.disturbance import FishBump
 from repro.physics.wavefield import AmbientWaveField
 from repro.scenario.deployment import GridDeployment
-from repro.scenario.presets import paper_ship
+from repro.scenario.presets import paper_deployment, paper_ship
 from repro.scenario.synthesis import (
     SynthesisConfig,
     build_ambient_field,
@@ -167,3 +169,72 @@ def test_ragged_grids_rejected():
     for node in dep:
         battery = node.mote.battery
         assert battery.remaining_j == battery.capacity_j
+
+
+@st.composite
+def _fleet_cases(draw):
+    """2x2-3x3 fleets, 40-120 s records, 0-2 crossings, nuisances or not."""
+    duration = draw(st.integers(40, 120))
+    return dict(
+        rows=draw(st.integers(2, 3)),
+        columns=draw(st.integers(2, 3)),
+        duration_s=float(duration),
+        cross_times_s=draw(
+            st.lists(st.integers(1, duration).map(float), max_size=2)
+        ),
+        nuisances=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**20)),
+    )
+
+
+def _recorded_fleet(
+    rows, columns, duration_s, cross_times_s, nuisances, seed, horizontal
+):
+    """A fresh deployment and its traces, x/y recorded if ``horizontal``."""
+    dep = paper_deployment(rows, columns, seed=seed)
+    ships = [
+        paper_ship(dep, alpha_deg=alpha, cross_time_s=t)
+        for alpha, t in zip((70.0, 110.0), cross_times_s)
+    ]
+    cfg = SynthesisConfig(duration_s=duration_s, include_horizontal=horizontal)
+    # Dense nuisances, so short records carry gusts and bumps too.
+    disturbances = (
+        random_disturbances(
+            dep,
+            cfg,
+            gusts_per_node_hour=120.0,
+            bumps_per_node_hour=120.0,
+            seed=seed + 1,
+        )
+        if nuisances
+        else None
+    )
+    traces = synthesize_fleet_traces(
+        dep, ships, cfg, disturbances_by_node=disturbances, seed=seed
+    )
+    return dep, traces
+
+
+@given(case=_fleet_cases())
+@settings(
+    max_examples=settings.default.max_examples // 5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_z_only_synthesis_equals_three_axis(case):
+    """Recording z alone changes no z count, noise stream or battery."""
+    dep_z, z_only = _recorded_fleet(**case, horizontal=False)
+    dep_xyz, three_axis = _recorded_fleet(**case, horizontal=True)
+    assert sorted(z_only) == sorted(three_axis)
+    for nid, trace in z_only.items():
+        assert np.array_equal(trace.z, three_axis[nid].z)
+        assert trace.t0 == three_axis[nid].t0
+        assert trace.x is None and trace.y is None
+        assert three_axis[nid].x is not None and three_axis[nid].y is not None
+    for a, b in zip(dep_z, dep_xyz):
+        assert (
+            a.mote.accelerometer._noise_rng.bit_generator.state
+            == b.mote.accelerometer._noise_rng.bit_generator.state
+        )
+        assert a.mote.battery.remaining_j == b.mote.battery.remaining_j
+        assert a.mote.battery.breakdown() == b.mote.battery.breakdown()

@@ -60,8 +60,12 @@ def test_fleet_counts_equal_reference(seed, monkeypatch):
     assert sorted(got) == sorted(want)
     for nid, ref in want.items():
         assert np.array_equal(got[nid].z, ref.z)
-        assert np.array_equal(got[nid].x, ref.x)
-        assert np.array_equal(got[nid].y, ref.y)
+        if horizontal:
+            assert np.array_equal(got[nid].x, ref.x)
+            assert np.array_equal(got[nid].y, ref.y)
+        else:
+            axes = (got[nid].x, got[nid].y, ref.x, ref.y)
+            assert all(axis is None for axis in axes)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -36,6 +36,22 @@ class TestNpzRoundtrip:
             assert np.array_equal(back[nid].z, traces[nid].z)
             assert back[nid].t0 == traces[nid].t0
             assert back[nid].rate_hz == traces[nid].rate_hz
+            # Synthesis records z only unless asked for x/y.
+            assert back[nid].x is None and back[nid].y is None
+
+    def test_horizontal_axes_roundtrip(self, tiny_grid, tmp_path):
+        traces = synthesize_fleet_traces(
+            tiny_grid,
+            config=SynthesisConfig(duration_s=20.0, include_horizontal=True),
+            seed=5,
+        )
+        path = tmp_path / "traces.npz"
+        save_traces(path, traces)
+        back = load_traces(path)
+        for nid, trace in traces.items():
+            assert np.array_equal(back[nid].x, trace.x)
+            assert np.array_equal(back[nid].y, trace.y)
+            assert np.array_equal(back[nid].z, trace.z)
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -55,6 +71,22 @@ class TestCsvRoundtrip:
         assert np.array_equal(back.z, original.z)
         assert back.rate_hz == pytest.approx(original.rate_hz, rel=0.01)
         assert back.t0 == pytest.approx(original.t0, abs=1e-5)
+        # A z-only trace exports empty x/y cells and reads back z-only.
+        assert back.x is None and back.y is None
+        _, first = path.read_text().splitlines()[:2]
+        assert first.split(",")[1:3] == ["", ""]
+
+    def test_half_filled_axis_rejected(self, tmp_path):
+        path = tmp_path / "half.csv"
+        path.write_text("time_s,x,y,z\n0.00,1,2,1024\n0.02,,,1024\n")
+        with pytest.raises(ConfigurationError, match="x column"):
+            import_csv(path)
+
+    def test_one_horizontal_column_rejected(self, tmp_path):
+        path = tmp_path / "x_only.csv"
+        path.write_text("time_s,x,y,z\n0.00,1,,1024\n0.02,3,,1024\n")
+        with pytest.raises(ConfigurationError, match="x and y"):
+            import_csv(path)
 
     def test_rate_mismatch_rejected(self, traces, tmp_path):
         path = tmp_path / "trace.csv"

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.constants import GRAVITY
 from repro.errors import ConfigurationError
-from repro.sensors.accelerometer import Accelerometer, AccelerometerSpec
+from repro.sensors.accelerometer import (
+    SKIP_BLOCK,
+    Accelerometer,
+    AccelerometerSpec,
+    skip_normals,
+)
 
 
 @pytest.fixture
@@ -74,6 +82,39 @@ def test_three_axis_read(quiet_accel):
         np.array([0.0]), np.array([0.0]), np.array([GRAVITY])
     )
     assert (x[0], y[0], z[0]) == (0, 0, 1024)
+
+
+def test_z_read_equals_three_axis_z():
+    # read_z skips the x and y draws: same z counts, and the noise
+    # stream ends where the three-axis read leaves it.
+    f = np.linspace(-3.0, 3.0, 1234)
+    three, z_only = Accelerometer(seed=9), Accelerometer(seed=9)
+    _, _, want = three.read(f, f, f + GRAVITY)
+    got = z_only.read_z(f + GRAVITY)
+    assert np.array_equal(got, want)
+    assert (
+        z_only._noise_rng.bit_generator.state
+        == three._noise_rng.bit_generator.state
+    )
+
+
+def test_z_only_skip_holds_one_block():
+    # A z-only 4 h record skips its 2N x/y normals block by block: the
+    # skip's traced peak is one 65,536-normal block, never a 2N discard
+    # array (11.5 MB), and the stream ends 2N normals on.
+    n = 4 * 3600 * 50
+    rng = np.random.default_rng(17)
+    want = copy.deepcopy(rng)
+    want.normal(size=2 * n)
+    tracemalloc.start()
+    try:
+        skip_normals(rng, 2 * n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert SKIP_BLOCK == 65_536
+    assert peak < SKIP_BLOCK * 8 + 64 * 1024
+    assert rng.bit_generator.state == want.bit_generator.state
 
 
 def test_invalid_axis_rejected(quiet_accel):

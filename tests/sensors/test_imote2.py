@@ -34,6 +34,25 @@ def test_resting_z_near_1024():
     assert abs(trace.z.mean() - 1024) < 40  # bias + noise allowance
 
 
+def test_z_only_record_matches_three_axis_record():
+    # A z-only motion records z alone; the z counts, the device's noise
+    # stream and the battery end as the three-axis record leaves them.
+    still = _still_motion()
+    z_only = BuoyMotion(t=still.t, fx=None, fy=None, fz=still.fz)
+    a, b = IMote2(0, seed=11), IMote2(0, seed=11)
+    full = a.record(still)
+    trace = b.record(z_only)
+    assert trace.x is None and trace.y is None
+    assert np.array_equal(trace.z, full.z)
+    assert trace.t0 == full.t0
+    assert (
+        b.accelerometer._noise_rng.bit_generator.state
+        == a.accelerometer._noise_rng.bit_generator.state
+    )
+    assert b.battery.remaining_j == a.battery.remaining_j
+    assert b.battery.breakdown() == a.battery.breakdown()
+
+
 def test_record_bills_sampling_energy():
     mote = IMote2(0, seed=3)
     before = mote.battery.remaining_j

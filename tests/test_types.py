@@ -63,6 +63,20 @@ class TestAccelTrace:
     def test_mismatched_axes_rejected(self):
         with pytest.raises(ValueError):
             AccelTrace(0.0, 50.0, np.zeros(3), np.zeros(4), np.zeros(3))
+        with pytest.raises(ValueError, match="length"):
+            AccelTrace(0.0, 50.0, np.zeros(4), np.zeros(4), np.zeros(3))
+
+    def test_z_only_trace(self):
+        tr = AccelTrace(0.0, 50.0, None, None, np.zeros(150))
+        assert tr.x is None and tr.y is None
+        assert len(tr) == 150
+        assert tr.duration == 3.0
+
+    def test_one_horizontal_axis_rejected(self):
+        with pytest.raises(ValueError, match="together"):
+            AccelTrace(0.0, 50.0, np.zeros(3), None, np.zeros(3))
+        with pytest.raises(ValueError, match="together"):
+            AccelTrace(0.0, 50.0, None, np.zeros(3), np.zeros(3))
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
