@@ -355,6 +355,8 @@ class Fig11Point:
 
 #: The one recording this process keeps for Fig. 11: ``(key,
 #: recording)`` of the last trial synthesised; see :func:`fig11_cell`.
+#: Table I/II runs drop it too before they synthesise, so no Fig. 11
+#: or Table I/II recording is alive while another is synthesised.
 _fig11_memo: Optional[tuple[int, FleetRecording]] = None
 
 
@@ -376,12 +378,13 @@ def fig11_cell(
     reach only detection and scoring.  So the process memoises one
     slot: the read-only z-only :class:`FleetRecording` of the last key
     synthesised (~4.8 MB for the 30-node, 400 s trial).  Cells of one
-    key detect that recording; a cell of another key drops it before
-    synthesising its own.  The memo holds no deployment, which carries
-    battery and sensor-noise state: each cell builds its own, and
-    detection reads only its node ids and positions.  A recording is
-    exactly what synthesising the key again would return, so results
-    do not depend on call order or on which cells share a process.
+    key detect that recording; a cell of another key, or a Table I/II
+    run, drops it before synthesising its own.  The memo holds no
+    deployment, which carries battery and sensor-noise state: each
+    cell builds its own, and detection reads only its node ids and
+    positions.  A recording is exactly what synthesising the key again
+    would return, so results do not depend on call order or on which
+    cells share a process.
     """
     global _fig11_memo
     key = seed + seed_offset
@@ -515,8 +518,12 @@ def _correlation_runs(
 
     One synthesis per seed and ship speed (a no-ship run has the one
     10-knot slot and the nuisance mix), detected at every M; each run
-    yields the eq. 9-13 inputs of its first ``n_rows`` rows.
+    yields the eq. 9-13 inputs of its first ``n_rows`` rows.  Each
+    recording, and :func:`fig11_cell`'s memo, is dropped before the
+    next synthesis starts, so one recording is alive at a time.
     """
+    global _fig11_memo
+    _fig11_memo = None
     if af_threshold is None:
         af_threshold = 0.4 if with_ship else 0.3
     for seed in seeds:
@@ -566,6 +573,7 @@ def _correlation_runs(
                 yield i, _row_observations(
                     dep, track, res.merged_by_node, center, n_rows
                 )
+            del recording
 
 
 def run_correlation_table(

@@ -17,8 +17,9 @@ to every entry point.  Two filter kinds:
 - ``"butter"`` — zero-phase Butterworth (the offline analysis path);
   needs the whole record, so it cannot feed the streaming pipeline;
 - ``"butter-causal"`` — the same Butterworth run forward only, exactly
-  chunkable by carrying the recursion state.  A whole record is one
-  chunk, so offline and streaming conditioning agree by construction.
+  chunkable by carrying the recursion state.  Offline, each row block
+  of a whole record is one chunk of a fresh stream, so offline and
+  streaming conditioning agree by construction.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ from repro.errors import ConfigurationError
 #: Filter kinds usable by the chunked streaming pipeline (zero-phase
 #: Butterworth is global/anti-causal and therefore excluded).
 STREAMABLE_FILTER_KINDS = ("butter-causal",)
+
+#: Byte budget of one row block of :func:`preprocess_z_counts_batch`:
+#: the chain converts, filters and rectifies as many rows at a time as
+#: fit this many bytes of float64 samples (6 rows of a 400 s, 50 Hz
+#: record), so the filter's temporaries stay a few blocks whatever the
+#: fleet.  Blocks this size also run faster than the whole matrix,
+#: whose temporaries leave the cache (DESIGN.md §10).
+CONDITION_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -54,25 +63,41 @@ class PreprocessConfig:
 
 
 def _gravity_free_magnitude(filtered: np.ndarray) -> np.ndarray:
-    """The chain's tail: subtract 1 g, then full-wave rectify."""
-    return np.abs(filtered - ACCEL_COUNTS_PER_G)
+    """The chain's tail, in place: subtract 1 g, then full-wave rectify."""
+    filtered -= ACCEL_COUNTS_PER_G
+    return np.abs(filtered, out=filtered)
 
 
 def _condition(
     z: np.ndarray, rate_hz: float, config: PreprocessConfig | None
 ) -> np.ndarray:
-    """The chain on a ``(rows, samples)`` float matrix of raw counts."""
+    """The chain on a ``(rows, samples)`` matrix of raw counts.
+
+    Rows are conditioned a block at a time (:data:`CONDITION_BLOCK_BYTES`)
+    into one float64 output; both filters treat every row on its own,
+    so each row equals the one-row chain bit for bit.
+    """
     cfg = config if config is not None else PreprocessConfig()
-    if cfg.filter_kind == "butter":
-        return _gravity_free_magnitude(
-            butter_lowpass(z, NODE_LOWPASS_CUTOFF_HZ, rate_hz)
-        )
-    return StreamingPreprocessor(z.shape[0], rate_hz).push(z)
+    rows, samples = z.shape
+    out = np.empty((rows, samples))
+    step = max(CONDITION_BLOCK_BYTES // max(8 * samples, 1), 1)
+    # One block even for no rows, so a record too short to filter
+    # raises SignalLengthError whatever the row count.
+    for lo in range(0, max(rows, 1), step):
+        block = out[lo : lo + step]
+        block[...] = z[lo : lo + step]
+        if cfg.filter_kind == "butter":
+            block[...] = butter_lowpass(block, NODE_LOWPASS_CUTOFF_HZ, rate_hz)
+            _gravity_free_magnitude(block)
+        else:
+            # A causal row block is one chunk of a fresh stream.
+            block[...] = StreamingPreprocessor(len(block), rate_hz).push(block)
+    return out
 
 
 def _counts(z_counts: np.ndarray, ndim: int, shape: str) -> np.ndarray:
-    """Raw counts as floats, rejecting any shape but ``ndim`` axes."""
-    z = np.asarray(z_counts, dtype=float)
+    """Raw counts, rejecting any shape but ``ndim`` axes."""
+    z = np.asarray(z_counts)
     if z.ndim != ndim:
         raise ConfigurationError(f"expected {shape}, got shape {z.shape}")
     return z
@@ -132,6 +157,7 @@ class StreamingPreprocessor:
                 f"chunk must be ({n_rows}, samples), got {x.shape}"
             )
         # sosfilt raises on an empty axis; an empty chunk carries no state.
-        if x.shape[1]:
-            x, self._zi = sp_signal.sosfilt(self._sos, x, axis=-1, zi=self._zi)
-        return _gravity_free_magnitude(x)
+        if not x.shape[1]:
+            return np.empty(x.shape)
+        y, self._zi = sp_signal.sosfilt(self._sos, x, axis=-1, zi=self._zi)
+        return _gravity_free_magnitude(y)

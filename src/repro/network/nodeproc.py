@@ -16,7 +16,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.detection.sid import (
@@ -790,6 +789,8 @@ class SensorNetwork:
         if dst not in self.graph or src not in self.graph:
             self.lost_to_partition += 1
             return
+        import networkx as nx
+
         try:
             path = nx.shortest_path(self.graph, src, dst)
         except nx.NetworkXNoPath:

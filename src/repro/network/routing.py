@@ -8,20 +8,21 @@ Algorithm SID uses the same graph's k-hop neighbourhoods.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.errors import ConfigurationError
 from repro.network.channel import Channel
 from repro.types import Position
+
+if TYPE_CHECKING:
+    import networkx
 
 
 def build_connectivity(
     positions: dict[int, Position],
     channel: Channel,
     min_probability: float = 0.6,
-) -> nx.Graph:
+) -> networkx.Graph:
     """Graph with an edge for every usable link.
 
     Links below ``min_probability`` are blacklisted entirely (the
@@ -30,6 +31,8 @@ def build_connectivity(
     ``delivery_probability`` as attribute ``p`` and its expected
     transmission count as ``etx = 1 / p``.
     """
+    import networkx as nx
+
     if not 0 < min_probability < 1:
         raise ConfigurationError(
             f"min_probability must be in (0, 1), got {min_probability}"
@@ -66,11 +69,13 @@ class RoutingTable:
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: networkx.Graph,
         sink_id: int,
         exclude: Iterable[int] = (),
         no_relay: Iterable[int] = (),
     ) -> None:
+        import networkx as nx
+
         if sink_id not in graph:
             raise ConfigurationError(f"sink {sink_id} not in topology")
         self.graph = graph
@@ -157,6 +162,8 @@ class RoutingTable:
         This is the recipient set of the SetUpTempCluster flood
         ("informs its neighbor nodes within N hops").
         """
+        import networkx as nx
+
         if hops < 0:
             raise ConfigurationError(f"hops must be >= 0, got {hops}")
         lengths = nx.single_source_shortest_path_length(

@@ -31,14 +31,14 @@ import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-import networkx as nx
-
 from repro.errors import ConfigurationError
 from repro.network.messages import Frame
 from repro.network.routing import RoutingTable
 from repro.telemetry.events import CAT_DUTYCYCLE, CAT_HEAL
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    import networkx
+
     from repro.network.nodeproc import SensorNetwork
 
 logger = logging.getLogger("repro.network.selfheal")
@@ -138,7 +138,7 @@ class SelfHealingRuntime:
         # The graph restricted to nodes not declared dead; starts as
         # the full connectivity graph (same object — zero divergence
         # until the first repair).
-        self.live_graph: nx.Graph = network.graph
+        self.live_graph: networkx.Graph = network.graph
 
     # ------------------------------------------------------------------
     # Topology repair
@@ -277,6 +277,8 @@ class SelfHealingRuntime:
             )
         if src not in graph or dst not in graph:
             return None
+        import networkx as nx
+
         try:
             path = nx.shortest_path(graph, src, dst)
         except nx.NetworkXNoPath:

@@ -19,8 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.constants import ACCEL_COUNTS_PER_G, GRAVITY
 from repro.detection.node_detector import NodeDetectorConfig
@@ -28,6 +27,9 @@ from repro.errors import ConfigurationError
 from repro.physics.kelvin import cusp_wave_period
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.ship import ShipTrack
+
+if TYPE_CHECKING:
+    import networkx
 
 
 def detection_radius_m(
@@ -121,8 +123,10 @@ class BarrierAnalysis:
             + (deployment.columns - 1) * deployment.spacing_m
         )
 
-    def coverage_graph(self) -> nx.Graph:
+    def coverage_graph(self) -> networkx.Graph:
         """Disk-overlap graph with virtual left/right boundary nodes."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_node(self.LEFT)
         graph.add_node(self.RIGHT)
@@ -140,6 +144,8 @@ class BarrierAnalysis:
 
     def analyze(self, k: int = 1) -> BarrierResult:
         """Find up to ``k`` node-disjoint barriers (greedy extraction)."""
+        import networkx as nx
+
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
         graph = self.coverage_graph()

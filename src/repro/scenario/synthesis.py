@@ -26,6 +26,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.physics.disturbance import Disturbance, render_disturbances
 from repro.physics.kelvin import KelvinWake
+from repro.physics.sinusoids import BLOCK as SINUSOID_BLOCK
 from repro.physics.spectrum import SeaState, sea_state_spectrum
 from repro.physics.wake_train import WakeTrain
 from repro.physics.wavefield import AmbientWaveField
@@ -34,6 +35,15 @@ from repro.scenario.deployment import DeployedNode, GridDeployment
 from repro.scenario.ship import ShipTrack
 from repro.sensors.sampler import Sampler
 from repro.types import AccelTrace
+
+#: Byte budget of one row block of :func:`synthesize_fleet_traces`:
+#: the ambient sea is evaluated for as many nodes at a time as fit this
+#: many bytes of float64 samples (8 nodes of a 400 s, 50 Hz record),
+#: and those nodes are recorded before the next block starts, so no
+#: (nodes x samples) float64 slab is ever held.  Every block repeats the
+#: ambient batch's per-call trig: 8-row blocks add ~2 % to a 30-node
+#: synthesis, 4-row blocks ~7 % (DESIGN.md §10).
+AMBIENT_BLOCK_BYTES = 1_310_720
 
 
 @dataclass(frozen=True)
@@ -180,36 +190,50 @@ def _record_fleet(
 ) -> list[AccelTrace]:
     """Record every node on the shared sample grid ``t``.
 
-    The ambient term is one batch over the fleet; each node then adds
-    its wakes and ``disturbances[i]``, projects through its buoy and
+    The ambient term is one batch per row block of nodes
+    (:data:`AMBIENT_BLOCK_BYTES`); each node of the block then adds its
+    wakes and its ``disturbances`` entry, projects through its buoy and
     digitises (z only unless ``config.include_horizontal``).  Each
     ship's Kelvin wake is built once, not per node.
+
+    A row of the ambient GEMM does not depend on the rows beside it
+    once the product spans whole sinusoid blocks, which every record
+    longer than one block does; numpy and BLAS round a narrower product
+    differently for different row counts, so a record within one block
+    (4 s at 50 Hz) is evaluated for the whole fleet at once.
     """
-    anchors = [n.anchor for n in nodes]
-    az_all = field.vertical_acceleration_batch(
-        anchors, t, responses=[n.buoy.heave_gain for n in nodes]
-    )
-    h_all = (
-        field.horizontal_acceleration_batch(anchors, t)
-        if config.include_horizontal
-        else None
+    step = (
+        max(AMBIENT_BLOCK_BYTES // t.nbytes, 1)
+        if t.size > SINUSOID_BLOCK
+        else len(nodes)
     )
     wakes = [ship.wake() for ship in ships]
     traces = []
-    for i, node in enumerate(nodes):
-        az = add_wakes_and_disturbances(
-            az_all[i],
-            t,
-            heave_gained_wake_trains(node, ships, config, wakes=wakes),
-            disturbances[i],
+    for lo in range(0, len(nodes), step):
+        block = nodes[lo : lo + step]
+        anchors = [n.anchor for n in block]
+        az_block = field.vertical_acceleration_batch(
+            anchors, t, responses=[n.buoy.heave_gain for n in block]
         )
-        if h_all is None:
-            motion = node.buoy.specific_force(t, az)
-        else:
-            motion = node.buoy.specific_force(
-                t, az, (h_all[0][i], h_all[1][i])
+        h_block = (
+            field.horizontal_acceleration_batch(anchors, t)
+            if config.include_horizontal
+            else None
+        )
+        for i, node in enumerate(block):
+            az = add_wakes_and_disturbances(
+                az_block[i],
+                t,
+                heave_gained_wake_trains(node, ships, config, wakes=wakes),
+                disturbances[lo + i],
             )
-        traces.append(node.mote.record(motion))
+            if h_block is None:
+                motion = node.buoy.specific_force(t, az)
+            else:
+                motion = node.buoy.specific_force(
+                    t, az, (h_block[0][i], h_block[1][i])
+                )
+            traces.append(node.mote.record(motion))
     return traces
 
 
@@ -236,10 +260,13 @@ def synthesize_fleet_traces(
 ) -> dict[int, AccelTrace]:
     """Traces for every node of a deployment, sharing one ambient field.
 
-    The ambient contribution is synthesised for the whole fleet at once
-    (:meth:`AmbientWaveField.vertical_acceleration_batch`): each node
-    reduces to weights on fleet-shared ``cos(w t)`` / ``sin(w t)``
-    terms, summed on the sample grid by block angle addition.
+    The ambient contribution is synthesised a row block of nodes at a
+    time (:meth:`AmbientWaveField.vertical_acceleration_batch`): each
+    node reduces to weights on fleet-shared ``cos(w t)`` / ``sin(w t)``
+    terms, summed on the sample grid by block angle addition.  A block
+    is recorded before the next one starts, so the call holds the
+    traces and one block's float64 rows, and every count equals the
+    whole-fleet batch's bit for bit.
 
     The motes must share one sample grid (:func:`fleet_sampler`); the
     check runs before any mote records, so a rejected call bills no

@@ -35,15 +35,16 @@ SKIP_BLOCK = 1 << 16
 def skip_normals(rng: np.random.Generator, count: int) -> None:
     """Advance ``rng`` past ``count`` normal draws.
 
-    The draws are discarded in blocks of at most :data:`SKIP_BLOCK`, so
-    skipping costs one block of memory however long the record.  A
-    normal consumes the same bits whatever its mean, scale or the shape
-    it is drawn in, so the stream then stands where ``count`` noise
-    draws of any read would leave it.
+    The draws land in one reused buffer of at most :data:`SKIP_BLOCK`
+    normals, so skipping costs one block of memory however long the
+    record.  A normal consumes the same bits whatever its mean, scale,
+    shape or output buffer, so the stream then stands where ``count``
+    noise draws of any read would leave it.
     """
+    buf = np.empty(min(count, SKIP_BLOCK))
     while count:
         block = min(count, SKIP_BLOCK)
-        rng.normal(size=block)
+        rng.standard_normal(out=buf[:block])
         count -= block
 
 

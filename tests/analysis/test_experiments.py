@@ -99,10 +99,10 @@ def test_fig11_driver_minimal():
 
 @pytest.fixture
 def fig11_syntheses(monkeypatch):
-    """Seeds of the fleet syntheses the Fig. 11 driver makes, in order.
+    """Seeds of the fleet syntheses the Fig. 11 and Table drivers make.
 
     Starts from an empty memo, and fails any synthesis that starts
-    while a recording the driver made earlier is still alive: the memo
+    while a recording a driver made earlier is still alive: the module
     must hold at most one recording, even while it synthesises.
     """
     monkeypatch.setattr(experiments, "_fig11_memo", None)
@@ -181,6 +181,25 @@ def test_fig11_sweep_synthesises_each_seed_once(fig11_syntheses):
         m_values=(1.0, 2.0), af_values=(0.4, 0.6), seeds=(1, 2)
     )
     assert fig11_syntheses == [100, 200]
+
+
+def test_table_runs_hold_one_recording(fig11_syntheses):
+    # Each run's recording is dropped before the next run synthesises.
+    run_correlation_table(
+        True, m_values=(2.0,), row_counts=(4,), seeds=(1, 2),
+        speeds_knots=(10.0,),
+    )
+    assert fig11_syntheses == [110, 210]
+
+
+def test_table_run_drops_the_fig11_memo(fig11_syntheses):
+    # A Table run after a Fig. 11 cell of the same seed synthesises
+    # only once the memoised Fig. 11 recording is gone.
+    experiments.fig11_cell(2.0, 0.6, seed=1)
+    run_correlation_table(
+        False, m_values=(2.0,), row_counts=(4,), seeds=(1,)
+    )
+    assert fig11_syntheses == [100, 110]
 
 
 def test_correlation_table_shape():

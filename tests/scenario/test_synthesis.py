@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.constants import ACCEL_COUNTS_PER_G
+from repro.constants import ACCEL_COUNTS_PER_G, SAMPLE_RATE_HZ
 from repro.errors import ConfigurationError
+from repro.physics.buoy import Buoy
 from repro.physics.disturbance import FishBump
 from repro.physics.wavefield import AmbientWaveField
 from repro.scenario.deployment import GridDeployment
+from repro.scenario import synthesis
 from repro.scenario.presets import paper_deployment, paper_ship
 from repro.scenario.synthesis import (
     SynthesisConfig,
@@ -172,9 +176,12 @@ def test_ragged_grids_rejected():
 
 
 @st.composite
-def _fleet_cases(draw):
-    """2x2-3x3 fleets, 40-120 s records, 0-2 crossings, nuisances or not."""
-    duration = draw(st.integers(40, 120))
+def _fleet_cases(draw, shortest_s=40):
+    """2x2-3x3 fleets, 40-120 s records, 0-2 crossings, nuisances or not.
+
+    ``shortest_s`` lowers the shortest record drawn.
+    """
+    duration = draw(st.integers(shortest_s, 120))
     return dict(
         rows=draw(st.integers(2, 3)),
         columns=draw(st.integers(2, 3)),
@@ -231,10 +238,98 @@ def test_z_only_synthesis_equals_three_axis(case):
         assert trace.t0 == three_axis[nid].t0
         assert trace.x is None and trace.y is None
         assert three_axis[nid].x is not None and three_axis[nid].y is not None
-    for a, b in zip(dep_z, dep_xyz):
+    _assert_same_devices(dep_z, dep_xyz)
+
+
+def _assert_same_devices(dep_a, dep_b):
+    """Every node's noise stream and battery ended alike."""
+    for a, b in zip(dep_a, dep_b):
         assert (
             a.mote.accelerometer._noise_rng.bit_generator.state
             == b.mote.accelerometer._noise_rng.bit_generator.state
         )
         assert a.mote.battery.remaining_j == b.mote.battery.remaining_j
         assert a.mote.battery.breakdown() == b.mote.battery.breakdown()
+
+
+def _recorded_motions(mp, case, horizontal):
+    """:func:`_recorded_fleet`, and each buoy's motion in recording order.
+
+    The motions are the floats the motes digitise, so they show a
+    deviation too small to move a count.
+    """
+    motions = []
+    specific_force = Buoy.specific_force
+
+    def kept(self, *args, **kwargs):
+        motions.append(specific_force(self, *args, **kwargs))
+        return motions[-1]
+
+    mp.setattr(Buoy, "specific_force", kept)
+    return _recorded_fleet(**case, horizontal=horizontal), motions
+
+
+@given(
+    case=_fleet_cases(shortest_s=1),
+    horizontal=st.booleans(),
+    block_rows=st.integers(1, 9),
+)
+# A record within one sinusoid block, in one-row blocks.
+@example(
+    case=dict(
+        rows=3,
+        columns=3,
+        duration_s=3.0,
+        cross_times_s=[1.0],
+        nuisances=True,
+        seed=5,
+    ),
+    horizontal=True,
+    block_rows=1,
+)
+@settings(
+    max_examples=settings.default.max_examples // 5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_row_blocks_equal_the_whole_fleet(case, horizontal, block_rows):
+    """A fleet recorded a row block at a time equals the whole-fleet batch.
+
+    Every buoy motion and recorded axis, noise stream and battery, for
+    any block size.
+    """
+    row_bytes = 8 * round(case["duration_s"] * SAMPLE_RATE_HZ)
+    runs = []
+    for rows in (block_rows, case["rows"] * case["columns"]):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthesis, "AMBIENT_BLOCK_BYTES", rows * row_bytes)
+            runs.append(_recorded_motions(mp, case, horizontal))
+    (dep_blocked, blocked), moved_blocked = runs[0]
+    (dep_whole, whole), moved_whole = runs[1]
+    for a, b in zip(moved_blocked, moved_whole, strict=True):
+        assert np.array_equal(a.fz, b.fz)
+        if horizontal:
+            assert np.array_equal(a.fx, b.fx)
+            assert np.array_equal(a.fy, b.fy)
+    assert sorted(blocked) == sorted(whole)
+    for nid, trace in blocked.items():
+        assert np.array_equal(trace.z, whole[nid].z)
+        if horizontal:
+            assert np.array_equal(trace.x, whole[nid].x)
+            assert np.array_equal(trace.y, whole[nid].y)
+    _assert_same_devices(dep_blocked, dep_whole)
+
+
+def test_fleet_synthesis_holds_one_row_block():
+    # A Table II fleet (6x5, 400 s, one crossing) is recorded a row
+    # block at a time: the traced peak stays within 2.25x of the
+    # recorded counts, where one whole-fleet batch reaches 3.1x.
+    dep = paper_deployment(seed=3)
+    cfg = SynthesisConfig(duration_s=400.0)
+    tracemalloc.start()
+    try:
+        traces = synthesize_fleet_traces(dep, [paper_ship(dep)], cfg, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * sum(trace.z.nbytes for trace in traces.values())

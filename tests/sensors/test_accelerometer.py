@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.constants import GRAVITY
 from repro.errors import ConfigurationError
@@ -114,6 +116,17 @@ def test_z_only_skip_holds_one_block():
         tracemalloc.stop()
     assert SKIP_BLOCK == 65_536
     assert peak < SKIP_BLOCK * 8 + 64 * 1024
+    assert rng.bit_generator.state == want.bit_generator.state
+
+
+@given(count=st.integers(0, 3 * SKIP_BLOCK), seed=st.integers(0, 2**32 - 1))
+def test_skip_leaves_the_stream_where_a_draw_does(count, seed):
+    # Drawing into one reused buffer consumes the stream exactly as
+    # one allocating draw of ``count`` normals.
+    rng = np.random.default_rng(seed)
+    want = copy.deepcopy(rng)
+    skip_normals(rng, count)
+    want.normal(size=count)
     assert rng.bit_generator.state == want.bit_generator.state
 
 

@@ -267,14 +267,18 @@ def _generated_runs(draw) -> GeneratedRun:
 
 
 def _generated_outcome(case: GeneratedRun, tracer=None):
-    """Run ``case`` on a fresh deployment; return what must not move."""
+    """Run ``case`` on a fresh deployment; return what must not move.
+
+    That is the run's result (a network run's digest) and every node's
+    battery, which no digest covers.
+    """
     dep = paper_deployment(case.rows, case.columns, seed=case.seed)
     ships = [paper_ship(dep, cross_time_s=case.cross_time_s)]
     synth = SynthesisConfig(duration_s=case.duration_s)
     det = NodeDetectorConfig(m=2.0, af_threshold=0.4)
     common = dict(synthesis_config=synth, seed=case.seed, tracer=tracer)
     if case.runner == "network":
-        return scenario_digest(
+        outcome = scenario_digest(
             run_network_scenario(
                 dep,
                 ships,
@@ -287,21 +291,27 @@ def _generated_outcome(case: GeneratedRun, tracer=None):
                 **common,
             )
         )
-    if case.runner == "offline":
-        return run_offline_scenario(dep, ships, detector_config=det, **common)
-    if case.runner == "streaming":
+    elif case.runner == "offline":
+        outcome = run_offline_scenario(dep, ships, detector_config=det, **common)
+    elif case.runner == "streaming":
         det = replace(
             det, preprocess=replace(det.preprocess, filter_kind="butter-causal")
         )
-        return run_streaming_scenario(
+        outcome = run_streaming_scenario(
             dep, ships, detector_config=det, chunk_s=17.3, **common
         )
-    result = run_dutycycled_scenario(
-        dep, ships, detector_config=det, duty_config=DutyCycleConfig(), **common
-    )
-    # The controller compares by identity; its decisions show in the
-    # reports and its demotion count.
-    return replace(result, controller=None), result.sentinel_demotions
+    else:
+        result = run_dutycycled_scenario(
+            dep, ships, detector_config=det, duty_config=DutyCycleConfig(), **common
+        )
+        # The controller compares by identity; its decisions show in the
+        # reports and its demotion count.
+        outcome = replace(result, controller=None), result.sentinel_demotions
+    batteries = [
+        (node.mote.battery.remaining_j, node.mote.battery.breakdown())
+        for node in dep
+    ]
+    return outcome, batteries
 
 
 @given(case=_generated_runs())

@@ -1,9 +1,12 @@
-"""Packaging: the library declares every third-party module it imports."""
+"""Packaging: the library declares every third-party module it imports,
+and loads networkx only where a graph is built."""
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,3 +44,22 @@ def test_every_third_party_import_is_declared():
     assert {"numpy", "scipy"} <= imported
     missing = imported - _declared()
     assert not missing, f"imported by src/ but not declared in pyproject: {missing}"
+
+
+def test_radio_less_paths_do_not_load_networkx():
+    # Only network runs build or search a graph; the offline, streaming
+    # and duty-cycled runners and the paper drivers import without it.
+    code = (
+        "import sys\n"
+        "import repro.scenario.runner, repro.scenario.streaming\n"
+        "import repro.analysis.experiments\n"
+        "sys.exit('networkx' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr or "networkx was imported"
