@@ -36,6 +36,7 @@ class DutyCycleConfig:
     #: Sentinel set rotates this often (balances energy across nodes).
     rotation_period_s: float = 60.0
     #: Delay between a sentinel alarm and the fleet being fully awake.
+    #: Positive: an alarm never wakes the fleet for its own window.
     wakeup_latency_s: float = 2.0
     #: Fully-awake duration following an alarm.
     hold_s: float = 180.0
@@ -43,11 +44,6 @@ class DutyCycleConfig:
     #: Sec. IV-A); the wake-up "increase[s] the sampling rate" back to
     #: the full 50 Hz.  ``None`` keeps sentinels at the full rate.
     coarse_rate_hz: float | None = 10.0
-    #: Battery fraction below which a node is permanently demoted to
-    #: sentinel duty: always awake, but coarse-rate only (a drained
-    #: node can no longer afford full-rate wake-ups yet still extends
-    #: coverage as a tripwire).  ``None`` disables demotion.
-    demote_battery_fraction: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.sentinel_fraction <= 1.0:
@@ -58,22 +54,15 @@ class DutyCycleConfig:
             raise ConfigurationError(
                 f"rotation_period_s must be positive, got {self.rotation_period_s}"
             )
-        if self.wakeup_latency_s < 0:
+        if self.wakeup_latency_s <= 0:
             raise ConfigurationError(
-                f"wakeup_latency_s must be >= 0, got {self.wakeup_latency_s}"
+                f"wakeup_latency_s must be positive, got {self.wakeup_latency_s}"
             )
         if self.hold_s <= 0:
             raise ConfigurationError(f"hold_s must be positive, got {self.hold_s}")
         if self.coarse_rate_hz is not None and self.coarse_rate_hz <= 0:
             raise ConfigurationError(
                 f"coarse_rate_hz must be positive, got {self.coarse_rate_hz}"
-            )
-        if self.demote_battery_fraction is not None and not (
-            0.0 < self.demote_battery_fraction < 1.0
-        ):
-            raise ConfigurationError(
-                "demote_battery_fraction must be in (0, 1), "
-                f"got {self.demote_battery_fraction}"
             )
 
 
@@ -100,9 +89,6 @@ class DutyCycleController:
         self._n_sentinels = max(int(round(n * self.config.sentinel_fraction)), 1)
         #: Alarm wake-up intervals [start, end), merged on insertion.
         self._wake_intervals: list[tuple[float, float]] = []
-        #: Permanently demoted nodes -> demotion time (fault-aware
-        #: duty cycling: drained nodes drop to coarse sentinel duty).
-        self._demoted: dict[int, float] = {}
 
     @property
     def n_sentinels(self) -> int:
@@ -149,48 +135,9 @@ class DutyCycleController:
         """Whether ``node_id`` evaluates detection windows at time ``t``."""
         if node_id not in self.node_ids:
             raise ConfigurationError(f"unknown node {node_id}")
-        if node_id in self._demoted:
-            # Demoted nodes are permanent (coarse-only) sentinels.
-            return True
         if self.in_wakeup(t):
             return True
         return node_id in self.sentinels_at(t)
-
-    # ------------------------------------------------------------------
-    # Fault-aware demotion (drained nodes become sentinels)
-    # ------------------------------------------------------------------
-    def demote(self, node_id: int, t: float) -> None:
-        """Permanently demote a drained node to coarse sentinel duty.
-
-        The node stays awake as a tripwire but never returns to the
-        full sampling rate — not even during fleet wake-ups — because
-        its battery can no longer afford full-rate operation.
-        Demotion is idempotent; the first call's time is kept.
-        """
-        if node_id not in self.node_ids:
-            raise ConfigurationError(f"unknown node {node_id}")
-        if node_id not in self._demoted and self.tracer is not None:
-            self.tracer.emit(
-                CAT_DUTYCYCLE,
-                "demote",
-                sim_time_s=t,
-                node_id=node_id,
-                reason="battery_low",
-            )
-        self._demoted.setdefault(node_id, t)
-
-    def is_demoted(self, node_id: int) -> bool:
-        """True once ``node_id`` has been demoted to sentinel duty."""
-        return node_id in self._demoted
-
-    def demotions(self) -> dict[int, float]:
-        """Demoted node ids and their demotion times."""
-        return dict(self._demoted)
-
-    @property
-    def sentinel_demotions(self) -> int:
-        """How many nodes have been demoted to sentinel duty."""
-        return len(self._demoted)
 
     # ------------------------------------------------------------------
     # Energy accounting

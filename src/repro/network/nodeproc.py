@@ -106,6 +106,9 @@ class ResilienceStats:
     relay_frames_abandoned: int = 0
     relay_queue_drops: int = 0
     relay_dups_dropped: int = 0
+    #: Always 0: no code path demotes a node.  It stays because the
+    #: pinned chaos digests hash every ``fault_stats`` key; it goes with
+    #: the next deliberate re-pin.
     sentinel_demotions: int = 0
     cold_restarts: int = 0
     baseline_blind_window_s: float = 0.0

@@ -58,12 +58,11 @@ class RoutingTable:
     chain of solid 25 m links beats a shorter chain of marginal 50 m
     skips.
 
-    ``exclude`` and ``no_relay`` support the self-healing runtime's
-    route repair: neither set relays traffic (Dijkstra runs on the
-    remaining core), but each of their members is re-attached as a
-    *leaf* under its cheapest live neighbour — the per-node ETX parent
-    re-selection.  Leaf attachment means a node falsely declared dead
-    (or demoted to sentinel duty) can still originate frames; only
+    ``exclude`` supports the self-healing runtime's route repair: the
+    excluded nodes relay no traffic (Dijkstra runs on the remaining
+    core), but each is re-attached as a *leaf* under its cheapest live
+    neighbour — the per-node ETX parent re-selection.  Leaf attachment
+    means a node falsely declared dead can still originate frames; only
     transit trust is withdrawn.
     """
 
@@ -72,7 +71,6 @@ class RoutingTable:
         graph: networkx.Graph,
         sink_id: int,
         exclude: Iterable[int] = (),
-        no_relay: Iterable[int] = (),
     ) -> None:
         import networkx as nx
 
@@ -83,11 +81,9 @@ class RoutingTable:
         self.exclude = frozenset(exclude)
         if sink_id in self.exclude:
             raise ConfigurationError("cannot exclude the sink from routing")
-        self.no_relay = frozenset(no_relay) - self.exclude - {sink_id}
-        leaves = self.exclude | self.no_relay
         core = (
-            graph.subgraph([n for n in graph if n not in leaves])
-            if leaves
+            graph.subgraph([n for n in graph if n not in self.exclude])
+            if self.exclude
             else graph
         )
         # Dijkstra from the sink on the ETX metric gives each node its
@@ -101,10 +97,10 @@ class RoutingTable:
                 # path runs sink -> ... -> node; the next hop toward the
                 # sink is the penultimate element.
                 self._parent[node] = path[-2]
-        # ETX parent re-selection for the leaf set: each leaf attaches
-        # under the neighbour minimising (neighbour cost + link ETX),
-        # ties broken by the lower node id for determinism.
-        for nid in sorted(leaves):
+        # ETX parent re-selection for the excluded set: each attaches as
+        # a leaf under the neighbour minimising (neighbour cost + link
+        # ETX), ties broken by the lower node id for determinism.
+        for nid in sorted(self.exclude):
             candidates = [
                 (costs[nbr] + graph.edges[nid, nbr]["etx"], nbr)
                 for nbr in sorted(graph.neighbors(nid))

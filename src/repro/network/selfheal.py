@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.errors import ConfigurationError
 from repro.network.messages import Frame
 from repro.network.routing import RoutingTable
-from repro.telemetry.events import CAT_DUTYCYCLE, CAT_HEAL
+from repro.telemetry.events import CAT_HEAL
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     import networkx
@@ -66,9 +66,6 @@ class SelfHealingConfig:
     #: the baseline re-seeds from scratch and the re-warm-up blind
     #: window is metered in ``baseline_blind_window_s``.
     persist_baseline: bool = False
-    #: Demote a node to sentinel (non-relaying) duty once its battery
-    #: falls below this fraction; ``None`` disables demotion.
-    demote_battery_fraction: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
@@ -86,13 +83,6 @@ class SelfHealingConfig:
         if self.relay_queue_cap < 1:
             raise ConfigurationError(
                 f"relay_queue_cap must be >= 1, got {self.relay_queue_cap}"
-            )
-        if self.demote_battery_fraction is not None and not (
-            0.0 < self.demote_battery_fraction < 1.0
-        ):
-            raise ConfigurationError(
-                "demote_battery_fraction must be in (0, 1), "
-                f"got {self.demote_battery_fraction}"
             )
 
 
@@ -131,8 +121,6 @@ class SelfHealingRuntime:
         self.config = config
         #: Neighbours declared dead (excluded from routing and paths).
         self.dead: set[int] = set()
-        #: Demoted sentinels: routed as leaves, never as relays.
-        self.no_relay: set[int] = set()
         self._missed_acks: dict[int, int] = {}
         self._pending: dict[int, int] = {}
         # The graph restricted to nodes not declared dead; starts as
@@ -144,13 +132,10 @@ class SelfHealingRuntime:
     # Topology repair
     # ------------------------------------------------------------------
     def rebuild(self) -> None:
-        """Re-run ETX parent selection around the dead/demoted sets."""
+        """Re-run ETX parent selection around the dead set."""
         net = self.network
         net.routing = RoutingTable(
-            net.graph,
-            net.sink_node.node_id,
-            exclude=self.dead,
-            no_relay=self.no_relay,
+            net.graph, net.sink_node.node_id, exclude=self.dead
         )
         self.live_graph = net.graph.subgraph(
             [n for n in net.graph if n not in self.dead]
@@ -162,7 +147,6 @@ class SelfHealingRuntime:
                 "reroute",
                 sim_time_s=net.sim.now,
                 n_dead=len(self.dead),
-                n_sentinel=len(self.no_relay),
             )
 
     def declare_dead(self, node_id: int) -> None:
@@ -199,28 +183,6 @@ class SelfHealingRuntime:
                     node_id=node_id,
                 )
             self.rebuild()
-
-    def demote(self, node_id: int) -> None:
-        """Drop a drained node to sentinel duty: leaf routing only."""
-        if (
-            node_id in self.no_relay
-            or node_id == self.network.sink_node.node_id
-        ):
-            return
-        self.no_relay.add(node_id)
-        self.network.resilience.sentinel_demotions += 1
-        if self.network.trace is not None:
-            self.network.trace.emit(
-                CAT_DUTYCYCLE,
-                "demote",
-                sim_time_s=self.network.sim.now,
-                node_id=node_id,
-                reason="battery_low",
-            )
-        logger.info(
-            "node %d demoted to sentinel (battery low); rerouting", node_id
-        )
-        self.rebuild()
 
     # ------------------------------------------------------------------
     # Reliable forwarding
@@ -266,15 +228,6 @@ class SelfHealingRuntime:
         if dst is None:
             return net.routing.next_hop(src)
         graph = self.live_graph
-        if self.no_relay:
-            # Demoted sentinels may terminate a path but not relay it.
-            graph = graph.subgraph(
-                [
-                    n
-                    for n in graph
-                    if n not in self.no_relay or n in (src, dst)
-                ]
-            )
         if src not in graph or dst not in graph:
             return None
         import networkx as nx

@@ -40,7 +40,7 @@ from repro.detection.sid import SIDNode, SIDNodeConfig
 from repro.detection.sink import Sink
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import BatteryDrain, FaultPlan, FaultStats, Outage
+from repro.faults.plan import FaultPlan, FaultStats, Outage
 from repro.network.channel import Channel, ChannelConfig
 from repro.network.nodeproc import (
     CPU_S_PER_SAMPLE,
@@ -674,10 +674,9 @@ def run_network_scenario(
     cluster evaluation and report retransmission (DESIGN.md §6).
 
     ``healing`` arms the self-healing runtime (route repair around
-    dead parents, hop-by-hop relay retries, cold-restart recovery,
-    battery-triggered sentinel demotion).  ``None`` — the default —
-    installs nothing and keeps every path bit-identical to the
-    pre-healing transport.
+    dead parents, hop-by-hop relay retries, cold-restart recovery).
+    ``None`` — the default — installs nothing and keeps every path
+    bit-identical to the pre-healing transport.
 
     Both feed paths evaluate the windows of one per-run plan: a window
     whose end time falls in a planned crash is never scheduled.
@@ -782,14 +781,6 @@ def run_network_scenario(
         # instrumentation follows in the deployment loop, before any
         # node callbacks are scheduled.
         sanitizer.attach_network(network)
-    if healing is not None and healing.demote_battery_fraction is not None:
-        # Fault-aware duty cycling: a drained battery demotes its node
-        # to sentinel (non-relaying) duty through the healing runtime.
-        for node in deployment:
-            node.mote.battery.watch_low(
-                healing.demote_battery_fraction,
-                lambda nid=node.node_id: network.heal.demote(nid),
-            )
     window = cfg.detector.window_samples
     plan = _window_plan(recording, cfg.detector, faults, network.sim.now)
     # The fleet precompute assumes no baseline resets mid-run; a
@@ -956,11 +947,6 @@ class DutyCycledScenarioResult:
         """Total window-level reports raised."""
         return sum(len(v) for v in self.reports_by_node.values())
 
-    @property
-    def sentinel_demotions(self) -> int:
-        """Nodes demoted to coarse sentinel duty by battery drain."""
-        return self.controller.sentinel_demotions
-
 
 def _dutycycled_reports(
     deployment: GridDeployment,
@@ -969,28 +955,22 @@ def _dutycycled_reports(
     coarse_cfg: NodeDetectorConfig,
     decimation: int,
     controller: "DutyCycleController",
-    faults: FaultPlan | None,
 ) -> tuple[dict[int, list[NodeReport]], Optional[float]]:
     """The duty-cycled window walk: one fleet step per window group.
 
     Window groups (one start index, shared by every node) run in time
-    order.  Before each step, rows are visited in node-id order to pick
-    their branch — baseline initialisation (both rates), full-rate
-    detection during a wake-up, coarse sentinel detection, or asleep —
-    and, under an active fault plan, to apply due battery drains, skip
-    depleted nodes, bill the branch's samples and test the demotion
-    watermark.  After the step the same order replays demotions and
-    alarms, so the controller sees them exactly as a node-by-node walk
-    would.
+    order.  Array masks pick each row's branch: baseline initialisation
+    (both rates), full-rate detection during a wake-up (or with
+    full-rate sentinels), coarse sentinel detection, or asleep.  After
+    the step, alarms are replayed in node-id order, so the controller
+    sees them exactly as a node-by-node walk would.
 
     An alarm wakes the fleet ``wakeup_latency_s`` after its onset,
-    which is never before its window's start; with a positive latency
-    no alarm can wake a row of its own group, so the whole group steps
-    at once.  With zero latency an onset at the window start wakes the
-    group's later rows, so rows then step one at a time.
+    which is never before its window's start; the latency is positive,
+    so no alarm can wake a row of its own group and every branch is
+    known before the group steps.
     """
-    nodes = list(deployment)
-    ids = [node.node_id for node in nodes]
+    ids = [node.node_id for node in deployment]
     pre, t0s = _fleet_samples(recording, det_cfg)
     if len(set(t0s)) > 1:
         raise ConfigurationError(
@@ -1001,22 +981,8 @@ def _dutycycled_reports(
     coarse_window = coarse_cfg.window_samples
     fleet = FleetDetector.from_deployment(deployment, det_cfg)
     coarse_fleet = FleetDetector.from_deployment(deployment, coarse_cfg)
-    n = len(nodes)
+    n = len(ids)
     order = sorted(range(n), key=lambda i: ids[i])
-    batches = (
-        [order]
-        if controller.config.wakeup_latency_s > 0
-        else [[i] for i in order]
-    )
-    # Battery model (active fault plans only): pending drains sorted by
-    # onset, per-window sampling bills, and watermark demotion.
-    billing = faults is not None and faults.active
-    pending: dict[int, list[BatteryDrain]] = {}
-    if faults is not None and billing:
-        for drain in sorted(faults.battery_drains, key=lambda d: d.at_s):
-            pending.setdefault(drain.node_id, []).append(drain)
-    batteries = [node.mote.battery for node in nodes]
-    demote_frac = controller.config.demote_battery_fraction
     reports_by_node: dict[int, list[NodeReport]] = {nid: [] for nid in ids}
     first_alarm: Optional[float] = None
     for start in window_starts(det_cfg, pre.shape[1]):
@@ -1024,77 +990,41 @@ def _dutycycled_reports(
         window_t0s = [t0] * n
         c_start = start // decimation
         c_seg = coarse_pre[:, c_start : c_start + coarse_window]
-        for batch in batches:
-            wake = controller.in_wakeup(t0) or decimation == 1
-            seeded = fleet.seeded
-            init = np.zeros(n, dtype=bool)
-            fine = np.zeros(n, dtype=bool)
-            coarse = np.zeros(n, dtype=bool)
-            demote: list[int] = []
-            for i in batch:
-                battery = batteries[i]
-                if billing:
-                    drains = pending.get(ids[i])
-                    while drains and drains[0].at_s <= t0:
-                        battery.accelerate_drain(drains.pop(0).factor)
-                    if battery.depleted:
-                        continue
-                if not seeded[i]:
-                    # Initialization windows always run (they happen
-                    # right after deployment, before the duty cycle
-                    # engages); both rates build their baselines here.
-                    init[i] = True
-                    if billing:
-                        battery.draw_samples(window)
-                    continue
-                demoted = controller.is_demoted(ids[i])
-                if (
-                    billing
-                    and demote_frac is not None
-                    and not demoted
-                    and battery.fraction_remaining < demote_frac
-                ):
-                    demote.append(i)
-                    demoted = True
-                if not demoted and not controller.is_active(ids[i], t0):
-                    continue
-                if wake and not demoted:
-                    fine[i] = True
-                    if billing:
-                        battery.draw_samples(window)
-                elif c_seg.shape[1] == coarse_window:
-                    # Sentinel mode: coarse detection at the reduced
-                    # rate (a short trailing coarse segment is skipped).
-                    coarse[i] = True
-                    if billing:
-                        battery.draw_samples(coarse_window)
-            fine_reports: list[Optional[NodeReport]] = [None] * n
-            if (init | fine).any():
-                fine_reports = fleet.step(
-                    pre[:, start : start + window],
-                    window_t0s,
-                    active=init | fine,
-                )
-            coarse_reports: list[Optional[NodeReport]] = [None] * n
-            if (init | coarse).any():
-                coarse_reports = coarse_fleet.step(
-                    c_seg, window_t0s, active=init | coarse
-                )
-            for i in batch:
-                if i in demote:
-                    controller.demote(ids[i], t0)
-                report = (
-                    fine_reports[i]
-                    if fine[i]
-                    else coarse_reports[i]
-                    if coarse[i]
-                    else None
-                )
-                if report is not None:
-                    reports_by_node[ids[i]].append(report)
-                    controller.alarm(report.onset_time)
-                    if first_alarm is None:
-                        first_alarm = report.onset_time
+        # Initialization windows always run (they happen right after
+        # deployment, before the duty cycle engages); both rates build
+        # their baselines here.
+        seeded = fleet.seeded
+        init = ~seeded
+        awake = controller.in_wakeup(t0)
+        active = seeded & (awake | np.isin(ids, controller.sentinels_at(t0)))
+        full_rate = awake or decimation == 1
+        fine = active & full_rate
+        # Sentinel mode: coarse detection at the reduced rate (a short
+        # trailing coarse segment is skipped).
+        coarse = active & (not full_rate and c_seg.shape[1] == coarse_window)
+        fine_reports: list[Optional[NodeReport]] = [None] * n
+        if (init | fine).any():
+            fine_reports = fleet.step(
+                pre[:, start : start + window], window_t0s, active=init | fine
+            )
+        coarse_reports: list[Optional[NodeReport]] = [None] * n
+        if (init | coarse).any():
+            coarse_reports = coarse_fleet.step(
+                c_seg, window_t0s, active=init | coarse
+            )
+        for i in order:
+            report = (
+                fine_reports[i]
+                if fine[i]
+                else coarse_reports[i]
+                if coarse[i]
+                else None
+            )
+            if report is not None:
+                reports_by_node[ids[i]].append(report)
+                controller.alarm(report.onset_time)
+                if first_alarm is None:
+                    first_alarm = report.onset_time
     return reports_by_node, first_alarm
 
 
@@ -1104,7 +1034,6 @@ def run_dutycycled_scenario(
     detector_config: NodeDetectorConfig | None = None,
     duty_config: "DutyCycleConfig | None" = None,
     synthesis_config: SynthesisConfig | None = None,
-    faults: FaultPlan | None = None,
     seed: RandomState = None,
     tracer: Optional[Tracer] = None,
 ) -> DutyCycledScenarioResult:
@@ -1118,18 +1047,9 @@ def run_dutycycled_scenario(
     alarms: it forms no cluster, so no travel line enters it (online
     heads, as in :func:`run_network_scenario`, always fit their own).
 
-    ``faults`` (only :class:`~repro.faults.plan.BatteryDrain` entries
-    apply here) turns on battery accounting: every evaluated window
-    bills its sampling energy, drains accelerate at their onset, a
-    depleted node skips its windows, and — when
-    ``DutyCycleConfig.demote_battery_fraction`` is set — a node whose
-    charge crosses the watermark is permanently demoted to coarse
-    sentinel duty.  ``faults=None`` (the default) bills nothing and
-    stays bit-identical to the pre-fault runner.
-
-    ``tracer`` (optional) traces duty-cycle policy activity —
-    fleet wake-ups and sentinel demotions — and records profiling
-    spans; ``None`` (the default) adds nothing to the run.
+    ``tracer`` (optional) traces duty-cycle policy activity — fleet
+    wake-ups — and records profiling spans; ``None`` (the default)
+    adds nothing to the run.
     """
     from repro.detection.dutycycle import DutyCycleController
 
@@ -1166,7 +1086,6 @@ def run_dutycycled_scenario(
             coarse_cfg,
             decimation,
             controller,
-            faults,
         )
     return DutyCycledScenarioResult(
         reports_by_node=reports_by_node,

@@ -130,9 +130,10 @@ class StreamingFleetSynthesizer:
     def next_chunk(self, chunk_samples: int) -> Optional[np.ndarray]:
         """The next ``(nodes, <=chunk_samples)`` block of raw z counts.
 
-        Returns ``None`` once the grid is exhausted.  Each call bills
-        the produced samples to every mote's battery, like the
-        monolithic record does in one lump.
+        Returns ``None`` once the grid is exhausted.  The chunk that
+        exhausts it bills the whole record's samples to every mote's
+        battery in one draw, as the monolithic record does after
+        digitising: per-chunk draws would not sum to the same float.
         """
         if chunk_samples < 1:
             raise ConfigurationError(
@@ -148,6 +149,7 @@ class StreamingFleetSynthesizer:
             self._positions, t_c, responses=self._responses
         )
         self._pos += t_c.size
+        done = self._pos == self._n
         out = np.empty((len(self.nodes), t_c.size), dtype=np.int64)
         for i, node in enumerate(self.nodes):
             az_i = add_wakes_and_disturbances(az[i], t_c, self._wakes[i], ())
@@ -155,7 +157,8 @@ class StreamingFleetSynthesizer:
             out[i] = node.mote.accelerometer.read_axis_chunk(
                 motion.fz, 2, self._noise[i]
             )
-            node.mote.battery.draw_samples(t_c.size)
+            if done:
+                node.mote.battery.draw_samples(self._n)
         return out
 
     def chunks(self, chunk_samples: int) -> Iterator[np.ndarray]:

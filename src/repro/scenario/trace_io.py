@@ -15,6 +15,7 @@ gives them the two things they need:
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -111,7 +112,10 @@ def import_csv(path: str | Path, rate_hz: float | None = None) -> AccelTrace:
 
     The sample rate is inferred from the median timestamp step unless
     given explicitly; irregular timestamps are tolerated to 1 %.  Empty
-    x and y columns (a z-only export) read back as ``None``.
+    x and y columns (a z-only export) read back as ``None``.  A row
+    without exactly four cells, a time or z cell that is not a finite
+    number, or a timestamp that does not increase raises
+    :class:`ConfigurationError` naming its line.
     """
     path = Path(path)
     if not path.exists():
@@ -125,11 +129,30 @@ def import_csv(path: str | Path, rate_hz: float | None = None) -> AccelTrace:
         header = next(reader, None)
         if header is None:
             raise ConfigurationError("empty CSV file")
+
+        def malformed(problem: str) -> ConfigurationError:
+            return ConfigurationError(f"{path}, line {reader.line_num}: {problem}")
+
         for row in reader:
-            times.append(float(row[0]))
+            if len(row) != 4:
+                raise malformed(f"expected 4 cells (time,x,y,z), got {len(row)}")
+            try:
+                t, z = float(row[0]), float(row[3])
+                if not (math.isfinite(t) and math.isfinite(z)):
+                    raise ValueError
+            except ValueError:
+                raise malformed(
+                    "time and z must be finite numbers, "
+                    f"got {row[0]!r} and {row[3]!r}"
+                ) from None
+            if times and t <= times[-1]:
+                raise malformed(
+                    f"timestamps must strictly increase, got {t} after {times[-1]}"
+                )
+            times.append(t)
             xs.append(row[1])
             ys.append(row[2])
-            zs.append(int(float(row[3])))
+            zs.append(int(z))
     if len(times) < 2:
         raise ConfigurationError("CSV carries fewer than two samples")
     steps = np.diff(times)

@@ -10,7 +10,6 @@ numbers (radio ~ tens of mW, CPU ~ tens of mW, sampling cheap).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from repro.errors import ConfigurationError
 
@@ -58,7 +57,6 @@ class Battery:
         self._remaining = capacity_j
         self._by_category: dict[str, float] = {}
         self._drain_multiplier = 1.0
-        self._low_watch: Optional[tuple[float, Callable[[], None]]] = None
 
     @property
     def remaining_j(self) -> float:
@@ -97,24 +95,6 @@ class Battery:
             )
         self._drain_multiplier *= factor
 
-    def watch_low(
-        self, fraction: float, callback: Callable[[], None]
-    ) -> None:
-        """Invoke ``callback`` once when charge first drops below ``fraction``.
-
-        The fault-aware duty-cycling hook: the self-healing runtime
-        arms one watcher per node to demote drained nodes to sentinel
-        duty.  The watcher disarms before firing, so a callback that
-        draws further energy cannot recurse.  With no watcher armed
-        (the default) every draw is bit-identical to the unwatched
-        battery.
-        """
-        if not 0.0 < fraction < 1.0:
-            raise ConfigurationError(
-                f"watch fraction must be in (0, 1), got {fraction}"
-            )
-        self._low_watch = (fraction, callback)
-
     def draw(self, joules: float, category: str) -> bool:
         """Consume ``joules``; returns False when already depleted.
 
@@ -133,13 +113,6 @@ class Battery:
             joules *= self._drain_multiplier
         self._remaining -= joules
         self._by_category[category] = self._by_category.get(category, 0.0) + joules
-        if (
-            self._low_watch is not None
-            and self.fraction_remaining < self._low_watch[0]
-        ):
-            _, callback = self._low_watch
-            self._low_watch = None
-            callback()
         return True
 
     # Convenience wrappers -------------------------------------------------

@@ -123,6 +123,10 @@ def test_config_validation():
         DutyCycleConfig(rotation_period_s=0.0)
     with pytest.raises(ConfigurationError):
         DutyCycleConfig(wakeup_latency_s=-1.0)
+    # A zero latency would let an alarm wake rows of its own window
+    # group, which the duty-cycled walk steps at once.
+    with pytest.raises(ConfigurationError, match="wakeup_latency_s"):
+        DutyCycleConfig(wakeup_latency_s=0.0)
     with pytest.raises(ConfigurationError):
         DutyCycleConfig(hold_s=0.0)
 
@@ -136,39 +140,3 @@ def test_full_fraction_always_active():
     ctl = DutyCycleController([0, 1], DutyCycleConfig(sentinel_fraction=1.0))
     assert ctl.is_active(0, 0.0) and ctl.is_active(1, 0.0)
 
-
-# ---------------------------------------------------------------------------
-# Fault-aware demotion (drained nodes become permanent sentinels)
-# ---------------------------------------------------------------------------
-
-
-def test_demoted_node_always_active_but_never_fine(controller):
-    nid = controller.node_ids[-1]
-    # Pick an instant where the node would normally sleep.
-    assert not controller.is_active(nid, 0.0)
-    controller.demote(nid, 5.0)
-    assert controller.is_demoted(nid)
-    assert controller.is_active(nid, 0.0)
-    # Even a fleet wake-up leaves it demoted (coarse-only duty).
-    controller.alarm(10.0)
-    assert controller.is_demoted(nid)
-
-
-def test_demotion_idempotent_keeps_first_time(controller):
-    controller.demote(3, 7.0)
-    controller.demote(3, 99.0)
-    assert controller.demotions() == {3: 7.0}
-    assert controller.sentinel_demotions == 1
-
-
-def test_demote_unknown_node_rejected(controller):
-    with pytest.raises(ConfigurationError):
-        controller.demote(999, 0.0)
-
-
-def test_demote_battery_fraction_validated():
-    with pytest.raises(ConfigurationError):
-        DutyCycleConfig(demote_battery_fraction=0.0)
-    with pytest.raises(ConfigurationError):
-        DutyCycleConfig(demote_battery_fraction=1.5)
-    assert DutyCycleConfig(demote_battery_fraction=0.2).demote_battery_fraction == 0.2

@@ -56,8 +56,6 @@ def _sink_msg(node_id: int = 0) -> ClusterReportMsg:
         {"hop_max_attempts": 0},
         {"hop_backoff_s": 0.0},
         {"relay_queue_cap": 0},
-        {"demote_battery_fraction": 0.0},
-        {"demote_battery_fraction": 1.0},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -66,7 +64,7 @@ def test_config_rejects_bad_values(kwargs):
 
 
 # ---------------------------------------------------------------------------
-# RoutingTable: exclusion, leaf re-attachment, no_relay, subtree_of
+# RoutingTable: exclusion, leaf re-attachment, subtree_of
 # ---------------------------------------------------------------------------
 
 SINK = 9
@@ -98,19 +96,6 @@ def test_exclude_reroutes_subtree_and_reattaches_leaf():
 def test_exclude_sink_rejected():
     with pytest.raises(ConfigurationError):
         RoutingTable(_diamond_graph(), SINK, exclude={SINK})
-
-
-def test_no_relay_node_terminates_but_does_not_transit():
-    # Line: sink -- 0 -- 1 -- 2; demoting 1 strands 2.
-    g = nx.Graph()
-    g.add_edge(SINK, 0, etx=1.0)
-    g.add_edge(0, 1, etx=1.0)
-    g.add_edge(1, 2, etx=1.0)
-    rt = RoutingTable(g, SINK, no_relay={1})
-    # The sentinel still has a parent of its own (leaf attachment)...
-    assert rt.next_hop(1) == 0
-    # ...but no longer carries its former child.
-    assert not rt.is_connected(2)
 
 
 def test_subtree_of_walks_descendants():
@@ -240,18 +225,3 @@ def test_sink_never_declared_dead():
     net.heal.declare_dead(net.sink_node.node_id)
     assert net.sink_node.node_id not in net.heal.dead
     assert net.resilience.parents_declared_dead == 0
-
-
-def test_demoted_node_routed_as_leaf():
-    net, _ = _heal_network(SelfHealingConfig())
-    victim = net.routing.next_hop(0)
-    net.heal.demote(victim)
-    assert net.resilience.sentinel_demotions == 1
-    assert net.routing.subtree_of(victim) == []
-    # Demotion is idempotent.
-    net.heal.demote(victim)
-    assert net.resilience.sentinel_demotions == 1
-    # The sentinel still reaches the sink with its own reports.
-    net.send_to_sink(victim, _sink_msg(victim))
-    net.sim.run()
-    assert net.sink_node.received_frames == 1

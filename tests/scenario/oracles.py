@@ -36,7 +36,7 @@ from repro.detection.node_detector import (
 )
 from repro.detection.preprocess import preprocess_z_counts
 from repro.detection.reports import NodeReport
-from repro.faults.plan import BatteryDrain, FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.network.nodeproc import NetworkNode
 from repro.scenario import runner
 from repro.scenario.deployment import GridDeployment
@@ -170,14 +170,12 @@ def sequential_dutycycle(
     coarse_cfg: NodeDetectorConfig,
     decimation: int,
     controller: DutyCycleController,
-    faults: FaultPlan | None,
 ) -> tuple[dict[int, list[NodeReport]], Optional[float]]:
     """The duty-cycle policy one node-window at a time, in time order.
 
     Every (window start, node id) pair is visited in turn, so each
-    alarm, drain and demotion is visible to the very next visit.
+    alarm is visible to the very next visit.
     """
-    plan_active = faults is not None and faults.active
     detectors = {
         n.node_id: NodeDetector(
             n.node_id, n.anchor, det_cfg, row=n.row, column=n.column
@@ -212,33 +210,14 @@ def sequential_dutycycle(
     reports_by_node: dict[int, list[NodeReport]] = {
         nid: [] for nid in preprocessed
     }
-    # Battery model (faulted runs only): pending drains sorted by
-    # onset, per-window sampling bills, and watermark demotion.
-    pending_drains: dict[int, list[BatteryDrain]] = {}
-    if plan_active:
-        for drain in faults.battery_drains:
-            pending_drains.setdefault(drain.node_id, []).append(drain)
-        for drains in pending_drains.values():
-            drains.sort(key=lambda d: d.at_s)
-    batteries = {n.node_id: n.mote.battery for n in deployment}
-    demote_frac = controller.config.demote_battery_fraction
     first_alarm: Optional[float] = None
     for t0, nid, start in schedule:
         detector = detectors[nid]
         seg = preprocessed[nid][start : start + window]
-        if plan_active:
-            battery = batteries[nid]
-            drains = pending_drains.get(nid)
-            while drains and drains[0].at_s <= t0:
-                battery.accelerate_drain(drains.pop(0).factor)
-            if battery.depleted:
-                continue
         if not detector.initialized:
             # Initialization windows always run (they happen right after
             # deployment, before the duty cycle engages); both rate
             # variants build their baselines during this phase.
-            if plan_active:
-                battery.draw_samples(window)
             detector.process_window(seg, t0)
             c_start = start // decimation
             coarse_detectors[nid].process_window(
@@ -246,20 +225,9 @@ def sequential_dutycycle(
                 t0,
             )
             continue
-        if (
-            plan_active
-            and demote_frac is not None
-            and not controller.is_demoted(nid)
-            and battery.fraction_remaining < demote_frac
-        ):
-            controller.demote(nid, t0)
         if not controller.is_active(nid, t0):
             continue
-        if (
-            controller.in_wakeup(t0) or decimation == 1
-        ) and not controller.is_demoted(nid):
-            if plan_active:
-                battery.draw_samples(window)
+        if controller.in_wakeup(t0) or decimation == 1:
             report = detector.process_window(seg, t0)
         else:
             # Sentinel mode: coarse detection at the reduced rate.
@@ -269,8 +237,6 @@ def sequential_dutycycle(
             ]
             if c_seg.size < coarse_window:
                 continue
-            if plan_active:
-                battery.draw_samples(coarse_window)
             report = coarse_detectors[nid].process_window(c_seg, t0)
         if report is not None:
             reports_by_node[nid].append(report)

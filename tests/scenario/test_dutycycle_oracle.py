@@ -1,80 +1,56 @@
 """The duty-cycled runner's window walk against the sequential oracle.
 
-``run_dutycycled_scenario`` steps the fleet one window group at a time
-(one row at a time under zero wake-up latency), with battery drains,
-depletion, billing and watermark demotion folded into the group walk.
-Every case reruns the scenario with
+``run_dutycycled_scenario`` steps the fleet one window group at a time,
+picking every row's branch with array masks.  On a fixed case table and
+on generated scenarios and policies (run with ``HYPOTHESIS_PROFILE=ci``
+for ten times the examples), each run is repeated with
 :func:`tests.scenario.oracles.sequential_dutycycle` — the node-by-node,
-window-by-window loop — substituted, and requires bit-identical
-reports, first alarm, demotions, wake intervals, battery charges and
-policy trace.
+window-by-window loop — substituted, and must give bit-identical
+reports, first alarm, wake intervals and policy trace.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.detection.dutycycle import DutyCycleConfig
-from repro.detection.node_detector import NodeDetectorConfig, window_starts
+from repro.detection.node_detector import NodeDetectorConfig
 from repro.errors import ConfigurationError
-from repro.faults.plan import BatteryDrain, FaultPlan
 from repro.scenario import runner
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.presets import paper_ship
 from repro.scenario.runner import run_dutycycled_scenario
 from repro.scenario.synthesis import SynthesisConfig
-from repro.sensors.imote2 import MoteConfig
 from repro.telemetry import InMemorySink, ManualClock, Tracer
 from repro.telemetry.events import CAT_PROFILING
 from tests.scenario import oracles
 
 DETECTOR = NodeDetectorConfig(m=2.0, af_threshold=0.5)
-DURATION_S = 120.0
-#: Seeds 5 and 47 raise zero-latency alarms that wake later rows of
-#: their own window group, which whole-group batching gets wrong.
 SEEDS = (5, 23, 31, 47)
-
-DEMOTION = FaultPlan(battery_drains=(BatteryDrain(0, at_s=10.0, factor=5.0),))
-DEPLETION = FaultPlan(
-    battery_drains=(
-        BatteryDrain(0, at_s=10.0, factor=50.0),
-        BatteryDrain(4, at_s=30.0, factor=200.0),
-        BatteryDrain(7, at_s=50.0, factor=20.0),
-    )
-)
 CASES = {
-    "demotion": (DutyCycleConfig(demote_battery_fraction=0.5), DEMOTION),
-    # Demotions land during the crossing, between alarms of the same
-    # window group, so the trace pins their order.
-    "demotion_mid_crossing": (
-        DutyCycleConfig(demote_battery_fraction=0.45),
-        DEMOTION,
-    ),
-    "depletion": (DutyCycleConfig(demote_battery_fraction=0.5), DEPLETION),
-    "full_rate_sentinels_faulted": (
-        DutyCycleConfig(coarse_rate_hz=None, demote_battery_fraction=0.5),
-        DEMOTION,
-    ),
-    "zero_latency": (DutyCycleConfig(wakeup_latency_s=0.0), None),
-    "zero_latency_faulted": (
-        DutyCycleConfig(wakeup_latency_s=0.0, demote_battery_fraction=0.5),
-        DEPLETION,
-    ),
-    "zero_latency_full_rate": (
-        DutyCycleConfig(wakeup_latency_s=0.0, coarse_rate_hz=None),
-        None,
-    ),
-    "default": (DutyCycleConfig(), None),
+    "default": DutyCycleConfig(),
+    "full_rate": DutyCycleConfig(coarse_rate_hz=None),
 }
 
 
-def _run(monkeypatch, seed, duty, faults, oracle):
-    dep = GridDeployment(
-        3, 3, seed=seed, mote_config=MoteConfig(battery_capacity_j=0.2)
+@st.composite
+def _policies(draw) -> DutyCycleConfig:
+    return DutyCycleConfig(
+        sentinel_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        rotation_period_s=draw(st.floats(10.0, 120.0)),
+        wakeup_latency_s=draw(st.floats(0.001, 10.0)),
+        hold_s=draw(st.floats(10.0, 300.0)),
+        coarse_rate_hz=draw(st.sampled_from([None, 10.0, 25.0])),
     )
-    ship = paper_ship(dep, cross_time_s=DURATION_S / 2.0)
+
+
+def _run(rows, columns, duration_s, duty, seed, oracle):
+    dep = GridDeployment(rows, columns, seed=seed)
+    ship = paper_ship(dep, cross_time_s=duration_s / 2.0)
     trace = InMemorySink()
-    with monkeypatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp:
         if oracle:
             mp.setattr(
                 runner, "_dutycycled_reports", oracles.sequential_dutycycle
@@ -84,8 +60,7 @@ def _run(monkeypatch, seed, duty, faults, oracle):
             [ship],
             detector_config=DETECTOR,
             duty_config=duty,
-            synthesis_config=SynthesisConfig(duration_s=DURATION_S),
-            faults=faults,
+            synthesis_config=SynthesisConfig(duration_s=duration_s),
             seed=seed,
             tracer=Tracer([trace], clock=ManualClock(tick_s=0.001)),
         )
@@ -94,49 +69,38 @@ def _run(monkeypatch, seed, duty, faults, oracle):
         for e in trace.events
         if e.category != CAT_PROFILING
     ]
-    charges = {n.node_id: n.mote.battery.remaining_j.hex() for n in dep}
-    return result, charges, policy_trace
+    return result, policy_trace
+
+
+def _assert_walk_matches_oracle(rows, columns, duration_s, duty, seed):
+    walk, walk_trace = _run(rows, columns, duration_s, duty, seed, False)
+    ref, ref_trace = _run(rows, columns, duration_s, duty, seed, True)
+    assert walk.reports_by_node == ref.reports_by_node
+    assert walk.first_alarm_time == ref.first_alarm_time
+    assert walk.controller._wake_intervals == ref.controller._wake_intervals
+    assert walk_trace == ref_trace
+    return walk
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_walk_matches_sequential_oracle(monkeypatch, case, seed):
-    duty, faults = CASES[case]
-    walk, walk_charges, walk_trace = _run(
-        monkeypatch, seed, duty, faults, oracle=False
-    )
-    ref, ref_charges, ref_trace = _run(
-        monkeypatch, seed, duty, faults, oracle=True
-    )
-    assert walk.reports_by_node == ref.reports_by_node
-    assert walk.first_alarm_time == ref.first_alarm_time
-    assert walk.controller.demotions() == ref.controller.demotions()
-    assert walk.controller._wake_intervals == ref.controller._wake_intervals
-    assert walk_charges == ref_charges
-    assert walk_trace == ref_trace
+def test_walk_matches_sequential_oracle(case, seed):
+    walk = _assert_walk_matches_oracle(3, 3, 120.0, CASES[case], seed)
     assert walk.n_reports > 0
 
 
-def test_depletion_plan_depletes(monkeypatch):
-    result, charges, _ = _run(
-        monkeypatch, SEEDS[0], *CASES["depletion"], oracle=False
-    )
-    depleted = [nid for nid, hexed in charges.items() if float.fromhex(hexed) <= 0]
-    assert len(depleted) >= 2
-    assert result.sentinel_demotions > 0
-
-
-@pytest.mark.parametrize("seed", [5, 47])
-def test_zero_latency_alarm_at_window_start(monkeypatch, seed):
-    # The zero-latency hazard: an onset exactly at its window's start
-    # wakes the fleet from that very instant.
-    result, _, _ = _run(monkeypatch, seed, *CASES["zero_latency"], oracle=False)
-    starts = {
-        start / DETECTOR.rate_hz
-        for start in window_starts(DETECTOR, int(DURATION_S * DETECTOR.rate_hz))
-    }
-    onsets = {r.onset_time for rs in result.reports_by_node.values() for r in rs}
-    assert onsets & starts
+@given(
+    rows=st.integers(2, 3),
+    columns=st.integers(2, 3),
+    duration_s=st.integers(60, 150).map(float),
+    duty=_policies(),
+    seed=st.integers(0, 2**20),
+)
+@settings(max_examples=settings.default.max_examples // 5, deadline=None)
+def test_generated_walk_matches_sequential_oracle(
+    rows, columns, duration_s, duty, seed
+):
+    _assert_walk_matches_oracle(rows, columns, duration_s, duty, seed)
 
 
 def test_unequal_start_times_rejected():

@@ -92,16 +92,14 @@ class TestPeriodicResync:
                 [ship],
                 sid_config=_cfg(),
                 synthesis_config=synth,
-                healing=SelfHealingConfig(demote_battery_fraction=0.5),
+                healing=SelfHealingConfig(),
                 resync_interval_s=0.0,
                 seed=9,
             )
-        # Rejected before synthesis: no battery was billed and no
-        # low-charge watcher was armed.
+        # Rejected before synthesis: no battery was billed.
         for node in dep:
             battery = node.mote.battery
             assert battery.remaining_j == battery.capacity_j
-            assert battery._low_watch is None
 
     def test_sync_failure_suppresses_and_drift_accumulates(self):
         dep, _, _ = _setup()

@@ -1,10 +1,9 @@
 """Runner-level tests for the self-healing network runtime.
 
-Covers the four healing pillars at scenario scope: cold-restart
-recovery (blind-window metering, ``persist_baseline``), structured
-degradation events when healing is off, battery-watermark sentinel
-demotion, and the zero-entropy guarantee that a ``healing=None`` run
-exports no resilience surface at all.
+Covers the healing pillars at scenario scope: cold-restart recovery
+(blind-window metering, ``persist_baseline``), structured degradation
+events when healing is off, and the zero-entropy guarantee that a
+``healing=None`` run exports no resilience surface at all.
 """
 
 from __future__ import annotations
@@ -21,16 +20,10 @@ from repro.scenario.deployment import GridDeployment
 from repro.scenario.presets import paper_ship
 from repro.scenario.runner import run_network_scenario
 from repro.scenario.synthesis import SynthesisConfig
-from repro.sensors.imote2 import MoteConfig
 
 
-def _run(faults=None, healing=None, seed=9, capacity_j=None):
-    mote_config = (
-        MoteConfig(battery_capacity_j=capacity_j)
-        if capacity_j is not None
-        else None
-    )
-    dep = GridDeployment(3, 3, seed=31, mote_config=mote_config)
+def _run(faults=None, healing=None, seed=9):
+    dep = GridDeployment(3, 3, seed=31)
     ship = paper_ship(dep, cross_time_s=80.0)
     synth = SynthesisConfig(duration_s=160.0)
     cfg = SIDNodeConfig(
@@ -131,24 +124,6 @@ class TestHealingAloneExportsCounters:
         assert res.faults_injected == 0
 
 
-class TestSentinelDemotionAtScenarioScope:
-    def test_drained_batteries_demote_through_healing(self):
-        # Capacity sized to survive trace synthesis but start the
-        # network phase already below the watermark: the first billed
-        # transmission demotes each node.
-        res, dep = _run(
-            healing=SelfHealingConfig(demote_battery_fraction=0.5),
-            capacity_j=0.15,
-        )
-        fs = res.fault_stats
-        assert fs["sentinel_demotions"] == len(dep)
-        assert fs["reroutes"] >= fs["sentinel_demotions"]
-
-    def test_without_healing_no_demotion_surface(self):
-        res, _ = _run(capacity_j=0.15)
-        assert res.fault_stats == {}
-
-
 class TestRollingCrashesBuilder:
     def test_schedule_and_reboots(self):
         plan = FaultPlan.rolling_crashes(
@@ -172,52 +147,3 @@ class TestRollingCrashesBuilder:
     def test_bad_arguments_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             FaultPlan.rolling_crashes(**kwargs)
-
-
-class TestFaultAwareDutyCycling:
-    """BatteryDrain faults flow through the duty-cycled runner."""
-
-    def _run(self, faults):
-        from repro.detection.dutycycle import DutyCycleConfig
-        from repro.scenario.runner import run_dutycycled_scenario
-
-        dep = GridDeployment(
-            3, 3, seed=31, mote_config=MoteConfig(battery_capacity_j=0.2)
-        )
-        ship = paper_ship(dep, cross_time_s=60.0)
-        synth = SynthesisConfig(duration_s=120.0)
-        return run_dutycycled_scenario(
-            dep,
-            [ship],
-            detector_config=NodeDetectorConfig(m=2.0, af_threshold=0.5),
-            duty_config=DutyCycleConfig(demote_battery_fraction=0.5),
-            synthesis_config=synth,
-            faults=faults,
-            seed=23,
-        )
-
-    def _plan(self):
-        from repro.faults.plan import BatteryDrain
-
-        return FaultPlan(
-            battery_drains=(BatteryDrain(0, at_s=10.0, factor=5.0),)
-        )
-
-    def test_drained_nodes_demoted_to_sentinels(self):
-        res = self._run(self._plan())
-        assert res.sentinel_demotions > 0
-        # The accelerated node crossed the watermark before the rest.
-        demotions = res.controller.demotions()
-        assert 0 in demotions
-        assert demotions[0] <= min(demotions.values())
-
-    def test_no_faults_bills_nothing_and_demotes_nobody(self):
-        res = self._run(None)
-        assert res.sentinel_demotions == 0
-
-    def test_faulted_dutycycle_run_deterministic(self):
-        r1 = self._run(self._plan())
-        r2 = self._run(self._plan())
-        assert r1.reports_by_node == r2.reports_by_node
-        assert r1.controller.demotions() == r2.controller.demotions()
-        assert r1.first_alarm_time == r2.first_alarm_time

@@ -4,8 +4,9 @@ Each runner runs one lockstep fleet detection walk; it must produce
 *identical* results to the per-node reference walks kept in
 :mod:`tests.scenario.oracles`, and the streaming synthesis->detection
 path must reproduce the monolithic offline run report for report, on
-hand-picked and on generated chunkings (run with
-``HYPOTHESIS_PROFILE=ci`` for ten times the generated examples).
+hand-picked and on generated chunkings, and leave every battery as the
+offline synthesis does (run with ``HYPOTHESIS_PROFILE=ci`` for ten
+times the generated examples).
 """
 
 from __future__ import annotations
@@ -191,13 +192,6 @@ class TestDutyCycleEngineParity:
         assert a.merged_by_node == b.merged_by_node
         assert a.first_alarm_time == b.first_alarm_time
 
-    def test_zero_latency_matches_reference(self, monkeypatch):
-        # With zero wake-up latency an alarm can wake a later row of
-        # its own window group, so the walk steps rows one at a time.
-        a, b = self._pair(monkeypatch, DutyCycleConfig(wakeup_latency_s=0.0))
-        assert a.reports_by_node == b.reports_by_node
-        assert a.first_alarm_time == b.first_alarm_time
-
 
 class TestStreamingScenario:
     @pytest.mark.parametrize("kind", ["butter-causal"])
@@ -364,12 +358,19 @@ def _streamed_scenarios(draw):
     return side, float(duration_s), draw(st.integers(0, 2**20)), lengths, chunk
 
 
+def _batteries(dep):
+    return [
+        (node.mote.battery.remaining_j, node.mote.battery.breakdown())
+        for node in dep
+    ]
+
+
 @given(case=_streamed_scenarios())
 @settings(max_examples=settings.default.max_examples // 10, deadline=None)
 def test_streaming_equals_offline_on_generated_chunkings(case):
-    """Chunked synthesis reproduces the offline z counts bit for bit,
-    and the streaming runner the offline ``"butter-causal"`` reports,
-    whatever the chunking."""
+    """Chunked synthesis reproduces the offline z counts and batteries
+    bit for bit, and the streaming runner the offline
+    ``"butter-causal"`` reports and batteries, whatever the chunking."""
     side, duration_s, seed, lengths, chunk = case
 
     def scenario():
@@ -385,6 +386,7 @@ def test_streaming_equals_offline_on_generated_chunkings(case):
         detector_config=STREAM_DETECTOR,
         recording=FleetRecording.from_traces(dep, traces),
     )
+    offline_batteries = _batteries(dep)
 
     # The drawn lengths in turn, then whatever is left in one chunk.
     dep, ship, synth = scenario()
@@ -395,6 +397,7 @@ def test_streaming_equals_offline_on_generated_chunkings(case):
     assert z.shape == (side * side, source.n_samples)
     for row, node in zip(z, dep):
         assert np.array_equal(row, traces[node.node_id].z)
+    assert _batteries(dep) == offline_batteries
 
     dep, ship, synth = scenario()
     streamed = run_streaming_scenario(
@@ -408,3 +411,4 @@ def test_streaming_equals_offline_on_generated_chunkings(case):
     assert streamed.reports_by_node == offline.reports_by_node
     assert streamed.merged_by_node == offline.merged_by_node
     assert streamed.cluster_event == offline.cluster_event
+    assert _batteries(dep) == offline_batteries

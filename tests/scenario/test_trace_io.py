@@ -98,6 +98,23 @@ class TestCsvRoundtrip:
         with pytest.raises(ConfigurationError):
             import_csv(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            ("0.00,1,2,1024\n0.02,1,2\n", "line 3: expected 4 cells"),
+            ("0.00,1,2,1024\nnoon,1,2,1024\n", "line 3: time and z"),
+            ("0.00,1,2,1024\n0.02,1,2,high\n", "line 3: time and z"),
+            ("0.00,1,2,1024\n0.00,1,2,1024\n", "line 3: timestamps"),
+            ("0.02,1,2,1024\n0.00,1,2,1024\n", "line 3: timestamps"),
+        ],
+        ids=["short_row", "text_time", "text_z", "repeated_time", "time_backwards"],
+    )
+    def test_malformed_rows_rejected(self, tmp_path, rows, match):
+        path = tmp_path / "bad.csv"
+        path.write_text("time_s,x,y,z\n" + rows)
+        with pytest.raises(ConfigurationError, match=match):
+            import_csv(path)
+
     def test_tiny_csv_rejected(self, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("time_s,x,y,z\n0.0,0,0,1024\n")

@@ -150,46 +150,3 @@ def test_invalid_capacity():
 def test_invalid_costs():
     with pytest.raises(ConfigurationError):
         EnergyCosts(sample_j=-1.0)
-
-
-class TestLowWatermarkWatch:
-    def test_fires_once_on_crossing(self):
-        b = Battery(100.0)
-        fired = []
-        b.watch_low(0.5, lambda: fired.append(b.fraction_remaining))
-        b.draw(40.0, "tx")  # 60 % left: above the watermark
-        assert fired == []
-        b.draw(20.0, "tx")  # 40 % left: crossed
-        assert len(fired) == 1
-        b.draw(20.0, "tx")  # stays below: no second firing
-        assert len(fired) == 1
-
-    def test_callback_sees_post_draw_charge_and_cannot_recurse(self):
-        b = Battery(100.0)
-        seen = []
-
-        def drain_more():
-            # The watcher disarmed before calling us: this draw cannot
-            # re-enter the callback.
-            seen.append(b.fraction_remaining)
-            b.draw(10.0, "cpu")
-
-        b.watch_low(0.5, drain_more)
-        b.draw(60.0, "tx")
-        assert seen == [pytest.approx(0.4)]
-        assert b.remaining_j == pytest.approx(30.0)
-
-    def test_invalid_fraction_rejected(self):
-        b = Battery(100.0)
-        with pytest.raises(ConfigurationError):
-            b.watch_low(0.0, lambda: None)
-        with pytest.raises(ConfigurationError):
-            b.watch_low(1.0, lambda: None)
-
-    def test_depleted_battery_never_fires(self):
-        b = Battery(10.0)
-        b.draw(20.0, "tx")  # dead before any watch is armed
-        fired = []
-        b.watch_low(0.5, lambda: fired.append(True))
-        b.draw(1.0, "tx")  # rejected: battery already depleted
-        assert fired == []

@@ -11,8 +11,9 @@ Three properties, asserted per runner:
 
 The hand-built scenarios below pin one run per runner; the property at
 the end checks all three on generated scenarios.  Plus the end-to-end
-acceptance check: a traced network-with-faults run exports a valid
-Chrome trace covering all six event categories.
+acceptance check: a traced network-with-faults run and a traced
+duty-cycled run export valid Chrome traces that together cover all six
+event categories.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def _network(tracer=None):
         sid_config=cfg,
         synthesis_config=SynthesisConfig(duration_s=160.0),
         faults=_chaos_plan(),
-        healing=SelfHealingConfig(demote_battery_fraction=0.2),
+        healing=SelfHealingConfig(),
         seed=9,
         tracer=tracer,
     )
@@ -201,20 +202,23 @@ class TestNetworkEquivalence:
 
 class TestChromeAcceptance:
     def test_network_fault_trace_covers_all_categories(self, tmp_path):
-        """Acceptance: valid Chrome JSON, >= 6 categories."""
-        tracer = Tracer(
-            [JsonlSink(tmp_path / "run.jsonl")], clock=ManualClock(tick_s=0.001)
-        )
-        _network(tracer=tracer)
-        tracer.close()
-        events = read_trace_jsonl(tmp_path / "run.jsonl")
-        categories = {e.category for e in events}
+        """Acceptance: valid Chrome JSON; the network-with-faults and
+        duty-cycled traces together cover all six categories (only the
+        duty-cycled runner emits ``dutycycle`` wake-ups)."""
+        categories = set()
+        for name, run in (("network", _network), ("dutycycled", _dutycycled)):
+            path = tmp_path / f"{name}.jsonl"
+            tracer = Tracer([JsonlSink(path)], clock=ManualClock(tick_s=0.001))
+            run(tracer=tracer)
+            tracer.close()
+            events = read_trace_jsonl(path)
+            categories |= {e.category for e in events}
+            doc = to_chrome_trace(events)
+            # Strict JSON: no NaN/Infinity may leak into the export.
+            parsed = json.loads(json.dumps(doc, allow_nan=False))
+            assert len(parsed["traceEvents"]) >= len(events)
         assert categories >= set(CATEGORIES)
         assert len(categories) >= 6
-        doc = to_chrome_trace(events)
-        # Strict JSON: no NaN/Infinity may leak into the export.
-        parsed = json.loads(json.dumps(doc, allow_nan=False))
-        assert len(parsed["traceEvents"]) >= len(events)
 
 
 # ----------------------------------------------------------------------
@@ -305,8 +309,11 @@ def _generated_outcome(case: GeneratedRun, tracer=None):
             dep, ships, detector_config=det, duty_config=DutyCycleConfig(), **common
         )
         # The controller compares by identity; its decisions show in the
-        # reports and its demotion count.
-        outcome = replace(result, controller=None), result.sentinel_demotions
+        # reports and its wake intervals.
+        outcome = (
+            replace(result, controller=None),
+            result.controller._wake_intervals,
+        )
     batteries = [
         (node.mote.battery.remaining_j, node.mote.battery.breakdown())
         for node in dep
