@@ -30,6 +30,7 @@ from repro.dsp.filters import butter_lowpass
 from repro.dsp.stft import stft
 from repro.dsp.wavelet import Scalogram, cwt_morlet
 from repro.errors import EstimationError, InternalError
+from repro.physics.buoy import Buoy, BuoyMotion
 from repro.physics.disturbance import BirdStrike, WindGust
 from repro.rng import RandomState, derive_rng, make_rng
 from repro.scenario.deployment import GridDeployment
@@ -49,6 +50,7 @@ from repro.scenario.runner import (
 from repro.scenario.synthesis import (
     SynthesisConfig,
     build_ambient_field,
+    fleet_sampler,
     random_disturbances,
     synthesize_fleet_traces,
     synthesize_node_trace,
@@ -747,22 +749,28 @@ def run_threshold_ablation(
         rough_field = build_ambient_field(
             rough_cfg, seed=derive_rng(root, "rough")
         )
+        nodes = list(dep)
+        anchors = [node.anchor for node in nodes]
+        responses = [node.buoy.heave_gain for node in nodes]
+        sampler = fleet_sampler(nodes)
+        t1 = sampler.instants(0.0, half_s)
+        t2 = sampler.instants(half_s, half_s)
+        az = np.concatenate(
+            [
+                calm_field.vertical_acceleration_batch(
+                    anchors, t1, responses=responses
+                ),
+                rough_field.vertical_acceleration_batch(
+                    anchors, t2, responses=responses
+                ),
+            ],
+            axis=1,
+        )
+        t = np.concatenate([t1, t2])
+        fz, _, _ = Buoy.specific_force([node.buoy for node in nodes], t, az)
         traces = {}
-        for node in dep:
-            t1 = node.mote.sample_instants(0.0, half_s)
-            t2 = node.mote.sample_instants(half_s, half_s)
-            az = np.concatenate(
-                [
-                    calm_field.vertical_acceleration_batch(
-                        [node.anchor], t1, responses=node.buoy.heave_gain
-                    )[0],
-                    rough_field.vertical_acceleration_batch(
-                        [node.anchor], t2, responses=node.buoy.heave_gain
-                    )[0],
-                ]
-            )
-            t = np.concatenate([t1, t2])
-            motion = node.buoy.specific_force(t, az)
+        for i, node in enumerate(nodes):
+            motion = BuoyMotion(t=t, fx=None, fy=None, fz=fz[i])
             traces[node.node_id] = node.mote.record(motion)
             node_hours += (half_s - 30.0) / 3600.0
         recording = FleetRecording.from_traces(dep, traces)

@@ -58,6 +58,18 @@ class BuoyMotion:
             raise ConfigurationError("motion arrays must share one length")
 
 
+#: Byte budget of one sub-block of :meth:`Buoy.specific_force`: one call
+#: tilts as many buoys as fit this many bytes of float64 tilt rows (two
+#: a buoy; at least one buoy): 10 of a 60 s, 50 Hz chunk, one of a 400 s
+#: record.  Larger sub-blocks ran slower (DESIGN.md §10).  Each buoy's
+#: in-block offset factors, three (2, 6, 200) float64 arrays, come on
+#: top; they outweigh its rows on grids under 3,600 samples.
+TILT_BLOCK_BYTES = 524_288
+
+#: The arrays a :class:`_SinusoidProcess` holds, one row per process row.
+_TERMS = ("_freqs", "_phases", "_amps", "_omega", "_cos_weights", "_sin_weights")
+
+
 class _SinusoidProcess:
     """Zero-mean, band-limited gaussian-ish processes as sums of sines.
 
@@ -103,6 +115,20 @@ class _SinusoidProcess:
         self._omega = 2.0 * math.pi * self._freqs
         self._cos_weights = self._amps * np.sin(self._phases)
         self._sin_weights = self._amps * np.cos(self._phases)
+
+    @classmethod
+    def stack(cls, processes: Sequence[_SinusoidProcess]) -> _SinusoidProcess:
+        """One process holding every row of ``processes``, in turn.
+
+        Each row keeps its own frequencies, so it evaluates bit for bit
+        as it does in its own process.
+        """
+        stacked = cls.__new__(cls)
+        for name in _TERMS:
+            setattr(
+                stacked, name, np.concatenate([getattr(p, name) for p in processes])
+            )
+        return stacked
 
     def __call__(self, t: npt.ArrayLike) -> np.ndarray:
         """Every row on the evenly spaced sample grid ``t``; (rows, len(t))."""
@@ -214,39 +240,64 @@ class Buoy:
             1.0 + (f / self.heave_corner_hz) ** (2 * self.heave_order)
         )
 
-    def tilt_angles(self, t: npt.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
-        """Rocking angles about the x and y axes [rad] on the evenly
-        spaced grid ``t``."""
-        theta_x, theta_y = self._tilt(t)
-        return theta_x, theta_y
-
+    @staticmethod
     def specific_force(
-        self,
+        buoys: Sequence[Buoy],
         t: npt.ArrayLike,
-        vertical_accel: npt.ArrayLike,
-        horizontal_accel: tuple | None = None,
-    ) -> BuoyMotion:
-        """Project sea-surface motion into body-frame specific force.
+        vertical_accel: np.ndarray,
+        horizontal_accel: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+        """Body-frame specific force of a block of buoys; ``(fz, fx, fy)``
+        [m/s^2].
 
-        ``t`` is the mote's evenly spaced sample grid (or a slice of
-        it); ``vertical_accel`` is the surface vertical acceleration
-        [m/s^2] at the buoy (ambient field + wakes + disturbances).
-        ``horizontal_accel`` supplies the surface horizontal components;
-        only then are ``fx`` and ``fy`` built.  Without it the motion is
-        z-only (``fx``/``fy`` are ``None``), which is all detection
-        reads, and ``fz`` is the same either way.  A resting, untilted
-        buoy reads ``fz = +g``.
+        ``t`` is the buoys' shared, evenly spaced sample grid (or a
+        slice of it).  Row ``i`` of the float64 (buoys x samples)
+        ``vertical_accel`` is the surface vertical acceleration at
+        ``buoys[i]`` (ambient field + wakes + disturbances); ``fz`` is
+        written over it.  ``fx`` and ``fy`` are new rows, built only
+        from the surface's horizontal rows ``horizontal_accel`` (which
+        must not share memory with ``vertical_accel``), else ``None``:
+        detection reads z alone, and ``fz`` is the same either way.  A
+        resting, untilted buoy reads ``fz = +g``.
+
+        Each sub-block of :data:`TILT_BLOCK_BYTES` tilts in one
+        :func:`~repro.physics.sinusoids.grid_sinusoid_sum` call over its
+        buoys' stacked per-row frequencies.  Every row equals its buoy's
+        own sum bit for bit and the projection is elementwise, so no
+        buoy's motion depends on the block around it.
+
+        Call it through the class: a function set on the class in its
+        place (a profiling wrapper, a test hook) would take an instance
+        call's buoy as ``buoys``.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        vertical = GRAVITY + np.broadcast_to(
-            np.asarray(vertical_accel, dtype=float), t.shape
-        )
-        theta_x, theta_y = self.tilt_angles(t)
-        fz = vertical * (np.cos(theta_x) * np.cos(theta_y))
-        if horizontal_accel is None:
-            return BuoyMotion(t=t, fx=None, fy=None, fz=fz)
-        fx = vertical * np.sin(theta_y)
-        fy = -vertical * np.sin(theta_x)
-        fx += horizontal_accel[0]
-        fy += horizontal_accel[1]
-        return BuoyMotion(t=t, fx=fx, fy=fy, fz=fz)
+        fz = vertical_accel
+        if fz.shape != (len(buoys), t.size):
+            raise ConfigurationError(
+                f"need one {t.size}-sample row per buoy ({len(buoys)}), "
+                f"got shape {fz.shape}"
+            )
+        fx: Optional[np.ndarray] = None
+        fy: Optional[np.ndarray] = None
+        if horizontal_accel is not None:
+            ax, ay = horizontal_accel
+            fx = np.empty_like(fz)
+            fy = np.empty_like(fz)
+        step = max(TILT_BLOCK_BYTES // max(2 * t.nbytes, 1), 1)
+        for lo in range(0, len(buoys), step):
+            rows = slice(lo, lo + step)
+            # Rows: each buoy's rocking about x, then about y.
+            tilt = _SinusoidProcess.stack([b._tilt for b in buoys[rows]])(t)
+            theta_x = tilt[0::2]
+            theta_y = tilt[1::2]
+            vertical = fz[rows]
+            vertical += GRAVITY
+            if fx is not None and fy is not None:
+                np.multiply(vertical, np.sin(theta_y), out=fx[rows])
+                np.multiply(-vertical, np.sin(theta_x), out=fy[rows])
+                fx[rows] += ax[rows]
+                fy[rows] += ay[rows]
+            projection = np.cos(theta_x)
+            projection *= np.cos(theta_y)
+            vertical *= projection
+        return fz, fx, fy

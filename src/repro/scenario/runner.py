@@ -969,6 +969,16 @@ def _dutycycled_reports(
     which is never before its window's start; the latency is positive,
     so no alarm can wake a row of its own group and every branch is
     known before the group steps.
+
+    Every coarse segment is complete.  With decimation k write the
+    full-rate window as ``W = q k + r`` (``0 <= r < k``).  The coarse
+    window rounds a value within ``1 / (2 k)`` of ``W / k``, so it is at
+    most ``q + 1``, and ``q + 1`` only if ``r >= 1``.  The coarse record
+    holds ``ceil(N / k)`` samples, and the last start ``N - W`` maps to
+    ``(N - W) // k``.  Writing ``N = a k + b`` (``0 <= b < k``), that is
+    ``a - q`` when ``b >= r``, where ``r >= 1`` forces ``b >= 1``, and
+    ``a - q - 1`` otherwise; either way the last segment, and so every
+    earlier one, ends by ``ceil(N / k)``.
     """
     ids = [node.node_id for node in deployment]
     pre, t0s = _fleet_samples(recording, det_cfg)
@@ -999,9 +1009,8 @@ def _dutycycled_reports(
         active = seeded & (awake | np.isin(ids, controller.sentinels_at(t0)))
         full_rate = awake or decimation == 1
         fine = active & full_rate
-        # Sentinel mode: coarse detection at the reduced rate (a short
-        # trailing coarse segment is skipped).
-        coarse = active & (not full_rate and c_seg.shape[1] == coarse_window)
+        # Sentinel mode: coarse detection at the reduced rate.
+        coarse = active & (not full_rate)
         fine_reports: list[Optional[NodeReport]] = [None] * n
         if (init | fine).any():
             fine_reports = fleet.step(

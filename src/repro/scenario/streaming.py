@@ -47,6 +47,7 @@ from repro.detection.preprocess import (
     StreamingPreprocessor,
 )
 from repro.errors import ConfigurationError
+from repro.physics.buoy import Buoy
 from repro.rng import RandomState
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.runner import OfflineScenarioResult, fuse_offline_reports
@@ -107,6 +108,7 @@ class StreamingFleetSynthesizer:
         ]
         self._positions = [n.anchor for n in self.nodes]
         self._responses = [n.buoy.heave_gain for n in self.nodes]
+        self._buoys = [n.buoy for n in self.nodes]
         self.t0s = [
             float(n.mote.clock.local_time(float(cfg.t0))) for n in self.nodes
         ]
@@ -150,12 +152,13 @@ class StreamingFleetSynthesizer:
         )
         self._pos += t_c.size
         done = self._pos == self._n
+        for i in range(len(self.nodes)):
+            az[i] = add_wakes_and_disturbances(az[i], t_c, self._wakes[i], ())
+        fz, _, _ = Buoy.specific_force(self._buoys, t_c, az)
         out = np.empty((len(self.nodes), t_c.size), dtype=np.int64)
         for i, node in enumerate(self.nodes):
-            az_i = add_wakes_and_disturbances(az[i], t_c, self._wakes[i], ())
-            motion = node.buoy.specific_force(t_c, az_i)
             out[i] = node.mote.accelerometer.read_axis_chunk(
-                motion.fz, 2, self._noise[i]
+                fz[i], 2, self._noise[i]
             )
             if done:
                 node.mote.battery.draw_samples(self._n)

@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.physics.buoy import Buoy, BuoyMotion
 from repro.physics.disturbance import Disturbance, render_disturbances
 from repro.physics.kelvin import KelvinWake
 from repro.physics.sinusoids import BLOCK as SINUSOID_BLOCK
@@ -192,9 +193,11 @@ def _record_fleet(
 
     The ambient term is one batch per row block of nodes
     (:data:`AMBIENT_BLOCK_BYTES`); each node of the block then adds its
-    wakes and its ``disturbances`` entry, projects through its buoy and
-    digitises (z only unless ``config.include_horizontal``).  Each
-    ship's Kelvin wake is built once, not per node.
+    wakes and its ``disturbances`` entry, the block's buoys project it
+    in one :meth:`~repro.physics.buoy.Buoy.specific_force` call, and
+    each mote digitises its row (z only unless
+    ``config.include_horizontal``).  Each ship's Kelvin wake is built
+    once, not per node.
 
     A row of the ambient GEMM does not depend on the rows beside it
     once the product spans whole sinusoid blocks, which every record
@@ -221,18 +224,20 @@ def _record_fleet(
             else None
         )
         for i, node in enumerate(block):
-            az = add_wakes_and_disturbances(
+            az_block[i] = add_wakes_and_disturbances(
                 az_block[i],
                 t,
                 heave_gained_wake_trains(node, ships, config, wakes=wakes),
                 disturbances[lo + i],
             )
-            if h_block is None:
-                motion = node.buoy.specific_force(t, az)
+        fz, fx, fy = Buoy.specific_force(
+            [n.buoy for n in block], t, az_block, h_block
+        )
+        for i, node in enumerate(block):
+            if fx is None or fy is None:
+                motion = BuoyMotion(t=t, fx=None, fy=None, fz=fz[i])
             else:
-                motion = node.buoy.specific_force(
-                    t, az, (h_block[0][i], h_block[1][i])
-                )
+                motion = BuoyMotion(t=t, fx=fx[i], fy=fy[i], fz=fz[i])
             traces.append(node.mote.record(motion))
     return traces
 

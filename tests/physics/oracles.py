@@ -10,6 +10,9 @@ plain full-grid formulations:
   contracted once each, with the signature of ``grid_sinusoid_sum``;
 - :func:`direct_process_sum` — every row of a buoy tilt or drift
   process as the direct ``amps @ sin(w t + p)`` sum;
+- :func:`buoy_specific_force` — one buoy's projection through its own
+  tilt, the per-buoy form of the block
+  :meth:`~repro.physics.buoy.Buoy.specific_force`;
 - :func:`full_grid_wake` / :func:`full_grid_elevation` — a wake packet
   evaluated over the whole record and masked afterwards;
 - :func:`elevation`, :func:`vertical_acceleration` and
@@ -29,8 +32,9 @@ import numpy as np
 import numpy.typing as npt
 import pytest
 
+from repro.constants import GRAVITY
 from repro.physics import wavefield
-from repro.physics.buoy import _SinusoidProcess
+from repro.physics.buoy import Buoy, BuoyMotion, _SinusoidProcess
 from repro.physics.wake_train import WakeTrain
 from repro.physics.wavefield import AmbientWaveField, FrequencyResponse
 from repro.types import Position
@@ -57,6 +61,33 @@ def direct_process_sum(process: _SinusoidProcess, t: npt.ArrayLike) -> np.ndarra
         + process._phases[:, :, None]
     )
     return np.asarray((process._amps[:, :, None] * np.sin(phases)).sum(axis=1))
+
+
+def buoy_specific_force(
+    buoy: Buoy,
+    t: npt.ArrayLike,
+    vertical_accel: npt.ArrayLike,
+    horizontal_accel: tuple | None = None,
+) -> BuoyMotion:
+    """One buoy's body-frame specific force, tilted by its own process.
+
+    ``fz = (g + a_z) cos(theta_x) cos(theta_y)``; with the surface's
+    horizontal motion also ``fx = (g + a_z) sin(theta_y) + a_x`` and
+    ``fy = -(g + a_z) sin(theta_x) + a_y``, else z only.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    vertical = GRAVITY + np.broadcast_to(
+        np.asarray(vertical_accel, dtype=float), t.shape
+    )
+    theta_x, theta_y = buoy._tilt(t)
+    fz = vertical * (np.cos(theta_x) * np.cos(theta_y))
+    if horizontal_accel is None:
+        return BuoyMotion(t=t, fx=None, fy=None, fz=fz)
+    fx = vertical * np.sin(theta_y)
+    fy = -vertical * np.sin(theta_x)
+    fx += horizontal_accel[0]
+    fy += horizontal_accel[1]
+    return BuoyMotion(t=t, fx=fx, fy=fy, fz=fz)
 
 
 def _full_grid_terms(

@@ -193,7 +193,8 @@ def test_buoy_processes_match_direct_sum(seed):
 def test_buoy_evaluates_tilt_and_drift_through_the_process_call(monkeypatch):
     # tests.physics.oracles.reference_synthesis checks the tilt and
     # drift by patching _SinusoidProcess.__call__; a Buoy path that
-    # bypassed the call would escape that check unnoticed.
+    # bypassed the call would escape that check unnoticed.  A block's
+    # tilt is one call on its buoys' stacked rows (here one buoy's).
     calls = []
 
     def spy(process, t):
@@ -204,14 +205,14 @@ def test_buoy_evaluates_tilt_and_drift_through_the_process_call(monkeypatch):
     monkeypatch.setattr(_SinusoidProcess, "__call__", spy)
     buoy = Buoy(Position(0.0, 0.0), seed=3)
     t = _grid(500)
-    tx, ty = buoy.tilt_angles(t)
-    assert calls == [buoy._tilt]
-    assert np.all(tx == 0.1) and np.all(ty == 0.2)
     dx, dy = buoy.drift_offsets(t)
-    assert calls[1:] == [buoy._drift]
+    assert calls == [buoy._drift]
     assert np.all(dx == 0.1) and np.all(dy == 0.2)
-    motion = buoy.specific_force(t, np.zeros_like(t), (0.0, 0.0))
-    assert calls[2:] == [buoy._tilt]
-    np.testing.assert_allclose(motion.fz, GRAVITY * math.cos(0.1) * math.cos(0.2))
-    np.testing.assert_allclose(motion.fx, GRAVITY * math.sin(0.2))
-    np.testing.assert_allclose(motion.fy, -GRAVITY * math.sin(0.1))
+    rows = [np.zeros((1, t.size)) for _ in range(3)]
+    fz, fx, fy = Buoy.specific_force([buoy], t, rows[0], (rows[1], rows[2]))
+    (tilt,) = calls[1:]
+    for name in ("_freqs", "_phases", "_amps", "_omega"):
+        assert getattr(tilt, name).tobytes() == getattr(buoy._tilt, name).tobytes()
+    np.testing.assert_allclose(fz, GRAVITY * math.cos(0.1) * math.cos(0.2))
+    np.testing.assert_allclose(fx, GRAVITY * math.sin(0.2))
+    np.testing.assert_allclose(fy, -GRAVITY * math.sin(0.1))

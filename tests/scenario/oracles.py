@@ -235,8 +235,6 @@ def sequential_dutycycle(
             c_seg = coarse_preprocessed[nid][
                 c_start : c_start + coarse_window
             ]
-            if c_seg.size < coarse_window:
-                continue
             report = coarse_detectors[nid].process_window(c_seg, t0)
         if report is not None:
             reports_by_node[nid].append(report)

@@ -11,18 +11,23 @@ reports, first alarm, wake intervals and policy trace.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.constants import NODE_LOWPASS_CUTOFF_HZ
 from repro.detection.dutycycle import DutyCycleConfig
-from repro.detection.node_detector import NodeDetectorConfig
+from repro.detection.node_detector import NodeDetectorConfig, window_starts
 from repro.errors import ConfigurationError
 from repro.scenario import runner
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.presets import paper_ship
 from repro.scenario.runner import run_dutycycled_scenario
 from repro.scenario.synthesis import SynthesisConfig
+from repro.sensors.sampler import Sampler
 from repro.telemetry import InMemorySink, ManualClock, Tracer
 from repro.telemetry.events import CAT_PROFILING
 from tests.scenario import oracles
@@ -101,6 +106,36 @@ def test_generated_walk_matches_sequential_oracle(
     rows, columns, duration_s, duty, seed
 ):
     _assert_walk_matches_oracle(rows, columns, duration_s, duty, seed)
+
+
+@given(
+    rate_hz=st.floats(20.0, 100.0),
+    decimation=st.integers(1, 24),
+    window_s=st.floats(0.2, 10.0),
+    hop_fraction=st.floats(0.01, 1.0),
+    duration_s=st.floats(0.0, 600.0),
+)
+def test_every_coarse_segment_is_complete(
+    rate_hz, decimation, window_s, hop_fraction, duration_s
+):
+    # The walk takes each sentinel window's coarse segment without a
+    # length check (the _dutycycled_reports docstring proves none can
+    # run short).  Configurations as run_dutycycled_scenario derives
+    # them, for any rate, decimation, window and hop.
+    assume(rate_hz / decimation > 2 * NODE_LOWPASS_CUTOFF_HZ)
+    det_cfg = NodeDetectorConfig(
+        window_s=window_s, hop_s=hop_fraction * window_s, rate_hz=rate_hz
+    )
+    coarse_cfg = (
+        replace(det_cfg, rate_hz=det_cfg.rate_hz / decimation)
+        if decimation > 1
+        else det_cfg
+    )
+    n = Sampler(rate_hz).count(duration_s)
+    coarse_samples = np.arange(n)[::decimation].size
+    starts = np.array(window_starts(det_cfg, n), dtype=np.int64)
+    ends = starts // decimation + coarse_cfg.window_samples
+    assert np.all(ends <= coarse_samples)
 
 
 def test_unequal_start_times_rejected():

@@ -9,14 +9,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.experiments import run_threshold_ablation
 from repro.constants import ACCEL_COUNTS_PER_G, SAMPLE_RATE_HZ
 from repro.errors import ConfigurationError
-from repro.physics.buoy import Buoy
+from repro.physics.buoy import Buoy, BuoyMotion
 from repro.physics.disturbance import FishBump
 from repro.physics.wavefield import AmbientWaveField
 from repro.scenario.deployment import GridDeployment
 from repro.scenario import synthesis
 from repro.scenario.presets import paper_deployment, paper_ship
+from repro.scenario.streaming import StreamingFleetSynthesizer
 from repro.scenario.synthesis import (
     SynthesisConfig,
     build_ambient_field,
@@ -252,21 +254,86 @@ def _assert_same_devices(dep_a, dep_b):
         assert a.mote.battery.breakdown() == b.mote.battery.breakdown()
 
 
+def _motion_hook(mp):
+    """Keep every row of every :meth:`Buoy.specific_force` block.
+
+    Returns the list each projected buoy's motion is appended to, in
+    projection order.  The hook is a plain function set on the class,
+    as perfbench's profiling wrapper is, so a caller reaching the
+    projection through an instance would hand it a buoy as its block
+    and fail.
+    """
+    motions = []
+    specific_force = Buoy.specific_force
+
+    def kept(buoys, t, *args, **kwargs):
+        fz, fx, fy = specific_force(buoys, t, *args, **kwargs)
+        for i in range(len(buoys)):
+            motions.append(
+                BuoyMotion(
+                    t=np.array(t),
+                    fx=None if fx is None else fx[i].copy(),
+                    fy=None if fy is None else fy[i].copy(),
+                    fz=fz[i].copy(),
+                )
+            )
+        return fz, fx, fy
+
+    mp.setattr(Buoy, "specific_force", kept)
+    return motions
+
+
 def _recorded_motions(mp, case, horizontal):
     """:func:`_recorded_fleet`, and each buoy's motion in recording order.
 
     The motions are the floats the motes digitise, so they show a
     deviation too small to move a count.
     """
-    motions = []
-    specific_force = Buoy.specific_force
-
-    def kept(self, *args, **kwargs):
-        motions.append(specific_force(self, *args, **kwargs))
-        return motions[-1]
-
-    mp.setattr(Buoy, "specific_force", kept)
+    motions = _motion_hook(mp)
     return _recorded_fleet(**case, horizontal=horizontal), motions
+
+
+def _offline_counts():
+    dep = paper_deployment(2, 2, seed=5)
+    ship = paper_ship(dep, cross_time_s=20.0)
+    cfg = SynthesisConfig(duration_s=40.0)
+    traces = synthesize_fleet_traces(dep, [ship], cfg, seed=5)
+    return np.stack([traces[n.node_id].z for n in dep])
+
+
+def _streamed_counts():
+    dep = paper_deployment(2, 2, seed=5)
+    ship = paper_ship(dep, cross_time_s=20.0)
+    cfg = SynthesisConfig(duration_s=40.0)
+    source = StreamingFleetSynthesizer(dep, [ship], cfg, seed=5)
+    return np.concatenate(list(source.chunks(700)), axis=1)
+
+
+def _threshold_ablation():
+    return run_threshold_ablation(seeds=(1,))
+
+
+@pytest.mark.parametrize(
+    "run, rows",
+    [
+        (_offline_counts, 4),
+        # Three chunks of four buoys.
+        (_streamed_counts, 12),
+        (_threshold_ablation, 4),
+    ],
+)
+def test_motion_hook_sees_every_projected_row(run, rows):
+    # The hook the row-block property reads motions through must see
+    # every synthesis caller's rows and change none of their outputs.
+    plain = run()
+    with pytest.MonkeyPatch.context() as mp:
+        motions = _motion_hook(mp)
+        hooked = run()
+    assert len(motions) == rows
+    if isinstance(plain, dict):
+        assert hooked == plain
+    else:
+        assert np.array_equal(hooked, plain)
 
 
 @given(
@@ -306,6 +373,7 @@ def test_row_blocks_equal_the_whole_fleet(case, horizontal, block_rows):
             runs.append(_recorded_motions(mp, case, horizontal))
     (dep_blocked, blocked), moved_blocked = runs[0]
     (dep_whole, whole), moved_whole = runs[1]
+    assert len(moved_whole) == len(dep_whole)
     for a, b in zip(moved_blocked, moved_whole, strict=True):
         assert np.array_equal(a.fz, b.fz)
         if horizontal:
