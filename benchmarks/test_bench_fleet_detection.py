@@ -14,6 +14,7 @@ O(nodes x duration), which the tracemalloc test pins down.
 
 from __future__ import annotations
 
+import statistics
 import time
 import tracemalloc
 
@@ -74,13 +75,30 @@ def _reference(a, t0s, cfg, members):
     return out
 
 
-def _best_of(fn, rounds: int = 3) -> float:
-    times = []
-    for _ in range(rounds):
+#: Timed pairs of a speed-up gate.
+PAIRS = 5
+
+
+def median_pair_speedup(fast, slow, pairs: int = PAIRS):
+    """``(speedup, t_fast, t_slow)``: the median over ``pairs`` pairs of
+    the slow arm's time over the fast arm's, and each arm's median [s].
+
+    A pair runs the slow arm and then the fast one, so a host that
+    speeds up or slows down mid-bench moves both arms of a pair alike,
+    where timing every round of one arm before the other would move
+    the ratio.
+    """
+    runs = []
+    for _ in range(pairs):
         start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
+        slow()
+        t_slow = time.perf_counter() - start
+        start = time.perf_counter()
+        fast()
+        t_fast = time.perf_counter() - start
+        runs.append((t_slow / t_fast, t_fast, t_slow))
+    speedup, t_fast, t_slow = (statistics.median(col) for col in zip(*runs))
+    return speedup, t_fast, t_slow
 
 
 def test_bench_fleet_detection_64(once):
@@ -98,16 +116,15 @@ def test_bench_fleet_detection_64(once):
     assert fleet == _reference(a, t0s, cfg, members)
     assert sum(len(v) for v in fleet.values()) > 0
 
-    t_fleet = _best_of(
-        lambda: FleetDetector(members, cfg).process_samples(a, t0s)
+    speedup, t_fleet, t_loop = median_pair_speedup(
+        lambda: FleetDetector(members, cfg).process_samples(a, t0s),
+        lambda: _reference(a, t0s, cfg, members),
     )
-    t_loop = _best_of(lambda: _reference(a, t0s, cfg, members))
-    speedup = t_loop / t_fleet
     print()
     print(
         f"fleet detection ({n} nodes, {DURATION_S:.0f} s): "
         f"lockstep {t_fleet * 1e3:.0f} ms, per-node "
-        f"{t_loop * 1e3:.0f} ms, speedup {speedup:.1f}x"
+        f"{t_loop * 1e3:.0f} ms, median pair speedup {speedup:.1f}x"
     )
     assert speedup >= 5.0
 

@@ -1,16 +1,16 @@
 """Event-loop fast path gates — tuple heap + event diet.
 
-ISSUE 9 rebuilt the discrete-event core (plain ``(time, seq, event)``
-tuple heap, lazy cancellation with compaction, native periodics) and
+The event-loop rewrite rebuilt the discrete-event core (plain
+``(time, seq, event)`` tuple heap, native periodics) and
 put the network runner on an event diet (quiet-window feeds coalesced
 into batched catch-up events, no-op MAC airtime and tick events gone).
 Two gates make the claims quantitative, both against a faithful copy
 of the pre-rewrite simulator, the test oracle
 :class:`tests.network.oracles.ReferenceSimulator`:
 
-- **Scheduler microbench**: ~1M mixed schedule/cancel/pop operations
+- **Scheduler microbench**: ~1.2M mixed schedule/pop/rearm operations
   must run at least ``MIN_CORE_SPEEDUP`` faster on the tuple heap than
-  on the old dataclass-entry heap.
+  on the old dataclass-entry heap, in the median of alternating pairs.
 - **End-to-end runner**: a 64-node, event-loop-dominated scenario must
   finish at least ``MIN_RUNNER_SPEEDUP`` faster than the reference
   simulator on the full schedule (every window fed, every tick
@@ -36,6 +36,8 @@ from repro.scenario.digest import scenario_digest
 from repro.scenario.runner import run_network_scenario
 from repro.scenario.synthesis import SynthesisConfig
 from tests.network.oracles import ReferenceSimulator
+
+from benchmarks.test_bench_fleet_detection import median_pair_speedup
 from tests.scenario.oracles import full_schedule
 
 #: End-to-end floor: new scheduler + event diet vs reference simulator
@@ -44,18 +46,18 @@ from tests.scenario.oracles import full_schedule
 MIN_RUNNER_SPEEDUP = 1.5
 
 #: Core-op floor for the tuple heap vs the dataclass-entry heap on the
-#: mixed schedule/cancel/pop/rearm workload.  Measured ~6.5x; gate at
-#: 3x so contention on shared CI runners cannot flip it.
+#: mixed schedule/pop/rearm workload.  The median of 5 alternating
+#: pairs on a 2-vCPU host read 4.75x (1,809 vs 8,141 ms); gate at 3x so
+#: contention on shared CI runners cannot flip it.
 MIN_CORE_SPEEDUP = 3.0
 
 ROUNDS = 3
 
-#: Microbench workload: ~1.3M mixed heap operations — periodic trains
+#: Microbench workload: ~1.2M mixed heap operations — periodic trains
 #: (the runner's ticks/beacons shape: rearmed natively by the new
-#: scheduler, pre-scheduled in full by the old one), one-shot events
-#: at random times, and a cancelled fraction popped lazily.
+#: scheduler, pre-scheduled in full by the old one) and one-shot events
+#: at random times.
 N_ONESHOTS = 200_000
-CANCEL_FRACTION = 0.3
 N_TRAINS = 2_000
 TRAIN_FIRINGS = 200
 TRAIN_INTERVAL_S = 5.0
@@ -67,7 +69,7 @@ TRAIN_INTERVAL_S = 5.0
 
 
 def _heap_workload(sim_cls) -> int:
-    """~1.3M mixed schedule/cancel/pop/rearm ops over a deep heap."""
+    """~1.2M mixed schedule/pop/rearm ops over a deep heap."""
     sim = sim_cls()
     rng = make_rng(4242)
     noop = int  # cheapest real callable: int() -> 0
@@ -81,24 +83,16 @@ def _heap_workload(sim_cls) -> int:
             first=first,
             until=first + TRAIN_INTERVAL_S * TRAIN_FIRINGS,
         )
-    # One-shots at random times; a fraction cancels before firing.
+    # One-shots at random times.
     times = rng.uniform(0.0, 1_000.0, size=N_ONESHOTS)
     schedule_at = sim.schedule_at
-    events = [schedule_at(t, noop) for t in times.tolist()]
-    doomed = rng.permutation(N_ONESHOTS)[
-        : int(CANCEL_FRACTION * N_ONESHOTS)
-    ].tolist()
-    for i in doomed:
-        events[i].cancel()
+    for t in times.tolist():
+        schedule_at(t, noop)
     executed = sim.run()
     # Float accumulation can fit one extra firing into some trains;
     # both arms accumulate identically, so the exact count is compared
     # across arms in the test instead of pinned here.
-    assert executed >= (
-        N_TRAINS * TRAIN_FIRINGS
-        + N_ONESHOTS
-        - int(CANCEL_FRACTION * N_ONESHOTS)
-    )
+    assert executed >= N_TRAINS * TRAIN_FIRINGS + N_ONESHOTS
     return executed
 
 
@@ -113,23 +107,22 @@ def _best_of(fn, *args, rounds: int = ROUNDS):
 
 
 def test_bench_scheduler_core(once):
-    once(_heap_workload, Simulator)
-    t_new, executed_new = _best_of(_heap_workload, Simulator)
-    t_ref, executed_ref = _best_of(_heap_workload, ReferenceSimulator)
-    assert executed_new == executed_ref, (
-        "arms executed different event counts"
+    executed = [once(_heap_workload, Simulator)]
+    speedup, t_new, t_ref = median_pair_speedup(
+        lambda: executed.append(_heap_workload(Simulator)),
+        lambda: executed.append(_heap_workload(ReferenceSimulator)),
     )
-    speedup = t_ref / t_new
+    assert len(set(executed)) == 1, "arms executed different event counts"
     ops = (
         N_TRAINS * TRAIN_FIRINGS  # rearms (new) / pre-schedules (ref)
         + N_ONESHOTS
-        + int(CANCEL_FRACTION * N_ONESHOTS)
-        + executed_new  # pops
+        + executed[0]  # pops
     )
     print(
         f"\nscheduler core ({ops / 1e6:.2f}M ops): "
         f"tuple heap {t_new * 1e3:.0f} ms, "
-        f"reference {t_ref * 1e3:.0f} ms ({speedup:.2f}x)"
+        f"reference {t_ref * 1e3:.0f} ms "
+        f"(median pair {speedup:.2f}x)"
     )
     assert speedup >= MIN_CORE_SPEEDUP, (
         f"tuple-heap scheduler only {speedup:.2f}x faster than the "

@@ -23,7 +23,6 @@ Pure algorithms, independent of the network simulator:
 
 from repro.detection.classifier import (
     Classification,
-    ClassifierConfig,
     EventClass,
     EventClassifier,
     EventFeatures,
@@ -62,7 +61,7 @@ from repro.detection.reports import (
     SinkDecision,
 )
 from repro.detection.sid import SIDNode, SIDNodeConfig, SIDState
-from repro.detection.sink import Sink, SinkConfig
+from repro.detection.sink import Sink
 from repro.detection.speed import (
     SpeedEstimate,
     estimate_heading_alpha_rad,
@@ -71,7 +70,6 @@ from repro.detection.speed import (
 
 __all__ = [
     "Classification",
-    "ClassifierConfig",
     "DutyCycleConfig",
     "DutyCycleController",
     "EventClass",
@@ -91,7 +89,6 @@ __all__ = [
     "SIDNodeConfig",
     "SIDState",
     "Sink",
-    "SinkConfig",
     "SinkDecision",
     "SpeedEstimate",
     "StaticCluster",

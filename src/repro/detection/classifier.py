@@ -29,7 +29,18 @@ import numpy as np
 from repro.constants import SAMPLE_RATE_HZ
 from repro.dsp.fft_utils import power_spectrum
 from repro.dsp.features import band_energy, spectral_entropy
-from repro.errors import ConfigurationError, SignalLengthError
+from repro.errors import SignalLengthError
+
+#: Frequency bands [Hz] of the feature extractor: the wake band, chop
+#: above it, and the ambient sea's own peak.
+WAKE_BAND_HZ = (0.15, 0.8)
+CHOP_BAND_HZ = (0.9, 3.0)
+SEA_BAND_HZ = (0.3, 0.7)
+#: Envelope threshold (x RMS) that defines the burst extent.
+BURST_REL_LEVEL = 1.5
+#: Burst durations [s] a wake packet spans.
+WAKE_MIN_S = 1.0
+WAKE_MAX_S = 8.0
 
 
 class EventClass(Enum):
@@ -62,38 +73,9 @@ class Classification:
     features: EventFeatures
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
-    """Frequency bands and timing thresholds of the feature extractor."""
-
-    rate_hz: float = SAMPLE_RATE_HZ
-    wake_band_hz: tuple[float, float] = (0.15, 0.8)
-    chop_band_hz: tuple[float, float] = (0.9, 3.0)
-    sea_band_hz: tuple[float, float] = (0.3, 0.7)
-    #: Envelope threshold (x RMS) that defines the burst extent.
-    burst_rel_level: float = 1.5
-    impulse_max_s: float = 0.8
-    wake_min_s: float = 1.0
-    wake_max_s: float = 8.0
-
-    def __post_init__(self) -> None:
-        if self.rate_hz <= 0:
-            raise ConfigurationError("rate_hz must be positive")
-        for name in ("wake_band_hz", "chop_band_hz", "sea_band_hz"):
-            lo, hi = getattr(self, name)
-            if not 0 <= lo < hi:
-                raise ConfigurationError(f"invalid band {name}: ({lo}, {hi})")
-        if self.burst_rel_level <= 0:
-            raise ConfigurationError("burst_rel_level must be positive")
-
-
 class EventClassifier:
-    """Classify gravity-removed z-segments around alarms."""
+    """Classify gravity-removed 50 Hz z-segments around alarms."""
 
-    def __init__(self, config: ClassifierConfig | None = None) -> None:
-        self.config = config if config is not None else ClassifierConfig()
-
-    # ------------------------------------------------------------------
     def extract_features(self, segment: np.ndarray) -> EventFeatures:
         """Feature vector for one zero-mean segment."""
         x = np.asarray(segment, dtype=float)
@@ -101,13 +83,12 @@ class EventClassifier:
             raise SignalLengthError(
                 f"classification needs >= 64 samples, got {x.size}"
             )
-        cfg = self.config
         x = x - x.mean()
-        freqs, power = power_spectrum(x, cfg.rate_hz)
+        freqs, power = power_spectrum(x, SAMPLE_RATE_HZ)
         total = float(power[freqs > 0.05].sum()) or 1.0
-        wake = band_energy(freqs, power, *cfg.wake_band_hz) / total
-        chop = band_energy(freqs, power, *cfg.chop_band_hz) / total
-        sea = band_energy(freqs, power, *cfg.sea_band_hz) / total
+        wake = band_energy(freqs, power, *WAKE_BAND_HZ) / total
+        chop = band_energy(freqs, power, *CHOP_BAND_HZ) / total
+        sea = band_energy(freqs, power, *SEA_BAND_HZ) / total
         rms = float(x.std()) or 1e-12
         envelope = np.abs(x)
         # Burst extent: where the smoothed envelope exceeds half its own
@@ -116,11 +97,11 @@ class EventClassifier:
         # insensitive to the ambient floor (unlike an RMS multiple).
         from repro.dsp.filters import moving_average
 
-        smooth = moving_average(envelope, max(int(0.5 * cfg.rate_hz), 1))
+        smooth = moving_average(envelope, max(int(0.5 * SAMPLE_RATE_HZ), 1))
         half_peak = 0.5 * float(smooth.max())
-        floor = cfg.burst_rel_level * rms
+        floor = BURST_REL_LEVEL * rms
         above = smooth > max(half_peak, floor)
-        burst_duration = float(np.count_nonzero(above)) / cfg.rate_hz
+        burst_duration = float(np.count_nonzero(above)) / SAMPLE_RATE_HZ
         return EventFeatures(
             wake_band_ratio=wake,
             chop_band_ratio=chop,
@@ -133,15 +114,14 @@ class EventClassifier:
     def classify(self, segment: np.ndarray) -> Classification:
         """Score the four classes and return the winner."""
         f = self.extract_features(segment)
-        cfg = self.config
 
         def clamp01(v: float) -> float:
             return min(max(v, 0.0), 1.0)
 
         duration_fits_wake = clamp01(
             1.0
-            - abs(f.burst_duration_s - 0.5 * (cfg.wake_min_s + cfg.wake_max_s))
-            / (cfg.wake_max_s)
+            - abs(f.burst_duration_s - 0.5 * (WAKE_MIN_S + WAKE_MAX_S))
+            / WAKE_MAX_S
         )
         # An impulse is spectrally flat across the wake and chop bands
         # (a sub-second pulse excites both equally) with an extreme

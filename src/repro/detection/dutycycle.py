@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.constants import SAMPLE_RATE_HZ
 from repro.errors import ConfigurationError
 from repro.sensors.battery import EnergyCosts
 from repro.telemetry.events import CAT_DUTYCYCLE
@@ -157,30 +158,26 @@ class DutyCycleController:
             t += dt
         return active / total
 
-    def energy_summary(
-        self,
-        duration_s: float,
-        sample_rate_hz: float = 50.0,
-        costs: EnergyCosts | None = None,
-    ) -> dict[str, float]:
+    def energy_summary(self, duration_s: float) -> dict[str, float]:
         """Estimated per-node energy with and without duty cycling [J].
 
         Uses the sentinel fraction as the steady-state active share
         (wake-ups are event-driven extras) and the default iMote2 cost
-        model: an active node pays sampling + idle listening, a sleeping
-        node pays only the sleep floor.  Sentinels sampling at the
-        coarse rate pay proportionally less for sampling.
+        model (:class:`~repro.sensors.battery.EnergyCosts`) at the
+        paper's 50 Hz: an active node pays sampling + idle listening, a
+        sleeping node pays only the sleep floor.  Sentinels sampling at
+        the coarse rate pay proportionally less for sampling.
         """
         if duration_s <= 0:
             raise ConfigurationError("duration must be positive")
-        c = costs if costs is not None else EnergyCosts()
+        c = EnergyCosts()
         always_on = duration_s * (
-            sample_rate_hz * c.sample_j + c.idle_j_per_s
+            SAMPLE_RATE_HZ * c.sample_j + c.idle_j_per_s
         )
         sentinel_rate = (
             self.config.coarse_rate_hz
             if self.config.coarse_rate_hz is not None
-            else sample_rate_hz
+            else SAMPLE_RATE_HZ
         )
         sentinel_on = duration_s * (
             sentinel_rate * c.sample_j + c.idle_j_per_s

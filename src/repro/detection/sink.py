@@ -9,44 +9,26 @@ clears the correlation threshold, and aggregates the speed estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.constants import CORRELATION_DECISION_THRESHOLD
 from repro.detection.reports import ClusterReport, SinkDecision
-from repro.errors import ConfigurationError
 from repro.telemetry.events import CAT_DETECTION
 from repro.telemetry.tracer import Tracer
 
 
-@dataclass(frozen=True)
-class SinkConfig:
-    """Sink fusion parameters."""
-
-    merge_window_s: float = 60.0
-    correlation_threshold: float = CORRELATION_DECISION_THRESHOLD
-
-    def __post_init__(self) -> None:
-        if self.merge_window_s <= 0:
-            raise ConfigurationError(
-                f"merge_window_s must be positive, got {self.merge_window_s}"
-            )
-        if not 0.0 <= self.correlation_threshold <= 1.0:
-            raise ConfigurationError(
-                "correlation_threshold must be in [0, 1], got "
-                f"{self.correlation_threshold}"
-            )
+#: Cluster reports this close in time [s] describe one event.
+MERGE_WINDOW_S = 60.0
 
 
 class Sink:
-    """The network sink: accumulates cluster reports, emits decisions."""
+    """The network sink: accumulates cluster reports, emits decisions.
 
-    def __init__(
-        self,
-        config: SinkConfig | None = None,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        self.config = config if config is not None else SinkConfig()
+    A merged group confirms an intrusion when one of its reports clears
+    :data:`~repro.constants.CORRELATION_DECISION_THRESHOLD`.
+    """
+
+    def __init__(self, tracer: Optional[Tracer] = None) -> None:
         self.tracer = tracer
         self._pending: list[ClusterReport] = []
         self._decisions: list[SinkDecision] = []
@@ -64,7 +46,7 @@ class Sink:
     def receive(self, report: ClusterReport) -> SinkDecision | None:
         """Ingest one cluster report.
 
-        Reports within ``merge_window_s`` of the pending group describe
+        Reports within :data:`MERGE_WINDOW_S` of the pending group describe
         the same event and accumulate; a report beyond the window first
         finalises the pending group (returning its decision) and then
         opens a new group.
@@ -82,7 +64,7 @@ class Sink:
         if self._pending and (
             report.detection_time
             - max(r.detection_time for r in self._pending)
-            > self.config.merge_window_s
+            > MERGE_WINDOW_S
         ):
             decision = self._finalize()
             self._pending = [report]
@@ -104,7 +86,7 @@ class Sink:
         confirmed = [
             r
             for r in group
-            if r.correlation >= self.config.correlation_threshold
+            if r.correlation >= CORRELATION_DECISION_THRESHOLD
         ]
         speeds = [
             r.speed_estimate_mps

@@ -22,42 +22,41 @@ from repro.rng import RandomState, make_rng
 from repro.types import Position
 
 
+#: Transmit power [dBm].
+TX_POWER_DBM = 0.0
+#: Path loss [dB] at the reference distance [m], and the log-distance
+#: path-loss exponent.
+PATH_LOSS_D0_DB = 55.0
+REFERENCE_DISTANCE_M = 1.0
+PATH_LOSS_EXPONENT = 2.2
+#: Receiver noise floor [dBm].
+NOISE_FLOOR_DBM = -95.0
+#: SNR at which PER = 50 %, and the logistic steepness of the SNR ->
+#: delivery curve [dB].
+SNR_PER50_DB = 2.0
+SNR_SLOPE_DB = 2.0
+#: Radio bit rate for transmission-delay accounting [bit/s].
+BITRATE_BPS = 250_000.0
+#: Propagation + processing latency floor [s].
+LATENCY_FLOOR_S = 0.001
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     """Channel model parameters."""
 
-    tx_power_dbm: float = 0.0
-    path_loss_d0_db: float = 55.0
-    reference_distance_m: float = 1.0
-    path_loss_exponent: float = 2.2
+    #: Sigma of the per-link log-normal shadowing [dB].
     shadowing_sigma_db: float = 3.0
-    noise_floor_dbm: float = -95.0
-    #: SNR at which PER = 50 %.
-    snr_per50_db: float = 2.0
-    #: Logistic steepness of the SNR -> delivery curve [dB].
-    snr_slope_db: float = 2.0
     #: Extra frame-loss probability applied uniformly (interference).
     base_loss_rate: float = 0.0
-    #: Radio bit rate for transmission-delay accounting [bit/s].
-    bitrate_bps: float = 250_000.0
-    #: Propagation + processing latency floor [s].
-    latency_floor_s: float = 0.001
 
     def __post_init__(self) -> None:
-        if self.reference_distance_m <= 0:
-            raise ConfigurationError("reference distance must be positive")
-        if self.path_loss_exponent <= 0:
-            raise ConfigurationError("path loss exponent must be positive")
         if self.shadowing_sigma_db < 0:
             raise ConfigurationError("shadowing sigma must be >= 0")
         if not 0.0 <= self.base_loss_rate < 1.0:
             raise ConfigurationError(
                 f"base_loss_rate must be in [0, 1), got {self.base_loss_rate}"
             )
-        if self.bitrate_bps <= 0:
-            raise ConfigurationError("bitrate must be positive")
-        if self.snr_slope_db <= 0:
-            raise ConfigurationError("snr_slope_db must be positive")
 
 
 class Channel:
@@ -83,32 +82,25 @@ class Channel:
         self, src: int, dst: int, src_pos: Position, dst_pos: Position
     ) -> float:
         """Received power over the (src, dst) link."""
-        cfg = self.config
-        d = max(src_pos.distance_to(dst_pos), cfg.reference_distance_m)
-        path_loss = cfg.path_loss_d0_db + 10.0 * cfg.path_loss_exponent * (
-            math.log10(d / cfg.reference_distance_m)
+        d = max(src_pos.distance_to(dst_pos), REFERENCE_DISTANCE_M)
+        path_loss = PATH_LOSS_D0_DB + 10.0 * PATH_LOSS_EXPONENT * (
+            math.log10(d / REFERENCE_DISTANCE_M)
         )
-        return cfg.tx_power_dbm - path_loss - self._shadowing_db(src, dst)
+        return TX_POWER_DBM - path_loss - self._shadowing_db(src, dst)
 
     def snr_db(
         self, src: int, dst: int, src_pos: Position, dst_pos: Position
     ) -> float:
         """Signal-to-noise ratio of the link."""
-        return (
-            self.rx_power_dbm(src, dst, src_pos, dst_pos)
-            - self.config.noise_floor_dbm
-        )
+        return self.rx_power_dbm(src, dst, src_pos, dst_pos) - NOISE_FLOOR_DBM
 
     def delivery_probability(
         self, src: int, dst: int, src_pos: Position, dst_pos: Position
     ) -> float:
         """Probability one frame survives the link (before MAC retries)."""
-        cfg = self.config
         snr = self.snr_db(src, dst, src_pos, dst_pos)
-        p_snr = 1.0 / (
-            1.0 + math.exp(-(snr - cfg.snr_per50_db) / cfg.snr_slope_db)
-        )
-        return p_snr * (1.0 - cfg.base_loss_rate)
+        p_snr = 1.0 / (1.0 + math.exp(-(snr - SNR_PER50_DB) / SNR_SLOPE_DB))
+        return p_snr * (1.0 - self.config.base_loss_rate)
 
     def attempt_delivery(
         self, src: int, dst: int, src_pos: Position, dst_pos: Position
@@ -125,7 +117,4 @@ class Channel:
             raise ConfigurationError(
                 f"size_bytes must be positive, got {size_bytes}"
             )
-        return (
-            self.config.latency_floor_s
-            + 8.0 * size_bytes / self.config.bitrate_bps
-        )
+        return LATENCY_FLOOR_S + 8.0 * size_bytes / BITRATE_BPS

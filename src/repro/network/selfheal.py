@@ -43,6 +43,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 logger = logging.getLogger("repro.network.selfheal")
 
+#: Base per-hop retry backoff [s]; attempt ``k`` waits ``2**k`` times
+#: this long.  Short relative to the report staleness window so a
+#: healed frame still makes its collection deadline.
+HOP_BACKOFF_S = 0.05
+
 
 @dataclass(frozen=True)
 class SelfHealingConfig:
@@ -54,10 +59,6 @@ class SelfHealingConfig:
     #: Total transmissions attempted per forwarded frame (first try
     #: included) before the relay gives up on it.
     hop_max_attempts: int = 4
-    #: Base per-hop retry backoff; attempt ``k`` waits ``2**k`` times
-    #: this long.  Short relative to the report staleness window so a
-    #: healed frame still makes its collection deadline.
-    hop_backoff_s: float = 0.05
     #: Frames one node may have in flight (including backoff waits) as
     #: forwarder; excess admissions are dropped and counted.
     relay_queue_cap: int = 16
@@ -75,10 +76,6 @@ class SelfHealingConfig:
         if self.hop_max_attempts < 1:
             raise ConfigurationError(
                 f"hop_max_attempts must be >= 1, got {self.hop_max_attempts}"
-            )
-        if self.hop_backoff_s <= 0:
-            raise ConfigurationError(
-                f"hop_backoff_s must be positive, got {self.hop_backoff_s}"
             )
         if self.relay_queue_cap < 1:
             raise ConfigurationError(
@@ -367,7 +364,7 @@ class SelfHealingRuntime:
                 on_abandon(frame)
             return
         self.network.resilience.hop_retransmits += 1
-        delay = self.config.hop_backoff_s * (2.0**attempt)
+        delay = HOP_BACKOFF_S * (2.0**attempt)
         self.network.sim.schedule(
             delay,
             self._attempt,

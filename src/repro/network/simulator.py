@@ -6,11 +6,9 @@ runs with the same seeds replay identically.
 
 The heap holds plain ``(time, seq, event)`` tuples, so ordering runs as
 C-level tuple comparison (``seq`` is unique per event, so comparison
-never reaches the non-orderable callback).  Cancellation is lazy — a
-cancelled entry stays queued until popped — with threshold-triggered
-compaction so a workload that cancels heavily (retransmit timers over a
-long soak) cannot grow the heap without bound.  Periodic trains
-(``schedule_periodic``) and finite item trains (``schedule_train``)
+never reaches the non-orderable callback).  A scheduled event always
+fires: no runner withdraws one, so the loop never checks.  Periodic
+trains (``schedule_periodic``) and finite item trains (``schedule_train``)
 keep a single queue entry that is re-armed by the loop itself,
 preserving the entry's original ``seq`` so the ``(time, seq)`` replay
 order is exactly that of pre-scheduling the whole train contiguously
@@ -27,44 +25,31 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.errors import SimulationError
 
-#: Compaction trigger: reap when more than this fraction of the queue
-#: is cancelled entries (and at least ``_COMPACT_MIN`` of them).
-_COMPACT_FRACTION = 0.5
-_COMPACT_MIN = 64
-
 #: One item of a :meth:`Simulator.schedule_train`: ``(time, fn, args)``.
 TrainItem = tuple[float, Callable[..., Any], tuple]
 
 
 class Event:
-    """Handle for a scheduled callback; supports cancellation."""
+    """Handle for a scheduled callback."""
 
     __slots__ = (
         "time",
         "fn",
         "args",
-        "cancelled",
         "seq",
         "interval",
         "until",
         "items",
         "rearms",
-        "_sim",
         "_queued",
     )
 
     def __init__(
-        self,
-        sim: "Simulator",
-        time: float,
-        fn: Callable[..., Any],
-        args: tuple,
-        seq: int,
+        self, time: float, fn: Callable[..., Any], args: tuple, seq: int
     ) -> None:
         self.time = time
         self.fn = fn
         self.args = args
-        self.cancelled = False
         self.seq = seq
         #: Periodics and trains re-arm after firing; one-shots do not.
         self.rearms = False
@@ -75,24 +60,12 @@ class Event:
         #: A train's items after the queued one; None for a dormant
         #: train and for every other event.
         self.items: Optional[Iterator[TrainItem]] = None
-        self._sim = sim
         self._queued = True
 
     @property
     def queued(self) -> bool:
         """True while the event (a train: its next item) is queued."""
         return self._queued
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing (safe to call twice).
-
-        Cancellation is lazy: the queue entry is reaped when popped, or
-        earlier by threshold-triggered compaction.
-        """
-        if not self.cancelled:
-            self.cancelled = True
-            if self._queued:
-                self._sim._note_cancel()
 
 
 class Simulator:
@@ -105,17 +78,13 @@ class Simulator:
         sim.run(until=600.0)
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = start_time
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._processed = 0
         self._running = False
-        #: Cancelled entries still sitting in the queue.
-        self._cancelled_in_queue = 0
-        #: Lifetime counters (scheduler observability).
-        self._cancelled_total = 0
-        self._compactions = 0
+        #: Largest queue length observed (scheduler observability).
         self._peak_depth = 0
         #: Recording probe (see ``repro.sanitize``); None = zero-cost.
         self._probe: Optional[Any] = None
@@ -142,13 +111,8 @@ class Simulator:
 
     @property
     def n_pending(self) -> int:
-        """Live (non-cancelled) events still queued."""
-        return len(self._queue) - self._cancelled_in_queue
-
-    @property
-    def n_cancelled(self) -> int:
-        """Cancelled entries still occupying queue slots."""
-        return self._cancelled_in_queue
+        """Events still queued."""
+        return len(self._queue)
 
     @property
     def n_processed(self) -> int:
@@ -157,17 +121,15 @@ class Simulator:
 
     @property
     def peak_queue_depth(self) -> int:
-        """Largest queue length observed (cancelled entries included)."""
+        """Largest queue length observed."""
         return self._peak_depth
 
     def stats(self) -> dict[str, float]:
         """Scheduler counters for telemetry export."""
         return {
             "events_executed": self._processed,
-            "events_cancelled": self._cancelled_total,
             "events_pending": self.n_pending,
             "peak_queue_depth": self._peak_depth,
-            "compactions": self._compactions,
         }
 
     # ------------------------------------------------------------------
@@ -191,7 +153,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(self, time, fn, args, seq)
+        event = Event(time, fn, args, seq)
         if self._probe is not None:
             self._probe.on_scheduled(event)
         queue = self._queue
@@ -217,8 +179,7 @@ class Simulator:
         like a pre-scheduled ``while t < until`` train, and the single
         queue entry keeps its creation ``seq``, so same-time ordering
         against other events is identical to scheduling the whole train
-        contiguously up front.  Cancelling the returned event stops the
-        train.
+        contiguously up front.
         """
         if interval <= 0:
             raise SimulationError(
@@ -231,7 +192,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(self, start, fn, args, seq)
+        event = Event(start, fn, args, seq)
         event.rearms = True
         event.interval = interval
         event.until = until
@@ -257,14 +218,13 @@ class Simulator:
         one loop.  ``items`` is consumed one item per firing, so a
         generator computes each item just before it is queued.  A
         first time before ``now`` raises here; a later time before its
-        predecessor raises when the train reaches it.  Cancelling the
-        returned event drops the remaining items.  A train whose items
-        run out goes dormant, and an empty train starts dormant:
+        predecessor raises when the train reaches it.  A train whose
+        items run out goes dormant, and an empty train starts dormant:
         :meth:`rearm` queues it again in the slot it holds.
         """
         seq = self._seq
         self._seq = seq + 1
-        event = Event(self, self._now, _inert, (), seq)
+        event = Event(self._now, _inert, (), seq)
         event.rearms = True
         event._queued = False
         if self._probe is not None:
@@ -281,21 +241,17 @@ class Simulator:
         empty ``items`` leaves the train dormant.  The probe is not
         told: the train keeps the provenance of its creation, so the
         sanitizer sees an install-time train as install-time however
-        often it is re-armed.  Re-arming a queued, cancelled, periodic
-        or one-shot event, or a train from its own callback (its items
-        are not yet known to be spent), raises
-        :class:`SimulationError`.
+        often it is re-armed.  Re-arming a queued, periodic or one-shot
+        event, or a train from its own callback (its items are not yet
+        known to be spent), raises :class:`SimulationError`.
         """
         if (
-            event.cancelled
-            or event._queued
+            event._queued
             or not event.rearms
             or event.interval is not None
             or event.items is not None
         ):
-            raise SimulationError(
-                "only a dormant, uncancelled train can be re-armed"
-            )
+            raise SimulationError("only a dormant train can be re-armed")
         self._load(event, items)
 
     def _load(self, event: Event, items: Iterable[TrainItem]) -> None:
@@ -338,35 +294,6 @@ class Simulator:
         return True
 
     # ------------------------------------------------------------------
-    # Heap hygiene
-    # ------------------------------------------------------------------
-    def _note_cancel(self) -> None:
-        self._cancelled_total += 1
-        self._cancelled_in_queue += 1
-        if (
-            self._cancelled_in_queue > _COMPACT_MIN
-            and self._cancelled_in_queue
-            > _COMPACT_FRACTION * len(self._queue)
-        ):
-            self.compact()
-
-    def compact(self) -> None:
-        """Reap cancelled entries and re-heapify in place.
-
-        In-place (slice assignment) so a ``run`` loop holding a local
-        binding to the queue keeps observing the compacted list.
-        """
-        queue = self._queue
-        if self._cancelled_in_queue == 0:
-            return
-        queue[:] = [
-            entry for entry in queue if not entry[2].cancelled
-        ]
-        heapq.heapify(queue)
-        self._cancelled_in_queue = 0
-        self._compactions += 1
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(
@@ -384,8 +311,8 @@ class Simulator:
         self._running = True
         executed = 0
         # Local bindings keep the hot loop free of repeated attribute
-        # lookups; the queue list is mutated in place everywhere
-        # (including compact), so the binding never goes stale.
+        # lookups; the queue list is mutated in place everywhere, so the
+        # binding never goes stale.
         queue = self._queue
         heappop = heapq.heappop
         heappush = heapq.heappush
@@ -403,9 +330,6 @@ class Simulator:
                 heappop(queue)
                 event = entry[2]
                 event._queued = False
-                if event.cancelled:
-                    self._cancelled_in_queue -= 1
-                    continue
                 self._now = time
                 if probe is None:
                     event.fn(*event.args)
@@ -416,7 +340,7 @@ class Simulator:
                     finally:
                         probe.on_event_end(event)
                 executed += 1
-                if event.rearms and not event.cancelled:
+                if event.rearms:
                     interval = event.interval
                     if interval is not None:
                         next_time = time + interval

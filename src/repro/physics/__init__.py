@@ -3,12 +3,11 @@
 The paper evaluates SID on accelerometer traces recorded by buoys at
 sea.  We do not have that sea, so this package synthesises it:
 
-- :mod:`repro.physics.spectrum` — ambient ocean wave spectra
-  (Pierson–Moskowitz, JONSWAP) and named sea states;
-- :mod:`repro.physics.airy` — linear (Airy) wave theory: the dispersion
-  relation and its inverse;
+- :mod:`repro.physics.spectrum` — the ambient ocean wave spectrum
+  (Pierson–Moskowitz) and named sea states;
 - :mod:`repro.physics.wavefield` — random-phase superposition of
-  spectral components into a space–time ambient wave field;
+  deep-water (Airy) spectral components into a space–time ambient wave
+  field;
 - :mod:`repro.physics.kelvin` — the Kelvin ship-wake model: cusp
   geometry (19°28′), Froude number, decay laws (paper eq. 1) and wake
   wave speed (paper eq. 2);
@@ -20,7 +19,6 @@ sea.  We do not have that sea, so this package synthesises it:
   birds, fish) used for false-alarm experiments.
 """
 
-from repro.physics.airy import dispersion_omega, wavenumber_from_omega
 from repro.physics.buoy import Buoy, BuoyMotion
 from repro.physics.disturbance import (
     BirdStrike,
@@ -37,10 +35,8 @@ from repro.physics.kelvin import (
     wake_wave_speed,
 )
 from repro.physics.spectrum import (
-    JONSWAPSpectrum,
     PiersonMoskowitzSpectrum,
     SeaState,
-    WaveSpectrum,
     sea_state_spectrum,
 )
 from repro.physics.wake_train import WakeTrain
@@ -53,20 +49,16 @@ __all__ = [
     "BuoyMotion",
     "Disturbance",
     "FishBump",
-    "JONSWAPSpectrum",
     "KelvinWake",
     "PiersonMoskowitzSpectrum",
     "SeaState",
     "WakeTrain",
     "WaveComponent",
-    "WaveSpectrum",
     "WindGust",
     "cusp_wave_period",
     "depth_froude_number",
-    "dispersion_omega",
     "render_disturbances",
     "sea_state_spectrum",
     "wake_propagation_angle_deg",
     "wake_wave_speed",
-    "wavenumber_from_omega",
 ]

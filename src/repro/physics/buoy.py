@@ -30,6 +30,7 @@ import numpy.typing as npt
 
 from repro.constants import BUOY_DRIFT_RADIUS_M, GRAVITY
 from repro.errors import ConfigurationError
+from repro.physics.sinusoids import BLOCK as SINUSOID_BLOCK
 from repro.physics.sinusoids import grid_sinusoid_sum
 from repro.rng import RandomState, make_rng
 from repro.types import Position
@@ -58,13 +59,33 @@ class BuoyMotion:
             raise ConfigurationError("motion arrays must share one length")
 
 
+#: Sinusoids per row of a :class:`_SinusoidProcess`, and the spread of
+#: their frequencies about the row's own (a fraction of it, either way).
+PROCESS_TERMS = 6
+PERIOD_SPREAD = 0.5
+
+#: Corner frequency [Hz] and Butterworth order of a buoy's mechanical
+#: heave response (:meth:`Buoy.heave_gain`).
+HEAVE_CORNER_HZ = 0.6
+HEAVE_ORDER = 2
+
 #: Byte budget of one sub-block of :meth:`Buoy.specific_force`: one call
-#: tilts as many buoys as fit this many bytes of float64 tilt rows (two
-#: a buoy; at least one buoy): 10 of a 60 s, 50 Hz chunk, one of a 400 s
-#: record.  Larger sub-blocks ran slower (DESIGN.md §10).  Each buoy's
-#: in-block offset factors, three (2, 6, 200) float64 arrays, come on
-#: top; they outweigh its rows on grids under 3,600 samples.
+#: tilts as many buoys as fit this many bytes (at least one buoy).  A
+#: buoy takes its two float64 tilt rows plus the in-block offset factors
+#: of its two rows, three (2, 6, min(200, samples)) float64 arrays,
+#: which outweigh the rows on grids under 3,600 samples: 4 buoys of a
+#: 60 s, 50 Hz chunk, one of a 400 s record.  Larger sub-blocks ran
+#: slower (DESIGN.md §10).
 TILT_BLOCK_BYTES = 524_288
+
+
+def _tilt_bytes_per_buoy(n_samples: int) -> int:
+    """What one buoy adds to a sub-block on an ``n_samples`` grid: its
+    two float64 tilt rows, and the three float64 in-block offset factor
+    arrays :func:`~repro.physics.sinusoids.grid_sinusoid_sum` builds
+    for them."""
+    return 8 * (2 * n_samples + 3 * 2 * PROCESS_TERMS * min(SINUSOID_BLOCK, n_samples))
+
 
 #: The arrays a :class:`_SinusoidProcess` holds, one row per process row.
 _TERMS = ("_freqs", "_phases", "_amps", "_omega", "_cos_weights", "_sin_weights")
@@ -73,10 +94,11 @@ _TERMS = ("_freqs", "_phases", "_amps", "_omega", "_cos_weights", "_sin_weights"
 class _SinusoidProcess:
     """Zero-mean, band-limited gaussian-ish processes as sums of sines.
 
-    One row per entry of ``periods_s``: each row has RMS ``rms`` and its
-    own characteristic period, and draws its frequencies, phases and
-    amplitudes from ``rng`` after the previous row's, as separate
-    one-row processes would.  Deterministic in ``t`` for a fixed seed.
+    One row per entry of ``periods_s``: each row has RMS ``rms``, its
+    own characteristic period and :data:`PROCESS_TERMS` sinusoids, and
+    draws their frequencies, phases and amplitudes from ``rng`` after
+    the previous row's, as separate one-row processes would.
+    Deterministic in ``t`` for a fixed seed.
     Used for tilt and drift; all rows are evaluated on evenly spaced
     sample grids by one
     :func:`~repro.physics.sinusoids.grid_sinusoid_sum` call.
@@ -87,8 +109,6 @@ class _SinusoidProcess:
         rng: np.random.Generator,
         rms: float,
         periods_s: Sequence[float],
-        n_terms: int = 6,
-        period_spread: float = 0.5,
     ) -> None:
         if rms < 0:
             raise ConfigurationError(f"rms must be >= 0, got {rms}")
@@ -100,12 +120,10 @@ class _SinusoidProcess:
                 raise ConfigurationError(
                     f"period must be positive, got {period_s}"
                 )
-            freqs.append(
-                (1.0 / period_s)
-                * (1.0 + period_spread * rng.uniform(-1.0, 1.0, size=n_terms))
-            )
-            phases.append(rng.uniform(0.0, 2.0 * math.pi, size=n_terms))
-            raw = rng.uniform(0.5, 1.0, size=n_terms)
+            spread = PERIOD_SPREAD * rng.uniform(-1.0, 1.0, size=PROCESS_TERMS)
+            freqs.append((1.0 / period_s) * (1.0 + spread))
+            phases.append(rng.uniform(0.0, 2.0 * math.pi, size=PROCESS_TERMS))
+            raw = rng.uniform(0.5, 1.0, size=PROCESS_TERMS)
             # Normalise so each row's sum of sinusoids has the requested RMS.
             amps.append(raw * (rms / math.sqrt(float(np.sum(raw * raw)) / 2.0)))
         self._freqs = np.array(freqs)
@@ -152,6 +170,8 @@ class Buoy:
         Characteristic rocking period (near the wave period).
     drift_period_s:
         Characteristic mooring-excursion period.
+    heave_corner_hz:
+        Corner frequency of the mechanical heave response.
     seed:
         Random state making this buoy's motion reproducible.
     """
@@ -163,8 +183,7 @@ class Buoy:
         tilt_rms_deg: float = 10.0,
         tilt_period_s: float = 4.0,
         drift_period_s: float = 90.0,
-        heave_corner_hz: float = 0.6,
-        heave_order: int = 2,
+        heave_corner_hz: float = HEAVE_CORNER_HZ,
         seed: RandomState = None,
     ) -> None:
         if drift_radius_m < 0:
@@ -179,14 +198,9 @@ class Buoy:
             raise ConfigurationError(
                 f"heave corner must be positive, got {heave_corner_hz}"
             )
-        if heave_order < 1:
-            raise ConfigurationError(
-                f"heave order must be >= 1, got {heave_order}"
-            )
         self.anchor = anchor
         self.drift_radius_m = drift_radius_m
         self.heave_corner_hz = heave_corner_hz
-        self.heave_order = heave_order
         rng = make_rng(seed)
         tilt_rms = math.radians(tilt_rms_deg)
         # Rows: rocking about the x axis, then about the y axis.
@@ -230,14 +244,15 @@ class Buoy:
 
         A small buoy follows long waves perfectly but cannot follow
         waves shorter than its own scale: the response rolls off as a
-        Butterworth magnitude ``1 / sqrt(1 + (f / fc)^(2 n))``.  This
-        is why the paper's measured ambient spectrum (Fig. 6a) shows a
-        single low-frequency concentration even though the raw
-        sea-surface acceleration spectrum has a broad saturation tail.
+        Butterworth magnitude ``1 / sqrt(1 + (f / fc)^(2 n))`` of order
+        ``n`` = :data:`HEAVE_ORDER`.  This is why the paper's measured
+        ambient spectrum (Fig. 6a) shows a single low-frequency
+        concentration even though the raw sea-surface acceleration
+        spectrum has a broad saturation tail.
         """
         f = np.asarray(frequency_hz, dtype=float)
         return 1.0 / np.sqrt(
-            1.0 + (f / self.heave_corner_hz) ** (2 * self.heave_order)
+            1.0 + (f / self.heave_corner_hz) ** (2 * HEAVE_ORDER)
         )
 
     @staticmethod
@@ -283,7 +298,7 @@ class Buoy:
             ax, ay = horizontal_accel
             fx = np.empty_like(fz)
             fy = np.empty_like(fz)
-        step = max(TILT_BLOCK_BYTES // max(2 * t.nbytes, 1), 1)
+        step = max(TILT_BLOCK_BYTES // max(_tilt_bytes_per_buoy(t.size), 1), 1)
         for lo in range(0, len(buoys), step):
             rows = slice(lo, lo + step)
             # Rows: each buoy's rocking about x, then about y.

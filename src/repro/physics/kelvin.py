@@ -34,6 +34,16 @@ from repro.types import Position
 #: the diverging waves at the cusp (90 deg - 54 deg 44 min).
 DEEP_WATER_THETA_DEG = 35.27
 
+#: Lateral distance [m] below which :meth:`KelvinWake.arrival_time`
+#: clamps a point, so a point on the sailing line is swept just after
+#: the ship passes abeam.
+MIN_ARRIVAL_LATERAL_M = 1e-6
+
+#: Lateral distance [m] below which :meth:`KelvinWake.wave_height_at`
+#: clamps a point: eq. 1 diverges at the sailing line, but physically
+#: the wake height saturates near the hull.
+MIN_HEIGHT_LATERAL_M = 2.0
+
 
 def depth_froude_number(speed_mps: float, depth_m: float) -> float:
     """Depth Froude number ``F_d = V / sqrt(g h)``."""
@@ -218,7 +228,7 @@ class KelvinWake:
         along, _ = self.track_coordinates(point)
         return self.t0 + along / self.speed_mps
 
-    def arrival_time(self, point: Position, min_lateral_m: float = 1e-6) -> float:
+    def arrival_time(self, point: Position) -> float:
         """Time at which the wedge front (cusp locus) reaches ``point``.
 
         The wedge boundary trails the ship at angle ``half_angle_rad``;
@@ -228,21 +238,17 @@ class KelvinWake:
         ``t_arrival = t_abeam + d / (V tan(theta_k))``.
         """
         _, lateral = self.track_coordinates(point)
-        d = max(abs(lateral), min_lateral_m)
+        d = max(abs(lateral), MIN_ARRIVAL_LATERAL_M)
         delay = d / (self.speed_mps * math.tan(self.half_angle_rad))
         return self.closest_approach_time(point) + delay
 
     # ------------------------------------------------------------------
     # Amplitude and duration
     # ------------------------------------------------------------------
-    def wave_height_at(self, point: Position, min_lateral_m: float = 2.0) -> float:
-        """Cusp (divergent) wave height at ``point`` via eq. 1 [m].
-
-        Distances below ``min_lateral_m`` are clamped: eq. 1 diverges at
-        the sailing line, but physically the wake height saturates near
-        the hull.
-        """
-        d = max(self.lateral_distance(point), min_lateral_m)
+    def wave_height_at(self, point: Position) -> float:
+        """Cusp (divergent) wave height at ``point`` via eq. 1 [m],
+        with the distance clamped at :data:`MIN_HEIGHT_LATERAL_M`."""
+        d = max(self.lateral_distance(point), MIN_HEIGHT_LATERAL_M)
         return divergent_wave_height(self._coeff, d)
 
     def wave_period(self) -> float:

@@ -30,6 +30,10 @@ from repro.errors import ConfigurationError
 from repro.physics.kelvin import KelvinWake
 from repro.types import Position
 
+#: Frequency sweep over a whole wake packet, as a fraction of its
+#: carrier frequency (:meth:`WakeTrain.from_wake`).
+WAKE_CHIRP_FRACTION = -0.08
+
 
 @dataclass(frozen=True)
 class WakeTrain:
@@ -68,17 +72,9 @@ class WakeTrain:
             )
 
     @classmethod
-    def from_wake(
-        cls,
-        wake: KelvinWake,
-        point: Position,
-        chirp_fraction: float = -0.08,
-    ) -> "WakeTrain":
-        """Build the packet a :class:`KelvinWake` produces at ``point``.
-
-        ``chirp_fraction`` expresses the frequency sweep over the whole
-        packet as a fraction of the carrier frequency.
-        """
+    def from_wake(cls, wake: KelvinWake, point: Position) -> "WakeTrain":
+        """Build the packet a :class:`KelvinWake` produces at ``point``,
+        chirped by :data:`WAKE_CHIRP_FRACTION`."""
         period = wake.wave_period()
         duration = wake.train_duration_at(point)
         carrier_hz = 1.0 / period
@@ -87,7 +83,7 @@ class WakeTrain:
             amplitude=0.5 * wake.wave_height_at(point),
             period=period,
             duration=duration,
-            chirp=chirp_fraction * carrier_hz / duration,
+            chirp=WAKE_CHIRP_FRACTION * carrier_hz / duration,
         )
 
     @property

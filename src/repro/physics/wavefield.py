@@ -6,10 +6,12 @@ and random phases and directions:
 
 ``eta(x, y, t) = sum_i a_i cos(k_i (x cos th_i + y sin th_i) - w_i t + p_i)``
 
-Wave groupiness (the slow amplitude modulation visible in the paper's
-Fig. 5) emerges naturally from the beating of nearby components.  The
-vertical acceleration a surface-following buoy feels is the second time
-derivative of the elevation, ``-sum a_i w_i^2 cos(...)``.
+Every component is a deep-water (Airy) wave, ``k_i = w_i^2 / g``, and
+the directions spread about the +x axis.  Wave groupiness (the slow
+amplitude modulation visible in the paper's Fig. 5) emerges naturally
+from the beating of nearby components.  The vertical acceleration a
+surface-following buoy feels is the second time derivative of the
+elevation, ``-sum a_i w_i^2 cos(...)``.
 
 The field is evaluated for a whole fleet at once: each position's phase
 offsets fold into weights on fleet-shared ``cos(w t)`` / ``sin(w t)``
@@ -23,15 +25,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
+from repro.constants import GRAVITY
 from repro.errors import ConfigurationError
-from repro.physics.airy import wavenumber_from_omega
 from repro.physics.sinusoids import grid_sinusoid_sum
-from repro.physics.spectrum import WaveSpectrum
+from repro.physics.spectrum import PiersonMoskowitzSpectrum
 from repro.rng import RandomState, make_rng
 from repro.types import Position
 
@@ -78,12 +80,9 @@ def _spreading_cdf_table(
 
 
 def _sample_spreading_directions(
-    rng: np.random.Generator,
-    n: int,
-    mean_direction_rad: float,
-    spreading_exponent: float,
+    rng: np.random.Generator, n: int, spreading_exponent: float
 ) -> np.ndarray:
-    """Sample directions from a ``cos^{2s}((th - th0)/2)`` spreading.
+    """Sample directions from a ``cos^{2s}(th / 2)`` spreading.
 
     Sampling uses a numerically inverted CDF on a fine grid, which is
     exact enough for synthesis and has no rejection-loop worst case.
@@ -94,11 +93,10 @@ def _sample_spreading_directions(
     """
     if spreading_exponent <= 0:
         # Unidirectional limit.
-        return np.full(n, mean_direction_rad)
+        return np.zeros(n)
     cdf, edges = _spreading_cdf_table(float(spreading_exponent))
     u = rng.uniform(0.0, 1.0, size=n)
-    offsets = np.interp(u, cdf, edges)
-    return mean_direction_rad + offsets
+    return np.interp(u, cdf, edges)
 
 
 class AmbientWaveField:
@@ -114,25 +112,20 @@ class AmbientWaveField:
     f_min_hz, f_max_hz:
         Band realised.  The default 0.03–1.5 Hz covers swell through
         chop; the detector's 1 Hz low-pass sits inside it.
-    mean_direction_rad:
-        Mean wave propagation direction.
     spreading_exponent:
-        ``s`` of the ``cos^{2s}`` directional spreading (0 = unidirectional).
-    depth_m:
-        Water depth; ``None`` = deep water.
+        ``s`` of the ``cos^{2s}`` directional spreading about +x
+        (0 = unidirectional).
     seed:
         Random state for phases and directions.
     """
 
     def __init__(
         self,
-        spectrum: WaveSpectrum,
+        spectrum: PiersonMoskowitzSpectrum,
         n_components: int = 128,
         f_min_hz: float = 0.03,
         f_max_hz: float = 1.5,
-        mean_direction_rad: float = 0.0,
         spreading_exponent: float = 8.0,
-        depth_m: Optional[float] = None,
         seed: RandomState = None,
     ) -> None:
         if n_components < 1:
@@ -153,12 +146,11 @@ class AmbientWaveField:
             freqs = np.clip(freqs, f_min_hz, f_max_hz)
         phases = rng.uniform(0.0, 2.0 * math.pi, size=n_components)
         directions = _sample_spreading_directions(
-            rng, n_components, mean_direction_rad, spreading_exponent
+            rng, n_components, spreading_exponent
         )
         omegas = 2.0 * math.pi * freqs
-        wavenumbers = np.array(
-            [wavenumber_from_omega(float(w), depth_m) for w in omegas]
-        )
+        # Deep-water dispersion, omega^2 = g k.
+        wavenumbers = omegas * omegas / GRAVITY
         self._components = [
             WaveComponent(
                 amplitude=float(amplitudes[i]),

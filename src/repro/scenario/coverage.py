@@ -24,23 +24,26 @@ from typing import TYPE_CHECKING
 from repro.constants import ACCEL_COUNTS_PER_G, GRAVITY
 from repro.detection.node_detector import NodeDetectorConfig
 from repro.errors import ConfigurationError
-from repro.physics.kelvin import cusp_wave_period
+from repro.physics.buoy import HEAVE_CORNER_HZ, HEAVE_ORDER
+from repro.physics.kelvin import MIN_HEIGHT_LATERAL_M, cusp_wave_period
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.ship import ShipTrack
 
 if TYPE_CHECKING:
     import networkx
 
+#: Calibrated calm-sea ambient std d'_T of the rectified counts.
+AMBIENT_STD_COUNTS = 42.0
+
+#: Farthest lateral distance [m] :func:`detection_radius_m` searches.
+MAX_RADIUS_M = 2000.0
+
 
 def detection_radius_m(
     ship: ShipTrack,
     detector: NodeDetectorConfig | None = None,
     ambient_mean_counts: float = 57.0,
-    ambient_std_counts: float = 42.0,
-    heave_corner_hz: float = 0.6,
-    heave_order: int = 2,
     envelope_margin: float = 0.55,
-    max_radius_m: float = 2000.0,
 ) -> float:
     """Lateral distance at which ``ship`` still trips the detector.
 
@@ -48,29 +51,33 @@ def detection_radius_m(
     counts, after the buoy's heave response) scaled by the envelope
     margin — the fraction of the packet that must stay above threshold
     for the anomaly frequency to pass — must exceed
-    ``D_max + d'_T = M * m'_T + d'_T``.  The ambient statistics default
-    to the calibrated calm-sea values (rectified counts).
+    ``D_max + d'_T = M * m'_T + d'_T``.  The ambient statistics are
+    the calibrated calm-sea values of the rectified counts (m'_T by
+    default, d'_T = :data:`AMBIENT_STD_COUNTS`), and the heave response
+    is the buoy's (:data:`~repro.physics.buoy.HEAVE_CORNER_HZ`,
+    :data:`~repro.physics.buoy.HEAVE_ORDER`).
 
-    Returns 0 when even the near-field wake is below threshold.
+    Returns 0 when even the near-field wake is below threshold, and
+    :data:`MAX_RADIUS_M` when the wake is still above it there.
     """
     cfg = detector if detector is not None else NodeDetectorConfig()
     wake = ship.wake()
     period = cusp_wave_period(ship.speed_mps)
     omega = 2.0 * math.pi / period
     gain = 1.0 / math.sqrt(
-        1.0 + (1.0 / (period * heave_corner_hz)) ** (2 * heave_order)
+        1.0 + (1.0 / (period * HEAVE_CORNER_HZ)) ** (2 * HEAVE_ORDER)
     )
-    threshold = cfg.m * ambient_mean_counts + ambient_std_counts
+    threshold = cfg.m * ambient_mean_counts + AMBIENT_STD_COUNTS
 
     def peak_counts(d: float) -> float:
         coeff = wake._coeff
-        height = coeff * max(d, 2.0) ** (-1.0 / 3.0)
+        height = coeff * max(d, MIN_HEIGHT_LATERAL_M) ** (-1.0 / 3.0)
         accel = 0.5 * height * omega * omega * gain
         return accel / GRAVITY * ACCEL_COUNTS_PER_G * envelope_margin
 
-    if peak_counts(2.0) < threshold:
+    if peak_counts(MIN_HEIGHT_LATERAL_M) < threshold:
         return 0.0
-    lo, hi = 2.0, max_radius_m
+    lo, hi = MIN_HEIGHT_LATERAL_M, MAX_RADIUS_M
     if peak_counts(hi) >= threshold:
         return hi
     for _ in range(60):

@@ -46,6 +46,9 @@ from repro.types import AccelTrace
 #: synthesis, 4-row blocks ~7 % (DESIGN.md §10).
 AMBIENT_BLOCK_BYTES = 1_310_720
 
+#: Sinusoidal components of a scenario's ambient sea.
+N_WAVE_COMPONENTS = 96
+
 
 @dataclass(frozen=True)
 class SynthesisConfig:
@@ -54,9 +57,6 @@ class SynthesisConfig:
     duration_s: float = 400.0
     t0: float = 0.0
     sea_state: SeaState = SeaState.CALM
-    n_wave_components: int = 96
-    #: Dispersive chirp of the wake packet (fraction of the carrier).
-    wake_chirp_fraction: float = -0.08
     #: Add the ambient surface's horizontal acceleration and record the
     #: x and y axes too (Fig. 5).  Off, each buoy projects and each
     #: mote digitises z alone, the one axis detection reads; the
@@ -69,8 +69,6 @@ class SynthesisConfig:
             raise ConfigurationError(
                 f"duration must be positive, got {self.duration_s}"
             )
-        if self.n_wave_components < 1:
-            raise ConfigurationError("need at least one wave component")
 
 
 def build_ambient_field(
@@ -78,9 +76,7 @@ def build_ambient_field(
 ) -> AmbientWaveField:
     """The scenario's shared ambient wave-field realisation."""
     spectrum = sea_state_spectrum(config.sea_state)
-    return AmbientWaveField(
-        spectrum, n_components=config.n_wave_components, seed=seed
-    )
+    return AmbientWaveField(spectrum, n_components=N_WAVE_COMPONENTS, seed=seed)
 
 
 def fleet_ambient_field(
@@ -137,11 +133,7 @@ def wake_trains_for_node(
     for wake in wakes:
         nominal_arrival = wake.arrival_time(node.anchor)
         drifted = node.buoy.position_at(nominal_arrival)
-        trains.append(
-            WakeTrain.from_wake(
-                wake, drifted, chirp_fraction=config.wake_chirp_fraction
-            )
-        )
+        trains.append(WakeTrain.from_wake(wake, drifted))
     return trains
 
 

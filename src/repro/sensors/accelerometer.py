@@ -50,27 +50,24 @@ def skip_normals(rng: np.random.Generator, count: int) -> None:
 
 @dataclass(frozen=True)
 class AccelerometerSpec:
-    """Static characteristics of one accelerometer device."""
+    """Static characteristics of one accelerometer device.
 
-    range_g: float = ACCEL_RANGE_G
-    counts_per_g: float = ACCEL_COUNTS_PER_G
+    Every device has the paper's range and resolution
+    (:data:`~repro.constants.ACCEL_RANGE_G`,
+    :data:`~repro.constants.ACCEL_COUNTS_PER_G`).
+    """
+
     noise_rms_counts: float = 4.0
     bias_rms_counts: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.range_g <= 0:
-            raise ConfigurationError(f"range_g must be positive, got {self.range_g}")
-        if self.counts_per_g <= 0:
-            raise ConfigurationError(
-                f"counts_per_g must be positive, got {self.counts_per_g}"
-            )
         if self.noise_rms_counts < 0 or self.bias_rms_counts < 0:
             raise ConfigurationError("noise/bias RMS must be >= 0")
 
     @property
     def max_counts(self) -> int:
         """Positive clipping level in counts."""
-        return int(round(self.range_g * self.counts_per_g))
+        return int(round(ACCEL_RANGE_G * ACCEL_COUNTS_PER_G))
 
 
 class Accelerometer:
@@ -92,7 +89,7 @@ class Accelerometer:
     def mps2_to_counts(self, accel_mps2: npt.ArrayLike) -> np.ndarray:
         """Ideal (noise-free, unclipped, unquantised) conversion."""
         a = np.asarray(accel_mps2, dtype=float)
-        return a / GRAVITY * self.spec.counts_per_g
+        return a / GRAVITY * ACCEL_COUNTS_PER_G
 
     def read_axis(self, accel_mps2: npt.ArrayLike, axis: int) -> np.ndarray:
         """Convert true specific force on one axis into raw counts.

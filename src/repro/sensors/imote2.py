@@ -9,7 +9,7 @@ detection pipeline consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,8 +18,8 @@ from repro.constants import SAMPLE_RATE_HZ
 from repro.errors import ConfigurationError
 from repro.physics.buoy import BuoyMotion
 from repro.rng import RandomState, derive_rng, make_rng
-from repro.sensors.accelerometer import Accelerometer, AccelerometerSpec
-from repro.sensors.battery import Battery, EnergyCosts
+from repro.sensors.accelerometer import Accelerometer
+from repro.sensors.battery import Battery
 from repro.sensors.clock import Clock
 from repro.sensors.sampler import Sampler
 from repro.types import AccelTrace
@@ -27,14 +27,17 @@ from repro.types import AccelTrace
 
 @dataclass(frozen=True)
 class MoteConfig:
-    """Configuration bundle for one :class:`IMote2`."""
+    """Configuration bundle for one :class:`IMote2`.
+
+    The accelerometer, the energy prices and the clock's sync residual
+    are the defaults of :class:`~repro.sensors.accelerometer.AccelerometerSpec`,
+    :class:`~repro.sensors.battery.EnergyCosts` and
+    :class:`~repro.sensors.clock.Clock`.
+    """
 
     sample_rate_hz: float = SAMPLE_RATE_HZ
-    accelerometer: AccelerometerSpec = field(default_factory=AccelerometerSpec)
     battery_capacity_j: float = 10_000.0
-    energy_costs: EnergyCosts = field(default_factory=EnergyCosts)
     clock_drift_ppm: float = 20.0
-    clock_sync_residual_s: float = 0.002
 
     def __post_init__(self) -> None:
         if self.sample_rate_hz <= 0:
@@ -69,17 +72,13 @@ class IMote2:
         self.config = config if config is not None else MoteConfig()
         base = make_rng(seed)
         self.accelerometer = Accelerometer(
-            self.config.accelerometer,
             seed=derive_rng(int(base.integers(2**31)), f"accel-{node_id}"),
         )
         self.clock = Clock(
             drift_ppm=self.config.clock_drift_ppm,
-            sync_residual_s=self.config.clock_sync_residual_s,
             seed=derive_rng(int(base.integers(2**31)), f"clock-{node_id}"),
         )
-        self.battery = Battery(
-            self.config.battery_capacity_j, self.config.energy_costs
-        )
+        self.battery = Battery(self.config.battery_capacity_j)
         self.sampler = Sampler(self.config.sample_rate_hz)
 
     def record(self, motion: BuoyMotion) -> AccelTrace:

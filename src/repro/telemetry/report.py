@@ -96,7 +96,7 @@ def scheduler_stats(
     """Event-loop scheduler counters, one row per ``event_loop`` span.
 
     The network runner attaches the simulator's terminal counters
-    (events executed/cancelled, peak queue depth, compactions) to its
+    (events executed and pending, peak queue depth) to its
     ``event_loop`` profiling span; this lifts them out, with the
     achieved events/sec over the span's own duration (read through the
     tracer's clock), so a trace shows scheduler health next to the
@@ -212,9 +212,7 @@ def format_summary(summary: dict[str, Any]) -> str:
             rate = row.get("events_per_s")
             lines.append(
                 f"  executed={row.get('events_executed'):<8} "
-                f"cancelled={row.get('events_cancelled'):<6} "
                 f"peak_depth={row.get('peak_queue_depth'):<8} "
-                f"compactions={row.get('compactions'):<3} "
                 + (f"{rate:,.0f} events/s" if rate else "")
             )
     if summary["frame_loss"]:

@@ -5,12 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.detection.classifier import (
-    ClassifierConfig,
-    EventClass,
-    EventClassifier,
-)
-from repro.errors import ConfigurationError, SignalLengthError
+from repro.detection.classifier import EventClass, EventClassifier
+from repro.errors import SignalLengthError
 from repro.physics.disturbance import FishBump, WindGust
 from repro.physics.wake_train import WakeTrain
 
@@ -130,12 +126,3 @@ class TestFeatures:
     def test_short_segment_rejected(self, classifier):
         with pytest.raises(SignalLengthError):
             classifier.extract_features(np.ones(10))
-
-
-def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        ClassifierConfig(rate_hz=0.0)
-    with pytest.raises(ConfigurationError):
-        ClassifierConfig(wake_band_hz=(0.8, 0.2))
-    with pytest.raises(ConfigurationError):
-        ClassifierConfig(burst_rel_level=0.0)

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.detection.reports import ClusterReport, NodeReport
-from repro.detection.sink import Sink, SinkConfig
+from repro.detection.sink import Sink
 from repro.types import Position
 
 
@@ -31,7 +30,7 @@ def _cluster_report(t, c=0.8, speed=None, heading=None):
 
 
 def test_reports_within_window_merge():
-    sink = Sink(SinkConfig(merge_window_s=60.0))
+    sink = Sink()
     assert sink.receive(_cluster_report(100.0)) is None
     assert sink.receive(_cluster_report(130.0)) is None
     decision = sink.flush()
@@ -41,7 +40,7 @@ def test_reports_within_window_merge():
 
 
 def test_distant_report_finalises_previous_group():
-    sink = Sink(SinkConfig(merge_window_s=60.0))
+    sink = Sink()
     sink.receive(_cluster_report(100.0))
     decision = sink.receive(_cluster_report(300.0))
     assert decision is not None
@@ -168,10 +167,3 @@ def test_decisions_accumulate():
     sink.receive(_cluster_report(500.0))
     sink.flush()
     assert len(sink.decisions) == 2
-
-
-def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        SinkConfig(merge_window_s=0.0)
-    with pytest.raises(ConfigurationError):
-        SinkConfig(correlation_threshold=2.0)

@@ -1,11 +1,11 @@
 """Reference scheduler the tuple-heap ``Simulator`` is checked against.
 
 :class:`ReferenceSimulator` is the event loop as it stood before the
-tuple-heap rewrite (DESIGN.md §14), kept verbatim: dataclass heap
-entries compared through their generated ``__lt__``, cancelled entries
-skipped on pop with no compaction, and periodic trains pre-scheduled in
-full with one fresh ``seq`` per firing, as the old runner's
-``while t < horizon`` install loops did.  Item trains are likewise
+tuple-heap rewrite (DESIGN.md §14), kept verbatim but for the
+cancellation neither loop supports any more: dataclass heap entries
+compared through their generated ``__lt__``, and periodic trains
+pre-scheduled in full with one fresh ``seq`` per firing, as the old
+runner's ``while t < horizon`` install loops did.  Item trains are likewise
 scheduled item by item up front, each with its own ``seq``: that is the
 order ``Simulator.schedule_train`` claims to keep with one queue entry.
 Its API is padded so it can replace ``repro.network.nodeproc.Simulator``
@@ -33,7 +33,7 @@ class _RefEntry:
 
 
 class _RefEvent:
-    __slots__ = ("time", "fn", "args", "cancelled", "popped")
+    __slots__ = ("time", "fn", "args", "popped")
 
     def __init__(
         self, time: float, fn: Callable[..., Any], args: tuple
@@ -41,15 +41,11 @@ class _RefEvent:
         self.time = time
         self.fn = fn
         self.args = args
-        self.cancelled = False
         self.popped = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
 
 
 class _RefTrain:
-    """Handle over a pre-scheduled train: cancellation and queue state."""
+    """Handle over a pre-scheduled train: its queue state."""
 
     __slots__ = ("events",)
 
@@ -58,18 +54,14 @@ class _RefTrain:
 
     @property
     def queued(self) -> bool:
-        return any(not (e.popped or e.cancelled) for e in self.events)
-
-    def cancel(self) -> None:
-        for event in self.events:
-            event.cancel()
+        return any(not e.popped for e in self.events)
 
 
 class ReferenceSimulator:
     """The pre-rewrite event loop, API-padded to slot into the runner."""
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = start_time
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list[_RefEntry] = []
         self._seq = itertools.count()
         self._processed = 0
@@ -90,10 +82,8 @@ class ReferenceSimulator:
     def stats(self) -> dict[str, int]:
         return {
             "events_executed": self._processed,
-            "events_cancelled": 0,
             "events_pending": len(self._queue),
             "peak_queue_depth": 0,
-            "compactions": 0,
         }
 
     def schedule(
@@ -179,8 +169,6 @@ class ReferenceSimulator:
                     break
                 heapq.heappop(self._queue)
                 entry.event.popped = True
-                if entry.event.cancelled:
-                    continue
                 self._now = entry.time
                 entry.event.fn(*entry.event.args)
                 self._processed += 1
@@ -190,15 +178,3 @@ class ReferenceSimulator:
         finally:
             self._running = False
         return executed
-
-    def step(self) -> bool:
-        while self._queue:
-            entry = heapq.heappop(self._queue)
-            entry.event.popped = True
-            if entry.event.cancelled:
-                continue
-            self._now = entry.time
-            entry.event.fn(*entry.event.args)
-            self._processed += 1
-            return True
-        return False

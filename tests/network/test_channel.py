@@ -72,10 +72,6 @@ def test_airtime_rejects_bad_size(channel):
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        ChannelConfig(reference_distance_m=0.0)
-    with pytest.raises(ConfigurationError):
-        ChannelConfig(path_loss_exponent=0.0)
+        ChannelConfig(shadowing_sigma_db=-1.0)
     with pytest.raises(ConfigurationError):
         ChannelConfig(base_loss_rate=1.0)
-    with pytest.raises(ConfigurationError):
-        ChannelConfig(bitrate_bps=0.0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import repro.network.nodeproc as nodeproc
@@ -14,7 +14,7 @@ from repro.detection.sid import SIDNodeConfig
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.network.selfheal import SelfHealingConfig
-from repro.network.simulator import _COMPACT_MIN, Simulator
+from repro.network.simulator import Simulator
 from repro.scenario.deployment import GridDeployment
 from repro.scenario.digest import scenario_digest
 from repro.scenario.presets import paper_ship
@@ -77,23 +77,6 @@ def test_events_can_schedule_events():
     assert sim.now == 3.0
 
 
-def test_cancelled_events_skipped():
-    sim = Simulator()
-    log = []
-    ev = sim.schedule(1.0, log.append, "x")
-    ev.cancel()
-    sim.run()
-    assert log == []
-
-
-def test_cancel_idempotent():
-    sim = Simulator()
-    ev = sim.schedule(1.0, lambda: None)
-    ev.cancel()
-    ev.cancel()
-    assert sim.run() == 0
-
-
 def test_schedule_in_past_rejected():
     sim = Simulator()
     sim.schedule(5.0, lambda: None)
@@ -144,62 +127,6 @@ def test_run_until_advances_to_until_when_idle():
 
 
 class TestHeapHygiene:
-    def test_n_pending_excludes_cancelled(self):
-        sim = Simulator()
-        events = [sim.schedule(float(i + 1), lambda: None) for i in range(10)]
-        for ev in events[:4]:
-            ev.cancel()
-        assert sim.n_pending == 6
-        assert sim.n_cancelled == 4
-
-    def test_cancel_after_run_does_not_count(self):
-        sim = Simulator()
-        ev = sim.schedule(1.0, lambda: None)
-        sim.run()
-        ev.cancel()
-        assert sim.n_cancelled == 0
-        assert sim.stats()["events_cancelled"] == 0
-
-    def test_pop_reclaims_cancelled_slot(self):
-        sim = Simulator()
-        ev = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        ev.cancel()
-        assert sim.n_cancelled == 1
-        sim.run()
-        assert sim.n_cancelled == 0
-        assert sim.n_pending == 0
-
-    def test_threshold_compaction(self):
-        sim = Simulator()
-        keep = [sim.schedule(1e9, lambda: None) for _ in range(4)]
-        doomed = [
-            sim.schedule(float(i + 1), lambda: None)
-            for i in range(2 * _COMPACT_MIN)
-        ]
-        for ev in doomed:
-            ev.cancel()
-        # The cancelled fraction crossed the threshold mid-way, so the
-        # queue was reaped without waiting for pops; cancels after the
-        # sweep accumulate again below the trigger.
-        assert sim.stats()["compactions"] >= 1
-        assert sim.n_cancelled < len(doomed)
-        assert sim.n_pending == len(keep)
-        sim.run()
-        assert sim.n_processed == len(keep)
-
-    def test_explicit_compact_preserves_order(self):
-        sim = Simulator()
-        log = []
-        sim.schedule(3.0, log.append, "c")
-        ev = sim.schedule(1.0, log.append, "dropped")
-        sim.schedule(2.0, log.append, "b")
-        ev.cancel()
-        sim.compact()
-        assert sim.n_cancelled == 0
-        sim.run()
-        assert log == ["b", "c"]
-
     def test_peak_queue_depth(self):
         sim = Simulator()
         for i in range(7):
@@ -233,9 +160,7 @@ class TestSchedulePeriodic:
         ev = sim.schedule_periodic(
             1.0, lambda: None, first=5.0, until=5.0
         )
-        assert sim.n_pending == 0
-        ev.cancel()
-        assert sim.n_cancelled == 0
+        assert sim.n_pending == 0 and not ev.queued
         assert sim.run() == 0
 
     def test_default_first_is_now_plus_interval(self):
@@ -246,20 +171,6 @@ class TestSchedulePeriodic:
         )
         sim.run()
         assert times == [2.0, 4.0, 6.0]
-
-    def test_cancel_stops_the_train(self):
-        sim = Simulator()
-        fired = []
-        handle = []
-
-        def hit():
-            fired.append(sim.now)
-            if len(fired) == 2:
-                handle[0].cancel()
-
-        handle.append(sim.schedule_periodic(1.0, hit, first=1.0))
-        sim.run()
-        assert fired == [1.0, 2.0]
 
     def test_keeps_seq_against_later_events(self):
         # The train keeps its creation seq: a one-shot scheduled later
@@ -327,35 +238,10 @@ class TestScheduleTrain:
         with pytest.raises(SimulationError):
             sim.schedule_train([(1.0, lambda: None, ())])
 
-    def test_cancel_stops_the_remaining_items(self):
-        sim = Simulator()
-        fired = []
-        handle = []
-
-        def hit(k):
-            fired.append(k)
-            if k == 1:
-                handle[0].cancel()
-
-        handle.append(
-            sim.schedule_train([(float(k), hit, (k,)) for k in range(5)])
-        )
-        sim.run()
-        assert fired == [0, 1]
-        # Cancelled while queued: reaped on pop, never fired.
-        queued = sim.schedule_train([(9.0, fired.append, (9,))])
-        queued.cancel()
-        assert sim.n_cancelled == 1
-        sim.run()
-        assert fired == [0, 1]
-        assert sim.n_cancelled == 0
-
     def test_empty_train_is_inert(self):
         sim = Simulator()
         ev = sim.schedule_train([])
-        assert sim.n_pending == 0
-        ev.cancel()
-        assert sim.n_cancelled == 0
+        assert sim.n_pending == 0 and not ev.queued
         assert sim.run() == 0
 
     def test_rearm_fires_in_the_dormant_trains_slot(self):
@@ -389,11 +275,8 @@ class TestScheduleTrain:
     def test_rearm_rejects_everything_but_a_dormant_train(self):
         sim = Simulator()
         item = [(1.0, lambda: None, ())]
-        cancelled = sim.schedule_train([])
-        cancelled.cancel()
         for event in (
             sim.schedule_train(item),
-            cancelled,
             sim.schedule_at(1.0, lambda: None),
             sim.schedule_periodic(1.0, lambda: None, until=3.0),
         ):
@@ -448,18 +331,15 @@ def _schedule_ops(draw) -> list[tuple]:
     """Install ops for one mixed schedule, in install (seq) order.
 
     Trains hold 0-50 items with non-decreasing times (repeats
-    included); one may cancel itself from one of its items, and
-    one-shots may cancel a train when they fire.  A train may also run
-    dry after its k-th item (k = -1: it starts dormant) and be re-armed
-    with the rest at a drawn time in ``[t_k, t_{k+1})``.
+    included), and the loop re-arms a train after each of its items.  A
+    train may also run dry after its k-th item (k = -1: it starts
+    dormant) and be re-armed with the rest at a drawn time in
+    ``[t_k, t_{k+1})``.
     """
     n_trains = draw(st.integers(0, 6))
     ops: list[tuple] = []
     for j in range(n_trains):
         times = sorted(draw(st.lists(_grid, max_size=50)))
-        self_cancel = draw(
-            st.one_of(st.none(), st.integers(0, max(len(times) - 1, 0)))
-        )
         # The rest can be re-armed only strictly before its first time.
         before = [0.0] + times
         splits = [k for k in range(-1, len(times) - 1) if before[k + 1] < times[k + 1]]
@@ -477,7 +357,7 @@ def _schedule_ops(draw) -> list[tuple]:
                 ),
             )
         ]
-        ops.append(("train", j, times, self_cancel, rearms))
+        ops.append(("train", j, times, rearms))
     ops += [("one-shot", t) for t in draw(st.lists(_grid, max_size=30))]
     ops += [
         ("periodic", first, interval, n)
@@ -497,16 +377,6 @@ def _schedule_ops(draw) -> list[tuple]:
             )
         )
     ]
-    if n_trains:
-        ops += [
-            ("cancel", t, target)
-            for t, target in draw(
-                st.lists(
-                    st.tuples(_grid, st.integers(0, n_trains - 1)),
-                    max_size=3,
-                )
-            )
-        ]
     return draw(st.permutations(ops))
 
 
@@ -514,8 +384,8 @@ def _replay(sim_cls, ops, on_demand=False) -> list[tuple[float, str]]:
     """Install ``ops`` on a fresh ``sim_cls`` and run; the firing log.
 
     ``on_demand`` splits each train at its drain points and re-arms
-    each rest from a one-shot at its drawn time (unless the train was
-    cancelled by then); otherwise every train is scheduled in full.
+    each rest from a one-shot at its drawn time; otherwise every train
+    is scheduled in full.
     """
     sim = sim_cls()
     log: list[tuple[float, str]] = []
@@ -524,32 +394,19 @@ def _replay(sim_cls, ops, on_demand=False) -> list[tuple[float, str]]:
     def fire(label: str) -> None:
         log.append((sim.now, label))
 
-    def train_item(label: str, j: int, cancel: bool) -> None:
-        fire(label)
-        if cancel:
-            trains[j].cancel()
-
     def spawn(label: str, delay: float, depth: int) -> None:
         fire(label)
         if depth:
             sim.schedule(delay, spawn, label + "+", delay, depth - 1)
 
-    def cancel(label: str, j: int) -> None:
-        fire(label)
-        trains[j].cancel()
-
     def rearm(j: int, rest: list) -> None:
-        if not trains[j].cancelled:
-            sim.rearm(trains[j], rest)
+        sim.rearm(trains[j], rest)
 
     for n, op in enumerate(ops):
         kind = op[0]
         if kind == "train":
-            _, j, times, self_cancel, rearms = op
-            items = [
-                (t, train_item, (f"t{j}.{k}", j, k == self_cancel))
-                for k, t in enumerate(times)
-            ]
+            _, j, times, rearms = op
+            items = [(t, fire, (f"t{j}.{k}",)) for k, t in enumerate(times)]
             if not on_demand:
                 trains[j] = sim.schedule_train(items)
                 continue
@@ -571,17 +428,23 @@ def _replay(sim_cls, ops, on_demand=False) -> list[tuple[float, str]]:
                 first=first,
                 until=first + 0.5 * interval * count,
             )
-        elif kind == "spawn":
+        else:
             _, t, delay, depth = op
             sim.schedule_at(t, spawn, f"s{n}", 0.5 * delay, depth)
-        else:
-            _, t, j = op
-            sim.schedule_at(t, cancel, f"c{n}", j)
     sim.run()
     return log
 
 
 @given(ops=_schedule_ops())
+@example(
+    # Starts dormant, is re-armed at 0 s, re-arms itself through three
+    # items, runs dry and is re-armed at 1.5 s; one-shots tie with it.
+    ops=[
+        ("train", 0, [0.5, 1.0, 1.0, 2.0], [(-1, 0.0), (2, 1.5)]),
+        ("one-shot", 1.0),
+        ("one-shot", 2.0),
+    ]
+)
 def test_trains_fire_as_if_scheduled_up_front(ops):
     # The oracle schedules every train item up front with its own seq;
     # one re-arming queue entry per train must replay the same order,
@@ -596,7 +459,7 @@ class TestReferenceSimulatorParity:
 
     @staticmethod
     def _mixed_workload(sim_cls) -> list[tuple[float, str]]:
-        """~2k seeded schedule/cancel/periodic events; the firing log.
+        """~2k seeded one-shot/spawn/periodic events; the firing log.
 
         Times sit on a 0.5 s grid so same-time ties are common and the
         ``(time, seq)`` tie-break is exercised throughout.
@@ -613,40 +476,20 @@ class TestReferenceSimulatorParity:
             if depth:
                 sim.schedule(delay, spawn, label + "+", delay, depth - 1)
 
-        def cancel(label: str, handle) -> None:
-            fire(label)
-            handle.cancel()
-
         def grid_time() -> float:
             return 0.5 * int(rng.integers(0, 200))
 
-        trains = []
         for k in range(20):
             interval = 0.5 * int(rng.integers(1, 6))
             first = grid_time() / 10.0
-            trains.append(
-                sim.schedule_periodic(
-                    interval,
-                    fire,
-                    f"p{k}",
-                    first=first,
-                    until=first + 30 * interval,
-                )
+            sim.schedule_periodic(
+                interval, fire, f"p{k}", first=first, until=first + 30 * interval
             )
-        events = [sim.schedule_at(grid_time(), fire, f"e{k}") for k in range(1000)]
+        for k in range(1000):
+            sim.schedule_at(grid_time(), fire, f"e{k}")
         for k in range(100):
             delay = 0.5 * int(rng.integers(0, 3))
             sim.schedule_at(grid_time(), spawn, f"s{k}", delay, 3)
-        for i in rng.choice(len(events), size=200, replace=False):
-            events[int(i)].cancel()
-        # Mid-run cancellations, of one-shots and of whole trains.
-        for k in range(50):
-            target = (
-                trains[int(rng.integers(len(trains)))]
-                if k % 5 == 0
-                else events[int(rng.integers(len(events)))]
-            )
-            sim.schedule_at(grid_time(), cancel, f"c{k}", target)
         sim.run()
         return log
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -197,7 +199,11 @@ def test_block_projection_equals_the_per_buoy_oracle(
         else None
     )
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(buoy_module, "TILT_BLOCK_BYTES", sub_block * 2 * t.nbytes)
+        mp.setattr(
+            buoy_module,
+            "TILT_BLOCK_BYTES",
+            sub_block * buoy_module._tilt_bytes_per_buoy(n_samples),
+        )
         fz, fx, fy = Buoy.specific_force(buoys, t, az.copy(), rows)
     assert fz.shape == az.shape
     assert (fx is None) == (fy is None) == (not horizontal)
@@ -209,6 +215,22 @@ def test_block_projection_equals_the_per_buoy_oracle(
         if horizontal:
             assert fx[i].tobytes() == want.fx.tobytes()
             assert fy[i].tobytes() == want.fy.tobytes()
+
+
+@pytest.mark.parametrize("n_samples", [200, 500, 3_000, 20_000])
+def test_block_projection_peak_stays_near_its_budget(n_samples):
+    # A sub-block's tilt rows and in-block offset factors fit
+    # TILT_BLOCK_BYTES; the projection's temporaries come on top.
+    t = np.arange(n_samples) / 50.0
+    buoys = [Buoy(Position(float(i), 0.0), seed=i) for i in range(64)]
+    az = np.zeros((64, n_samples))
+    tracemalloc.start()
+    try:
+        Buoy.specific_force(buoys, t, az)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * buoy_module.TILT_BLOCK_BYTES
 
 
 def test_block_projection_writes_fz_over_its_input(buoy):

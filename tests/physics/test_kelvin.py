@@ -159,7 +159,7 @@ class TestWakeGeometry:
     def test_wave_height_clamped_near_hull(self, wake):
         h0 = wake.wave_height_at(Position(0.0, 0.0))
         h1 = wake.wave_height_at(Position(0.0, 1.0))
-        assert math.isclose(h0, h1)  # both clamped at min_lateral
+        assert math.isclose(h0, h1)  # both clamped at MIN_HEIGHT_LATERAL_M
 
     def test_train_duration_paper_scale(self):
         # 2-3 s at the paper's 25 m deployment scale for ~10 knots.

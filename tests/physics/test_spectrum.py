@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.physics.spectrum import (
-    JONSWAPSpectrum,
     PiersonMoskowitzSpectrum,
     SeaState,
     sea_state_spectrum,
@@ -53,34 +52,6 @@ class TestPiersonMoskowitz:
             sp.density(np.array([-0.1]))
 
 
-class TestJONSWAP:
-    def test_peak_enhancement_exceeds_pm(self):
-        u = 6.0
-        j = JONSWAPSpectrum(u, fetch_m=30e3)
-        fp = j.peak_frequency_hz
-        pm_like = JONSWAPSpectrum(u, fetch_m=30e3, gamma=1.0)
-        assert j.density(np.array([fp]))[0] > pm_like.density(np.array([fp]))[0]
-
-    def test_gamma_one_matches_pm_shape(self):
-        j = JONSWAPSpectrum(6.0, gamma=1.0)
-        f = np.array([j.peak_frequency_hz * 2.0])
-        # gamma^r == 1 everywhere, so density is the base PM-type form.
-        assert j.density(f)[0] > 0
-
-    def test_shorter_fetch_higher_peak_frequency(self):
-        near = JONSWAPSpectrum(6.0, fetch_m=5e3)
-        far = JONSWAPSpectrum(6.0, fetch_m=200e3)
-        assert near.peak_frequency_hz > far.peak_frequency_hz
-
-    def test_rejects_bad_gamma(self):
-        with pytest.raises(ConfigurationError):
-            JONSWAPSpectrum(6.0, gamma=0.5)
-
-    def test_rejects_bad_fetch(self):
-        with pytest.raises(ConfigurationError):
-            JONSWAPSpectrum(6.0, fetch_m=0.0)
-
-
 class TestMomentsAndStats:
     def test_moment_zero_positive(self, calm_spectrum):
         assert spectral_moment(calm_spectrum, 0) > 0
@@ -101,17 +72,12 @@ class TestMomentsAndStats:
 
 
 class TestSeaStates:
-    def test_all_states_build_both_kinds(self):
+    def test_all_states_build_their_spectrum(self):
         for state in SeaState:
-            pm = sea_state_spectrum(state)
-            js = sea_state_spectrum(state, "jonswap")
-            assert pm.peak_frequency_hz > 0
-            assert js.peak_frequency_hz > 0
+            spectrum = sea_state_spectrum(state)
+            assert spectrum == PiersonMoskowitzSpectrum(state.wind_speed_mps)
+            assert spectrum.peak_frequency_hz > 0
 
     def test_states_ordered_by_wind(self):
         winds = [s.wind_speed_mps for s in SeaState]
         assert winds == sorted(winds)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sea_state_spectrum(SeaState.CALM, "swell")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.constants import GRAVITY
 from repro.errors import ConfigurationError
 from repro.physics.spectrum import PiersonMoskowitzSpectrum, SeaState
 from repro.physics.wavefield import AmbientWaveField, _spreading_cdf_table
@@ -95,6 +96,12 @@ def test_unidirectional_spreading(calm_spectrum, origin):
     )
     directions = {c.direction_rad for c in field.components}
     assert directions == {0.0}
+
+
+def test_components_are_deep_water_waves(field):
+    # Deep-water dispersion, omega^2 = g k, bit for bit.
+    for c in field.components:
+        assert c.wavenumber == c.omega * c.omega / GRAVITY
 
 
 def test_components_exposed_read_only(field):

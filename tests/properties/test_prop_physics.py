@@ -8,7 +8,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.physics.airy import dispersion_omega, wavenumber_from_omega
 from repro.physics.kelvin import (
     KelvinWake,
     divergent_wave_height,
@@ -18,21 +17,6 @@ from repro.physics.kelvin import (
 )
 from repro.physics.wake_train import WakeTrain
 from repro.types import Position
-
-_k = st.floats(1e-4, 100.0, allow_nan=False)
-_depth = st.one_of(st.none(), st.floats(0.5, 5000.0, allow_nan=False))
-
-
-@given(_k, _depth)
-def test_dispersion_roundtrip(k, depth):
-    omega = dispersion_omega(k, depth)
-    k_back = wavenumber_from_omega(omega, depth)
-    assert math.isclose(k_back, k, rel_tol=1e-6)
-
-
-@given(_k, st.floats(0.5, 5000.0))
-def test_finite_depth_slows_waves(k, depth):
-    assert dispersion_omega(k, depth) <= dispersion_omega(k) + 1e-12
 
 
 @given(st.floats(0.0, 0.99, allow_nan=False))

@@ -26,26 +26,6 @@ def test_simulator_executes_in_nondecreasing_time_order(delays):
 
 
 @given(
-    st.lists(st.floats(0.0, 1e4, allow_nan=False), min_size=1, max_size=40),
-    st.data(),
-)
-def test_cancelled_subset_never_fires(delays, data):
-    sim = Simulator()
-    log = []
-    events = [
-        sim.schedule(d, lambda i=i: log.append(i))
-        for i, d in enumerate(delays)
-    ]
-    to_cancel = data.draw(
-        st.sets(st.integers(0, len(delays) - 1)), label="cancelled"
-    )
-    for i in to_cancel:
-        events[i].cancel()
-    sim.run()
-    assert set(log) == set(range(len(delays))) - to_cancel
-
-
-@given(
     st.floats(46.0, 89.0, allow_nan=False),
     st.floats(1.0, 12.0, allow_nan=False),
     st.floats(5.0, 60.0, allow_nan=False),

@@ -125,8 +125,6 @@ def test_random_disturbances_rates(tiny_grid):
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         SynthesisConfig(duration_s=0.0)
-    with pytest.raises(ConfigurationError):
-        SynthesisConfig(n_wave_components=0)
 
 
 def test_single_node_uses_fleet_path(monkeypatch):

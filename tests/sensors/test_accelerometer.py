@@ -137,11 +137,9 @@ def test_invalid_axis_rejected(quiet_accel):
 
 def test_spec_validation():
     with pytest.raises(ConfigurationError):
-        AccelerometerSpec(range_g=0.0)
-    with pytest.raises(ConfigurationError):
-        AccelerometerSpec(counts_per_g=-1.0)
-    with pytest.raises(ConfigurationError):
         AccelerometerSpec(noise_rms_counts=-1.0)
+    with pytest.raises(ConfigurationError):
+        AccelerometerSpec(bias_rms_counts=-1.0)
 
 
 def test_mps2_to_counts_linear(quiet_accel):

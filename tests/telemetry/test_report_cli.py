@@ -85,12 +85,7 @@ class TestSummaries:
         sink = InMemorySink()
         tracer = Tracer([sink], clock=ManualClock(tick_s=0.5))
         with tracer.span(CAT_PROFILING, "event_loop") as span:
-            span.set(
-                events_executed=100,
-                events_cancelled=0,
-                peak_queue_depth=3,
-                compactions=0,
-            )
+            span.set(events_executed=100, events_pending=0, peak_queue_depth=3)
         (row,) = scheduler_stats(sink.events)
         assert row["wall_s"] == 0.5
         assert row["events_per_s"] == 200.0
